@@ -31,6 +31,7 @@ import numpy as np
 from .checks import (
     Certificate,
     VIOLATION_CAP,
+    _point_json,
     check_bl,
     check_mbl,
     check_mixed_monotone,
@@ -175,7 +176,7 @@ def check_property_star(
                 passed=False,
                 violations=(
                     {"term": i, "kind": "premise",
-                     "from": _as_jsonable(a), "to": _as_jsonable(b)},
+                     "from": _point_json(a), "to": _point_json(b)},
                 ),
                 violation_count=1,
                 detail=f"premise-violated at term {i}: consecutive pair is not an edge",
@@ -191,8 +192,8 @@ def check_property_star(
                 violations.append({
                     "term": i,
                     "kind": "conclusion",
-                    "point": _as_jsonable(p),
-                    "limit": _as_jsonable(lim),
+                    "point": _point_json(p),
+                    "limit": _point_json(lim),
                 })
     return Certificate(
         property_name="property_star",
@@ -202,13 +203,6 @@ def check_property_star(
         violation_count=count,
         detail=direction,
     )
-
-
-def _as_jsonable(p: np.ndarray):
-    p = np.asarray(p, dtype=np.float64).reshape(-1)
-    if p.size == 1:
-        return float(p[0])
-    return [float(c) for c in p]
 
 
 def _seed_edge_ok(instance: ProblemInstance, notes: list[str]) -> bool:
@@ -235,7 +229,6 @@ def _trial_trace(instance: ProblemInstance):
         k=instance.k,
         tol=1e-300,  # never satisfied: the trial wants a full-length edge chain
         max_iter=_TRIAL_STEPS,
-        mode="property_star",
     )
     if instance.kind == "single":
         fp, trace = solve_coupled(
@@ -278,7 +271,7 @@ def _spot_check_continuity(instance: ProblemInstance, sample: SampleSpec, notes:
             if gap > _CONTINUITY_TOL:
                 notes.append(
                     "continuity spot check FAILED near "
-                    f"{_as_jsonable(a)!r}: jump {float(gap)!r}"
+                    f"{_point_json(a)!r}: jump {float(gap)!r}"
                 )
                 return False
     except CoupledFpiError as exc:

@@ -7,17 +7,20 @@ carries concrete witnesses.  Inequalities get an absolute slack of
 ``SLACK`` so that float roundoff at an exact boundary is not reported
 as a violation.
 
-The two contraction conditions checked here live on product edges of
-the graph (see :func:`coupled_fpi.graphs.product_edge`):
+Each hypothesis has one kernel over (n, m, d) image arrays: n samples,
+m image points each.  A single-valued map is the m = 1 case, so each
+single-valued checker and its multivalued counterpart share one code
+path and differ only in how they format witnesses.
 
-* single-valued bound (property id ``BL``):
-      d(F(x,y), F(u,v)) <= (k/2) (d(x,u) + d(y,v))
-* multivalued bound (property id ``MBL``): every point of F(x,y) has a
-  point of F(u,v) within the same right-hand side.
-
-Mixed monotonicity is the edge-propagation property: edges in the first
-argument push forward through F, edges in the second argument push
-forward *reversed*.
+* Contraction (``MBL``; ``BL`` when m = 1) on product edges (see
+  :func:`coupled_fpi.graphs.product_edge`): every point of F(x,y) lies
+  within (k/2)(d(x,u) + d(y,v)) of the set F(u,v), a max-min over
+  (n, m, m) distances.
+* Mixed monotonicity (``mixed_monotone_multi``; ``mixed_monotone`` when
+  m = 1): edges in the first argument push forward through F, edges in
+  the second argument push forward *reversed*.  Every point of the
+  "from" image needs an edge to some point of the "to" image, an any
+  over an (n, m, m) edge mask.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import InsufficientSamplesError, InvalidParameterError
-from .finite_sets import as_finite_set, dist_to_set
+# dist_to_set is not used here; perfbench/tracer.py patches it under this name.
+from .finite_sets import as_finite_set, dist_to_set  # noqa: F401
 from .graphs import Digraph
 from .sampling import Sampler, SampleSpec
 from .spaces import MetricSpace, as_point
@@ -119,17 +123,91 @@ def _map_rows(fn: Callable, X: np.ndarray, Y: np.ndarray, dimension: int) -> np.
     return np.vstack(rows)
 
 
-def _finalize(name, total, violations, count, seed, detail="", estimated=None):
+def _images(fn: Callable, X: np.ndarray, Y: np.ndarray, dimension: int, multi: bool) -> np.ndarray:
+    """Evaluate a coupled map on (n,d) rows as an (n,m,d) image array.
+
+    A single-valued map gives one-point images (m = 1).  Multivalued maps
+    with ``eval_batch`` return the array directly; plain callables are
+    evaluated row by row, and a ragged image is padded by repeating its
+    first point, which changes neither "every point has an edge into the
+    other image" nor the largest point-to-set distance.
+    """
+    if not multi:
+        return _map_rows(fn, X, Y, dimension)[:, None, :]
+    batch = getattr(fn, "eval_batch", None)
+    if batch is not None:
+        return np.asarray(batch(X, Y), dtype=np.float64).reshape(len(X), -1, dimension)
+    sets = [as_finite_set(fn(x, y), dimension).points for x, y in zip(X, Y)]
+    m = max(len(s) for s in sets)
+    return np.stack([np.concatenate([s, np.repeat(s[:1], m - len(s), axis=0)]) for s in sets])
+
+
+def _pairs(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (A[i, j], B[i, l]) pair as two flat (n*m*mb, d) row arrays."""
+    n, m, d = A.shape
+    shape = (n, m, B.shape[1], d)
+    P = np.broadcast_to(A[:, :, None, :], shape).reshape(-1, d)
+    Q = np.broadcast_to(B[:, None, :, :], shape).reshape(-1, d)
+    return P, Q
+
+
+def _finalize(name, total, violations, count, seed, detail=""):
     return Certificate(
         property_name=name,
         samples_tested=total,
         passed=count == 0,
-        estimated_constant=estimated,
         violations=tuple(violations[:VIOLATION_CAP]),
         violation_count=count,
         seed=seed,
         detail=detail,
     )
+
+
+def _mixed_monotone(fn: Callable, graph: Digraph, sample: SampleSpec, multi: bool) -> Certificate:
+    """Mixed-monotone kernel shared by both map kinds.
+
+    Clause "x" samples (p1, p2, w) with an edge p1 -> p2 and needs every
+    point of F(p1, w) to have an edge to some point of F(p2, w); clause
+    "y" samples the same way and needs the reversed image edge, from
+    F(w, p2) to F(w, p1).  A sample violates a clause once, at its first
+    unmatched image point.
+    """
+    d = graph.dimension
+    sampler = Sampler(sample, d)
+    violations: list[dict] = []
+    count = 0
+    total = 0
+    for clause in ("x", "y"):
+        P1, P2, W = sampler.edge_triples(graph)
+        if clause == "x":
+            A, B = _images(fn, P1, W, d, multi), _images(fn, P2, W, d, multi)
+        else:
+            A, B = _images(fn, W, P2, d, multi), _images(fn, W, P1, d, multi)
+        unmatched = ~graph.edge_mask(*_pairs(A, B)).reshape(*A.shape[:2], -1).any(axis=2)
+        bad = np.flatnonzero(unmatched.any(axis=1))
+        total += len(P1)
+        count += len(bad)
+        for i in bad[:VIOLATION_CAP - len(violations)]:
+            w = {"clause": clause, "sample": int(i)}
+            if not multi:
+                other = "y" if clause == "x" else "x"
+                w.update({
+                    f"{clause}1": _point_json(P1[i]),
+                    f"{clause}2": _point_json(P2[i]),
+                    other: _point_json(W[i]),
+                    "image_from": _point_json(A[i, 0]),
+                    "image_to": _point_json(B[i, 0]),
+                })
+            else:
+                w.update({
+                    "edge_from": _point_json(P1[i]),
+                    "edge_to": _point_json(P2[i]),
+                    "other": _point_json(W[i]),
+                    "unmatched": _point_json(A[i, unmatched[i].argmax()]),
+                })
+            violations.append(w)
+    name = "mixed_monotone_multi" if multi else "mixed_monotone"
+    return _finalize(name, total, violations, count, sample.seed)
 
 
 def check_mixed_monotone(fn: Callable, graph: Digraph, sample: SampleSpec) -> Certificate:
@@ -139,49 +217,7 @@ def check_mixed_monotone(fn: Callable, graph: Digraph, sample: SampleSpec) -> Ce
     image edge F(x1,y) -> F(x2,y); then triples (y1, y2, x) with an edge
     y1 -> y2 and checks the *reversed* image edge F(x,y2) -> F(x,y1).
     """
-    d = graph.dimension
-    violations: list[dict] = []
-    count = 0
-    total = 0
-
-    sampler = Sampler(sample, d)
-    X1, X2, Ys = sampler.edge_triples(graph)
-    A = _map_rows(fn, X1, Ys, d)
-    B = _map_rows(fn, X2, Ys, d)
-    ok = graph.edge_mask(A, B)
-    total += len(ok)
-    for i in np.flatnonzero(~ok):
-        count += 1
-        if len(violations) < VIOLATION_CAP:
-            violations.append({
-                "clause": "x",
-                "sample": int(i),
-                "x1": _point_json(X1[i]),
-                "x2": _point_json(X2[i]),
-                "y": _point_json(Ys[i]),
-                "image_from": _point_json(A[i]),
-                "image_to": _point_json(B[i]),
-            })
-
-    Y1, Y2, Xs = sampler.edge_triples(graph)
-    A = _map_rows(fn, Xs, Y2, d)
-    B = _map_rows(fn, Xs, Y1, d)
-    ok = graph.edge_mask(A, B)
-    total += len(ok)
-    for i in np.flatnonzero(~ok):
-        count += 1
-        if len(violations) < VIOLATION_CAP:
-            violations.append({
-                "clause": "y",
-                "sample": int(i),
-                "y1": _point_json(Y1[i]),
-                "y2": _point_json(Y2[i]),
-                "x": _point_json(Xs[i]),
-                "image_from": _point_json(A[i]),
-                "image_to": _point_json(B[i]),
-            })
-
-    return _finalize("mixed_monotone", total, violations, count, sample.seed)
+    return _mixed_monotone(fn, graph, sample, multi=False)
 
 
 def check_mixed_monotone_multi(fn: Callable, graph: Digraph, sample: SampleSpec) -> Certificate:
@@ -190,42 +226,49 @@ def check_mixed_monotone_multi(fn: Callable, graph: Digraph, sample: SampleSpec)
     The image-edge requirement is pointwise-existential: every u in the
     "from" image needs some v in the "to" image with an edge u -> v.
     """
-    d = graph.dimension
-    violations: list[dict] = []
-    count = 0
-    total = 0
-    sampler = Sampler(sample, d)
+    return _mixed_monotone(fn, graph, sample, multi=True)
 
-    def clause(P1, P2, W, tag):
-        nonlocal count, total
-        for i in range(len(P1)):
-            if tag == "x":
-                from_set = as_finite_set(fn(P1[i], W[i]), d)
-                to_set = as_finite_set(fn(P2[i], W[i]), d)
-            else:
-                from_set = as_finite_set(fn(W[i], P2[i]), d)
-                to_set = as_finite_set(fn(W[i], P1[i]), d)
-            total += 1
-            for u in from_set:
-                if not any(graph.has_edge(u, v) for v in to_set):
-                    count += 1
-                    if len(violations) < VIOLATION_CAP:
-                        violations.append({
-                            "clause": tag,
-                            "sample": int(i),
-                            "edge_from": _point_json(P1[i]),
-                            "edge_to": _point_json(P2[i]),
-                            "other": _point_json(W[i]),
-                            "unmatched": _point_json(u),
-                        })
-                    break
 
-    X1, X2, Ys = sampler.edge_triples(graph)
-    clause(X1, X2, Ys, "x")
-    Y1, Y2, Xs = sampler.edge_triples(graph)
-    clause(Y1, Y2, Xs, "y")
+def _contraction(
+    fn: Callable,
+    space: MetricSpace,
+    graph: Digraph,
+    k: float,
+    sample: SampleSpec,
+    multi: bool,
+) -> Certificate:
+    """Contraction kernel shared by both map kinds.
 
-    return _finalize("mixed_monotone_multi", total, violations, count, sample.seed)
+    For each sampled product-edge pair, every point of F(x,y) must lie
+    within (k/2)(d(x,u) + d(y,v)) + SLACK of the set F(u,v).  A sample
+    counts once, with its first offending image point as the witness.
+    """
+    k = validate_k(k)
+    d = space.dimension
+    X, Y, U, V = Sampler(sample, d).product_edge_pairs(graph)
+    A = _images(fn, X, Y, d, multi)
+    B = _images(fn, U, V, d, multi)
+    # distance from each point A[i, j] to the set B[i]
+    lhs = space.distance_batch(*_pairs(A, B)).reshape(*A.shape[:2], -1).min(axis=2)
+    rhs = 0.5 * k * (space.distance_batch(X, U) + space.distance_batch(Y, V))
+    over = lhs > rhs[:, None] + SLACK
+    bad = np.flatnonzero(over.any(axis=1))
+    violations = []
+    for i in bad[:VIOLATION_CAP]:
+        j = over[i].argmax()
+        w = {
+            "sample": int(i),
+            "x": _point_json(X[i]),
+            "y": _point_json(Y[i]),
+            "u": _point_json(U[i]),
+            "v": _point_json(V[i]),
+        }
+        if multi:
+            w["point"] = _point_json(A[i, j])
+        w.update(lhs=float(lhs[i, j]), rhs=float(rhs[i]))
+        violations.append(w)
+    name = "MBL" if multi else "BL"
+    return _finalize(name, len(X), violations, len(bad), sample.seed, detail=f"k={k!r}")
 
 
 def check_bl(
@@ -240,28 +283,7 @@ def check_bl(
     Samples product-edge pairs ((x,y),(u,v)) and tests
     d(F(x,y), F(u,v)) <= (k/2)(d(x,u) + d(y,v)) + SLACK.
     """
-    k = validate_k(k)
-    d = space.dimension
-    sampler = Sampler(sample, d)
-    X, Y, U, V = sampler.product_edge_pairs(graph)
-    FXY = _map_rows(fn, X, Y, d)
-    FUV = _map_rows(fn, U, V, d)
-    lhs = space.distance_batch(FXY, FUV)
-    rhs = 0.5 * k * (space.distance_batch(X, U) + space.distance_batch(Y, V))
-    bad = lhs > rhs + SLACK
-    violations = []
-    for i in np.flatnonzero(bad)[:VIOLATION_CAP]:
-        violations.append({
-            "sample": int(i),
-            "x": _point_json(X[i]),
-            "y": _point_json(Y[i]),
-            "u": _point_json(U[i]),
-            "v": _point_json(V[i]),
-            "lhs": float(lhs[i]),
-            "rhs": float(rhs[i]),
-        })
-    return _finalize("BL", len(lhs), violations, int(bad.sum()), sample.seed,
-                     detail=f"k={k!r}")
+    return _contraction(fn, space, graph, k, sample, multi=False)
 
 
 def check_mbl(
@@ -276,34 +298,7 @@ def check_mbl(
     For each sampled product-edge pair, every point of F(x,y) must be
     within (k/2)(d(x,u)+d(y,v)) + SLACK of the set F(u,v).
     """
-    k = validate_k(k)
-    d = space.dimension
-    sampler = Sampler(sample, d)
-    X, Y, U, V = sampler.product_edge_pairs(graph)
-    rhs_all = 0.5 * k * (space.distance_batch(X, U) + space.distance_batch(Y, V))
-    violations = []
-    count = 0
-    for i in range(len(X)):
-        A = as_finite_set(fn(X[i], Y[i]), d)
-        B = as_finite_set(fn(U[i], V[i]), d)
-        rhs = float(rhs_all[i])
-        for a in A:
-            gap = dist_to_set(space, a, B)
-            if gap > rhs + SLACK:
-                count += 1
-                if len(violations) < VIOLATION_CAP:
-                    violations.append({
-                        "sample": int(i),
-                        "x": _point_json(X[i]),
-                        "y": _point_json(Y[i]),
-                        "u": _point_json(U[i]),
-                        "v": _point_json(V[i]),
-                        "point": _point_json(a),
-                        "lhs": float(gap),
-                        "rhs": rhs,
-                    })
-                break
-    return _finalize("MBL", len(X), violations, count, sample.seed, detail=f"k={k!r}")
+    return _contraction(fn, space, graph, k, sample, multi=True)
 
 
 def estimate_k(

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certifier import HypothesisReport, preflight
+from .checks import _point_json
 from .errors import CoupledFpiError
 from .problem_spec import (
     ProblemSpec,
@@ -97,13 +98,6 @@ def trace_to_csv(trace: IterationTrace) -> str:
             )
         )
     return "\n".join(lines) + "\n"
-
-
-def _point_json(p: np.ndarray):
-    p = np.asarray(p, dtype=np.float64).reshape(-1)
-    if p.size == 1:
-        return float(p[0])
-    return [float(c) for c in p]
 
 
 def report_document(

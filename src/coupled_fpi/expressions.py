@@ -251,7 +251,11 @@ class ExpressionCoupledMap:
 
 
 class ExpressionMultiMap:
-    """Multivalued coupled map: a list of expression-defined image points."""
+    """Multivalued coupled map: a list of expression-defined image points.
+
+    ``eval_batch`` stacks the point maps' batch values into an (n, m, d)
+    image array, bitwise equal to calling the map row by row.
+    """
 
     def __init__(self, point_expressions, dimension: int = 1):
         if not point_expressions:
@@ -263,6 +267,9 @@ class ExpressionMultiMap:
 
     def __call__(self, x, y):
         return [p(x, y) for p in self.points]
+
+    def eval_batch(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        return np.stack([p.eval_batch(X, Y) for p in self.points], axis=1)
 
     def __repr__(self) -> str:
         return f"ExpressionMultiMap({len(self.points)} points)"

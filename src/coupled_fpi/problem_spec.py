@@ -401,7 +401,6 @@ def build_solve_config(spec: ProblemSpec, max_iter: int | None = None) -> SolveC
         k=spec.k,
         tol=spec.solve.tol,
         max_iter=spec.solve.max_iter if max_iter is None else max_iter,
-        mode=spec.solve.mode,
         check_bounds=spec.solve.check_bounds,
         record_edges=spec.solve.record_edges,
     )

@@ -46,13 +46,10 @@ from .errors import (
     InvalidSeedError,
     SeedEdgeError,
     SelectionFailureError,
-    UnsupportedModeError,
 )
 from .finite_sets import as_finite_set, dist_to_set
 from .graphs import Digraph, product_edge
 from .spaces import MetricSpace, PointLike, as_point
-
-MODES = ("continuous", "property_star")
 
 
 @dataclass(frozen=True)
@@ -61,17 +58,15 @@ class SolveConfig:
 
     ``k`` is the declared contraction constant and enters the stopping
     rule, so a wrong k voids the tolerance guarantee; ``tol`` is the
-    target summed distance to the limit pair.  ``mode`` does not change
-    the numerics, only which hypothesis certificate the CLI demands.
-    ``check_bounds`` turns the geometric step bound into a runtime
-    assertion; ``record_edges`` records per-step edge flags
-    (x_n -> x_{n+1} forward, y_{n+1} -> y_n reversed) without raising.
+    target summed distance to the limit pair.  ``check_bounds`` turns the
+    geometric step bound into a runtime assertion; ``record_edges``
+    records per-step edge flags (x_n -> x_{n+1} forward, y_{n+1} -> y_n
+    reversed) without raising.
     """
 
     k: float
     tol: float = 1e-10
     max_iter: int = 1000
-    mode: str = "continuous"
     check_bounds: bool = False
     record_edges: bool = False
 
@@ -82,10 +77,6 @@ class SolveConfig:
         if not isinstance(self.max_iter, int) or isinstance(self.max_iter, bool) or self.max_iter < 1:
             raise InvalidParameterError(
                 f"max_iter must be a positive integer, got {self.max_iter!r}"
-            )
-        if self.mode not in MODES:
-            raise UnsupportedModeError(
-                f"mode must be one of {MODES}, got {self.mode!r}"
             )
 
 
@@ -253,23 +244,20 @@ def solve_coupled(
 
 
 def _select_step(space, graph, image, anchor, incoming: bool, n: int) -> np.ndarray:
-    best = None
-    best_d = np.inf
-    for b in image:
-        ok = graph.has_edge(b, anchor) if incoming else graph.has_edge(anchor, b)
-        if not ok:
-            continue
-        dist = space.distance(anchor, b)
-        if dist < best_d:
-            best_d = dist
-            best = b
-    if best is None:
+    points = image.points
+    anchors = np.repeat(anchor[None, :], len(points), axis=0)
+    ok = graph.edge_mask(points, anchors) if incoming else graph.edge_mask(anchors, points)
+    dist = space.distance_batch(anchors, points)
+    # NaN and inf distances are inadmissible; argmin takes the lowest index on ties.
+    dist = np.where(ok & (dist < np.inf), dist, np.inf)
+    best = int(np.argmin(dist))
+    if not dist[best] < np.inf:
         side = "y" if incoming else "x"
         raise SelectionFailureError(
             f"step {n}: no edge-compatible candidate in the {side}-image "
             "(evidence the multivalued monotonicity hypothesis fails here)"
         )
-    return best.copy()
+    return points[best].copy()
 
 
 def solve_coupled_multi(

@@ -8,21 +8,25 @@ import pytest
 from coupled_fpi import (
     Certificate,
     EuclideanSpace,
+    ExpressionMultiMap,
     FullGraph,
     InsufficientSamplesError,
     InvalidParameterError,
     LinearCoupledMap,
     OrderGraph,
     SampleSpec,
+    SingletonMultiMap,
     check_bl,
     check_mbl,
     check_mixed_monotone,
     check_mixed_monotone_multi,
+    dist_to_set,
     estimate_k,
     real_line,
     validate_k,
 )
 from coupled_fpi.checks import SLACK, VIOLATION_CAP
+from coupled_fpi.sampling import Sampler
 
 LINE = real_line()
 BOX = SampleSpec(count=2000, seed=11, low=-10.0, high=10.0)
@@ -35,6 +39,50 @@ def sum_fifth(x, y):
 def multi_sum_fifth(x, y):
     v = (np.asarray(x) + np.asarray(y)) / 5.0
     return [-v, v]
+
+
+def ragged(x, y):
+    """One to four image points depending on the sample; the first one repeats."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    points = [0.1 * x - 0.1 * y, 0.4 * x, 0.1 * x - 0.1 * y, -0.3 * y]
+    return points[: 1 + int(abs(x[0]) * 10) % 4]
+
+
+def as_json(p):
+    return float(p[0]) if len(p) == 1 else [float(c) for c in p]
+
+
+def brute_mixed_monotone_multi(fn, graph, sample):
+    """Per-sample oracle: (samples, [(clause, sample, first unmatched point)])."""
+    sampler = Sampler(sample, graph.dimension)
+    total, found = 0, []
+    for clause in ("x", "y"):
+        P1, P2, W = sampler.edge_triples(graph)
+        for i in range(len(P1)):
+            if clause == "x":
+                source, target = fn(P1[i], W[i]), fn(P2[i], W[i])
+            else:
+                source, target = fn(W[i], P2[i]), fn(W[i], P1[i])
+            total += 1
+            unmatched = [u for u in source if not any(graph.has_edge(u, v) for v in target)]
+            if unmatched:
+                found.append((clause, i, as_json(unmatched[0])))
+    return total, found
+
+
+def brute_mbl(fn, space, graph, k, sample):
+    """Per-sample oracle: (samples, [(sample, first far point, lhs, rhs)])."""
+    X, Y, U, V = Sampler(sample, space.dimension).product_edge_pairs(graph)
+    found = []
+    for i in range(len(X)):
+        rhs = 0.5 * k * (space.distance(X[i], U[i]) + space.distance(Y[i], V[i]))
+        for a in fn(X[i], Y[i]):
+            gap = dist_to_set(space, a, fn(U[i], V[i]))
+            if gap > rhs + SLACK:
+                found.append((i, as_json(a), gap, rhs))
+                break
+    return len(X), found
 
 
 def test_certificate_consistency_enforced():
@@ -86,6 +134,9 @@ def test_mixed_monotone_projection_y_rejected_with_witness():
     assert not cert.passed
     assert all(v["clause"] == "y" for v in cert.violations)
     assert len(cert.violations) <= VIOLATION_CAP <= cert.violation_count
+    # the single-valued check is the one-point case of the multivalued one
+    multi = check_mixed_monotone_multi(SingletonMultiMap(lambda x, y: y), OrderGraph(1), BOX)
+    assert (multi.samples_tested, multi.violation_count) == (cert.samples_tested, cert.violation_count)
 
 
 def test_any_map_passes_on_full_graph():
@@ -104,6 +155,10 @@ def test_mixed_monotone_multi():
     assert not bad.passed
     assert bad.violations[0]["clause"] == "y"
     assert "unmatched" in bad.violations[0]
+    cert = check_mixed_monotone_multi(ragged, OrderGraph(1), small)
+    total, found = brute_mixed_monotone_multi(ragged, OrderGraph(1), small)
+    assert found and (cert.samples_tested, cert.violation_count) == (total, len(found))
+    assert [(w["clause"], w["sample"], w["unmatched"]) for w in cert.violations] == found[:VIOLATION_CAP]
 
 
 def test_bl_passes_for_sum_map():
@@ -120,12 +175,19 @@ def test_bl_degenerate_pairs_pass():
 
 
 def test_bl_rejects_projection_with_witness():
-    cert = check_bl(lambda x, y: x, LINE, FullGraph(1), 0.9, SampleSpec(count=1000, seed=14, low=-10.0, high=10.0))
+    spec = SampleSpec(count=1000, seed=14, low=-10.0, high=10.0)
+    cert = check_bl(lambda x, y: x, LINE, FullGraph(1), 0.9, spec)
     assert not cert.passed
     w = cert.violations[0]
     assert w["lhs"] > w["rhs"] + SLACK
     # witness reproduces on recomputation
     assert abs(w["x"] - w["u"]) == w["lhs"]
+    # the single-valued check is the one-point case of the multivalued one
+    multi = check_mbl(SingletonMultiMap(lambda x, y: x), LINE, FullGraph(1), 0.9, spec)
+    assert (multi.samples_tested, multi.violation_count) == (cert.samples_tested, cert.violation_count)
+    assert [(v["lhs"], v["rhs"]) for v in multi.violations] == [
+        (v["lhs"], v["rhs"]) for v in cert.violations
+    ]
 
 
 def test_bl_validates_k():
@@ -187,6 +249,17 @@ def test_checks_deterministic_for_fixed_seed():
     a = check_mixed_monotone(sum_fifth, OrderGraph(1), BOX)
     b = check_mixed_monotone(sum_fifth, OrderGraph(1), BOX)
     assert a == b
+    # batched images (eval_batch) and the per-sample fallback agree exactly
+    small = SampleSpec(count=400, seed=21, low=-10.0, high=10.0)
+    for d, points in ((1, ["(x + y) / 5", "x - y / 2"]),
+                      (2, [["x1 - y2", "x2 / 3"], ["y1", "x1 * x2"], ["x1", "y2"]])):
+        multi = ExpressionMultiMap(points, dimension=d)
+        plain = lambda x, y: multi(x, y)
+        for check in (lambda f: check_mixed_monotone_multi(f, OrderGraph(d), small),
+                      lambda f: check_mbl(f, EuclideanSpace(d), OrderGraph(d), 0.5, small)):
+            batched = check(multi)
+            assert batched.violation_count > 0
+            assert batched == check(plain)
 
 
 def test_mbl_dimension_two():
@@ -194,3 +267,9 @@ def test_mbl_dimension_two():
     fn = lambda x, y: [0.1 * np.asarray(x) - 0.1 * np.asarray(y)]
     cert = check_mbl(fn, space, FullGraph(2), 0.5, SampleSpec(count=300, seed=20, low=-5.0, high=5.0))
     assert cert.passed
+    spec = SampleSpec(count=300, seed=20, low=-5.0, high=5.0)
+    cert = check_mbl(ragged, space, OrderGraph(2), 0.5, spec)
+    total, found = brute_mbl(ragged, space, OrderGraph(2), 0.5, spec)
+    assert found and (cert.samples_tested, cert.violation_count) == (total, len(found))
+    witnesses = [(v["sample"], v["point"], v["lhs"], v["rhs"]) for v in cert.violations]
+    assert witnesses == found[:VIOLATION_CAP]

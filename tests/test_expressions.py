@@ -86,6 +86,13 @@ def test_eval_batch_matches_scalar():
     assert batch.shape == (200, 2)
     for i in range(200):
         assert np.array_equal(batch[i], fn(X[i], Y[i]))
+    multi = ExpressionMultiMap(
+        [["x1 - 2 * y2", "x2 * y1 + 1"], ["x1 / y1", "-x2"], ["3", "y2"]], dimension=2
+    )
+    images = multi.eval_batch(X, Y)
+    assert images.shape == (200, 3, 2)
+    for i in range(200):
+        assert np.array_equal(images[i], np.vstack(multi(X[i], Y[i])))
 
 
 def test_constant_expression_broadcasts():

@@ -20,7 +20,6 @@ from coupled_fpi import (
     SelectionFailureError,
     SingletonMultiMap,
     SolveConfig,
-    UnsupportedModeError,
     diagonal_decay_check,
     real_line,
     safe_k,
@@ -61,10 +60,8 @@ def test_config_validation():
         SolveConfig(k=0.5, max_iter=0)
     with pytest.raises(InvalidParameterError):
         SolveConfig(k=0.5, max_iter=2.5)
-    with pytest.raises(UnsupportedModeError):
-        SolveConfig(k=0.5, mode="turbo")
     cfg = SolveConfig(k=0.5)
-    assert cfg.tol == 1e-10 and cfg.max_iter == 1000 and cfg.mode == "continuous"
+    assert cfg.tol == 1e-10 and cfg.max_iter == 1000
 
 
 def test_step_bound_values():
