@@ -32,6 +32,7 @@ from .errors import (
     InvalidInputError,
     InvalidParameterError,
     InvalidSeedError,
+    NonFiniteValueError,
     NotAVertexError,
     SeedEdgeError,
     SelectionFailureError,
@@ -110,6 +111,7 @@ __all__ = [
     "IterationTrace",
     "LinearCoupledMap",
     "MetricSpace",
+    "NonFiniteValueError",
     "NotAVertexError",
     "OrderGraph",
     "PredicateGraph",

@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InsufficientSamplesError, InvalidParameterError
+from .errors import InsufficientSamplesError, InvalidParameterError, NonFiniteValueError
 # dist_to_set is not used here; perfbench/tracer.py patches it under this name.
 from .finite_sets import as_finite_set, dist_to_set  # noqa: F401
 from .graphs import Digraph
@@ -242,6 +242,7 @@ def _contraction(
     For each sampled product-edge pair, every point of F(x,y) must lie
     within (k/2)(d(x,u) + d(y,v)) + SLACK of the set F(u,v).  A sample
     counts once, with its first offending image point as the witness.
+    A non-finite distance offends.
     """
     k = validate_k(k)
     d = space.dimension
@@ -251,7 +252,7 @@ def _contraction(
     # distance from each point A[i, j] to the set B[i]
     lhs = space.distance_batch(*_pairs(A, B)).reshape(*A.shape[:2], -1).min(axis=2)
     rhs = 0.5 * k * (space.distance_batch(X, U) + space.distance_batch(Y, V))
-    over = lhs > rhs[:, None] + SLACK
+    over = ~(lhs <= rhs[:, None] + SLACK)
     bad = np.flatnonzero(over.any(axis=1))
     violations = []
     for i in bad[:VIOLATION_CAP]:
@@ -317,6 +318,8 @@ def estimate_k(
     Raises:
         InsufficientSamplesError: no product-edge pairs found, or all
             sampled pairs were degenerate.
+        NonFiniteValueError: the map's values give a NaN or infinite
+            ratio on some sampled pair.
     """
     d = space.dimension
     sampler = Sampler(sample, d)
@@ -327,5 +330,11 @@ def estimate_k(
         raise InsufficientSamplesError("all sampled product-edge pairs were degenerate")
     FXY = _map_rows(fn, X[keep], Y[keep], d)
     FUV = _map_rows(fn, U[keep], V[keep], d)
-    num = space.distance_batch(FXY, FUV)
-    return float((2.0 * num / den[keep]).max())
+    ratio = 2.0 * space.distance_batch(FXY, FUV) / den[keep]
+    bad = np.flatnonzero(~np.isfinite(ratio))
+    if bad.size:
+        raise NonFiniteValueError(
+            f"non-finite contraction ratio {float(ratio[bad[0]])!r} "
+            f"on sampled pair {int(np.flatnonzero(keep)[bad[0]])}"
+        )
+    return float(ratio.max())

@@ -50,6 +50,10 @@ class HypothesisViolationError(CoupledFpiError):
         self.step = step
 
 
+class NonFiniteValueError(CoupledFpiError):
+    """A map produced a NaN or infinite value where a finite one is required."""
+
+
 class InapplicableCheckError(CoupledFpiError):
     """A diagnostic check's precondition does not hold for the given data."""
 

@@ -241,9 +241,11 @@ class ExpressionCoupledMap:
         X = np.asarray(X, dtype=np.float64).reshape(len(X), self.dimension)
         Y = np.asarray(Y, dtype=np.float64).reshape(len(Y), self.dimension)
         env = _env_from_columns(X, Y, self.dimension)
+        out = np.empty((len(X), self.dimension))
         with np.errstate(divide="ignore", invalid="ignore"):
-            cols = [np.broadcast_to(c(env), (len(X),)) for c in self.components]
-        return np.column_stack(cols)
+            for i, c in enumerate(self.components):
+                out[:, i] = c(env)  # a constant component broadcasts
+        return out
 
     def __repr__(self) -> str:
         inner = ", ".join(c.source for c in self.components)

@@ -425,6 +425,10 @@ def build_instance(spec: ProblemSpec) -> ProblemInstance:
     on the graph's limit-edge persistence instead.
     """
     space = build_space(spec)
+    label = {"map": spec.map.expressions or spec.map.builtin, "graph": spec.graph.kind}
+    if spec.map.builtin is not None:
+        # Only builtins carry params; expression labels (and ids) stay as they were.
+        label["params"] = spec.map.params
     return ProblemInstance(
         kind=spec.map.kind,
         space=space,
@@ -436,8 +440,5 @@ def build_instance(spec: ProblemSpec) -> ProblemInstance:
         x1=spec.seed.x1,
         y1=spec.seed.y1,
         continuous=spec.solve.mode == "continuous",
-        label=json.dumps(
-            {"map": spec.map.expressions or spec.map.builtin, "graph": spec.graph.kind},
-            sort_keys=True,
-        ),
+        label=json.dumps(label, sort_keys=True),
     )

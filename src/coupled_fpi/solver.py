@@ -23,6 +23,12 @@ solver trusts the declared k; certifying it is the job of the checkers
 (:mod:`coupled_fpi.checks`) and the preflight orchestration
 (:mod:`coupled_fpi.certifier`).
 
+:func:`uniqueness_probe` runs this iteration from many seeds at once, in
+lockstep over an (s, d) batch; it shares the bound check, the stopping
+rule and their error messages with the per-pair kernel, so each seed
+gets the outcome :func:`solve_coupled` gives it.  A NaN or infinite
+step size stops every solver with ``NonFiniteValueError``.
+
 Multivalued maps iterate by edge-filtered nearest-point selection: the
 next iterate is the image point nearest the current one among
 edge-compatible candidates, ties resolved by image index.  Wrapping a
@@ -32,6 +38,7 @@ single-valued trace bitwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -39,11 +46,13 @@ import numpy as np
 
 from .checks import SLACK, Certificate, validate_k
 from .errors import (
+    CoupledFpiError,
     HypothesisViolationError,
     InapplicableCheckError,
     InvalidInputError,
     InvalidParameterError,
     InvalidSeedError,
+    NonFiniteValueError,
     SeedEdgeError,
     SelectionFailureError,
 )
@@ -155,6 +164,35 @@ def safe_k(estimate: float, margin: float = 1.05) -> float:
     return min(max(margin * estimate, 1e-12), 1.0 - 1e-12)
 
 
+def _step_rule(cfg: SolveConfig, n: int, total, D0):
+    """Bound check and stopping rule of step n, shared by both kernels.
+
+    *total* is step_x + step_y and *D0* the first summed step, as floats
+    for one pair or as arrays for a batch of rows.  Returns the bound
+    (k^n / 2) * D0, whether the step may stand (finite, and with
+    ``check_bounds`` within 2 * bound + SLACK) and whether the stopping
+    rule fires.  A step that may not stand is reported by
+    :func:`_step_error`.
+    """
+    bound = (cfg.k ** n) * D0 / 2.0
+    ok = abs(total) < math.inf
+    if cfg.check_bounds:
+        ok = ok & (total <= 2.0 * bound + SLACK)
+    return bound, ok, cfg.k / (1.0 - cfg.k) * total <= cfg.tol
+
+
+def _step_error(n: int, sx, sy, bound, step=None) -> CoupledFpiError:
+    """The error for step n after :func:`_step_rule` rejected it."""
+    if not abs(sx + sy) < math.inf:
+        return NonFiniteValueError(
+            f"step {n}: non-finite step size (step_x = {float(sx)!r}, step_y = {float(sy)!r})"
+        )
+    return HypothesisViolationError(
+        f"step {n}: step_x + step_y = {sx + sy!r} exceeds k^n * D0 = {2.0 * bound!r}",
+        step=step,
+    )
+
+
 def _run_iteration(
     space: MetricSpace,
     graph: Digraph,
@@ -172,7 +210,6 @@ def _run_iteration(
     agree bitwise on identical transition sequences.
     """
     D0 = space.distance(x0, x1) + space.distance(y0, y1)
-    ratio = cfg.k / (1.0 - cfg.k)
     steps: list[TraceStep] = []
     xn, yn = x0, y0
     xn1, yn1 = x1, y1
@@ -180,24 +217,24 @@ def _run_iteration(
     for n in range(cfg.max_iter):
         sx = space.distance(xn, xn1)
         sy = space.distance(yn, yn1)
-        bound = (cfg.k ** n) * D0 / 2.0
+        bound, ok, done = _step_rule(cfg, n, sx + sy, D0)
         diag = space.distance(xn, yn)
         ex = graph.has_edge(xn, xn1) if cfg.record_edges else None
         ey = graph.has_edge(yn1, yn) if cfg.record_edges else None
         step = TraceStep(n, xn, yn, sx, sy, bound, diag, ex, ey)
         steps.append(step)
-        if cfg.check_bounds and sx + sy > 2.0 * bound + SLACK:
-            raise HypothesisViolationError(
-                f"step {n}: step_x + step_y = {sx + sy!r} exceeds k^n * D0 = {2.0 * bound!r}",
-                step=step,
-            )
+        if not ok:
+            raise _step_error(n, sx, sy, bound, step)
         xn, yn = xn1, yn1
-        if ratio * (sx + sy) <= cfg.tol:
+        if done:
             converged = True
             break
         if n + 1 < cfg.max_iter:
             xn1, yn1 = advance(n + 1, xn, yn)
     return xn, yn, steps, D0, converged
+
+
+_SEED_EDGE = "seed condition fails: ((x0,y0),(F(x0,y0),F(y0,x0))) is not a product edge"
 
 
 def solve_coupled(
@@ -218,6 +255,7 @@ def solve_coupled(
 
     Raises:
         SeedEdgeError: seed condition fails.
+        NonFiniteValueError: some step size is NaN or infinite.
         HypothesisViolationError: with ``check_bounds``, a step exceeded
             the geometric bound (evidence the contraction constant is
             wrong for this instance).
@@ -228,9 +266,7 @@ def solve_coupled(
     x1 = as_point(fn(x0, y0), d)
     y1 = as_point(fn(y0, x0), d)
     if not product_edge(graph, (x0, y0), (x1, y1)):
-        raise SeedEdgeError(
-            "seed condition fails: ((x0,y0),(F(x0,y0),F(y0,x0))) is not a product edge"
-        )
+        raise SeedEdgeError(_SEED_EDGE)
 
     def advance(n, xn, yn):
         return as_point(fn(xn, yn), d), as_point(fn(yn, xn), d)
@@ -283,6 +319,7 @@ def solve_coupled_multi(
         InvalidSeedError: x1/y1 not in the seed images.
         SeedEdgeError: the seed product edge fails.
         SelectionFailureError: some step has no admissible candidate.
+        NonFiniteValueError: some step size is NaN or infinite.
     """
     d = space.dimension
     x0 = as_point(x0, d)
@@ -381,6 +418,221 @@ class UniquenessReport:
     edge_violations: tuple[dict, ...]
 
 
+def _by_rows(batch: Callable | None, row: Callable, n: int, fill):
+    """``batch()`` when it succeeds, else ``row(i)`` for each of n rows.
+
+    Returns the results as an array and ``{row: exception}`` for the rows
+    whose own call raised (their entries hold *fill*).  Redoing a failed
+    batch row by row keeps an error of the map, graph or metric on the
+    seed that caused it, as the per-pair solver raises it.
+    """
+    if batch is not None:
+        try:
+            return batch(), {}
+        except Exception:
+            pass
+    out, errors = [], {}
+    for i in range(n):
+        try:
+            out.append(row(i))
+        except Exception as exc:
+            errors[i] = exc
+            out.append(fill)
+    return np.array(out), errors
+
+
+def _by_seed(errors: dict, s: int) -> dict:
+    """Errors of stacked rows (x side, then y side) keyed by seed.
+
+    Taken in descending row order, so the x-side error, which the
+    per-pair solver meets first, wins.
+    """
+    return {i % s: errors[i] for i in sorted(errors, reverse=True)}
+
+
+def _images(fn: Callable, Z: np.ndarray, d: int):
+    """Stacked images [F(X, Y); F(Y, X)] of the pairs Z = [X; Y], errors by seed."""
+    s = len(Z) // 2
+    W = np.concatenate([Z[s:], Z[:s]])
+    eval_batch = getattr(fn, "eval_batch", None)
+
+    def batch():
+        out = np.asarray(eval_batch(Z, W), dtype=np.float64)
+        out = out.reshape(-1, 1) if out.ndim == 1 else out
+        if out.shape != Z.shape:
+            raise InvalidInputError(f"eval_batch returned shape {out.shape}")
+        return out
+
+    F, errors = _by_rows(batch if eval_batch is not None else None,
+                         lambda i: as_point(fn(Z[i], W[i]), d), len(Z), np.full(d, np.nan))
+    return F, _by_seed(errors, s)
+
+
+def _distances(space: MetricSpace, P: np.ndarray, Q: np.ndarray):
+    return _by_rows(lambda: space.distance_batch(P, Q),
+                    lambda i: space.distance(P[i], Q[i]), len(P), np.nan)
+
+
+def _solve_rows(fn, space, graph, starts, cfg: SolveConfig) -> list[SeedOutcome]:
+    """:func:`solve_coupled` from every seed at once.
+
+    The live pairs are held stacked, Z = [X; Y], and advance in lockstep
+    through batched map, graph and metric calls on unvalidated arrays;
+    a row freezes when it converges, reaches ``max_iter`` or fails.  A
+    failed row records the error string ``solve_coupled`` raises for
+    that seed.  Nothing is traced, so no edge flags are computed
+    (``record_edges`` is ignored).
+    """
+    s, d = len(starts), space.dimension
+    Z0 = np.array([x for x, _ in starts] + [y for _, y in starts]).reshape(2 * s, d)
+    errors: dict[int, str] = {}
+    live = np.arange(s)  # seed index of each live pair
+
+    def retire(failed: dict):
+        """Record the failed live pairs; the mask of the others (None: all)."""
+        if not failed:
+            return None
+        keep = np.ones(len(live), dtype=bool)
+        for r, exc in failed.items():
+            errors[int(live[r])] = f"{type(exc).__name__}: {exc}"
+            keep[r] = False
+        return keep
+
+    def take(keep, *arrays):
+        """The kept pairs of per-pair (a,) and stacked (2a, d) arrays."""
+        if keep is None:
+            return arrays
+        both = np.concatenate([keep, keep])
+        return tuple(v[keep] if len(v) == len(keep) else v[both] for v in arrays)
+
+    Z1, failed = _images(fn, Z0, d)
+    live, Z, Zn = take(retire(failed), live, Z0, Z1)
+    a = len(live)
+    edge, failed = _by_rows(
+        lambda: graph.edge_mask(Z[:a], Zn[:a]) & graph.edge_mask(Zn[a:], Z[a:]),
+        lambda i: product_edge(graph, (Z[i], Z[a + i]), (Zn[i], Zn[a + i])), a, False)
+    for r in np.flatnonzero(~edge):
+        failed.setdefault(int(r), SeedEdgeError(_SEED_EDGE))
+    live, Z, Zn = take(retire(failed), live, Z, Zn)
+
+    XF, YF = np.empty((s, d)), np.empty((s, d))
+    converged = np.zeros(s, dtype=bool)
+    ended = np.zeros(s, dtype=bool)
+    for n in range(cfg.max_iter):
+        a = len(live)
+        if a == 0:
+            break
+        step, failed = _distances(space, Z, Zn)
+        failed = _by_seed(failed, a)
+        sx, sy = step[:a], step[a:]
+        if n == 0:
+            D0 = sx + sy
+        _, ok, done = _step_rule(cfg, n, sx + sy, D0)
+        for r in np.flatnonzero(~ok):
+            if r not in failed:
+                # Re-measure with the pair metric: the message then carries
+                # the very scalars solve_coupled reports.
+                j = live[r]
+                rx = space.distance(Z[r], Zn[r])
+                ry = space.distance(Z[a + r], Zn[a + r])
+                r0 = space.distance(Z0[j], Z1[j]) + space.distance(Z0[s + j], Z1[s + j])
+                failed[int(r)] = _step_error(n, rx, ry, _step_rule(cfg, n, rx + ry, r0)[0])
+        keep = retire(failed)
+        stop = done | (n + 1 == cfg.max_iter)
+        if keep is not None:
+            stop &= keep
+        if stop.any():
+            rows = live[stop]
+            XF[rows], YF[rows] = Zn[:a][stop], Zn[a:][stop]
+            converged[rows], ended[rows] = done[stop], True
+            keep = ~stop if keep is None else keep & ~stop
+        live, Z, D0 = take(keep, live, Zn, D0)
+        if len(live) and n + 1 < cfg.max_iter:
+            Zn, failed = _images(fn, Z, d)
+            live, Z, Zn, D0 = take(retire(failed), live, Z, Zn, D0)
+
+    # solve_coupled then evaluates F at the final pair for its residual and
+    # measures d(x, y) for is_diagonal; a raise there fails the seed too.
+    live = np.flatnonzero(ended)
+    is_diagonal = np.zeros(s, dtype=bool)
+    if len(live):
+        _, failed = _images(fn, np.concatenate([XF[live], YF[live]]), d)
+        diag, failed_diag = _distances(space, XF[live], YF[live])
+        retire({**failed_diag, **failed})
+        is_diagonal[live] = diag <= cfg.tol
+
+    outcomes = []
+    for i, (x0, y0) in enumerate(starts):
+        if i in errors:
+            outcomes.append(SeedOutcome(i, x0, y0, None, False, errors[i]))
+            continue
+        fp = CoupledFixedPoint(x=XF[i].copy(), y=YF[i].copy(), is_diagonal=bool(is_diagonal[i]))
+        err = None if converged[i] else "non-convergence at max_iter"
+        outcomes.append(SeedOutcome(i, x0, y0, fp, bool(converged[i]), err))
+    return outcomes
+
+
+def _row_distances(space: MetricSpace, P: np.ndarray, Q: np.ndarray, a: int, rest):
+    """Pair distances d(p_a, p_b) + d(q_a, q_b) for the rows b in *rest*."""
+    Pb, Qb = P[rest], Q[rest]
+    return (space.distance_batch(P[a:a + 1].repeat(len(Pb), axis=0), Pb)
+            + space.distance_batch(Q[a:a + 1].repeat(len(Qb), axis=0), Qb))
+
+
+def _either_product_edge(graph: Digraph, P: np.ndarray, Q: np.ndarray, a: int, far: np.ndarray):
+    """Product edge (p_a, q_a) -> (p_b, q_b) or back, for each row b in *far*."""
+    Pb, Qb = P[far], Q[far]
+    Pa, Qa = P[a:a + 1].repeat(len(far), axis=0), Q[a:a + 1].repeat(len(far), axis=0)
+    try:
+        return ((graph.edge_mask(Pa, Pb) & graph.edge_mask(Qb, Qa))
+                | (graph.edge_mask(Pb, Pa) & graph.edge_mask(Qa, Qb)))
+    except Exception:
+        # Pair by pair, in the pairwise order, so a graph error is the one
+        # that pair's own short-circuited test raises.
+        pa = (P[a], Q[a])
+        return np.array([product_edge(graph, pa, (P[b], Q[b]))
+                         or product_edge(graph, (P[b], Q[b]), pa) for b in far], dtype=bool)
+
+
+def _cluster(space: MetricSpace, graph: Digraph, good: list[SeedOutcome], tol: float):
+    """Clusters, diameters and edge violations of the converged outcomes.
+
+    One row at a time, with no (s, s) matrix: row a measures its pair
+    distances to every later row, joins the close ones (<= 2 * tol) into
+    its component and tests product edges on the far ones.  Diameters
+    are a second pass over the same rows once the components are known.
+    """
+    n = len(good)
+    P = np.array([o.point.x for o in good]).reshape(n, space.dimension)
+    Q = np.array([o.point.y for o in good]).reshape(n, space.dimension)
+    label = np.arange(n)
+    edge_violations = []
+    for a in range(n - 1):
+        dist = _row_distances(space, P, Q, a, slice(a + 1, n))
+        close = dist <= 2.0 * tol
+        joined = label[a + 1:][close]
+        if (joined != label[a]).any():
+            label[np.isin(label, joined)] = label[a]
+        far = np.flatnonzero(~close) + a + 1
+        if len(far):
+            for b in far[_either_product_edge(graph, P, Q, a, far)]:
+                edge_violations.append({
+                    "seeds": (good[a].index, good[b].index),
+                    "distance": float(dist[b - a - 1]),
+                })
+    groups: dict[int, list[int]] = {}
+    for row, lab in enumerate(label.tolist()):
+        groups.setdefault(lab, []).append(row)
+    members = sorted(groups.values())
+    clusters = tuple(tuple(good[r].index for r in g) for g in members)
+    diameters = tuple(
+        max((float(_row_distances(space, P, Q, g[j], g[j + 1:]).max())
+             for j in range(len(g) - 1)), default=0.0)
+        for g in members
+    )
+    return clusters, diameters, tuple(edge_violations)
+
+
 def uniqueness_probe(
     fn: Callable,
     space: MetricSpace,
@@ -390,64 +642,17 @@ def uniqueness_probe(
 ) -> UniquenessReport:
     """Solve from each seed and cluster the resulting fixed points.
 
-    Per-seed solver errors are recorded in the outcome and the probe
-    continues.  Pair distance is d(p,p') + d(q,q').
+    Every seed is iterated as :func:`solve_coupled` would, all of them in
+    lockstep as one batch (maps with ``eval_batch`` are evaluated once
+    per step for all seeds, others row by row).  Per-seed solver errors
+    are recorded in the outcome and the probe continues.  Pair distance
+    is d(p,p') + d(q,q').
     """
     if len(seeds) == 0:
         raise InvalidInputError("at least one seed is required")
-    outcomes: list[SeedOutcome] = []
-    for i, (sx, sy) in enumerate(seeds):
-        x0 = as_point(sx, space.dimension)
-        y0 = as_point(sy, space.dimension)
-        try:
-            fp, trace = solve_coupled(fn, space, graph, x0, y0, cfg)
-        except Exception as exc:  # per-seed failure is data, not a crash
-            outcomes.append(SeedOutcome(i, x0, y0, None, False, f"{type(exc).__name__}: {exc}"))
-            continue
-        err = None if trace.converged else "non-convergence at max_iter"
-        outcomes.append(SeedOutcome(i, x0, y0, fp, trace.converged, err))
-
+    d = space.dimension
+    starts = [(as_point(sx, d), as_point(sy, d)) for sx, sy in seeds]
+    outcomes = _solve_rows(fn, space, graph, starts, cfg)
     good = [o for o in outcomes if o.point is not None and o.converged]
-
-    def pair_dist(a: SeedOutcome, b: SeedOutcome) -> float:
-        return space.distance(a.point.x, b.point.x) + space.distance(a.point.y, b.point.y)
-
-    parent = {o.index: o.index for o in good}
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    edge_violations = []
-    for ai in range(len(good)):
-        for bi in range(ai + 1, len(good)):
-            a, b = good[ai], good[bi]
-            dist = pair_dist(a, b)
-            if dist <= 2.0 * cfg.tol:
-                ra, rb = find(a.index), find(b.index)
-                if ra != rb:
-                    parent[ra] = rb
-            else:
-                pa = (a.point.x, a.point.y)
-                pb = (b.point.x, b.point.y)
-                if product_edge(graph, pa, pb) or product_edge(graph, pb, pa):
-                    edge_violations.append({
-                        "seeds": (a.index, b.index),
-                        "distance": float(dist),
-                    })
-
-    groups: dict[int, list[int]] = {}
-    for o in good:
-        groups.setdefault(find(o.index), []).append(o.index)
-    clusters = tuple(tuple(sorted(g)) for g in sorted(groups.values()))
-    by_index = {o.index: o for o in good}
-    diameters = tuple(
-        max(
-            (pair_dist(by_index[i], by_index[j]) for i in c for j in c if i < j),
-            default=0.0,
-        )
-        for c in clusters
-    )
-    return UniquenessReport(tuple(outcomes), clusters, diameters, tuple(edge_violations))
+    clusters, diameters, edge_violations = _cluster(space, graph, good, cfg.tol)
+    return UniquenessReport(tuple(outcomes), clusters, diameters, edge_violations)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -14,13 +15,16 @@ from coupled_fpi import (
     OrderGraph,
     ProblemInstance,
     SampleSpec,
+    build_instance,
     check_property_star,
     instance_id_for,
+    parse_spec,
     preflight,
     real_line,
 )
 
 LINE = real_line()
+SPEC_DIR = pathlib.Path(__file__).resolve().parent.parent / "specs"
 BOX = SampleSpec(count=10_000, seed=2024, low=-10.0, high=10.0)
 SMALL_BOX = SampleSpec(count=1500, seed=2024, low=-10.0, high=10.0)
 
@@ -69,6 +73,18 @@ def test_instance_id_is_stable_and_discriminating():
     assert all(c in "0123456789abcdef" for c in iid)
     c = single_instance(FullGraph(1), k=0.5)
     assert instance_id_for(c) != iid
+
+    # Builtin maps that differ only in their params get different ids.
+    def linear(a, b):
+        doc = json.loads((SPEC_DIR / "single_sum_fifth.json").read_text())
+        doc["map"]["definition"] = {"name": "linear", "a": a, "b": b}
+        return instance_id_for(build_instance(parse_spec(json.dumps(doc))))
+
+    assert linear(0.2, -0.1) == linear(0.2, -0.1)
+    assert len({linear(0.2, -0.1), linear(0.3, -0.1), linear(0.2, 0.1)}) == 3
+    # Expression maps keep the ids (and report.json bytes) they always had.
+    shipped = build_instance(parse_spec((SPEC_DIR / "single_sum_fifth.json").read_text()))
+    assert instance_id_for(shipped) == "6311acc0291c"
 
 
 def test_property_star_descending_series():

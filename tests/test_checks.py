@@ -13,6 +13,7 @@ from coupled_fpi import (
     InsufficientSamplesError,
     InvalidParameterError,
     LinearCoupledMap,
+    NonFiniteValueError,
     OrderGraph,
     SampleSpec,
     SingletonMultiMap,
@@ -230,6 +231,28 @@ def test_estimate_k_all_degenerate():
     pool = SampleSpec(count=50, seed=18, points=(1.0,))
     with pytest.raises(InsufficientSamplesError):
         estimate_k(sum_fifth, LINE, FullGraph(1), pool)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_non_finite_values_never_pass_the_contraction_checks():
+    nan_map = lambda x, y: np.full(1, np.nan)
+    # NaN only far out: a partly non-finite image, and a partly NaN sample
+    half_nan = lambda x, y: np.full(1, np.nan) if float(np.asarray(x)[0]) > 5.0 else 0.1 * np.asarray(x)
+    for fn, everywhere in ((nan_map, True), (half_nan, False)):
+        for cert in (
+            check_bl(fn, LINE, FullGraph(1), 0.9, BOX),
+            check_mbl(lambda x, y: [fn(x, y)], LINE, FullGraph(1), 0.9, BOX),
+            check_mbl(lambda x, y: [0.1 * np.asarray(x), fn(x, y)], LINE, FullGraph(1), 0.9, BOX),
+        ):
+            assert not cert.passed and cert.samples_tested == BOX.count
+            assert (cert.violation_count == cert.samples_tested) == everywhere
+            assert all(not w["lhs"] <= w["rhs"] for w in cert.violations)
+        with pytest.raises(NonFiniteValueError, match="non-finite contraction ratio nan"):
+            estimate_k(fn, LINE, FullGraph(1), BOX)
+    inf_far = lambda x, y: np.full(1, np.inf) if float(np.asarray(x)[0]) > 5.0 else 0.1 * np.asarray(x)
+    assert not check_bl(inf_far, LINE, FullGraph(1), 0.9, BOX).passed
+    with pytest.raises(NonFiniteValueError, match="non-finite contraction ratio"):
+        estimate_k(inf_far, LINE, FullGraph(1), BOX)
 
 
 def test_estimated_k_with_margin_passes_bl_on_same_sample():

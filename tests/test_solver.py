@@ -6,6 +6,10 @@ import numpy as np
 import pytest
 
 from coupled_fpi import (
+    CallbackSpace,
+    ChebyshevSpace,
+    EuclideanSpace,
+    ExpressionCoupledMap,
     FiniteGraph,
     FiniteSet,
     FullGraph,
@@ -15,7 +19,10 @@ from coupled_fpi import (
     InvalidParameterError,
     InvalidSeedError,
     LinearCoupledMap,
+    NonFiniteValueError,
+    NotAVertexError,
     OrderGraph,
+    PredicateGraph,
     SeedEdgeError,
     SelectionFailureError,
     SingletonMultiMap,
@@ -29,6 +36,8 @@ from coupled_fpi import (
     tail_bound,
     uniqueness_probe,
 )
+from coupled_fpi.graphs import product_edge
+from coupled_fpi.spaces import as_point
 
 LINE = real_line()
 
@@ -348,3 +357,176 @@ def test_uniqueness_probe_halving_map():
     assert len(report.clusters) == 1
     with pytest.raises(InvalidInputError):
         uniqueness_probe(fn, LINE, FullGraph(1), [], cfg)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_non_finite_steps_raise_in_both_solvers():
+    nan_map = lambda x, y: np.full(1, np.nan)
+    for check_bounds in (False, True):
+        cfg = SolveConfig(k=0.5, tol=1e-12, max_iter=50, check_bounds=check_bounds)
+        with pytest.raises(NonFiniteValueError, match=r"^step 0: .*step_x = nan"):
+            solve_coupled(nan_map, LINE, FullGraph(1), 0.0, 1.0, cfg)
+        # finite at step 0, overflows to inf at step 1
+        blow_up = lambda x, y: 1e300 * np.asarray(x) + 1.0
+        with pytest.raises(NonFiniteValueError, match=r"^step 1: .*step_x = inf"):
+            solve_coupled(blow_up, LINE, FullGraph(1), 1.0, 1.0, cfg)
+        # the multivalued seed images hold an infinite point
+        inf_map = lambda x, y: [np.asarray(x) * np.inf]
+        with pytest.raises(NonFiniteValueError, match="^step 0: "):
+            solve_coupled_multi(inf_map, LINE, FullGraph(1), 1.0, 1.0, np.inf, np.inf, cfg)
+
+
+def test_uniqueness_probe_reports_non_finite_seeds():
+    # NaN beyond x = 2 only: seeds past it fail, the others converge
+    fn = lambda x, y: np.full(1, np.nan) if float(np.asarray(x)[0]) > 2.0 else 0.5 * np.asarray(x)
+    cfg = SolveConfig(k=0.6, tol=1e-10, max_iter=200, check_bounds=True)
+    report = uniqueness_probe(fn, LINE, FullGraph(1), [(1.0, 1.0), (3.0, 1.0), (-1.0, 5.0)], cfg)
+    ok, nan_x, nan_y = report.outcomes
+    assert ok.converged and ok.error is None
+    assert nan_x.point is None and nan_x.error.startswith("NonFiniteValueError: step 0: ")
+    assert nan_y.point is None and "step_y = nan" in nan_y.error
+    assert report.clusters == ((0,),)
+
+
+def test_uniqueness_probe_computes_no_edge_flags():
+    # The iterates leave the finite graph's vertices after the seed edge;
+    # solve_coupled with record_edges fails there, the probe does not look.
+    graph = FiniteGraph([1.0, 0.5, 0.25], [(1.0, 0.5), (0.5, 1.0)])
+    cfg = SolveConfig(k=0.6, tol=1e-10, max_iter=200, record_edges=True)
+    fn = lambda x, y: 0.5 * np.asarray(x)
+    with pytest.raises(NotAVertexError):
+        solve_coupled(fn, LINE, graph, 1.0, 1.0, cfg)
+    report = uniqueness_probe(fn, LINE, graph, [(1.0, 1.0)], cfg)
+    assert report.outcomes[0].converged
+
+
+def probe_oracle(fn, space, graph, seeds, cfg):
+    """The probe written seed by seed: solve_coupled per seed, then the
+    pairwise clustering loop.  Returns (outcomes, clusters, diameters,
+    edge violations); an outcome is (index, point, converged, error)."""
+    d = space.dimension
+    outcomes = []
+    for i, (sx, sy) in enumerate(seeds):
+        try:
+            fp, trace = solve_coupled(fn, space, graph, as_point(sx, d), as_point(sy, d), cfg)
+        except Exception as exc:
+            outcomes.append((i, None, False, f"{type(exc).__name__}: {exc}"))
+            continue
+        err = None if trace.converged else "non-convergence at max_iter"
+        outcomes.append((i, fp, trace.converged, err))
+    good = [(i, fp) for i, fp, converged, _ in outcomes if fp is not None and converged]
+
+    def dist(p, q):
+        return space.distance(p.x, q.x) + space.distance(p.y, q.y)
+
+    component = {i: frozenset([i]) for i, _ in good}
+    violations = []
+    for a, (i, p) in enumerate(good):
+        for j, q in good[a + 1:]:
+            gap = dist(p, q)
+            if gap <= 2.0 * cfg.tol:
+                merged = component[i] | component[j]
+                for m in merged:
+                    component[m] = merged
+            elif (product_edge(graph, (p.x, p.y), (q.x, q.y))
+                  or product_edge(graph, (q.x, q.y), (p.x, p.y))):
+                violations.append({"seeds": (i, j), "distance": float(gap)})
+    clusters = tuple(sorted(tuple(sorted(c)) for c in set(component.values())))
+    points = dict(good)
+    diameters = tuple(
+        max((dist(points[i], points[j]) for i in c for j in c if i < j), default=0.0)
+        for c in clusters
+    )
+    return outcomes, clusters, diameters, tuple(violations)
+
+
+def _charted_l1(p, q):
+    """L1 metric that raises, naming the point, outside the box |coordinate| <= 4."""
+    for point in (p, q):
+        if np.abs(point).max() > 4.0:
+            raise ValueError(f"outside the chart at {point.tolist()}")
+    return float(np.abs(p - q).sum())
+
+
+def _spaces():
+    return [EuclideanSpace(1), EuclideanSpace(2), ChebyshevSpace(2), CallbackSpace(2, _charted_l1)]
+
+
+def _maps(d):
+    if d == 1:
+        expr = ExpressionCoupledMap(["0.3*x - 0.2*y + 0.5"], 1)
+    else:
+        expr = ExpressionCoupledMap(["0.3*x1 - 0.2*y1 + 0.1", "0.3*x2 - 0.2*y2 - 0.4"], 2)
+
+    def raising(x, y):
+        # Wrong dimension far out (at the seed), a ValueError naming the
+        # argument near the fixed point 0 (on the way there, or only at
+        # the final pair when max_iter is short), from either side.
+        v = float(x[0])
+        if v > 2.5:
+            return np.zeros(d + 1)
+        if abs(v) < 0.05:
+            raise ValueError(f"no value at {v!r}")
+        return 0.4 * x - 0.1 * y
+
+    return {
+        "expression": expr,
+        "linear": LinearCoupledMap(0.25, -0.3),
+        "lambda": lambda x, y: 0.3 * np.asarray(x) - 0.2 * np.asarray(y) + 0.2,
+        "projection": lambda x, y: x,
+        "raising": raising,
+        "expanding": LinearCoupledMap(2.5, -0.5),
+    }
+
+
+@pytest.mark.parametrize("space", _spaces(), ids=lambda s: f"{type(s).__name__}{s.dimension}")
+def test_uniqueness_probe_matches_per_seed_oracle(space):
+    d = space.dimension
+    graphs = {
+        "order": OrderGraph(d),
+        "full": FullGraph(d),
+        "predicate": PredicateGraph(d, lambda p, q: bool(p.sum() <= q.sum() + 0.5)),
+    }
+    configs = {
+        "valid_k": SolveConfig(k=0.65, tol=1e-9, max_iter=300, check_bounds=True),
+        "small_k": SolveConfig(k=0.2, tol=1e-9, max_iter=300, check_bounds=True),
+        "short": SolveConfig(k=0.65, tol=1e-9, max_iter=4),
+    }
+    rng = np.random.default_rng(2024 + d)
+    seen = set()
+    for graph in graphs.values():
+        for name, fn in _maps(d).items():
+            for cfg in configs.values():
+                seeds = [(rng.uniform(-3, 3, d), rng.uniform(-3, 3, d)) for _ in range(7)]
+                seeds[1] = seeds[2]  # two seeds on one limit
+                # Three seeds 0, 2h, h apart in x1 with h = 1.5 tol: the
+                # projection keeps them, and only h links them into one chain.
+                shift = np.zeros(d)
+                shift[0] = 1.5 * cfg.tol
+                seeds += [(seeds[0][0] + c * shift, seeds[0][1]) for c in (4.0, 6.0, 5.0)]
+                report = uniqueness_probe(fn, space, graph, seeds, cfg)
+                outcomes, clusters, diameters, violations = probe_oracle(fn, space, graph, seeds, cfg)
+                assert len(report.outcomes) == len(outcomes)
+                for got, (i, fp, converged, err) in zip(report.outcomes, outcomes):
+                    assert (got.index, got.converged, got.error) == (i, converged, err)
+                    assert got.x0.tobytes() == as_point(seeds[i][0], d).tobytes()
+                    if fp is None:
+                        assert got.point is None
+                    else:
+                        assert got.point.x.tobytes() == fp.x.tobytes()
+                        assert got.point.y.tobytes() == fp.y.tobytes()
+                        assert got.point.is_diagonal == fp.is_diagonal
+                    seen.add((err or "ok").split(":")[0])
+                assert report.clusters == clusters
+                assert [x.hex() for x in map(float, report.diameters)] == [
+                    x.hex() for x in map(float, diameters)]
+                assert report.edge_violations == violations
+                if name == "projection" and len(clusters) > 1:
+                    seen.add("several clusters")
+                if max(map(len, clusters), default=0) >= 3:
+                    seen.add("chain")
+                if violations:
+                    seen.add("edge violations")
+    assert seen >= {"ok", "SeedEdgeError", "HypothesisViolationError", "InvalidInputError",
+                    "ValueError", "non-convergence at max_iter", "several clusters",
+                    "chain", "edge violations"}
