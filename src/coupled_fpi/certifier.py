@@ -39,10 +39,11 @@ from .checks import (
     estimate_k,
 )
 from .errors import CoupledFpiError, InvalidInputError, InvalidParameterError
-from .finite_sets import as_finite_set, dist_to_set
+# dist_to_set is not used here; perfbench/tracer.py patches it under this name.
+from .finite_sets import as_finite_set, dist_to_set  # noqa: F401
 from .graphs import Digraph, product_edge
 from .sampling import SampleSpec, Sampler
-from .solver import SolveConfig, solve_coupled, solve_coupled_multi
+from .solver import SolveConfig, _seed_member, solve_coupled, solve_coupled_multi
 from .spaces import MetricSpace, PointLike, as_point
 
 THEOREM_LEVELS = ("thm_3_1", "thm_3_2", "thm_4_1", "thm_4_2", "none")
@@ -213,9 +214,9 @@ def _seed_edge_ok(instance: ProblemInstance, notes: list[str]) -> bool:
             y1 = as_point(instance.map(instance.y0, instance.x0), d)
         else:
             x1, y1 = instance.x1, instance.y1
-            gap_x = dist_to_set(instance.space, x1, as_finite_set(instance.map(instance.x0, instance.y0), d))
-            gap_y = dist_to_set(instance.space, y1, as_finite_set(instance.map(instance.y0, instance.x0), d))
-            if gap_x > 1e-12 or gap_y > 1e-12:
+            in_x = _seed_member(instance.space, x1, as_finite_set(instance.map(instance.x0, instance.y0), d))
+            in_y = _seed_member(instance.space, y1, as_finite_set(instance.map(instance.y0, instance.x0), d))
+            if not (in_x and in_y):
                 notes.append("declared seed iterates are not members of the seed images")
                 return False
         return product_edge(instance.graph, (instance.x0, instance.y0), (x1, y1))
@@ -268,7 +269,7 @@ def _spot_check_continuity(instance: ProblemInstance, sample: SampleSpec, notes:
             base = as_point(instance.map(a, b), d)
             probe = as_point(instance.map(a + u * scale, b + u * scale), d)
             gap = instance.space.distance(base, probe)
-            if gap > _CONTINUITY_TOL:
+            if not gap <= _CONTINUITY_TOL:
                 notes.append(
                     "continuity spot check FAILED near "
                     f"{_point_json(a)!r}: jump {float(gap)!r}"
@@ -279,6 +280,14 @@ def _spot_check_continuity(instance: ProblemInstance, sample: SampleSpec, notes:
         return True
     notes.append("continuity asserted; spot check found no violation")
     return True
+
+
+def _note_shortfall(cert: Certificate, requested: int, notes: list[str]) -> None:
+    """Say so when rejection ran out of draws before the requested count."""
+    if cert.samples_tested < requested:
+        notes.append(
+            f"{cert.property_name} tested {cert.samples_tested} of {requested} requested samples"
+        )
 
 
 def preflight(instance: ProblemInstance, sample: SampleSpec) -> HypothesisReport:
@@ -304,6 +313,7 @@ def preflight(instance: ProblemInstance, sample: SampleSpec) -> HypothesisReport
         else:
             mono = check_mixed_monotone_multi(instance.map, instance.graph, sample)
         certs.append(mono)
+        _note_shortfall(mono, 2 * sample.count, notes)  # one sample per clause
         mono_ok = mono.passed
     except CoupledFpiError as exc:
         notes.append(f"monotonicity check aborted: {exc}")
@@ -324,6 +334,7 @@ def preflight(instance: ProblemInstance, sample: SampleSpec) -> HypothesisReport
         if est is not None:
             bound_cert = replace(bound_cert, estimated_constant=est)
         certs.append(bound_cert)
+        _note_shortfall(bound_cert, sample.count, notes)
         bound_ok = bound_cert.passed
     except CoupledFpiError as exc:
         notes.append(f"contraction check aborted: {exc}")

@@ -25,6 +25,7 @@ path and differ only in how they format witnesses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -89,9 +90,9 @@ class Certificate:
             "property_name": self.property_name,
             "samples_tested": self.samples_tested,
             "passed": self.passed,
-            "estimated_constant": self.estimated_constant,
+            "estimated_constant": _json_safe(self.estimated_constant),
             "violation_count": self.violation_count,
-            "violations": [dict(v) for v in self.violations],
+            "violations": [{k: _json_safe(x) for k, x in v.items()} for v in self.violations],
             "seed": self.seed,
             "detail": self.detail,
         }
@@ -102,6 +103,16 @@ def validate_k(k: float) -> float:
     if not (0.0 < k < 1.0):
         raise InvalidParameterError("k must lie in (0,1)")
     return k
+
+
+def _json_safe(v):
+    """A witness value for strict JSON: non-finite floats, also inside
+    lists, become the strings "NaN", "Infinity" and "-Infinity"."""
+    if isinstance(v, list):
+        return [_json_safe(c) for c in v]
+    if isinstance(v, float) and not math.isfinite(v):
+        return "NaN" if math.isnan(v) else ("Infinity" if v > 0 else "-Infinity")
+    return v
 
 
 def _point_json(p: np.ndarray):
@@ -170,7 +181,8 @@ def _mixed_monotone(fn: Callable, graph: Digraph, sample: SampleSpec, multi: boo
     point of F(p1, w) to have an edge to some point of F(p2, w); clause
     "y" samples the same way and needs the reversed image edge, from
     F(w, p2) to F(w, p1).  A sample violates a clause once, at its first
-    unmatched image point.
+    unmatched image point.  A non-finite image point is unmatched, and it
+    matches no point of the other image.
     """
     d = graph.dimension
     sampler = Sampler(sample, d)
@@ -183,7 +195,9 @@ def _mixed_monotone(fn: Callable, graph: Digraph, sample: SampleSpec, multi: boo
             A, B = _images(fn, P1, W, d, multi), _images(fn, P2, W, d, multi)
         else:
             A, B = _images(fn, W, P2, d, multi), _images(fn, W, P1, d, multi)
-        unmatched = ~graph.edge_mask(*_pairs(A, B)).reshape(*A.shape[:2], -1).any(axis=2)
+        edges = graph.edge_mask(*_pairs(A, B)).reshape(*A.shape[:2], -1)
+        finite_a, finite_b = np.isfinite(A).all(axis=2), np.isfinite(B).all(axis=2)
+        unmatched = ~(edges & finite_b[:, None, :]).any(axis=2) | ~finite_a
         bad = np.flatnonzero(unmatched.any(axis=1))
         total += len(P1)
         count += len(bad)

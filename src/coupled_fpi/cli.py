@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certifier import HypothesisReport, preflight
-from .checks import _point_json
+from .checks import _json_safe, _point_json
 from .errors import CoupledFpiError
 from .problem_spec import (
     ProblemSpec,
@@ -116,8 +116,8 @@ def report_document(
         "error": error,
         "converged": None if trace is None else trace.converged,
         "iterations": None if trace is None else len(trace.steps),
-        "D0": None if trace is None else float(trace.D0),
-        "residual": None if trace is None else float(trace.residual),
+        "D0": None if trace is None else _json_safe(float(trace.D0)),
+        "residual": None if trace is None else _json_safe(float(trace.residual)),
         "result": None
         if result is None
         else {
@@ -134,6 +134,12 @@ def _write_atomic(path: str, text: str) -> None:
     with open(tmp, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
     os.replace(tmp, path)
+
+
+def _write_report(out_dir: str, doc: dict) -> None:
+    """report.json as strict JSON: a non-finite float raises, never writes NaN."""
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    _write_atomic(os.path.join(out_dir, "report.json"), text)
 
 
 def _print_table(trace: IterationTrace, out) -> None:
@@ -180,7 +186,7 @@ def run(
 
     if not report.passed and not force:
         doc = report_document(report, None, None, EXIT_PREFLIGHT_FAILED, force, None)
-        _write_atomic(os.path.join(out_dir, "report.json"), json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        _write_report(out_dir, doc)
         if not quiet:
             print(f"preflight FAILED (theorem_applicable = none); see {out_dir}/report.json", file=stdout)
             for note in report.notes:
@@ -201,14 +207,14 @@ def run(
     except CoupledFpiError as exc:
         message = f"{type(exc).__name__}: {exc}"
         doc = report_document(report, None, None, EXIT_ERROR, force, message)
-        _write_atomic(os.path.join(out_dir, "report.json"), json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        _write_report(out_dir, doc)
         print(f"solver error: {message}", file=stderr)
         return RunArtifacts(report, None, None, EXIT_ERROR, error=message)
 
     exit_code = EXIT_OK if trace.converged else EXIT_NO_CONVERGENCE
     doc = report_document(report, trace, result, exit_code, force, None)
     _write_atomic(os.path.join(out_dir, "trace.csv"), trace_to_csv(trace))
-    _write_atomic(os.path.join(out_dir, "report.json"), json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_report(out_dir, doc)
 
     if not quiet:
         print(f"instance {report.instance_id}  theorem {report.theorem_applicable}"

@@ -54,6 +54,19 @@ class Digraph:
             (self.has_edge(p, q) for p, q in zip(P, Q)), bool, count=len(P)
         )
 
+    def construct_edges(
+        self, draw: Callable[[int], np.ndarray], n: int
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """n edge pairs (p, q) built from box draws, or None to reject instead.
+
+        ``draw(n)`` returns n i.i.d. points of a coordinate box.  A graph
+        that can turn such draws into pairs with exactly the law of a
+        box pair conditioned on ``has_edge(p, q)`` returns them; the
+        default returns None without drawing, and the sampler falls back
+        to rejection.
+        """
+        return None
+
     def vertices(self) -> list[np.ndarray]:
         raise UnsupportedModeError("graph does not enumerate vertices")
 
@@ -92,6 +105,19 @@ class OrderGraph(Digraph):
         if P.ndim == 1:
             return P <= Q
         return (P <= Q).all(axis=1)
+
+    def construct_edges(
+        self, draw: Callable[[int], np.ndarray], n: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Coordinatewise min and max of two draws, A then B.
+
+        Per coordinate, (min, max) of two i.i.d. values has the law of
+        the pair conditioned on p <= q, and the coordinates stay
+        independent, so the pairs are uniform on {p <= q} in the box.
+        """
+        A = draw(n)
+        B = draw(n)
+        return np.minimum(A, B), np.maximum(A, B)
 
 
 class FullGraph(Digraph):

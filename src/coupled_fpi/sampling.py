@@ -1,10 +1,22 @@
-"""Seeded rejection sampling of points, edge pairs and product-edge pairs.
+"""Seeded sampling of points, edge pairs and product-edge pairs.
 
 All checkers draw through this module so that a recorded integer seed
-reproduces a run exactly.  Draws happen in fixed-size rounds in a fixed
-column order (deterministic for a given seed), get filtered by the
-relevant edge constraint, and accumulate until the requested count is
-reached or the draw budget runs out.
+reproduces a run exactly.  Edge pairs come from one of two paths:
+
+* Constructed: when the sample is a coordinate box and the graph's
+  :meth:`~coupled_fpi.graphs.Digraph.construct_edges` hook builds pairs
+  (``OrderGraph``), each edge takes two draws of ``count`` rows, A then
+  B, and becomes (min(A, B), max(A, B)) coordinatewise.  That is exactly
+  the law rejection would give, with every row kept.  ``edge_triples``
+  draws its free ``w`` after the pair; ``product_edge_pairs`` builds
+  (x, u) first and (v, y) second, so the draw order is A_xu, B_xu, A_vy,
+  B_vy.
+* Rejection: every other graph (``FullGraph``, ``PredicateGraph``,
+  ``FiniteGraph``, the reversed/symmetrized adapters) and every point
+  pool.  Draws happen in fixed-size rounds in a fixed column order, get
+  filtered by the edge constraint, and accumulate until the requested
+  count is reached or the draw budget runs out; a short sample is
+  returned as is.
 """
 
 from __future__ import annotations
@@ -97,13 +109,25 @@ class Sampler:
         out = [np.concatenate([part[i] for part in kept])[:want] for i in range(columns)]
         return out
 
+    def _construct(self, graph: Digraph) -> tuple[np.ndarray, np.ndarray] | None:
+        """``count`` constructed edge pairs, or None when rejection is needed."""
+        if self._pool is not None:
+            return None
+        return graph.construct_edges(self.draw, self.spec.count)
+
     def edge_pairs(self, graph: Digraph) -> tuple[np.ndarray, np.ndarray]:
         """Pairs (p, q) with has_edge(p, q)."""
+        edge = self._construct(graph)
+        if edge is not None:
+            return edge
         P, Q = self._filtered(2, lambda c: graph.edge_mask(c[0], c[1]))
         return P, Q
 
     def edge_triples(self, graph: Digraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Triples (p, q, w) with has_edge(p, q); w unconstrained."""
+        edge = self._construct(graph)
+        if edge is not None:
+            return (*edge, self.draw(self.spec.count))
         P, Q, W = self._filtered(3, lambda c: graph.edge_mask(c[0], c[1]))
         return P, Q, W
 
@@ -112,9 +136,14 @@ class Sampler:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Pair-of-pairs (x, y), (u, v) joined by a product edge.
 
-        The product edge is has_edge(x, u) and has_edge(v, y); both masks
-        are evaluated on the whole round and combined.
+        The product edge is has_edge(x, u) and has_edge(v, y).  Constructed
+        graphs build the two edges independently, (x, u) then (v, y);
+        rejection evaluates both masks on the whole round and combines them.
         """
+        xu = self._construct(graph)
+        if xu is not None:
+            (X, U), (V, Y) = xu, self._construct(graph)
+            return X, Y, U, V
         X, Y, U, V = self._filtered(
             4, lambda c: graph.edge_mask(c[0], c[2]) & graph.edge_mask(c[3], c[1])
         )

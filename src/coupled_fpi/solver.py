@@ -56,7 +56,7 @@ from .errors import (
     SeedEdgeError,
     SelectionFailureError,
 )
-from .finite_sets import as_finite_set, dist_to_set
+from .finite_sets import FiniteSet, as_finite_set, dist_to_set
 from .graphs import Digraph, product_edge
 from .spaces import MetricSpace, PointLike, as_point
 
@@ -296,6 +296,13 @@ def _select_step(space, graph, image, anchor, incoming: bool, n: int) -> np.ndar
     return points[best].copy()
 
 
+def _seed_member(space: MetricSpace, p: np.ndarray, image: FiniteSet) -> bool:
+    """p is a point of the image: within SLACK of it, or bitwise one of its
+    points (an infinite point has NaN distance to itself).  A NaN distance
+    to a set without p is no membership."""
+    return dist_to_set(space, p, image) <= SLACK or image.contains(p)
+
+
 def solve_coupled_multi(
     fn: Callable,
     space: MetricSpace,
@@ -326,9 +333,9 @@ def solve_coupled_multi(
     y0 = as_point(y0, d)
     x1 = as_point(x1, d)
     y1 = as_point(y1, d)
-    if dist_to_set(space, x1, as_finite_set(fn(x0, y0), d)) > SLACK:
+    if not _seed_member(space, x1, as_finite_set(fn(x0, y0), d)):
         raise InvalidSeedError("x1 is not a point of F(x0, y0)")
-    if dist_to_set(space, y1, as_finite_set(fn(y0, x0), d)) > SLACK:
+    if not _seed_member(space, y1, as_finite_set(fn(y0, x0), d)):
         raise InvalidSeedError("y1 is not a point of F(y0, x0)")
     if not product_edge(graph, (x0, y0), (x1, y1)):
         raise SeedEdgeError("seed condition fails: ((x0,y0),(x1,y1)) is not a product edge")

@@ -13,6 +13,7 @@ from coupled_fpi import (
     InvalidInputError,
     InvalidParameterError,
     OrderGraph,
+    PredicateGraph,
     ProblemInstance,
     SampleSpec,
     build_instance,
@@ -225,6 +226,64 @@ def test_preflight_flags_non_member_seed_iterate():
     report = preflight(multi_instance(x1=0.3), SMALL_BOX)
     assert not report.seed_edge_ok
     assert any("not members of the seed images" in n for n in report.notes)
+
+
+def test_preflight_flags_nan_seed_iterate():
+    inst = ProblemInstance(
+        kind="multi", space=LINE, graph=FullGraph(1), map=lambda x, y: [0.5],
+        k=0.5, x0=0.0, y0=1.0, x1=np.nan, y1=0.5,
+    )
+    report = preflight(inst, SMALL_BOX)
+    assert not report.seed_edge_ok
+    assert report.theorem_applicable == "none"
+    assert any("not members of the seed images" in n for n in report.notes)
+    assert any("seed edge condition FAILED" in n for n in report.notes)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_preflight_continuity_spot_check_fails_on_nan():
+    spec = parse_spec(json.dumps({
+        "space": {"kind": "euclidean", "dimension": 1},
+        "graph": {"kind": "full"},
+        "map": {"kind": "single", "definition": "(x - x) / (x - x)"},
+        "k": 0.5,
+        "seed": {"x0": 0.0, "y0": 1.0},
+        "sampler": {"low": -10.0, "high": 10.0, "count": 50, "rng_seed": 3},
+    }))
+    report = preflight(build_instance(spec), SampleSpec(count=50, seed=3, low=-10.0, high=10.0))
+    assert report.theorem_applicable == "none"
+    assert any("continuity spot check FAILED" in n and "jump nan" in n for n in report.notes)
+    assert not any("spot check found no violation" in n for n in report.notes)
+    # a finite continuous map still passes the spot check
+    report = preflight(single_instance(FullGraph(1)), SMALL_BOX)
+    assert "continuity asserted; spot check found no violation" in report.notes
+
+
+def test_preflight_notes_a_short_sample():
+    # edges p -> q need q - p > 1.5 on [-1, 1]: 3% of box pairs, so a
+    # product edge (both at once) is rarer than the draw budget allows for
+    sparse = PredicateGraph(1, lambda p, q: q[0] - p[0] > 1.5)
+    inst = single_instance(sparse, x0=0.5, y0=0.5, fn=lambda x, y: np.array([0.5]), k=0.5)
+    report = preflight(inst, SampleSpec(count=20, seed=4, low=-1.0, high=1.0))
+    mono = report.certificate("mixed_monotone")
+    bl = report.certificate("BL")
+    assert mono.samples_tested == 40 and bl.passed
+    assert 0 < bl.samples_tested < 20
+    assert f"BL tested {bl.samples_tested} of 20 requested samples" in report.notes
+    assert not any("mixed_monotone tested" in n for n in report.notes)
+    # q - p > 1.9 holds for 1/800 of box pairs: each monotonicity clause
+    # fills about half its count, and no product edge turns up at all
+    sparser = PredicateGraph(1, lambda p, q: q[0] - p[0] > 1.9)
+    inst = single_instance(sparser, x0=0.5, y0=0.5, fn=lambda x, y: np.array([0.5]), k=0.5)
+    report = preflight(inst, SampleSpec(count=20, seed=4, low=-1.0, high=1.0))
+    mono = report.certificate("mixed_monotone")
+    assert 20 < mono.samples_tested < 40
+    assert f"mixed_monotone tested {mono.samples_tested} of 40 requested samples" in report.notes
+    assert report.certificate("BL") is None
+    assert any("contraction check aborted" in n for n in report.notes)
+    # a full sample adds no note
+    report = preflight(single_instance(OrderGraph(1)), SMALL_BOX)
+    assert not any("requested samples" in n for n in report.notes)
 
 
 def test_report_serializes():

@@ -123,6 +123,39 @@ def test_preflight_blocks_defective_spec(tmp_path, capsys):
     assert bl and bl[0]["passed"] is False
 
 
+def reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_report_is_strict_json_for_nan_map(tmp_path):
+    spec = tmp_path / "nan.json"
+    spec.write_text(json.dumps({
+        "space": {"kind": "euclidean", "dimension": 1},
+        "graph": {"kind": "order"},
+        "map": {"kind": "single", "definition": "(x - x) / (x - x)"},
+        "k": 0.5,
+        "seed": {"x0": 0.0, "y0": 1.0},
+        "sampler": {"low": -10.0, "high": 10.0, "count": 100, "rng_seed": 7},
+    }))
+    out = tmp_path / "run"
+    assert main(["solve", str(spec), "--out-dir", str(out), "--quiet"]) == EXIT_PREFLIGHT_FAILED
+    text = (out / "report.json").read_text()
+    doc = json.loads(text, parse_constant=reject_constant)
+    mono = doc["preflight"]["certificates"][0]
+    assert mono["property_name"] == "mixed_monotone" and not mono["passed"]
+    assert {mono["violations"][0]["image_from"], mono["violations"][0]["image_to"]} == {"NaN"}
+    assert '"NaN"' in text
+
+
+def test_report_writer_refuses_non_finite_floats(tmp_path):
+    from coupled_fpi.cli import _write_report
+
+    with pytest.raises(ValueError):
+        _write_report(str(tmp_path), {"residual": float("nan")})
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_force_runs_solver_anyway(tmp_path, capsys):
     out = tmp_path / "run"
     code = main(["solve", PROJECTION, "--out-dir", str(out), "--force"])

@@ -233,6 +233,19 @@ def test_multi_seed_membership_checked():
         solve_coupled_multi(multi_sum_fifth, LINE, FullGraph(1), 0.0, 1.0, 0.3, -0.2, cfg)
 
 
+def test_multi_nan_seed_iterate_is_not_a_member():
+    # a NaN distance to the image is no membership; an infinite point is a
+    # member of an image that holds it (and fails later as non-finite)
+    cfg = SolveConfig(k=2.0 / 3.0)
+    half = lambda x, y: [0.5]
+    with pytest.raises(InvalidSeedError, match="x1"):
+        solve_coupled_multi(half, LINE, FullGraph(1), 0.0, 1.0, np.nan, 0.5, cfg)
+    with pytest.raises(InvalidSeedError, match="y1"):
+        solve_coupled_multi(half, LINE, FullGraph(1), 0.0, 1.0, 0.5, np.nan, cfg)
+    fp, _ = solve_coupled_multi(half, LINE, FullGraph(1), 0.0, 1.0, 0.5, 0.5, cfg)
+    assert fp.x[0] == fp.y[0] == 0.5
+
+
 def test_multi_seed_edge_checked():
     # x1 = -1/5 is in the image but 0 <= -1/5 fails on the order graph
     cfg = SolveConfig(k=2.0 / 3.0)
