@@ -212,6 +212,11 @@ def _seed_edge_ok(instance: ProblemInstance, notes: list[str]) -> bool:
         if instance.kind == "single":
             x1 = as_point(instance.map(instance.x0, instance.y0), d)
             y1 = as_point(instance.map(instance.y0, instance.x0), d)
+            for p, image in ((x1, "F(x0, y0)"), (y1, "F(y0, x0)")):
+                if not np.isfinite(p).all():
+                    # the full graph has every edge, NaN ones included
+                    notes.append(f"seed iterate {image} is not finite")
+                    return False
         else:
             x1, y1 = instance.x1, instance.y1
             in_x = _seed_member(instance.space, x1, as_finite_set(instance.map(instance.x0, instance.y0), d))

@@ -31,7 +31,12 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InsufficientSamplesError, InvalidParameterError, NonFiniteValueError
+from .errors import (
+    InsufficientSamplesError,
+    InvalidInputError,
+    InvalidParameterError,
+    NonFiniteValueError,
+)
 # dist_to_set is not used here; perfbench/tracer.py patches it under this name.
 from .finite_sets import as_finite_set, dist_to_set  # noqa: F401
 from .graphs import Digraph
@@ -138,19 +143,33 @@ def _images(fn: Callable, X: np.ndarray, Y: np.ndarray, dimension: int, multi: b
     """Evaluate a coupled map on (n,d) rows as an (n,m,d) image array.
 
     A single-valued map gives one-point images (m = 1).  Multivalued maps
-    with ``eval_batch`` return the array directly; plain callables are
-    evaluated row by row, and a ragged image is padded by repeating its
-    first point, which changes neither "every point has an edge into the
-    other image" nor the largest point-to-set distance.
+    with ``eval_batch`` return the array directly (a 1-D or 2-D result
+    is read as one-point images); plain callables are evaluated row by
+    row, and a ragged image is padded by repeating its first point, which
+    changes neither "every point has an edge into the other image", nor
+    the largest point-to-set distance, nor the lowest-index nearest point.
+
+    Raises:
+        InvalidInputError: ``eval_batch`` returned another shape.
     """
     if not multi:
         return _map_rows(fn, X, Y, dimension)[:, None, :]
     batch = getattr(fn, "eval_batch", None)
     if batch is not None:
-        return np.asarray(batch(X, Y), dtype=np.float64).reshape(len(X), -1, dimension)
+        out = np.asarray(batch(X, Y), dtype=np.float64)
+        shape = out.shape
+        if out.ndim == 1:
+            out = out[:, None]
+        if out.ndim == 2:
+            out = out[:, None, :]
+        if out.ndim != 3 or out.shape[0] != len(X) or out.shape[1] == 0 or out.shape[2] != dimension:
+            raise InvalidInputError(
+                f"eval_batch returned shape {shape}, expected ({len(X)}, m, {dimension})")
+        return out
     sets = [as_finite_set(fn(x, y), dimension).points for x, y in zip(X, Y)]
     m = max(len(s) for s in sets)
-    return np.stack([np.concatenate([s, np.repeat(s[:1], m - len(s), axis=0)]) for s in sets])
+    return np.array([s if len(s) == m else np.concatenate([s, np.repeat(s[:1], m - len(s), axis=0)])
+                     for s in sets])
 
 
 def _pairs(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

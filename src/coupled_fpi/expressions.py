@@ -210,6 +210,20 @@ def _env_from_columns(X: np.ndarray, Y: np.ndarray, dimension: int) -> dict:
     return env
 
 
+def _eval_points(points, X: np.ndarray, Y: np.ndarray, dimension: int) -> np.ndarray:
+    """(n, m, d) values on (n, d) rows of m point maps, each given as its d
+    compiled components, all run on one column environment."""
+    X = np.asarray(X, dtype=np.float64).reshape(len(X), dimension)
+    Y = np.asarray(Y, dtype=np.float64).reshape(len(Y), dimension)
+    env = _env_from_columns(X, Y, dimension)
+    out = np.empty((len(X), len(points), dimension))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j, components in enumerate(points):
+            for i, c in enumerate(components):
+                out[:, j, i] = c(env)  # a constant component broadcasts
+    return out
+
+
 class ExpressionCoupledMap:
     """Single-valued coupled map from componentwise expressions.
 
@@ -238,14 +252,7 @@ class ExpressionCoupledMap:
             return np.array([c(env) for c in self.components], dtype=np.float64)
 
     def eval_batch(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64).reshape(len(X), self.dimension)
-        Y = np.asarray(Y, dtype=np.float64).reshape(len(Y), self.dimension)
-        env = _env_from_columns(X, Y, self.dimension)
-        out = np.empty((len(X), self.dimension))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for i, c in enumerate(self.components):
-                out[:, i] = c(env)  # a constant component broadcasts
-        return out
+        return _eval_points((self.components,), X, Y, self.dimension)[:, 0]
 
     def __repr__(self) -> str:
         inner = ", ".join(c.source for c in self.components)
@@ -255,8 +262,9 @@ class ExpressionCoupledMap:
 class ExpressionMultiMap:
     """Multivalued coupled map: a list of expression-defined image points.
 
-    ``eval_batch`` stacks the point maps' batch values into an (n, m, d)
-    image array, bitwise equal to calling the map row by row.
+    ``eval_batch`` fills an (n, m, d) image array with the kernel of the
+    point maps' own ``eval_batch``, one column environment for all m
+    points, so it is bitwise equal to calling the map row by row.
     """
 
     def __init__(self, point_expressions, dimension: int = 1):
@@ -271,7 +279,7 @@ class ExpressionMultiMap:
         return [p(x, y) for p in self.points]
 
     def eval_batch(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        return np.stack([p.eval_batch(X, Y) for p in self.points], axis=1)
+        return _eval_points([p.components for p in self.points], X, Y, self.dimension)
 
     def __repr__(self) -> str:
         return f"ExpressionMultiMap({len(self.points)} points)"

@@ -31,9 +31,12 @@ step size stops every solver with ``NonFiniteValueError``.
 
 Multivalued maps iterate by edge-filtered nearest-point selection: the
 next iterate is the image point nearest the current one among
-edge-compatible candidates, ties resolved by image index.  Wrapping a
-single-valued map as a one-point multivalued map reproduces the
-single-valued trace bitwise.
+edge-compatible candidates, ties resolved by image index.  Each step
+evaluates both images as one (2, m, d) array, with a single
+``eval_batch`` call and no finite set when the map has ``eval_batch``,
+and selects on that raw array for both sides with one masked argmin.
+Wrapping a single-valued map as a one-point multivalued map reproduces
+the single-valued trace bitwise.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .checks import SLACK, Certificate, validate_k
+from .checks import SLACK, Certificate, validate_k, _images as _image_array
 from .errors import (
     CoupledFpiError,
     HypothesisViolationError,
@@ -279,21 +282,32 @@ def solve_coupled(
     return fp, IterationTrace(tuple(steps), D0, converged, residual)
 
 
-def _select_step(space, graph, image, anchor, incoming: bool, n: int) -> np.ndarray:
-    points = image.points
-    anchors = np.repeat(anchor[None, :], len(points), axis=0)
-    ok = graph.edge_mask(points, anchors) if incoming else graph.edge_mask(anchors, points)
+def _select_step(space, graph, images: np.ndarray, Z: np.ndarray, n: int):
+    """Nearest edge-compatible point of each side's image, x side then y side.
+
+    *images* is the (2, m, d) array [F(x_n, y_n); F(y_n, x_n)] and *Z*
+    the pair [x_n; y_n].  The x-candidates b need the edge x_n -> b, the
+    y-candidates b -> y_n.  NaN and inf distances are inadmissible; ties
+    go to the lowest index, so a repeated point never wins over its first
+    occurrence.
+    """
+    _, m, d = images.shape
+    anchors = np.repeat(Z, m, axis=0)
+    points = images.reshape(2 * m, d)
+    ok = np.concatenate([graph.edge_mask(anchors[:m], points[:m]),
+                         graph.edge_mask(points[m:], anchors[m:])])
     dist = space.distance_batch(anchors, points)
-    # NaN and inf distances are inadmissible; argmin takes the lowest index on ties.
-    dist = np.where(ok & (dist < np.inf), dist, np.inf)
-    best = int(np.argmin(dist))
-    if not dist[best] < np.inf:
-        side = "y" if incoming else "x"
-        raise SelectionFailureError(
-            f"step {n}: no edge-compatible candidate in the {side}-image "
-            "(evidence the multivalued monotonicity hypothesis fails here)"
-        )
-    return points[best].copy()
+    dist = np.where(ok & (dist < np.inf), dist, np.inf).reshape(2, m)
+    best = dist.argmin(axis=1)
+    for side, name in enumerate("xy"):
+        if not dist[side, best[side]] < np.inf:
+            if not np.isfinite(images[side]).all(axis=1).any():
+                raise NonFiniteValueError(f"step {n}: every point of the {name}-image is non-finite")
+            raise SelectionFailureError(
+                f"step {n}: no edge-compatible candidate in the {name}-image "
+                "(evidence the multivalued monotonicity hypothesis fails here)"
+            )
+    return images[0, best[0]].copy(), images[1, best[1]].copy()
 
 
 def _seed_member(space: MetricSpace, p: np.ndarray, image: FiniteSet) -> bool:
@@ -320,13 +334,16 @@ def solve_coupled_multi(
     1e-12.  Each later step picks, among image points b with the
     required edge (x_n -> b for the x-sequence, b -> y_n for the
     y-sequence), the one nearest the current iterate, breaking ties by
-    image index.
+    image index.  A map with ``eval_batch`` is evaluated once per step
+    for both sides.
 
     Raises:
         InvalidSeedError: x1/y1 not in the seed images.
         SeedEdgeError: the seed product edge fails.
         SelectionFailureError: some step has no admissible candidate.
-        NonFiniteValueError: some step size is NaN or infinite.
+        NonFiniteValueError: some step size is NaN or infinite, or every
+            point of a step's image is.
+        InvalidInputError: ``eval_batch`` returned a wrongly shaped array.
     """
     d = space.dimension
     x0 = as_point(x0, d)
@@ -341,11 +358,8 @@ def solve_coupled_multi(
         raise SeedEdgeError("seed condition fails: ((x0,y0),(x1,y1)) is not a product edge")
 
     def advance(n, xn, yn):
-        x_img = as_finite_set(fn(xn, yn), d)
-        y_img = as_finite_set(fn(yn, xn), d)
-        x_next = _select_step(space, graph, x_img, xn, incoming=False, n=n)
-        y_next = _select_step(space, graph, y_img, yn, incoming=True, n=n)
-        return x_next, y_next
+        Z = np.array([xn, yn])
+        return _select_step(space, graph, _image_array(fn, Z, Z[::-1], d, multi=True), Z, n)
 
     x, y, steps, D0, converged = _run_iteration(space, graph, cfg, x0, y0, x1, y1, advance)
     residual = dist_to_set(space, x, as_finite_set(fn(x, y), d)) + dist_to_set(

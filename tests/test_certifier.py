@@ -241,6 +241,23 @@ def test_preflight_flags_nan_seed_iterate():
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_preflight_flags_nan_single_seed_iterate():
+    # the full graph has every edge, so only the finiteness test rejects it
+    nan_map = lambda x, y: np.full(1, np.nan)
+    for graph in (FullGraph(1), OrderGraph(1)):
+        report = preflight(single_instance(graph, fn=nan_map, k=0.5), SMALL_BOX)
+        assert not report.seed_edge_ok
+        assert report.theorem_applicable == "none"
+        assert "seed iterate F(x0, y0) is not finite" in report.notes
+        assert any("seed edge condition FAILED" in n for n in report.notes)
+    # finite x1, infinite y1 = F(y0, x0)
+    inf_y = lambda x, y: np.where(np.asarray(x) > 0.5, np.inf, 0.0)
+    report = preflight(single_instance(FullGraph(1), fn=inf_y, k=0.5), SMALL_BOX)
+    assert not report.seed_edge_ok
+    assert "seed iterate F(y0, x0) is not finite" in report.notes
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
 def test_preflight_continuity_spot_check_fails_on_nan():
     spec = parse_spec(json.dumps({
         "space": {"kind": "euclidean", "dimension": 1},

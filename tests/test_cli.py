@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from coupled_fpi import HypothesisReport, IterationTrace, TraceStep, step_bound
+from coupled_fpi import HypothesisReport, IterationTrace, TraceStep, parse_spec, step_bound
 from coupled_fpi.cli import (
     EXIT_ERROR,
     EXIT_NO_CONVERGENCE,
@@ -17,6 +17,7 @@ from coupled_fpi.cli import (
     EXIT_PREFLIGHT_FAILED,
     main,
     report_document,
+    run,
     trace_to_csv,
 )
 
@@ -24,6 +25,7 @@ SPEC_DIR = pathlib.Path(__file__).resolve().parent.parent / "specs"
 SINGLE = str(SPEC_DIR / "single_sum_fifth.json")
 MULTI = str(SPEC_DIR / "multi_sum_fifth.json")
 PROJECTION = str(SPEC_DIR / "single_projection_x.json")
+GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def read_report(out_dir):
@@ -99,6 +101,23 @@ def test_reruns_are_byte_identical(tmp_path):
     assert main(["solve", SINGLE, "--out-dir", str(b), "--quiet"]) == EXIT_OK
     assert (a / "trace.csv").read_bytes() == (b / "trace.csv").read_bytes()
     assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
+
+
+@pytest.mark.parametrize("stem, exit_code", [
+    ("single_sum_fifth", EXIT_OK),
+    ("single_projection_x", EXIT_PREFLIGHT_FAILED),
+    ("multi_sum_fifth", EXIT_OK),
+])
+def test_shipped_specs_match_golden_outputs(tmp_path, stem, exit_code):
+    # The committed files are the outputs of the spec under its own
+    # sampler.rng_seed; any change to them must be deliberate.
+    spec = parse_spec((SPEC_DIR / f"{stem}.json").read_text())
+    assert run(spec, str(tmp_path), quiet=True).exit_code == exit_code
+    golden = GOLDEN_DIR / stem
+    names = sorted(p.name for p in golden.iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
 
 
 def test_solves_shipped_multi_spec(tmp_path):

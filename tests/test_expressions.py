@@ -86,13 +86,23 @@ def test_eval_batch_matches_scalar():
     assert batch.shape == (200, 2)
     for i in range(200):
         assert np.array_equal(batch[i], fn(X[i], Y[i]))
-    multi = ExpressionMultiMap(
-        [["x1 - 2 * y2", "x2 * y1 + 1"], ["x1 / y1", "-x2"], ["3", "y2"]], dimension=2
-    )
-    images = multi.eval_batch(X, Y)
-    assert images.shape == (200, 3, 2)
-    for i in range(200):
-        assert np.array_equal(images[i], np.vstack(multi(X[i], Y[i])))
+    multi_cases = {
+        2: [["x1 / y1", "-x2"], ["x1 - 2 * y2", "x2 * y1 + 1"], ["3", "y2"]],
+        1: [["x / y"]],  # m = 1
+        3: [["x1 / y1", "-(x2 - y3)", "0.5"], ["-x3", "y2 / x1", "x1 * y1 - 2"]],
+    }
+    for d, points in multi_cases.items():
+        multi = ExpressionMultiMap(points, dimension=d)
+        X = rng.uniform(-5.0, 5.0, size=(200, d))
+        Y = rng.uniform(-5.0, 5.0, size=(200, d))
+        # y = 0 rows: the first point's x / y is inf, or NaN where x = 0 too
+        X[:3, 0], Y[:3, 0] = [1.0, -2.0, 0.0], 0.0
+        X[3, :], Y[3, :] = 0.0, 0.0
+        images = multi.eval_batch(X, Y)
+        assert images.shape == (200, len(points), d)
+        assert np.isinf(images[:2, 0, 0]).all() and np.isnan(images[2:4, 0, 0]).all()
+        for i in range(200):
+            assert images[i].tobytes() == np.vstack(multi(X[i], Y[i])).tobytes()
 
 
 def test_constant_expression_broadcasts():

@@ -8,8 +8,10 @@ import pytest
 from coupled_fpi import (
     CallbackSpace,
     ChebyshevSpace,
+    CoupledFixedPoint,
     EuclideanSpace,
     ExpressionCoupledMap,
+    ExpressionMultiMap,
     FiniteGraph,
     FiniteSet,
     FullGraph,
@@ -18,16 +20,21 @@ from coupled_fpi import (
     InvalidInputError,
     InvalidParameterError,
     InvalidSeedError,
+    IterationTrace,
     LinearCoupledMap,
     NonFiniteValueError,
     NotAVertexError,
     OrderGraph,
     PredicateGraph,
+    SampleSpec,
     SeedEdgeError,
     SelectionFailureError,
     SingletonMultiMap,
     SolveConfig,
+    as_finite_set,
+    check_mbl,
     diagonal_decay_check,
+    dist_to_set,
     real_line,
     safe_k,
     solve_coupled,
@@ -36,7 +43,9 @@ from coupled_fpi import (
     tail_bound,
     uniqueness_probe,
 )
+from coupled_fpi.checks import SLACK
 from coupled_fpi.graphs import product_edge
+from coupled_fpi.solver import _run_iteration
 from coupled_fpi.spaces import as_point
 
 LINE = real_line()
@@ -271,6 +280,198 @@ def test_constant_image_converges():
     assert trace.converged and len(trace.steps) <= 2
     assert fp.x[0] == 0.0 and fp.y[0] == 0.0
     assert trace.residual == 0.0
+
+
+def test_multi_nan_images_are_non_finite_not_selection_failures():
+    # halving while x >= 0.3, then an all-NaN image; the y-sequence of the
+    # second seed crosses first
+    def halving(x, y):
+        v = float(x[0])
+        return [x / 2.0] if v >= 0.3 else [np.full(1, np.nan), np.full(1, np.nan)]
+
+    expr = ExpressionMultiMap(["x / 2 * (x - 0.25) / (x - 0.25)"] * 2, dimension=1)  # 0/0 at 0.25
+    cfg = SolveConfig(k=0.6, tol=1e-12, max_iter=50)
+    for fn in (halving, expr):
+        with pytest.raises(NonFiniteValueError, match=r"^step 2: every point of the x-image is non-finite$"):
+            solve_coupled_multi(fn, LINE, FullGraph(1), 1.0, 1.0, 0.5, 0.5, cfg)
+    with pytest.raises(NonFiniteValueError, match=r"^step 2: every point of the y-image is non-finite$"):
+        solve_coupled_multi(halving, LINE, FullGraph(1), 4.0, 1.0, 2.0, 0.5, cfg)
+    # a finite point without the edge still blames the selection
+    near = PredicateGraph(1, lambda p, q: bool(abs(q[0]) <= 1.0))
+    partly = lambda x, y: [x / 2.0] if float(x[0]) >= 0.3 else [np.full(1, np.nan), x + 5.0]
+    with pytest.raises(SelectionFailureError, match=r"^step 2: no edge-compatible candidate in the x-image"):
+        solve_coupled_multi(partly, LINE, near, 1.0, 1.0, 0.5, 0.5, cfg)
+
+
+def multi_oracle(fn, space, graph, x0, y0, x1, y1, cfg, seen):
+    """solve_coupled_multi with each step written per side: a FiniteSet per
+    image and the nearest admissible point of each.  The graph and metric
+    calls keep the solver's order (x edges, y edges, x distances, y
+    distances), and the x side fails before the y side."""
+    d = space.dimension
+    x0, y0, x1, y1 = (as_point(p, d) for p in (x0, y0, x1, y1))
+    for p, a, b, name in ((x1, x0, y0, "x1 is not a point of F(x0, y0)"),
+                          (y1, y0, x0, "y1 is not a point of F(y0, x0)")):
+        image = as_finite_set(fn(a, b), d)
+        if not (dist_to_set(space, p, image) <= SLACK or image.contains(p)):
+            raise InvalidSeedError(name)
+    if not product_edge(graph, (x0, y0), (x1, y1)):
+        raise SeedEdgeError("seed condition fails: ((x0,y0),(x1,y1)) is not a product edge")
+
+    def advance(n, xn, yn):
+        raw = (fn(xn, yn), fn(yn, xn))
+        images = [as_finite_set(r, d) for r in raw]
+        if any(len(img) < len(r) for img, r in zip(images, raw)):
+            seen.add("duplicate")
+        anchors = [np.repeat(a[None, :], len(img), axis=0) for a, img in zip((xn, yn), images)]
+        ok = (graph.edge_mask(anchors[0], images[0].points),
+              graph.edge_mask(images[1].points, anchors[1]))
+        dists = [space.distance_batch(a, img.points) for a, img in zip(anchors, images)]
+        dists = [np.where(o & (dd < np.inf), dd, np.inf) for o, dd in zip(ok, dists)]
+        picks = []
+        for side, img, dist in zip("xy", images, dists):
+            if not (dist < np.inf).any():
+                seen.add(f"fail {side}" if side == "y" or (dists[1] < np.inf).any() else "fail both")
+                if not np.isfinite(img.points).all(axis=1).any():
+                    raise NonFiniteValueError(f"step {n}: every point of the {side}-image is non-finite")
+                raise SelectionFailureError(
+                    f"step {n}: no edge-compatible candidate in the {side}-image "
+                    "(evidence the multivalued monotonicity hypothesis fails here)"
+                )
+            if (dist == dist.min()).sum() > 1:
+                seen.add("tie")
+            picks.append(img.points[int(np.argmin(dist))].copy())
+        return picks[0], picks[1]
+
+    x, y, steps, D0, converged = _run_iteration(space, graph, cfg, x0, y0, x1, y1, advance)
+    residual = dist_to_set(space, x, as_finite_set(fn(x, y), d)) + dist_to_set(
+        space, y, as_finite_set(fn(y, x), d))
+    fp = CoupledFixedPoint(x=x, y=y, is_diagonal=bool(space.distance(x, y) <= cfg.tol))
+    return fp, IterationTrace(tuple(steps), D0, converged, residual)
+
+
+def multi_outcome(solve):
+    """A solve's result as bytes and float hex, or its error, for bitwise comparison."""
+    try:
+        fp, trace = solve()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    steps = [(s.n, s.x.tobytes(), s.y.tobytes(), s.step_x.hex(), s.step_y.hex(),
+              s.bound.hex(), s.diag.hex(), s.edge_ok_x, s.edge_ok_y) for s in trace.steps]
+    return (steps, trace.D0.hex(), trace.converged, float(trace.residual).hex(),
+            fp.x.tobytes(), fp.y.tobytes(), fp.is_diagonal)
+
+
+def assert_multi_paths_agree(emm, space, graph, seed, cfg, seen, expected=None):
+    """The batched step (emm has eval_batch), the plain-callable step and the
+    oracle give bitwise the same trace, or the same error."""
+    plain = lambda x, y: emm(x, y)
+    got = multi_outcome(lambda: solve_coupled_multi(emm, space, graph, *seed, cfg))
+    assert got == multi_outcome(lambda: solve_coupled_multi(plain, space, graph, *seed, cfg))
+    assert got == multi_outcome(lambda: multi_oracle(emm, space, graph, *seed, cfg, seen))
+    if expected is not None:
+        assert got[0] == expected[0] and got[1].startswith(expected[1])
+    seen.add(got[0] if isinstance(got[0], str) else "ok")
+    return got
+
+
+_DYADIC = ("-0.5", "-0.25", "0", "0.25", "0.5")
+
+
+def _dyadic_point(rng, d):
+    """One image point with dyadic affine components, exact for many steps."""
+    return [f"{rng.choice(_DYADIC)} * x{rng.integers(1, d + 1)} + {rng.choice(_DYADIC)}"
+            f" * y{rng.integers(1, d + 1)} + {rng.choice(('-1', '0', '0.5', '1'))}"
+            for _ in range(d)]
+
+
+def _dyadic_multi_map(rng, d, m):
+    """m image points drawn from a pool of about m/2, so repeats are common;
+    a pair x1 +- 0.5 (rest x) sits at one exact distance from the anchor."""
+    pool = [_dyadic_point(rng, d) for _ in range(max(1, m // 2))]
+    points = [pool[rng.integers(len(pool))] for _ in range(m)]
+    if m >= 3 and rng.random() < 0.5:
+        rest = [f"x{i}" for i in range(2, d + 1)]
+        points[1:3] = [["x1 + 0.5"] + rest, ["x1 - 0.5"] + rest]
+    return ExpressionMultiMap(points, dimension=d)
+
+
+def _seed_iterate(image, admissible):
+    """The first admissible image point, else the first point."""
+    good = [p for p in image if admissible(p)]
+    return (good or list(image))[0]
+
+
+def test_multi_batched_step_matches_plain_and_oracle():
+    rng = np.random.default_rng(505)
+    cfg = SolveConfig(k=0.9, tol=1e-12, max_iter=25, record_edges=True)
+    seen = set()
+    for d in (1, 2, 3):
+        for space in (EuclideanSpace(d), ChebyshevSpace(d)):
+            for graph in (FullGraph(d), OrderGraph(d)):
+                for m in range(1, 9):
+                    emm = _dyadic_multi_map(rng, d, m)
+                    x0, y0 = rng.integers(-8, 9, size=(2, d)) / 4.0
+                    x1 = _seed_iterate(as_finite_set(emm(x0, y0), d), lambda p: graph.has_edge(x0, p))
+                    y1 = _seed_iterate(as_finite_set(emm(y0, x0), d), lambda p: graph.has_edge(p, y0))
+                    seed = (x0, y0, x1, y1)
+                    assert_multi_paths_agree(emm, space, graph, seed, cfg, seen)
+                    # ragged plain images: the side with x[0] < y[0] keeps one point
+                    ragged = lambda x, y: emm(x, y)[:1 if x[0] < y[0] else m]
+                    assert multi_outcome(
+                        lambda: solve_coupled_multi(ragged, space, graph, *seed, cfg)
+                    ) == multi_outcome(lambda: multi_oracle(ragged, space, graph, *seed, cfg, seen))
+    assert seen >= {"ok", "duplicate", "tie", "fail x", "fail y", "fail both",
+                    "SelectionFailureError", "SeedEdgeError"}
+
+
+def test_multi_step_failure_order_on_finite_graph():
+    # x-sequence 8, 4, 2, ...; y-sequence 3, 1.5, 0.75, ...
+    emm = ExpressionMultiMap(["x / 2"], dimension=1)
+    seed = (8.0, 3.0, 4.0, 1.5)
+    cfg = SolveConfig(k=0.6, tol=1e-12, max_iter=10)
+    seen = set()
+
+    def graph(vertices, edges=()):
+        return FiniteGraph(vertices, [(8.0, 4.0), (1.5, 3.0), *edges])
+
+    # both images leave the vertex set: the x side's point is named
+    assert_multi_paths_agree(emm, LINE, graph([8.0, 4.0, 3.0, 1.5]), seed, cfg, seen,
+                             ("NotAVertexError", "point array([2.]) is not a vertex"))
+    # the x side has no edge, the y side leaves the vertex set: every edge
+    # test runs before a selection fails, so the graph error wins
+    assert_multi_paths_agree(emm, LINE, graph([8.0, 4.0, 3.0, 1.5, 2.0]), seed, cfg, seen,
+                             ("NotAVertexError", "point array([0.75]) is not a vertex"))
+    # both sides without an edge: x first; the y side alone
+    verts = [8.0, 4.0, 3.0, 1.5, 2.0, 0.75]
+    assert_multi_paths_agree(emm, LINE, graph(verts), seed, cfg, seen,
+                             ("SelectionFailureError", "step 1: no edge-compatible candidate in the x-image"))
+    assert_multi_paths_agree(emm, LINE, graph(verts, [(4.0, 2.0)]), seed, cfg, seen,
+                             ("SelectionFailureError", "step 1: no edge-compatible candidate in the y-image"))
+    assert seen >= {"fail both", "fail y"}
+
+
+def test_multi_eval_batch_shape_is_validated():
+    class WrongShape:
+        def __call__(self, x, y):
+            return [x / 2.0]
+
+        def eval_batch(self, X, Y):
+            return np.zeros((3, 1, 1))
+
+    cfg = SolveConfig(k=0.6, tol=1e-12, max_iter=10)
+    with pytest.raises(InvalidInputError, match=r"eval_batch returned shape \(3, 1, 1\)"):
+        solve_coupled_multi(WrongShape(), LINE, FullGraph(1), 1.0, 1.0, 0.5, 0.5, cfg)
+    # the checkers share the image kernel
+    with pytest.raises(InvalidInputError, match=r"eval_batch returned shape \(3, 1, 1\)"):
+        check_mbl(WrongShape(), LINE, FullGraph(1), 0.5, SampleSpec(count=50, seed=1, low=-1.0, high=1.0))
+    # a single-valued batch, (2, d), is read as one-point images
+    lin = LinearCoupledMap(0.25, -0.5)
+    seed = (np.array([1.0, 2.0]), np.array([-1.0, 0.5]))
+    seed += (lin(*seed), lin(seed[1], seed[0]))
+    space = EuclideanSpace(2)
+    assert multi_outcome(lambda: solve_coupled_multi(lin, space, FullGraph(2), *seed, cfg)) == \
+        multi_outcome(lambda: solve_coupled_multi(lambda x, y: [lin(x, y)], space, FullGraph(2), *seed, cfg))
 
 
 def test_singleton_wrapper_degenerates_bitwise():
