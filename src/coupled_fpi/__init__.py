@@ -13,6 +13,7 @@ from .certifier import (
     check_property_star,
     instance_id_for,
     preflight,
+    solve_instance,
 )
 from .checks import (
     Certificate,
@@ -151,6 +152,7 @@ __all__ = [
     "safe_k",
     "select_near",
     "serialize_spec",
+    "solve_instance",
     "solve_coupled",
     "solve_coupled_multi",
     "step_bound",

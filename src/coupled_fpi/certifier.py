@@ -30,20 +30,27 @@ import numpy as np
 
 from .checks import (
     Certificate,
-    VIOLATION_CAP,
+    _finalize,
     _point_json,
     check_bl,
     check_mbl,
     check_mixed_monotone,
     check_mixed_monotone_multi,
-    estimate_k,
 )
 from .errors import CoupledFpiError, InvalidInputError, InvalidParameterError
-# dist_to_set is not used here; perfbench/tracer.py patches it under this name.
+# Not used here; perfbench/tracer.py patches them under these names.
+from .checks import estimate_k  # noqa: F401
 from .finite_sets import as_finite_set, dist_to_set  # noqa: F401
 from .graphs import Digraph, product_edge
 from .sampling import SampleSpec, Sampler
-from .solver import SolveConfig, _seed_member, solve_coupled, solve_coupled_multi
+from .solver import (
+    CoupledFixedPoint,
+    IterationTrace,
+    SolveConfig,
+    _seed_member,
+    solve_coupled,
+    solve_coupled_multi,
+)
 from .spaces import MetricSpace, PointLike, as_point
 
 THEOREM_LEVELS = ("thm_3_1", "thm_3_2", "thm_4_1", "thm_4_2", "none")
@@ -166,44 +173,20 @@ def check_property_star(
     if not pts:
         raise InvalidInputError("sequence must be nonempty")
     lim = as_point(limit, graph.dimension)
+    # the edge "along" the sequence: p -> q ascending, q -> p descending
+    edge = graph.has_edge if direction == "ascending" else lambda p, q: graph.has_edge(q, p)
 
     for i in range(len(pts) - 1):
         a, b = pts[i], pts[i + 1]
-        ok = graph.has_edge(a, b) if direction == "ascending" else graph.has_edge(b, a)
-        if not ok:
-            return Certificate(
-                property_name="property_star",
-                samples_tested=len(pts),
-                passed=False,
-                violations=(
-                    {"term": i, "kind": "premise",
-                     "from": _point_json(a), "to": _point_json(b)},
-                ),
-                violation_count=1,
-                detail=f"premise-violated at term {i}: consecutive pair is not an edge",
-            )
+        if not edge(a, b):
+            violation = {"term": i, "kind": "premise", "from": _point_json(a), "to": _point_json(b)}
+            return _finalize("property_star", len(pts), [violation], 1, None,
+                             f"premise-violated at term {i}: consecutive pair is not an edge")
 
-    violations = []
-    count = 0
-    for i, p in enumerate(pts):
-        ok = graph.has_edge(p, lim) if direction == "ascending" else graph.has_edge(lim, p)
-        if not ok:
-            count += 1
-            if len(violations) < VIOLATION_CAP:
-                violations.append({
-                    "term": i,
-                    "kind": "conclusion",
-                    "point": _point_json(p),
-                    "limit": _point_json(lim),
-                })
-    return Certificate(
-        property_name="property_star",
-        samples_tested=len(pts),
-        passed=count == 0,
-        violations=tuple(violations),
-        violation_count=count,
-        detail=direction,
-    )
+    bad = [i for i, p in enumerate(pts) if not edge(p, lim)]
+    violations = [{"term": i, "kind": "conclusion", "point": _point_json(pts[i]),
+                   "limit": _point_json(lim)} for i in bad]
+    return _finalize("property_star", len(pts), violations, len(bad), None, direction)
 
 
 def _seed_edge_ok(instance: ProblemInstance, notes: list[str]) -> bool:
@@ -219,8 +202,8 @@ def _seed_edge_ok(instance: ProblemInstance, notes: list[str]) -> bool:
                     return False
         else:
             x1, y1 = instance.x1, instance.y1
-            in_x = _seed_member(instance.space, x1, as_finite_set(instance.map(instance.x0, instance.y0), d))
-            in_y = _seed_member(instance.space, y1, as_finite_set(instance.map(instance.y0, instance.x0), d))
+            in_x = _seed_member(instance.space, x1, instance.map(instance.x0, instance.y0))
+            in_y = _seed_member(instance.space, y1, instance.map(instance.y0, instance.x0))
             if not (in_x and in_y):
                 notes.append("declared seed iterates are not members of the seed images")
                 return False
@@ -230,22 +213,16 @@ def _seed_edge_ok(instance: ProblemInstance, notes: list[str]) -> bool:
         return False
 
 
-def _trial_trace(instance: ProblemInstance):
-    cfg = SolveConfig(
-        k=instance.k,
-        tol=1e-300,  # never satisfied: the trial wants a full-length edge chain
-        max_iter=_TRIAL_STEPS,
-    )
+def solve_instance(
+    instance: ProblemInstance, cfg: SolveConfig
+) -> tuple[CoupledFixedPoint, IterationTrace]:
+    """Solve *instance* from its declared seed with the solver of its kind,
+    raising what that solver raises."""
     if instance.kind == "single":
-        fp, trace = solve_coupled(
-            instance.map, instance.space, instance.graph, instance.x0, instance.y0, cfg
-        )
+        solve, seed = solve_coupled, (instance.x0, instance.y0)
     else:
-        fp, trace = solve_coupled_multi(
-            instance.map, instance.space, instance.graph,
-            instance.x0, instance.y0, instance.x1, instance.y1, cfg,
-        )
-    return fp, trace
+        solve, seed = solve_coupled_multi, (instance.x0, instance.y0, instance.x1, instance.y1)
+    return solve(instance.map, instance.space, instance.graph, *seed, cfg)
 
 
 def _spot_check_continuity(instance: ProblemInstance, sample: SampleSpec, notes: list[str]) -> bool:
@@ -259,9 +236,7 @@ def _spot_check_continuity(instance: ProblemInstance, sample: SampleSpec, notes:
         notes.append("continuity asserted for multivalued map; accepted without spot check")
         return True
     d = instance.space.dimension
-    sampler = Sampler(SampleSpec(count=3, seed=sample.seed + 1,
-                                 low=sample.low, high=sample.high,
-                                 points=sample.points), d)
+    sampler = Sampler(replace(sample, count=3, seed=sample.seed + 1), d)
     anchors = sampler.draw(3)
     partners = sampler.draw(3)
     offsets = sampler.draw(3)
@@ -312,11 +287,10 @@ def preflight(instance: ProblemInstance, sample: SampleSpec) -> HypothesisReport
     if not seed_ok:
         notes.append("seed edge condition FAILED")
 
+    single = instance.kind == "single"
     try:
-        if instance.kind == "single":
-            mono = check_mixed_monotone(instance.map, instance.graph, sample)
-        else:
-            mono = check_mixed_monotone_multi(instance.map, instance.graph, sample)
+        check = check_mixed_monotone if single else check_mixed_monotone_multi
+        mono = check(instance.map, instance.graph, sample)
         certs.append(mono)
         _note_shortfall(mono, 2 * sample.count, notes)  # one sample per clause
         mono_ok = mono.passed
@@ -324,20 +298,9 @@ def preflight(instance: ProblemInstance, sample: SampleSpec) -> HypothesisReport
         notes.append(f"monotonicity check aborted: {exc}")
         mono_ok = False
 
-    est = None
-    if instance.kind == "single":
-        try:
-            est = estimate_k(instance.map, instance.space, instance.graph, sample)
-        except CoupledFpiError:
-            est = None
-
     try:
-        if instance.kind == "single":
-            bound_cert = check_bl(instance.map, instance.space, instance.graph, instance.k, sample)
-        else:
-            bound_cert = check_mbl(instance.map, instance.space, instance.graph, instance.k, sample)
-        if est is not None:
-            bound_cert = replace(bound_cert, estimated_constant=est)
+        check = check_bl if single else check_mbl
+        bound_cert = check(instance.map, instance.space, instance.graph, instance.k, sample)
         certs.append(bound_cert)
         _note_shortfall(bound_cert, sample.count, notes)
         bound_ok = bound_cert.passed
@@ -350,7 +313,9 @@ def preflight(instance: ProblemInstance, sample: SampleSpec) -> HypothesisReport
         limit_mode_ok = _spot_check_continuity(instance, sample, notes)
     else:
         try:
-            fp, trace = _trial_trace(instance)
+            # tol is never met: the trial wants a full-length edge chain
+            trial = SolveConfig(k=instance.k, tol=1e-300, max_iter=_TRIAL_STEPS)
+            fp, trace = solve_instance(instance, trial)
             xs = [s.x for s in trace.steps] + [fp.x]
             ys = [s.y for s in trace.steps] + [fp.y]
             star_x = check_property_star(instance.graph, xs, fp.x, "ascending")
@@ -369,7 +334,7 @@ def preflight(instance: ProblemInstance, sample: SampleSpec) -> HypothesisReport
             limit_mode_ok = False
 
     if seed_ok and mono_ok and bound_ok and limit_mode_ok:
-        if instance.kind == "single":
+        if single:
             level = "thm_3_1" if instance.continuous else "thm_3_2"
         else:
             level = "thm_4_1" if instance.continuous else "thm_4_2"

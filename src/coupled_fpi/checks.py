@@ -37,7 +37,8 @@ from .errors import (
     InvalidParameterError,
     NonFiniteValueError,
 )
-# dist_to_set is not used here; perfbench/tracer.py patches it under this name.
+from .finite_sets import _point_rows
+# Not used here; perfbench/tracer.py patches them under these names.
 from .finite_sets import as_finite_set, dist_to_set  # noqa: F401
 from .graphs import Digraph
 from .sampling import Sampler, SampleSpec
@@ -63,10 +64,11 @@ PROPERTY_NAMES = (
 class Certificate:
     """Outcome of one sampled (or exhaustive) property check.
 
-    ``estimated_constant`` is only populated by estimation runs (see
-    :func:`estimate_k`); ``seed`` records the RNG seed that reproduces
-    the sample.  ``detail`` is a short human-readable note such as the
-    clause breakdown or a premise-violation flag.
+    ``estimated_constant`` is set by :func:`check_bl` only: the value
+    :func:`estimate_k` gives its sample, or None where that raises.
+    ``seed`` records the RNG seed that reproduces the sample.
+    ``detail`` is a short human-readable note such as the clause
+    breakdown or a premise-violation flag.
     """
 
     property_name: str
@@ -127,33 +129,21 @@ def _point_json(p: np.ndarray):
     return [float(c) for c in p]
 
 
-def _map_rows(fn: Callable, X: np.ndarray, Y: np.ndarray, dimension: int) -> np.ndarray:
-    """Evaluate a single-valued coupled map on (n,d) rows, batched if it can."""
-    batch = getattr(fn, "eval_batch", None)
-    if batch is not None:
-        out = np.asarray(batch(X, Y), dtype=np.float64)
-        if out.ndim == 1:
-            out = out.reshape(-1, 1)
-        return out
-    rows = [as_point(fn(x, y), dimension) for x, y in zip(X, Y)]
-    return np.vstack(rows)
-
-
 def _images(fn: Callable, X: np.ndarray, Y: np.ndarray, dimension: int, multi: bool) -> np.ndarray:
     """Evaluate a coupled map on (n,d) rows as an (n,m,d) image array.
 
-    A single-valued map gives one-point images (m = 1).  Multivalued maps
-    with ``eval_batch`` return the array directly (a 1-D or 2-D result
-    is read as one-point images); plain callables are evaluated row by
-    row, and a ragged image is padded by repeating its first point, which
-    changes neither "every point has an edge into the other image", nor
-    the largest point-to-set distance, nor the lowest-index nearest point.
+    The package's one batched map evaluation.  A single-valued map gives
+    one-point images (m = 1).  A map with ``eval_batch`` returns the
+    array in one call (a 1-D or 2-D result is read as one-point images);
+    plain callables are evaluated row by row, and a ragged image is
+    padded by repeating its first point, which changes neither "every
+    point has an edge into the other image", nor the largest
+    point-to-set distance, nor the lowest-index nearest point.
 
     Raises:
-        InvalidInputError: ``eval_batch`` returned another shape.
+        InvalidInputError: ``eval_batch`` returned another shape (for a
+            single-valued map, any m but 1).
     """
-    if not multi:
-        return _map_rows(fn, X, Y, dimension)[:, None, :]
     batch = getattr(fn, "eval_batch", None)
     if batch is not None:
         out = np.asarray(batch(X, Y), dtype=np.float64)
@@ -162,11 +152,14 @@ def _images(fn: Callable, X: np.ndarray, Y: np.ndarray, dimension: int, multi: b
             out = out[:, None]
         if out.ndim == 2:
             out = out[:, None, :]
-        if out.ndim != 3 or out.shape[0] != len(X) or out.shape[1] == 0 or out.shape[2] != dimension:
-            raise InvalidInputError(
-                f"eval_batch returned shape {shape}, expected ({len(X)}, m, {dimension})")
+        if out.ndim != 3 or out.shape[1] == 0 or \
+                out.shape != (len(X), out.shape[1] if multi else 1, dimension):
+            raise InvalidInputError(f"eval_batch returned shape {shape}, "
+                                    f"expected ({len(X)}, {'m, ' if multi else ''}{dimension})")
         return out
-    sets = [as_finite_set(fn(x, y), dimension).points for x, y in zip(X, Y)]
+    if not multi:
+        return np.array([as_point(fn(x, y), dimension) for x, y in zip(X, Y)])[:, None, :]
+    sets = [_point_rows(fn(x, y), dimension) for x, y in zip(X, Y)]
     m = max(len(s) for s in sets)
     return np.array([s if len(s) == m else np.concatenate([s, np.repeat(s[:1], m - len(s), axis=0)])
                      for s in sets])
@@ -181,11 +174,13 @@ def _pairs(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return P, Q
 
 
-def _finalize(name, total, violations, count, seed, detail=""):
+def _finalize(name, total, violations, count, seed, detail="", estimate=None):
+    """A certificate whose witness list is capped at ``VIOLATION_CAP``."""
     return Certificate(
         property_name=name,
         samples_tested=total,
         passed=count == 0,
+        estimated_constant=estimate,
         violations=tuple(violations[:VIOLATION_CAP]),
         violation_count=count,
         seed=seed,
@@ -262,6 +257,39 @@ def check_mixed_monotone_multi(fn: Callable, graph: Digraph, sample: SampleSpec)
     return _mixed_monotone(fn, graph, sample, multi=True)
 
 
+def _contraction_sample(fn: Callable, space: MetricSpace, graph: Digraph,
+                        sample: SampleSpec, multi: bool):
+    """The pairs (X, Y, U, V), the images A = F(X, Y), each point's
+    distance to its set F(U, V) as (n, m) and each d(x,u) + d(y,v)."""
+    d = space.dimension
+    X, Y, U, V = Sampler(sample, d).product_edge_pairs(graph)
+    A = _images(fn, X, Y, d, multi)
+    B = _images(fn, U, V, d, multi)
+    lhs = space.distance_batch(*_pairs(A, B)).reshape(*A.shape[:2], -1).min(axis=2)
+    den = space.distance_batch(X, U) + space.distance_batch(Y, V)
+    return (X, Y, U, V), A, lhs, den
+
+
+def _ratio_sup(lhs: np.ndarray, den: np.ndarray) -> float:
+    """sup of 2 lhs / den over the single-valued pairs with den > 0.
+
+    Raises:
+        InsufficientSamplesError: every pair has den = 0.
+        NonFiniteValueError: some ratio is NaN or infinite.
+    """
+    keep = np.flatnonzero(den > 0.0)
+    if not keep.size:
+        raise InsufficientSamplesError("all sampled product-edge pairs were degenerate")
+    ratio = 2.0 * lhs[keep, 0] / den[keep]
+    bad = np.flatnonzero(~np.isfinite(ratio))
+    if bad.size:
+        raise NonFiniteValueError(
+            f"non-finite contraction ratio {float(ratio[bad[0]])!r} "
+            f"on sampled pair {int(keep[bad[0]])}"
+        )
+    return float(ratio.max())
+
+
 def _contraction(
     fn: Callable,
     space: MetricSpace,
@@ -275,16 +303,12 @@ def _contraction(
     For each sampled product-edge pair, every point of F(x,y) must lie
     within (k/2)(d(x,u) + d(y,v)) + SLACK of the set F(u,v).  A sample
     counts once, with its first offending image point as the witness.
-    A non-finite distance offends.
+    A non-finite distance offends.  A single-valued certificate's
+    estimated constant is :func:`_ratio_sup` of the sample, or None.
     """
     k = validate_k(k)
-    d = space.dimension
-    X, Y, U, V = Sampler(sample, d).product_edge_pairs(graph)
-    A = _images(fn, X, Y, d, multi)
-    B = _images(fn, U, V, d, multi)
-    # distance from each point A[i, j] to the set B[i]
-    lhs = space.distance_batch(*_pairs(A, B)).reshape(*A.shape[:2], -1).min(axis=2)
-    rhs = 0.5 * k * (space.distance_batch(X, U) + space.distance_batch(Y, V))
+    (X, Y, U, V), A, lhs, den = _contraction_sample(fn, space, graph, sample, multi)
+    rhs = 0.5 * k * den
     over = ~(lhs <= rhs[:, None] + SLACK)
     bad = np.flatnonzero(over.any(axis=1))
     violations = []
@@ -301,8 +325,14 @@ def _contraction(
             w["point"] = _point_json(A[i, j])
         w.update(lhs=float(lhs[i, j]), rhs=float(rhs[i]))
         violations.append(w)
+    estimate = None
+    if not multi:
+        try:
+            estimate = _ratio_sup(lhs, den)
+        except (InsufficientSamplesError, NonFiniteValueError):
+            pass
     name = "MBL" if multi else "BL"
-    return _finalize(name, len(X), violations, len(bad), sample.seed, detail=f"k={k!r}")
+    return _finalize(name, len(X), violations, len(bad), sample.seed, f"k={k!r}", estimate)
 
 
 def check_bl(
@@ -347,6 +377,8 @@ def estimate_k(
     2 d(F(x,y), F(u,v)) / (d(x,u) + d(y,v)), skipping degenerate pairs
     (zero denominator).  The value is a lower bound for any admissible
     global k; it may well exceed 1, which is informative in itself.
+    It draws and evaluates the sample :func:`check_bl` draws and
+    evaluates, so it equals that certificate's ``estimated_constant``.
 
     Raises:
         InsufficientSamplesError: no product-edge pairs found, or all
@@ -354,20 +386,5 @@ def estimate_k(
         NonFiniteValueError: the map's values give a NaN or infinite
             ratio on some sampled pair.
     """
-    d = space.dimension
-    sampler = Sampler(sample, d)
-    X, Y, U, V = sampler.product_edge_pairs(graph)
-    den = space.distance_batch(X, U) + space.distance_batch(Y, V)
-    keep = den > 0.0
-    if not keep.any():
-        raise InsufficientSamplesError("all sampled product-edge pairs were degenerate")
-    FXY = _map_rows(fn, X[keep], Y[keep], d)
-    FUV = _map_rows(fn, U[keep], V[keep], d)
-    ratio = 2.0 * space.distance_batch(FXY, FUV) / den[keep]
-    bad = np.flatnonzero(~np.isfinite(ratio))
-    if bad.size:
-        raise NonFiniteValueError(
-            f"non-finite contraction ratio {float(ratio[bad[0]])!r} "
-            f"on sampled pair {int(np.flatnonzero(keep)[bad[0]])}"
-        )
-    return float(ratio.max())
+    _, _, lhs, den = _contraction_sample(fn, space, graph, sample, multi=False)
+    return _ratio_sup(lhs, den)

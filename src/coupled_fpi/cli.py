@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certifier import HypothesisReport, preflight
+from .certifier import HypothesisReport, preflight, solve_instance
 from .checks import _json_safe, _point_json
 from .errors import CoupledFpiError
 from .problem_spec import (
@@ -35,12 +35,9 @@ from .problem_spec import (
     build_solve_config,
     parse_spec,
 )
-from .solver import (
-    CoupledFixedPoint,
-    IterationTrace,
-    solve_coupled,
-    solve_coupled_multi,
-)
+from .solver import CoupledFixedPoint, IterationTrace
+# Not used here; perfbench/tracer.py patches them under these names.
+from .solver import solve_coupled, solve_coupled_multi  # noqa: F401
 
 EXIT_OK = 0
 EXIT_PREFLIGHT_FAILED = 2
@@ -195,15 +192,7 @@ def run(
 
     cfg = build_solve_config(spec, max_iter)
     try:
-        if spec.map.kind == "single":
-            result, trace = solve_coupled(
-                instance.map, instance.space, instance.graph, instance.x0, instance.y0, cfg
-            )
-        else:
-            result, trace = solve_coupled_multi(
-                instance.map, instance.space, instance.graph,
-                instance.x0, instance.y0, instance.x1, instance.y1, cfg,
-            )
+        result, trace = solve_instance(instance, cfg)
     except CoupledFpiError as exc:
         message = f"{type(exc).__name__}: {exc}"
         doc = report_document(report, None, None, EXIT_ERROR, force, message)

@@ -70,8 +70,8 @@ class FiniteSet:
 FiniteSetLike = Union[FiniteSet, Iterable[PointLike]]
 
 
-def as_finite_set(value: FiniteSetLike, dimension: int | None = None) -> FiniteSet:
-    """Coerce *value* to a :class:`FiniteSet`.
+def _point_rows(value: FiniteSetLike, dimension: int | None = None) -> np.ndarray:
+    """*value* as an (m, d) array of its points, in order and with repeats.
 
     Accepts an existing set, an iterable of points, or (for dimension
     d > 1) a single flat length-d vector standing for a one-point set.
@@ -79,34 +79,33 @@ def as_finite_set(value: FiniteSetLike, dimension: int | None = None) -> FiniteS
     points.
     """
     if isinstance(value, FiniteSet):
-        if dimension is not None and value.dimension != dimension:
-            raise InvalidInputError(
-                f"dimension mismatch: expected {dimension}, got {value.dimension}"
-            )
-        return value
-    if isinstance(value, (int, float, np.floating, np.integer)):
-        return FiniteSet([value], dimension)
-    if not isinstance(value, np.ndarray):
-        value = list(value)
-    try:
-        arr = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInputError(f"not a finite point set: {value!r}") from exc
-    if arr.ndim == 1 and dimension is not None and dimension > 1:
-        if arr.size != dimension:
-            raise InvalidInputError(
-                f"dimension mismatch: expected {dimension}, got {arr.size}"
-            )
-        return FiniteSet([arr], dimension)
-    return FiniteSet(list(arr) if arr.ndim > 0 else [arr], dimension)
+        rows = value.points
+    else:
+        try:
+            rows = np.asarray(value if isinstance(value, np.ndarray) or np.isscalar(value)
+                              else list(value), dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError(f"not a finite point set: {value!r}") from exc
+        if rows.ndim < 2:
+            rows = rows.reshape(1, -1) if (dimension or 1) > 1 else rows.reshape(-1, 1)
+    if rows.ndim != 2 or rows.size == 0:
+        raise InvalidInputError(f"not a nonempty finite point set: shape {rows.shape}")
+    if dimension is not None and rows.shape[1] != dimension:
+        raise InvalidInputError(f"dimension mismatch: expected {dimension}, got {rows.shape[1]}")
+    return rows
+
+
+def as_finite_set(value: FiniteSetLike, dimension: int | None = None) -> FiniteSet:
+    """Coerce *value* (read as :func:`_point_rows` reads it) to a :class:`FiniteSet`."""
+    rows = _point_rows(value, dimension)
+    return value if isinstance(value, FiniteSet) else FiniteSet(rows, dimension)
 
 
 def dist_to_set(space: MetricSpace, a: PointLike, B: FiniteSetLike) -> float:
-    """min over b in B of d(a, b)."""
-    B = as_finite_set(B, space.dimension)
+    """min over b in B of d(a, b); NaN if any of these distances is NaN."""
+    B = _point_rows(B, space.dimension)
     a = as_point(a, space.dimension)
-    A = np.broadcast_to(a, B.points.shape)
-    return float(space.distance_batch(A, B.points).min())
+    return float(space.distance_batch(np.broadcast_to(a, B.shape), B).min())
 
 
 def hausdorff(space: MetricSpace, A: FiniteSetLike, B: FiniteSetLike) -> float:

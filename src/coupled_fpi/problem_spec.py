@@ -29,6 +29,7 @@ named; ``serialize_spec`` writes the canonical form that round-trips:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -269,7 +270,7 @@ def _parse_solve(doc, where="solve") -> SolveSpec:
     return out
 
 
-def _parse_sampler(doc, where="sampler") -> SamplerSpec:
+def _parse_sampler(doc, dimension: int, where="sampler") -> SamplerSpec:
     if doc is None:
         return SamplerSpec()
     if not isinstance(doc, dict):
@@ -277,18 +278,25 @@ def _parse_sampler(doc, where="sampler") -> SamplerSpec:
 
     def bound(key, default):
         val = doc.get(key, default)
-        if isinstance(val, list):
-            return tuple(_as_number(c, f"{where}.{key}") for c in val)
-        return _as_number(val, f"{where}.{key}")
+        coords = tuple(_as_number(c, f"{where}.{key}") for c in (val if isinstance(val, list) else [val]))
+        if isinstance(val, list) and len(coords) != dimension:
+            raise SpecError(f"{where}.{key} needs {dimension} coordinate(s), got {len(coords)}")
+        if not all(math.isfinite(c) for c in coords):
+            raise SpecError(f"{where}.{key} must be finite, got {val!r}")
+        return coords if isinstance(val, list) else coords[0]
 
+    low, high = bound("low", SamplerSpec.low), bound("high", SamplerSpec.high)
+    # Pair coordinates as the sampler broadcasts them; an infinite width is unsampleable.
+    lows, highs = (b if isinstance(b, tuple) else (b,) * dimension for b in (low, high))
+    if not all(math.isfinite(h - lo) for lo, h in zip(lows, highs)):
+        raise SpecError(f"{where}.high - {where}.low must be finite, got {high!r} - {low!r}")
     count = _as_int(doc.get("count", SamplerSpec.count), f"{where}.count")
     if count < 1:
         raise SpecError(f"{where}.count must be a positive integer, got {count}")
     seed = doc.get("rng_seed", None)
     if seed is not None:
         seed = _as_int(seed, f"{where}.rng_seed")
-    return SamplerSpec(low=bound("low", SamplerSpec.low), high=bound("high", SamplerSpec.high),
-                       count=count, rng_seed=seed)
+    return SamplerSpec(low=low, high=high, count=count, rng_seed=seed)
 
 
 def parse_spec(text: str) -> ProblemSpec:
@@ -316,7 +324,7 @@ def parse_spec(text: str) -> ProblemSpec:
         raise SpecError("k must lie in (0,1)")
     seed = _parse_seed(_require(doc, "seed", ""), space.dimension, map_spec.kind == "multi")
     solve = _parse_solve(doc.get("solve"))
-    sampler = _parse_sampler(doc.get("sampler"))
+    sampler = _parse_sampler(doc.get("sampler"), space.dimension)
     return ProblemSpec(space, graph, map_spec, k, seed, solve, sampler)
 
 

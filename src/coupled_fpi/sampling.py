@@ -75,8 +75,13 @@ class Sampler:
             self._pool = None
             low = np.broadcast_to(np.asarray(spec.low, dtype=np.float64), (dimension,))
             high = np.broadcast_to(np.asarray(spec.high, dtype=np.float64), (dimension,))
+            if np.isnan(low).any() or np.isnan(high).any():
+                raise InvalidInputError(f"sampling box bound is NaN: low {spec.low!r}, high {spec.high!r}")
             if not (low <= high).all():
                 raise InvalidInputError("sampling box has low > high")
+            with np.errstate(over="ignore"):
+                if not np.isfinite(high - low).all():
+                    raise InvalidInputError("sampling box needs finite bounds and a finite width")
             self._low = low
             self._high = high
 

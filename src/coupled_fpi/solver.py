@@ -33,7 +33,7 @@ Multivalued maps iterate by edge-filtered nearest-point selection: the
 next iterate is the image point nearest the current one among
 edge-compatible candidates, ties resolved by image index.  Each step
 evaluates both images as one (2, m, d) array, with a single
-``eval_batch`` call and no finite set when the map has ``eval_batch``,
+``eval_batch`` call when the map has one and no finite set either way,
 and selects on that raw array for both sides with one masked argmin.
 Wrapping a single-valued map as a one-point multivalued map reproduces
 the single-valued trace bitwise.
@@ -47,7 +47,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .checks import SLACK, Certificate, validate_k, _images as _image_array
+from .checks import SLACK, Certificate, _finalize, validate_k, _images as _image_array
 from .errors import (
     CoupledFpiError,
     HypothesisViolationError,
@@ -59,7 +59,9 @@ from .errors import (
     SeedEdgeError,
     SelectionFailureError,
 )
-from .finite_sets import FiniteSet, as_finite_set, dist_to_set
+from .finite_sets import FiniteSetLike, _point_rows, dist_to_set
+# as_finite_set is not used here; perfbench/tracer.py patches it under this name.
+from .finite_sets import as_finite_set  # noqa: F401
 from .graphs import Digraph, product_edge
 from .spaces import MetricSpace, PointLike, as_point
 
@@ -310,11 +312,12 @@ def _select_step(space, graph, images: np.ndarray, Z: np.ndarray, n: int):
     return images[0, best[0]].copy(), images[1, best[1]].copy()
 
 
-def _seed_member(space: MetricSpace, p: np.ndarray, image: FiniteSet) -> bool:
+def _seed_member(space: MetricSpace, p: np.ndarray, image: FiniteSetLike) -> bool:
     """p is a point of the image: within SLACK of it, or bitwise one of its
     points (an infinite point has NaN distance to itself).  A NaN distance
-    to a set without p is no membership."""
-    return dist_to_set(space, p, image) <= SLACK or image.contains(p)
+    to an image without p is no membership."""
+    rows = _point_rows(image, space.dimension)
+    return dist_to_set(space, p, rows) <= SLACK or any(r.tobytes() == p.tobytes() for r in rows)
 
 
 def solve_coupled_multi(
@@ -350,9 +353,9 @@ def solve_coupled_multi(
     y0 = as_point(y0, d)
     x1 = as_point(x1, d)
     y1 = as_point(y1, d)
-    if not _seed_member(space, x1, as_finite_set(fn(x0, y0), d)):
+    if not _seed_member(space, x1, fn(x0, y0)):
         raise InvalidSeedError("x1 is not a point of F(x0, y0)")
-    if not _seed_member(space, y1, as_finite_set(fn(y0, x0), d)):
+    if not _seed_member(space, y1, fn(y0, x0)):
         raise InvalidSeedError("y1 is not a point of F(y0, x0)")
     if not product_edge(graph, (x0, y0), (x1, y1)):
         raise SeedEdgeError("seed condition fails: ((x0,y0),(x1,y1)) is not a product edge")
@@ -362,9 +365,7 @@ def solve_coupled_multi(
         return _select_step(space, graph, _image_array(fn, Z, Z[::-1], d, multi=True), Z, n)
 
     x, y, steps, D0, converged = _run_iteration(space, graph, cfg, x0, y0, x1, y1, advance)
-    residual = dist_to_set(space, x, as_finite_set(fn(x, y), d)) + dist_to_set(
-        space, y, as_finite_set(fn(y, x), d)
-    )
+    residual = dist_to_set(space, x, fn(x, y)) + dist_to_set(space, y, fn(y, x))
     fp = CoupledFixedPoint(x=x, y=y, is_diagonal=bool(space.distance(x, y) <= cfg.tol))
     return fp, IterationTrace(tuple(steps), D0, converged, residual)
 
@@ -388,26 +389,10 @@ def diagonal_decay_check(trace: IterationTrace, graph: Digraph, k: float) -> Cer
             "diagonal decay needs the seed edge (x0, y0) in the base graph"
         )
     d0 = first.diag
-    violations = []
-    count = 0
-    for step in trace.steps:
-        limit = (k ** step.n) * d0 + SLACK
-        if step.diag > limit:
-            count += 1
-            if len(violations) < 25:
-                violations.append({
-                    "n": step.n,
-                    "diag": float(step.diag),
-                    "bound": float((k ** step.n) * d0),
-                })
-    return Certificate(
-        property_name="diagonal_decay",
-        samples_tested=len(trace.steps),
-        passed=count == 0,
-        violations=tuple(violations),
-        violation_count=count,
-        detail=f"k={k!r}",
-    )
+    bad = [step for step in trace.steps if step.diag > (k ** step.n) * d0 + SLACK]
+    violations = [{"n": step.n, "diag": float(step.diag), "bound": float((k ** step.n) * d0)}
+                  for step in bad]
+    return _finalize("diagonal_decay", len(trace.steps), violations, len(bad), None, f"k={k!r}")
 
 
 @dataclass(frozen=True)
@@ -439,7 +424,7 @@ class UniquenessReport:
     edge_violations: tuple[dict, ...]
 
 
-def _by_rows(batch: Callable | None, row: Callable, n: int, fill):
+def _by_rows(batch: Callable, row: Callable, n: int, fill):
     """``batch()`` when it succeeds, else ``row(i)`` for each of n rows.
 
     Returns the results as an array and ``{row: exception}`` for the rows
@@ -447,11 +432,10 @@ def _by_rows(batch: Callable | None, row: Callable, n: int, fill):
     batch row by row keeps an error of the map, graph or metric on the
     seed that caused it, as the per-pair solver raises it.
     """
-    if batch is not None:
-        try:
-            return batch(), {}
-        except Exception:
-            pass
+    try:
+        return batch(), {}
+    except Exception:
+        pass
     out, errors = [], {}
     for i in range(n):
         try:
@@ -472,19 +456,10 @@ def _by_seed(errors: dict, s: int) -> dict:
 
 
 def _images(fn: Callable, Z: np.ndarray, d: int):
-    """Stacked images [F(X, Y); F(Y, X)] of the pairs Z = [X; Y], errors by seed."""
+    """Stacked images [F(X, Y); F(Y, X)] of the pairs Z = [X; Y], batched, errors by seed."""
     s = len(Z) // 2
     W = np.concatenate([Z[s:], Z[:s]])
-    eval_batch = getattr(fn, "eval_batch", None)
-
-    def batch():
-        out = np.asarray(eval_batch(Z, W), dtype=np.float64)
-        out = out.reshape(-1, 1) if out.ndim == 1 else out
-        if out.shape != Z.shape:
-            raise InvalidInputError(f"eval_batch returned shape {out.shape}")
-        return out
-
-    F, errors = _by_rows(batch if eval_batch is not None else None,
+    F, errors = _by_rows(lambda: _image_array(fn, Z, W, d, multi=False)[:, 0],
                          lambda i: as_point(fn(Z[i], W[i]), d), len(Z), np.full(d, np.nan))
     return F, _by_seed(errors, s)
 

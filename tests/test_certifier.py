@@ -12,17 +12,22 @@ from coupled_fpi import (
     HypothesisReport,
     InvalidInputError,
     InvalidParameterError,
+    NonFiniteValueError,
     OrderGraph,
     PredicateGraph,
     ProblemInstance,
     SampleSpec,
+    SolveConfig,
     build_instance,
     check_property_star,
     instance_id_for,
     parse_spec,
     preflight,
     real_line,
+    solve_instance,
 )
+from coupled_fpi import finite_sets
+from coupled_fpi.checks import VIOLATION_CAP
 
 LINE = real_line()
 SPEC_DIR = pathlib.Path(__file__).resolve().parent.parent / "specs"
@@ -121,6 +126,15 @@ def test_property_star_premise_violation():
     assert not cert.passed
     assert cert.violations[0]["kind"] == "premise"
     assert cert.detail.startswith("premise-violated at term 0")
+
+
+def test_property_star_caps_its_witnesses():
+    # an ascending chain whose declared limit lies below every term
+    cert = check_property_star(OrderGraph(1), [float(n) for n in range(40)], -1.0, "ascending")
+    assert cert.violation_count == 40 and len(cert.violations) == VIOLATION_CAP
+    assert [v["term"] for v in cert.violations] == list(range(VIOLATION_CAP))
+    assert cert.violations[0] == {"term": 0, "kind": "conclusion", "point": 0.0, "limit": -1.0}
+    assert cert.seed is None and cert.estimated_constant is None
 
 
 def test_property_star_validation():
@@ -238,6 +252,28 @@ def test_preflight_flags_nan_seed_iterate():
     assert report.theorem_applicable == "none"
     assert any("not members of the seed images" in n for n in report.notes)
     assert any("seed edge condition FAILED" in n for n in report.notes)
+
+
+def test_multivalued_paths_build_no_finite_set(monkeypatch):
+    # images are read as raw point rows, repeats kept: no deduplicating set
+    def no_set(self, *args, **kwargs):
+        raise AssertionError("a FiniteSet was built")
+
+    monkeypatch.setattr(finite_sets.FiniteSet, "__init__", no_set)
+    twice = lambda x, y: [(np.asarray(x) + np.asarray(y)) / 5.0] * 2 + [-(np.asarray(x) + np.asarray(y)) / 5.0]
+    for continuous in (True, False):
+        inst = ProblemInstance(kind="multi", space=LINE, graph=FullGraph(1), map=twice, k=0.5,
+                               x0=0.0, y0=1.0, x1=0.2, y1=0.2, continuous=continuous)
+        report = preflight(inst, SMALL_BOX)
+        assert report.seed_edge_ok and report.passed
+        fp, trace = solve_instance(inst, SolveConfig(k=0.5))
+        assert trace.converged and trace.residual <= 1e-10
+    # bitwise membership keeps a NaN seed iterate that is one of the image's points
+    inst = ProblemInstance(kind="multi", space=LINE, graph=FullGraph(1), map=lambda x, y: [np.nan, 0.5],
+                           k=0.5, x0=0.0, y0=1.0, x1=np.nan, y1=0.5)
+    assert preflight(inst, SMALL_BOX).seed_edge_ok
+    with pytest.raises(NonFiniteValueError, match="^step 0"):
+        solve_instance(inst, SolveConfig(k=0.5))
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")

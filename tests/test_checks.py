@@ -7,10 +7,13 @@ import pytest
 
 from coupled_fpi import (
     Certificate,
+    ChebyshevSpace,
     EuclideanSpace,
+    ExpressionCoupledMap,
     ExpressionMultiMap,
     FullGraph,
     InsufficientSamplesError,
+    InvalidInputError,
     InvalidParameterError,
     LinearCoupledMap,
     NonFiniteValueError,
@@ -334,3 +337,59 @@ def test_mbl_dimension_two():
     assert found and (cert.samples_tested, cert.violation_count) == (total, len(found))
     witnesses = [(v["sample"], v["point"], v["lhs"], v["rhs"]) for v in cert.violations]
     assert witnesses == found[:VIOLATION_CAP]
+
+
+class MisshapenBatchMap:
+    """A single-valued map whose ``eval_batch`` returns rows of another shape."""
+
+    def __init__(self, shape):
+        self.shape = shape
+
+    def __call__(self, x, y):
+        return (np.asarray(x) + np.asarray(y)) / 5.0
+
+    def eval_batch(self, X, Y):
+        return np.zeros((len(X), *self.shape))
+
+
+def test_malformed_single_valued_batch_is_an_input_error():
+    # one coordinate too many, or two image points where one is due
+    for d in (1, 3):
+        for shape, shown in (((d + 1,), f"{d + 1}"), ((2, d), f"2, {d}")):
+            fn, space, graph = MisshapenBatchMap(shape), EuclideanSpace(d), OrderGraph(d)
+            spec = SampleSpec(count=50, seed=3, low=-1.0, high=1.0)
+            message = rf"eval_batch returned shape \(50, {shown}\), expected \(50, {d}\)"
+            with pytest.raises(InvalidInputError, match=message):
+                check_bl(fn, space, graph, 0.5, spec)
+            with pytest.raises(InvalidInputError, match=message):
+                check_mixed_monotone(fn, graph, spec)
+            with pytest.raises(InvalidInputError, match=message):
+                estimate_k(fn, space, graph, spec)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_bl_certificate_carries_estimate_k_of_its_sample():
+    for d in (1, 3):
+        fns = [ExpressionCoupledMap([f"(x{j} + y{d + 1 - j}) / 5" for j in range(1, d + 1)], dimension=d),
+               lambda x, y: 0.3 * np.asarray(x) - 0.2 * np.asarray(y) ** 2]
+        for space in (EuclideanSpace(d), ChebyshevSpace(d)):
+            for graph in (OrderGraph(d), FullGraph(d)):
+                for fn in fns:
+                    spec = SampleSpec(count=300, seed=40 + d, low=-2.0, high=2.0)
+                    cert = check_bl(fn, space, graph, 0.5, spec)
+                    assert cert.estimated_constant == estimate_k(fn, space, graph, spec)
+                    assert cert.estimated_constant > 0.0
+    # MBL has no estimate
+    assert check_mbl(multi_sum_fifth, LINE, FullGraph(1), 0.5, BOX).estimated_constant is None
+    # no estimate where estimate_k raises: an all-degenerate pool ...
+    pool = SampleSpec(count=50, seed=18, points=(1.0,))
+    with pytest.raises(InsufficientSamplesError):
+        estimate_k(sum_fifth, LINE, FullGraph(1), pool)
+    cert = check_bl(sum_fifth, LINE, FullGraph(1), 0.5, pool)
+    assert cert.passed and cert.estimated_constant is None
+    # ... and a non-finite ratio, which also fails the certificate
+    inf_far = lambda x, y: np.full(1, np.inf) if float(np.asarray(x)[0]) > 5.0 else 0.1 * np.asarray(x)
+    with pytest.raises(NonFiniteValueError):
+        estimate_k(inf_far, LINE, FullGraph(1), BOX)
+    cert = check_bl(inf_far, LINE, FullGraph(1), 0.9, BOX)
+    assert not cert.passed and cert.estimated_constant is None

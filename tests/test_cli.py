@@ -205,6 +205,16 @@ def test_invalid_spec_file_exits_error(tmp_path, capsys):
     assert "cannot read spec file" in capsys.readouterr().err
 
 
+def test_infinite_sampler_box_exits_error(tmp_path, capsys):
+    # the width 1e308 - (-1e308) overflows to inf: an input error, not a crash
+    spec = json.loads(pathlib.Path(SINGLE).read_text())
+    spec["sampler"].update(low=-1e308, high=1e308)
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(spec))
+    assert main(["solve", str(path), "--out-dir", str(tmp_path / "run"), "--quiet"]) == EXIT_ERROR
+    assert "invalid spec: sampler.high - sampler.low must be finite" in capsys.readouterr().err
+
+
 def test_solver_error_is_reported(tmp_path, capsys):
     spec = {
         "space": {"kind": "euclidean", "dimension": 1},

@@ -81,6 +81,21 @@ def test_invalid_box():
         Sampler(SampleSpec(count=10, seed=1, low=1.0, high=0.0), 1)
 
 
+def test_non_finite_box_is_rejected():
+    for low, high, message in (
+        (float("nan"), 1.0, "bound is NaN: low nan, high 1.0"),
+        (0.0, [1.0, float("nan")], r"bound is NaN: low 0.0, high \[1.0, nan\]"),
+        (float("-inf"), 1.0, "finite bounds and a finite width"),
+        (0.0, float("inf"), "finite bounds and a finite width"),
+        (-1e308, 1e308, "finite bounds and a finite width"),  # the width overflows
+        ([0.0, -1e308], [1.0, 1e308], "finite bounds and a finite width"),
+    ):
+        with pytest.raises(InvalidInputError, match=message):
+            Sampler(SampleSpec(count=10, seed=1, low=low, high=high), 2)
+    # the widest finite box still samples
+    assert np.isfinite(Sampler(SampleSpec(count=10, seed=1, low=-1e307, high=1e307), 2).draw(5)).all()
+
+
 def test_pool_draws_only_listed_points():
     s = Sampler(SampleSpec(count=10, seed=5, points=(0.0, 1.0, 2.0)), 1)
     pts = s.draw(200)

@@ -43,7 +43,7 @@ from coupled_fpi import (
     tail_bound,
     uniqueness_probe,
 )
-from coupled_fpi.checks import SLACK
+from coupled_fpi.checks import SLACK, VIOLATION_CAP
 from coupled_fpi.graphs import product_edge
 from coupled_fpi.solver import _run_iteration
 from coupled_fpi.spaces import as_point
@@ -528,6 +528,17 @@ def test_diagonal_decay_violation_recorded():
     assert not cert.passed
     assert cert.violations[0]["n"] >= 1
     assert cert.violations[0]["diag"] > cert.violations[0]["bound"]
+
+
+def test_diagonal_decay_caps_its_witnesses():
+    fn = lambda x, y: x / 2.0
+    cfg = SolveConfig(k=0.5, tol=1e-12, max_iter=80)
+    _, trace = solve_coupled(fn, LINE, FullGraph(1), 8.0, 0.0, cfg)
+    cert = diagonal_decay_check(trace, FullGraph(1), 0.1)
+    over = [s.n for s in trace.steps if s.diag > 0.1 ** s.n * 8.0 + SLACK]
+    assert cert.violation_count == len(over) > VIOLATION_CAP
+    assert [v["n"] for v in cert.violations] == over[:VIOLATION_CAP]
+    assert cert.samples_tested == len(trace.steps) and cert.detail == "k=0.1"
 
 
 def test_diagonal_decay_inapplicable_without_seed_edge():

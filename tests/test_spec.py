@@ -131,11 +131,33 @@ def test_serialize_is_canonical():
     pytest.param(doc(solve={"max_iter": 0}), "solve.max_iter", id="bad-max-iter"),
     pytest.param(doc(sampler={"count": 0}), "sampler.count", id="bad-count"),
     pytest.param(doc(sampler={"rng_seed": 1.5}), "sampler.rng_seed", id="float-rng-seed"),
+    pytest.param(doc(sampler={"low": [-1.0, -2.0]}), "sampler.low needs 1 coordinate",
+                 id="wrong-sampler-length"),
     pytest.param(doc(seed={"x0": [0.0, 0.0], "y0": 1.0}), "seed.x0", id="wrong-point-length"),
 ])
 def test_parse_errors_name_the_field(bad, fragment):
     with pytest.raises(SpecError, match=fragment):
         parse_spec(bad)
+
+
+PLANE = dict(space={"kind": "euclidean", "dimension": 2},
+             map={"kind": "single", "definition": ["x1 / 2", "y2 / 3"]},
+             seed={"x0": [0, 0], "y0": [1, 1]})
+
+
+@pytest.mark.parametrize("sampler, fragment", [
+    pytest.param({"low": float("-inf")}, "sampler.low must be finite", id="infinite-low"),
+    pytest.param({"high": [1.0, float("nan")]}, "sampler.high must be finite", id="nan-high"),
+    pytest.param({"low": -1e308, "high": 1e308}, r"sampler.high - sampler.low must be finite",
+                 id="infinite-width"),
+    pytest.param({"low": [0.0, -1e308], "high": 1e308}, r"sampler.high - sampler.low",
+                 id="infinite-width-in-one-coordinate"),
+])
+def test_non_finite_sampler_box_is_a_spec_error(sampler, fragment):
+    with pytest.raises(SpecError, match=fragment):
+        parse_spec(doc(**PLANE, sampler=sampler))
+    spec = parse_spec(doc(**PLANE, sampler={"low": [-1e307, 0.0], "high": 1e307}))
+    assert spec.sampler.low == (-1e307, 0.0) and spec.sampler.high == 1e307
 
 
 def test_build_space():
