@@ -121,7 +121,10 @@ class OrderGraph(Digraph):
 
 
 class FullGraph(Digraph):
-    """Every ordered pair is an edge (the unrestricted classical setting)."""
+    """Every ordered pair is an edge (the unrestricted classical setting).
+
+    Box samples are constructed, not rejected: any two draws form an edge.
+    """
 
     def has_edge(self, p: PointLike, q: PointLike) -> bool:
         as_point(p, self._dimension)
@@ -130,6 +133,12 @@ class FullGraph(Digraph):
 
     def edge_mask(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
         return np.ones(len(P), dtype=bool)
+
+    def construct_edges(
+        self, draw: Callable[[int], np.ndarray], n: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Two draws as they come, A then B: every box pair is an edge."""
+        return draw(n), draw(n)
 
 
 class FiniteGraph(Digraph):

@@ -288,6 +288,9 @@ def _parse_sampler(doc, dimension: int, where="sampler") -> SamplerSpec:
     low, high = bound("low", SamplerSpec.low), bound("high", SamplerSpec.high)
     # Pair coordinates as the sampler broadcasts them; an infinite width is unsampleable.
     lows, highs = (b if isinstance(b, tuple) else (b,) * dimension for b in (low, high))
+    for i, (lo, h) in enumerate(zip(lows, highs)):
+        if lo > h:
+            raise SpecError(f"{where}.low exceeds {where}.high in coordinate {i}: {lo!r} > {h!r}")
     if not all(math.isfinite(h - lo) for lo, h in zip(lows, highs)):
         raise SpecError(f"{where}.high - {where}.low must be finite, got {high!r} - {low!r}")
     count = _as_int(doc.get("count", SamplerSpec.count), f"{where}.count")

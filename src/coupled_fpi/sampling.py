@@ -1,22 +1,24 @@
 """Seeded sampling of points, edge pairs and product-edge pairs.
 
 All checkers draw through this module so that a recorded integer seed
-reproduces a run exactly.  Edge pairs come from one of two paths:
+reproduces a run exactly.  Box points are ``low + (high - low) * U``
+with ``U`` from ``Generator.random``, the same bytes numpy's
+``Generator.uniform`` gives.  Edge pairs come from one of two paths:
 
 * Constructed: when the sample is a coordinate box and the graph's
   :meth:`~coupled_fpi.graphs.Digraph.construct_edges` hook builds pairs
-  (``OrderGraph``), each edge takes two draws of ``count`` rows, A then
-  B, and becomes (min(A, B), max(A, B)) coordinatewise.  That is exactly
-  the law rejection would give, with every row kept.  ``edge_triples``
-  draws its free ``w`` after the pair; ``product_edge_pairs`` builds
-  (x, u) first and (v, y) second, so the draw order is A_xu, B_xu, A_vy,
-  B_vy.
-* Rejection: every other graph (``FullGraph``, ``PredicateGraph``,
-  ``FiniteGraph``, the reversed/symmetrized adapters) and every point
-  pool.  Draws happen in fixed-size rounds in a fixed column order, get
-  filtered by the edge constraint, and accumulate until the requested
-  count is reached or the draw budget runs out; a short sample is
-  returned as is.
+  (``OrderGraph``, ``FullGraph``), each edge takes two draws of
+  ``count`` rows, A then B.  ``OrderGraph`` makes them (min(A, B),
+  max(A, B)) coordinatewise and ``FullGraph`` keeps (A, B) as drawn.
+  Either way that is exactly the law rejection would give, with every
+  row kept.  ``edge_triples`` draws its free ``w`` after the pair;
+  ``product_edge_pairs`` builds (x, u) first and (v, y) second, so the
+  draw order is A_xu, B_xu, A_vy, B_vy.
+* Rejection: every other graph (``PredicateGraph``, ``FiniteGraph``,
+  the reversed/symmetrized adapters) and every point pool.  Draws happen
+  in fixed-size rounds in a fixed column order, get filtered by the edge
+  constraint, and accumulate until the requested count is reached or the
+  draw budget runs out; a short sample is returned as is.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ class Sampler:
         if spec.points:
             rows = [as_point(p, dimension) for p in spec.points]
             self._pool = np.vstack(rows)
-            self._low = self._high = None
+            self._low = self._width = None
         else:
             self._pool = None
             low = np.broadcast_to(np.asarray(spec.low, dtype=np.float64), (dimension,))
@@ -80,17 +82,18 @@ class Sampler:
             if not (low <= high).all():
                 raise InvalidInputError("sampling box has low > high")
             with np.errstate(over="ignore"):
-                if not np.isfinite(high - low).all():
-                    raise InvalidInputError("sampling box needs finite bounds and a finite width")
+                width = high - low
+            if not np.isfinite(width).all():
+                raise InvalidInputError("sampling box needs finite bounds and a finite width")
             self._low = low
-            self._high = high
+            self._width = width
 
     def draw(self, n: int) -> np.ndarray:
         """(n, d) array of fresh points."""
         if self._pool is not None:
             idx = self._rng.integers(0, len(self._pool), size=n)
             return self._pool[idx]
-        return self._rng.uniform(self._low, self._high, size=(n, self.dimension))
+        return self._low + self._width * self._rng.random((n, self.dimension))
 
     def _filtered(self, columns: int, accept: Callable[[list[np.ndarray]], np.ndarray]):
         """Draw rounds of `columns` point arrays, keep rows where accept() is true."""

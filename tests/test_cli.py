@@ -215,6 +215,19 @@ def test_infinite_sampler_box_exits_error(tmp_path, capsys):
     assert "invalid spec: sampler.high - sampler.low must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["continuous", "property_star"])
+def test_inverted_sampler_box_exits_error_in_both_modes(tmp_path, capsys, mode):
+    spec = json.loads(pathlib.Path(SINGLE).read_text())
+    spec["sampler"].update(low=5, high=-5)
+    spec["solve"]["mode"] = mode
+    path = tmp_path / "inverted.json"
+    path.write_text(json.dumps(spec))
+    assert main(["solve", str(path), "--out-dir", str(tmp_path / "run"), "--quiet"]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "invalid spec: sampler.low exceeds sampler.high in coordinate 0: 5.0 > -5.0" in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_solver_error_is_reported(tmp_path, capsys):
     spec = {
         "space": {"kind": "euclidean", "dimension": 1},

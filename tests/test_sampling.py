@@ -96,6 +96,29 @@ def test_non_finite_box_is_rejected():
     assert np.isfinite(Sampler(SampleSpec(count=10, seed=1, low=-1e307, high=1e307), 2).draw(5)).all()
 
 
+@pytest.mark.parametrize("low, high", [
+    (-2.0, 3.0),                              # scalar box
+    ((0.0, -5.0, 2.0), (1.0, -4.0, 6.0)),     # per-coordinate box
+    ((0.0, 1.5, -1.0), (1.0, 1.5, 1.0)),      # a degenerate coordinate
+    (-0.0, 1.0),                              # a -0.0 bound
+    ((-1.0, -0.0, 0.0), (-0.0, 0.0, 2.0)),    # -0.0 bounds and a zero width
+])
+def test_draw_matches_generator_uniform_bytes(low, high):
+    for seed in (0, 7):
+        got = Sampler(SampleSpec(count=1, seed=seed, low=low, high=high), 3).draw(257)
+        want = np.random.default_rng(seed).uniform(low, high, (257, 3))
+        assert got.tobytes() == want.tobytes()
+
+
+def test_draw_samples_a_box_numpy_uniform_refuses():
+    # 0.0 <= -0.0, so the box is valid, but its width is -0.0 and
+    # Generator.uniform rejects it by sign bit; the sampler draws the point
+    pts = Sampler(SampleSpec(count=1, seed=3, low=(0.0, 0.0), high=(-0.0, 1.0)), 2).draw(50)
+    assert (pts[:, 0] == 0.0).all() and (pts[:, 1] >= 0.0).all() and (pts[:, 1] <= 1.0).all()
+    with pytest.raises(ValueError):
+        np.random.default_rng(3).uniform((0.0, 0.0), (-0.0, 1.0), (50, 2))
+
+
 def test_pool_draws_only_listed_points():
     s = Sampler(SampleSpec(count=10, seed=5, points=(0.0, 1.0, 2.0)), 1)
     pts = s.draw(200)
@@ -221,7 +244,7 @@ def test_rejection_stays_for_other_graphs_and_pools():
         raise AssertionError("the default hook must not draw")
 
     order = OrderGraph(2)
-    for g in (FullGraph(2), PredicateGraph(2, lambda p, q: bool((p <= q).all())),
+    for g in (PredicateGraph(2, lambda p, q: bool((p <= q).all())),
               FiniteGraph([(0.0, 0.0), (1.0, 1.0)]), reverse_graph(order), symmetrize_graph(order)):
         assert g.construct_edges(no_draws, 5) is None
     # an order predicate is rejection-sampled: the stream of the rejection path
@@ -238,3 +261,56 @@ def test_rejection_stays_for_other_graphs_and_pools():
     rows = {tuple(p) for p in pool}
     for A in arrays:
         assert {tuple(r) for r in A} <= rows
+
+
+def counted(sampler):
+    """Wrap sampler.draw to record the size of every draw."""
+    sizes = []
+    draw = sampler.draw
+
+    def counting(n):
+        sizes.append(n)
+        return draw(n)
+
+    sampler.draw = counting
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "d, low, high",
+    [(1, -1.0, 1.0), (1, (0.5,), (2.0,)), (2, (0.0, -5.0), (1.0, -4.0)), (3, -2.5, 0.5),
+     (3, (0.0, -5.0, 2.0), (1.0, -4.0, 6.0)), (5, -1.0, 1.0)],
+)
+def test_constructed_full_edges_draw_exactly_the_count(d, low, high):
+    g = FullGraph(d)
+    count = 777
+    spec = SampleSpec(count=count, seed=31, low=low, high=high)
+    lo = np.broadcast_to(np.asarray(low, dtype=float), (d,))
+    hi = np.broadcast_to(np.asarray(high, dtype=float), (d,))
+    for method, columns in (("edge_pairs", 2), ("edge_triples", 3), ("product_edge_pairs", 4)):
+        sampler = Sampler(spec, d)
+        sizes = counted(sampler)
+        arrays = getattr(sampler, method)(g)
+        assert sizes == [count] * columns
+        assert len(arrays) == columns
+        for A in arrays:
+            assert A.shape == (count, d)
+            assert (A >= lo).all() and (A <= hi).all()
+    # a point pool on the full graph is still rejection-sampled in rounds
+    pool = Sampler(SampleSpec(count=count, seed=31, points=((0.0,) * d, (1.0,) * d)), d)
+    sizes = counted(pool)
+    assert len(pool.edge_pairs(g)[0]) == count and sizes == [4096, 4096]
+
+
+def test_constructed_full_edges_draw_in_the_documented_order():
+    spec = SampleSpec(count=50, seed=32, low=(-1.0, 0.0), high=(1.0, 4.0))
+    draws = Sampler(spec, 2)
+    A, B, C, D = (draws.draw(50) for _ in range(4))
+    P, Q = Sampler(spec, 2).edge_pairs(FullGraph(2))
+    assert np.array_equal(P, A) and np.array_equal(Q, B)
+    P, Q, W = Sampler(spec, 2).edge_triples(FullGraph(2))
+    assert np.array_equal(P, A) and np.array_equal(Q, B) and np.array_equal(W, C)
+    # product edges: (x, u) is A_xu, B_xu and (v, y) is A_vy, B_vy
+    X, Y, U, V = Sampler(spec, 2).product_edge_pairs(FullGraph(2))
+    assert np.array_equal(X, A) and np.array_equal(U, B)
+    assert np.array_equal(V, C) and np.array_equal(Y, D)

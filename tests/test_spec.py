@@ -134,6 +134,14 @@ def test_serialize_is_canonical():
     pytest.param(doc(sampler={"low": [-1.0, -2.0]}), "sampler.low needs 1 coordinate",
                  id="wrong-sampler-length"),
     pytest.param(doc(seed={"x0": [0.0, 0.0], "y0": 1.0}), "seed.x0", id="wrong-point-length"),
+    pytest.param(doc(sampler={"low": 5, "high": -5}),
+                 r"sampler.low exceeds sampler.high in coordinate 0: 5.0 > -5.0", id="inverted-box"),
+    pytest.param(doc(space={"kind": "euclidean", "dimension": 2},
+                     map={"kind": "single", "definition": ["x1", "y2"]},
+                     seed={"x0": [0, 0], "y0": [1, 1]},
+                     sampler={"low": [0.0, 1.0], "high": [1.0, 0.5]}),
+                 r"sampler.low exceeds sampler.high in coordinate 1: 1.0 > 0.5",
+                 id="inverted-box-one-coordinate"),
 ])
 def test_parse_errors_name_the_field(bad, fragment):
     with pytest.raises(SpecError, match=fragment):
@@ -158,6 +166,12 @@ def test_non_finite_sampler_box_is_a_spec_error(sampler, fragment):
         parse_spec(doc(**PLANE, sampler=sampler))
     spec = parse_spec(doc(**PLANE, sampler={"low": [-1e307, 0.0], "high": 1e307}))
     assert spec.sampler.low == (-1e307, 0.0) and spec.sampler.high == 1e307
+
+
+def test_degenerate_sampler_box_parses():
+    # low == high in a coordinate (either zero sign) is a box, not an inverted one
+    spec = parse_spec(doc(**PLANE, sampler={"low": [1.0, 0.0], "high": [1.0, -0.0]}))
+    assert spec.sampler.low == (1.0, 0.0) and spec.sampler.high == (1.0, -0.0)
 
 
 def test_build_space():
