@@ -278,7 +278,11 @@ def preflight(instance: ProblemInstance, sample: SampleSpec) -> HypothesisReport
     contraction bound, the seed edge and (per the continuity assertion)
     either the spot check or the trial-trace limit-edge certificates all
     survived.
+
+    Raises:
+        InvalidInputError: the sampling box or point pool is invalid.
     """
+    Sampler(sample, instance.space.dimension)  # one answer for a bad box, whatever the mode
     notes: list[str] = []
     certs: list[Certificate] = []
     iid = instance_id_for(instance)

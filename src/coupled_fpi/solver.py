@@ -412,10 +412,10 @@ class UniquenessReport:
     """Clustering of fixed points reached from several seeds.
 
     ``clusters`` holds seed indices grouped by pair-distance <= 2*tol;
-    ``diameters`` the max within-cluster pair distance.  A pair of
-    distinct results joined by a product edge contradicts the local
-    uniqueness argument and lands in ``edge_violations``.  The probe
-    never asserts global uniqueness.
+    ``diameters`` the max within-cluster pair distance, NaN if any is.
+    A pair of distinct results joined by a product edge contradicts the
+    local uniqueness argument and lands in ``edge_violations``, in
+    row-major seed order.  The probe never asserts global uniqueness.
     """
 
     outcomes: tuple[SeedOutcome, ...]
@@ -568,64 +568,83 @@ def _solve_rows(fn, space, graph, starts, cfg: SolveConfig) -> list[SeedOutcome]
     return outcomes
 
 
-def _row_distances(space: MetricSpace, P: np.ndarray, Q: np.ndarray, a: int, rest):
-    """Pair distances d(p_a, p_b) + d(q_a, q_b) for the rows b in *rest*."""
-    Pb, Qb = P[rest], Q[rest]
-    return (space.distance_batch(P[a:a + 1].repeat(len(Pb), axis=0), Pb)
-            + space.distance_batch(Q[a:a + 1].repeat(len(Qb), axis=0), Qb))
+# Pairs per block of the clustering passes: the most rows of their batch calls.
+_PAIR_BLOCK = 2048
 
 
-def _either_product_edge(graph: Digraph, P: np.ndarray, Q: np.ndarray, a: int, far: np.ndarray):
-    """Product edge (p_a, q_a) -> (p_b, q_b) or back, for each row b in *far*."""
-    Pb, Qb = P[far], Q[far]
-    Pa, Qa = P[a:a + 1].repeat(len(far), axis=0), Q[a:a + 1].repeat(len(far), axis=0)
-    try:
-        return ((graph.edge_mask(Pa, Pb) & graph.edge_mask(Qb, Qa))
-                | (graph.edge_mask(Pb, Pa) & graph.edge_mask(Qa, Qb)))
-    except Exception:
-        # Pair by pair, in the pairwise order, so a graph error is the one
-        # that pair's own short-circuited test raises.
-        pa = (P[a], Q[a])
-        return np.array([product_edge(graph, pa, (P[b], Q[b]))
-                         or product_edge(graph, (P[b], Q[b]), pa) for b in far], dtype=bool)
+def _pair_blocks(n: int):
+    """The pairs (a, b), a < b, of n rows in row-major order, as index
+    arrays of at most ``_PAIR_BLOCK`` pairs (a block may split a row)."""
+    starts = np.concatenate([[0], np.cumsum(np.arange(n - 1, 0, -1))])  # first pair of row a
+    total = n * (n - 1) // 2
+    for k0 in range(0, total, _PAIR_BLOCK):
+        k = np.arange(k0, min(k0 + _PAIR_BLOCK, total))
+        a = np.searchsorted(starts, k, side="right") - 1
+        yield a, k - starts[a] + a + 1
 
 
 def _cluster(space: MetricSpace, graph: Digraph, good: list[SeedOutcome], tol: float):
     """Clusters, diameters and edge violations of the converged outcomes.
 
-    One row at a time, with no (s, s) matrix: row a measures its pair
-    distances to every later row, joins the close ones (<= 2 * tol) into
-    its component and tests product edges on the far ones.  Diameters
-    are a second pass over the same rows once the components are known.
+    One pass over the pairs a < b in row-major blocks, with no (s, s)
+    array: one metric call per side, a's point first; the close pairs
+    (<= 2 * tol) join by union-find, hooking the larger root onto the
+    smaller one and pointer jumping, so each round lowers a root and a
+    root ends as its component's lowest row; the far pairs get one
+    product-edge test, either way.  Diameters are NaN-propagating maxima,
+    from a second blocked pass unless all rows form one cluster.
     """
     n = len(good)
     P = np.array([o.point.x for o in good]).reshape(n, space.dimension)
     Q = np.array([o.point.y for o in good]).reshape(n, space.dimension)
-    label = np.arange(n)
+
+    def pair_dist(a, b):
+        return space.distance_batch(P[a], P[b]) + space.distance_batch(Q[a], Q[b])
+
+    root = np.arange(n)  # root[r] <= r, and root[root] == root between rounds
+    top = -np.inf  # the largest pair distance, NaN once one is NaN
     edge_violations = []
-    for a in range(n - 1):
-        dist = _row_distances(space, P, Q, a, slice(a + 1, n))
+    for a, b in _pair_blocks(n):
+        dist = pair_dist(a, b)
+        top = np.maximum(top, dist.max())
         close = dist <= 2.0 * tol
-        joined = label[a + 1:][close]
-        if (joined != label[a]).any():
-            label[np.isin(label, joined)] = label[a]
-        far = np.flatnonzero(~close) + a + 1
-        if len(far):
-            for b in far[_either_product_edge(graph, P, Q, a, far)]:
-                edge_violations.append({
-                    "seeds": (good[a].index, good[b].index),
-                    "distance": float(dist[b - a - 1]),
-                })
+        ca, cb = a[close], b[close]
+        ra, rb = root[ca], root[cb]
+        while (ra != rb).any():
+            np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+            while ((up := root[root]) != root).any():
+                root = up
+            ra, rb = root[ca], root[cb]
+        far = ~close
+        fa, fb = a[far], b[far]
+        if len(fa) == 0:
+            continue
+        Pa, Qa, Pb, Qb = P[fa], Q[fa], P[fb], Q[fb]
+        try:
+            edge = ((graph.edge_mask(Pa, Pb) & graph.edge_mask(Qb, Qa))
+                    | (graph.edge_mask(Pb, Pa) & graph.edge_mask(Qa, Qb)))
+        except Exception:
+            # Pair by pair, in row-major order, so a graph error is the one
+            # the first failing pair's own short-circuited test raises.
+            edge = np.array([product_edge(graph, (Pa[i], Qa[i]), (Pb[i], Qb[i]))
+                             or product_edge(graph, (Pb[i], Qb[i]), (Pa[i], Qa[i]))
+                             for i in range(len(fa))], dtype=bool)
+        for i, j, gap in zip(fa[edge].tolist(), fb[edge].tolist(), dist[far][edge].tolist()):
+            edge_violations.append({"seeds": (good[i].index, good[j].index), "distance": gap})
+    # A root is its component's lowest row, so the groups come out sorted.
     groups: dict[int, list[int]] = {}
-    for row, lab in enumerate(label.tolist()):
-        groups.setdefault(lab, []).append(row)
-    members = sorted(groups.values())
-    clusters = tuple(tuple(good[r].index for r in g) for g in members)
-    diameters = tuple(
-        max((float(_row_distances(space, P, Q, g[j], g[j + 1:]).max())
-             for j in range(len(g) - 1)), default=0.0)
-        for g in members
-    )
+    for row, r in enumerate(root.tolist()):
+        groups.setdefault(r, []).append(row)
+    diam = np.full(n, top if len(groups) == 1 else -np.inf)  # one cluster: the largest distance
+    if 1 < len(groups) < n:
+        for a, b in _pair_blocks(n):
+            same = root[a] == root[b]
+            if same.any():
+                dist = pair_dist(a[same], b[same])
+                with np.errstate(invalid="ignore"):  # a NaN distance is kept, not warned of
+                    np.maximum.at(diam, root[a[same]], dist)
+    clusters = tuple(tuple(good[r].index for r in g) for g in groups.values())
+    diameters = tuple(float(diam[g[0]]) if len(g) > 1 else 0.0 for g in groups.values())
     return clusters, diameters, tuple(edge_violations)
 
 

@@ -202,6 +202,15 @@ def test_preflight_noncontinuous_multi():
     assert any("not falsified" in n for n in report.notes)
 
 
+@pytest.mark.parametrize("continuous", [True, False], ids=["continuous", "property_star"])
+def test_preflight_rejects_an_inverted_box_in_either_mode(continuous):
+    inverted = SampleSpec(count=100, seed=2024, low=5.0, high=-5.0)
+    for instance in (single_instance(FullGraph(1), continuous=continuous),
+                     multi_instance(continuous=continuous)):
+        with pytest.raises(InvalidInputError, match="low > high"):
+            preflight(instance, inverted)
+
+
 def test_preflight_rejects_non_contraction():
     report = preflight(single_instance(FullGraph(1), fn=lambda x, y: x, k=0.5), SMALL_BOX)
     assert report.theorem_applicable == "none"

@@ -45,7 +45,8 @@ from coupled_fpi import (
 )
 from coupled_fpi.checks import SLACK, VIOLATION_CAP
 from coupled_fpi.graphs import product_edge
-from coupled_fpi.solver import _run_iteration
+from coupled_fpi import solver
+from coupled_fpi.solver import _pair_blocks, _run_iteration
 from coupled_fpi.spaces import as_point
 
 LINE = real_line()
@@ -658,8 +659,9 @@ def probe_oracle(fn, space, graph, seeds, cfg):
                 violations.append({"seeds": (i, j), "distance": float(gap)})
     clusters = tuple(sorted(tuple(sorted(c)) for c in set(component.values())))
     points = dict(good)
+    # np.max keeps a NaN pair distance wherever it sits in the cluster
     diameters = tuple(
-        max((dist(points[i], points[j]) for i in c for j in c if i < j), default=0.0)
+        float(np.max([dist(points[i], points[j]) for i in c for j in c if i < j] or [0.0]))
         for c in clusters
     )
     return outcomes, clusters, diameters, tuple(violations)
@@ -706,6 +708,18 @@ def _maps(d):
 
 @pytest.mark.parametrize("space", _spaces(), ids=lambda s: f"{type(s).__name__}{s.dimension}")
 def test_uniqueness_probe_matches_per_seed_oracle(space):
+    _check_probe_against_oracle(space)
+
+
+@pytest.mark.parametrize("block", [1, 3, 7])
+@pytest.mark.parametrize("space", _spaces(), ids=lambda s: f"{type(s).__name__}{s.dimension}")
+def test_uniqueness_probe_matches_oracle_across_pair_blocks(space, block, monkeypatch):
+    # small blocks put chains, merges and edge violations across block boundaries
+    monkeypatch.setattr(solver, "_PAIR_BLOCK", block)
+    _check_probe_against_oracle(space)
+
+
+def _check_probe_against_oracle(space):
     d = space.dimension
     graphs = {
         "order": OrderGraph(d),
@@ -755,3 +769,100 @@ def test_uniqueness_probe_matches_per_seed_oracle(space):
     assert seen >= {"ok", "SeedEdgeError", "HypothesisViolationError", "InvalidInputError",
                     "ValueError", "non-convergence at max_iter", "several clusters",
                     "chain", "edge violations"}
+
+
+def _assert_probe_is_oracle(fn, space, graph, seeds, cfg):
+    report = uniqueness_probe(fn, space, graph, seeds, cfg)
+    _, clusters, diameters, violations = probe_oracle(fn, space, graph, seeds, cfg)
+    assert report.clusters == clusters
+    assert [x.hex() for x in map(float, report.diameters)] == [
+        x.hex() for x in map(float, diameters)]
+    # by float.hex, so that NaN distances compare equal
+    assert [(v["seeds"], float(v["distance"]).hex()) for v in report.edge_violations] == [
+        (v["seeds"], float(v["distance"]).hex()) for v in violations]
+    return report
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_pair_blocks_are_the_upper_triangle_in_row_major_order(n, monkeypatch):
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    for block in (1, 3, 7, 4096):
+        monkeypatch.setattr(solver, "_PAIR_BLOCK", block)
+        blocks = list(_pair_blocks(n))
+        assert all(0 < len(a) == len(b) <= block for a, b in blocks)
+        assert [(a, b) for A, B in blocks for a, b in zip(A.tolist(), B.tolist())] == pairs
+
+
+@pytest.mark.parametrize("nan_pair", [(0, 2), (1, 2)])
+@pytest.mark.parametrize("far_seed", [False, True], ids=["one_cluster", "two_clusters"])
+def test_uniqueness_probe_nan_pair_distance_gives_nan_diameter(nan_pair, far_seed):
+    # Under the projection every seed is its own limit.  Three x-values
+    # 1e-11 apart chain into one cluster; one pair of them measures NaN.
+    xs = [0.0, 1e-11, 2e-11]
+    bad = {xs[nan_pair[0]], xs[nan_pair[1]]}
+
+    def metric(p, q):
+        return math.nan if {float(p[0]), float(q[0])} == bad else abs(float(p[0] - q[0]))
+
+    seeds = [(x, 1.0) for x in xs] + ([(5.0, 1.0)] if far_seed else [])
+    cfg = SolveConfig(k=0.5, tol=1e-10, max_iter=10)
+    report = _assert_probe_is_oracle(lambda x, y: x, CallbackSpace(1, metric), OrderGraph(1),
+                                     seeds, cfg)
+    assert report.clusters[0] == (0, 1, 2)
+    assert math.isnan(report.diameters[0])
+    if far_seed:
+        assert report.clusters[1:] == ((3,),) and report.diameters[1:] == (0.0,)
+
+
+@pytest.mark.parametrize("block", [None, 7])
+def test_uniqueness_probe_many_clusters_and_edge_violation_order(block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(solver, "_PAIR_BLOCK", block)
+    rng = np.random.default_rng(60)
+    seeds = [(rng.uniform(-3, 3, 2), rng.uniform(-3, 3, 2)) for _ in range(60)]
+    cfg = SolveConfig(k=0.5, tol=1e-10, max_iter=10)
+    report = _assert_probe_is_oracle(lambda x, y: x, EuclideanSpace(2), OrderGraph(2), seeds, cfg)
+    assert report.clusters == tuple((i,) for i in range(60))
+    assert report.diameters == (0.0,) * 60
+    order = [v["seeds"] for v in report.edge_violations]
+    assert len(order) > 60 and order == sorted(order)
+
+
+class _Recording:
+    """Wraps a space or graph and records the rows of every batch call."""
+
+    def __init__(self, inner, rows):
+        self._inner, self.rows = inner, rows
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def distance_batch(self, P, Q):
+        self.rows.append(("distance_batch", len(P)))
+        return self._inner.distance_batch(P, Q)
+
+    def edge_mask(self, P, Q):
+        self.rows.append(("edge_mask", len(P)))
+        return self._inner.edge_mask(P, Q)
+
+
+@pytest.mark.parametrize("fn", [sum_fifth, lambda x, y: x], ids=["one_limit", "distinct_limits"])
+def test_cluster_batch_calls_stay_within_a_pair_block(fn):
+    rng = np.random.default_rng(400)
+    # (x, -x) with x <= 0: sum_fifth meets its seed edge, and under the
+    # projection every two of the distinct limits are joined by an edge
+    seeds = [(x, -x) for x in rng.uniform(-3, 0, 400)]
+    cfg = SolveConfig(k=2.0 / 3.0, tol=1e-10, max_iter=300)
+    report = uniqueness_probe(fn, LINE, OrderGraph(1), seeds, cfg)
+    good = [o for o in report.outcomes if o.converged]
+    assert len(good) == 400
+    rows = []
+    got = solver._cluster(_Recording(LINE, rows), _Recording(OrderGraph(1), rows), good, cfg.tol)
+    assert got == (report.clusters, report.diameters, report.edge_violations)
+    pairs = 400 * 399 // 2
+    assert max(n for _, n in rows) <= solver._PAIR_BLOCK
+    assert sum(n for call, n in rows if call == "distance_batch") == 2 * pairs
+    if fn is sum_fifth:
+        assert len(report.clusters) == 1 and not any(call == "edge_mask" for call, _ in rows)
+    else:
+        assert len(report.clusters) == 400 and len(report.edge_violations) == pairs
