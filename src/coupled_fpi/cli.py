@@ -179,6 +179,7 @@ def run(
 
     instance = build_instance(spec)
     sample = build_sample_spec(spec, seed)
+    cfg = build_solve_config(spec, max_iter)
     report = preflight(instance, sample)
 
     if not report.passed and not force:
@@ -190,7 +191,6 @@ def run(
                 print(f"  note: {note}", file=stdout)
         return RunArtifacts(report, None, None, EXIT_PREFLIGHT_FAILED)
 
-    cfg = build_solve_config(spec, max_iter)
     try:
         result, trace = solve_instance(instance, cfg)
     except CoupledFpiError as exc:

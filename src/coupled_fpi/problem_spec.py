@@ -299,6 +299,8 @@ def _parse_sampler(doc, dimension: int, where="sampler") -> SamplerSpec:
     seed = doc.get("rng_seed", None)
     if seed is not None:
         seed = _as_int(seed, f"{where}.rng_seed")
+        if seed < 0:
+            raise SpecError(f"{where}.rng_seed must be a nonnegative integer, got {seed}")
     return SamplerSpec(low=low, high=high, count=count, rng_seed=seed)
 
 
@@ -440,6 +442,8 @@ def build_instance(spec: ProblemSpec) -> ProblemInstance:
     if spec.map.builtin is not None:
         # Only builtins carry params; expression labels (and ids) stay as they were.
         label["params"] = spec.map.params
+    if spec.graph.kind == "edge_list":
+        label.update(vertices=spec.graph.vertices, edges=spec.graph.edges)
     return ProblemInstance(
         kind=spec.map.kind,
         space=space,

@@ -58,8 +58,8 @@ class SampleSpec:
     def __post_init__(self):
         if not isinstance(self.count, int) or isinstance(self.count, bool) or self.count < 1:
             raise InvalidParameterError(f"sample count must be a positive integer, got {self.count!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise InvalidParameterError(f"rng seed must be an integer, got {self.seed!r}")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
+            raise InvalidParameterError(f"rng seed must be a nonnegative integer, got {self.seed!r}")
 
 
 class Sampler:

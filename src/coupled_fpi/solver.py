@@ -24,10 +24,11 @@ solver trusts the declared k; certifying it is the job of the checkers
 (:mod:`coupled_fpi.certifier`).
 
 :func:`uniqueness_probe` runs this iteration from many seeds at once, in
-lockstep over an (s, d) batch; it shares the bound check, the stopping
-rule and their error messages with the per-pair kernel, so each seed
-gets the outcome :func:`solve_coupled` gives it.  A NaN or infinite
-step size stops every solver with ``NonFiniteValueError``.
+lockstep over an (s, d) batch, with the bound check and stopping rule of
+the per-pair kernel.  It records a missing seed edge itself and hands
+every other failing seed to :func:`solve_coupled`, so each seed gets the
+outcome :func:`solve_coupled` gives it.  A NaN or infinite step size
+stops every solver with ``NonFiniteValueError``.
 
 Multivalued maps iterate by edge-filtered nearest-point selection: the
 next iterate is the image point nearest the current one among
@@ -42,12 +43,12 @@ the single-valued trace bitwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .checks import SLACK, Certificate, _finalize, validate_k, _images as _image_array
+from .checks import SLACK, Certificate, _finalize, _images, validate_k
 from .errors import (
     CoupledFpiError,
     HypothesisViolationError,
@@ -186,7 +187,7 @@ def _step_rule(cfg: SolveConfig, n: int, total, D0):
     return bound, ok, cfg.k / (1.0 - cfg.k) * total <= cfg.tol
 
 
-def _step_error(n: int, sx, sy, bound, step=None) -> CoupledFpiError:
+def _step_error(n: int, sx, sy, bound, step) -> CoupledFpiError:
     """The error for step n after :func:`_step_rule` rejected it."""
     if not abs(sx + sy) < math.inf:
         return NonFiniteValueError(
@@ -362,7 +363,7 @@ def solve_coupled_multi(
 
     def advance(n, xn, yn):
         Z = np.array([xn, yn])
-        return _select_step(space, graph, _image_array(fn, Z, Z[::-1], d, multi=True), Z, n)
+        return _select_step(space, graph, _images(fn, Z, Z[::-1], d, multi=True), Z, n)
 
     x, y, steps, D0, converged = _run_iteration(space, graph, cfg, x0, y0, x1, y1, advance)
     residual = dist_to_set(space, x, fn(x, y)) + dist_to_set(space, y, fn(y, x))
@@ -424,148 +425,88 @@ class UniquenessReport:
     edge_violations: tuple[dict, ...]
 
 
-def _by_rows(batch: Callable, row: Callable, n: int, fill):
-    """``batch()`` when it succeeds, else ``row(i)`` for each of n rows.
-
-    Returns the results as an array and ``{row: exception}`` for the rows
-    whose own call raised (their entries hold *fill*).  Redoing a failed
-    batch row by row keeps an error of the map, graph or metric on the
-    seed that caused it, as the per-pair solver raises it.
-    """
-    try:
-        return batch(), {}
-    except Exception:
-        pass
-    out, errors = [], {}
-    for i in range(n):
-        try:
-            out.append(row(i))
-        except Exception as exc:
-            errors[i] = exc
-            out.append(fill)
-    return np.array(out), errors
-
-
-def _by_seed(errors: dict, s: int) -> dict:
-    """Errors of stacked rows (x side, then y side) keyed by seed.
-
-    Taken in descending row order, so the x-side error, which the
-    per-pair solver meets first, wins.
-    """
-    return {i % s: errors[i] for i in sorted(errors, reverse=True)}
-
-
-def _images(fn: Callable, Z: np.ndarray, d: int):
-    """Stacked images [F(X, Y); F(Y, X)] of the pairs Z = [X; Y], batched, errors by seed."""
-    s = len(Z) // 2
-    W = np.concatenate([Z[s:], Z[:s]])
-    F, errors = _by_rows(lambda: _image_array(fn, Z, W, d, multi=False)[:, 0],
-                         lambda i: as_point(fn(Z[i], W[i]), d), len(Z), np.full(d, np.nan))
-    return F, _by_seed(errors, s)
-
-
-def _distances(space: MetricSpace, P: np.ndarray, Q: np.ndarray):
-    return _by_rows(lambda: space.distance_batch(P, Q),
-                    lambda i: space.distance(P[i], Q[i]), len(P), np.nan)
-
-
 def _solve_rows(fn, space, graph, starts, cfg: SolveConfig) -> list[SeedOutcome]:
     """:func:`solve_coupled` from every seed at once.
 
     The live pairs are held stacked, Z = [X; Y], and advance in lockstep
     through batched map, graph and metric calls on unvalidated arrays;
-    a row freezes when it converges, reaches ``max_iter`` or fails.  A
-    failed row records the error string ``solve_coupled`` raises for
-    that seed.  Nothing is traced, so no edge flags are computed
+    a row freezes when it converges or reaches ``max_iter``, and a seed
+    without its seed edge records ``SeedEdgeError``.  Any other failure
+    hands the seed to :func:`solve_coupled` itself, which gives its
+    outcome: a step :func:`_step_rule` rejects, or a raise in a batched
+    call (every seed still in that call) or at the final pair, where
+    ``solve_coupled`` measures its residual d(F(x, y), x) + d(F(y, x), y)
+    and d(x, y) for ``is_diagonal``.  No edge flags are computed
     (``record_edges`` is ignored).
     """
     s, d = len(starts), space.dimension
-    Z0 = np.array([x for x, _ in starts] + [y for _, y in starts]).reshape(2 * s, d)
-    errors: dict[int, str] = {}
-    live = np.arange(s)  # seed index of each live pair
 
-    def retire(failed: dict):
-        """Record the failed live pairs; the mask of the others (None: all)."""
-        if not failed:
-            return None
-        keep = np.ones(len(live), dtype=bool)
-        for r, exc in failed.items():
-            errors[int(live[r])] = f"{type(exc).__name__}: {exc}"
-            keep[r] = False
-        return keep
+    def images(Z):
+        """Stacked images [F(X, Y); F(Y, X)] of the pairs Z = [X; Y]."""
+        a = len(Z) // 2
+        return _images(fn, Z, np.concatenate([Z[a:], Z[:a]]), d, multi=False)[:, 0]
 
-    def take(keep, *arrays):
-        """The kept pairs of per-pair (a,) and stacked (2a, d) arrays."""
-        if keep is None:
-            return arrays
-        both = np.concatenate([keep, keep])
-        return tuple(v[keep] if len(v) == len(keep) else v[both] for v in arrays)
-
-    Z1, failed = _images(fn, Z0, d)
-    live, Z, Zn = take(retire(failed), live, Z0, Z1)
-    a = len(live)
-    edge, failed = _by_rows(
-        lambda: graph.edge_mask(Z[:a], Zn[:a]) & graph.edge_mask(Zn[a:], Z[a:]),
-        lambda i: product_edge(graph, (Z[i], Z[a + i]), (Zn[i], Zn[a + i])), a, False)
-    for r in np.flatnonzero(~edge):
-        failed.setdefault(int(r), SeedEdgeError(_SEED_EDGE))
-    live, Z, Zn = take(retire(failed), live, Z, Zn)
-
+    results: dict[int, tuple] = {}
+    handed: list[int] = []  # seeds solve_coupled solves
     XF, YF = np.empty((s, d)), np.empty((s, d))
     converged = np.zeros(s, dtype=bool)
     ended = np.zeros(s, dtype=bool)
-    for n in range(cfg.max_iter):
-        a = len(live)
-        if a == 0:
-            break
-        step, failed = _distances(space, Z, Zn)
-        failed = _by_seed(failed, a)
-        sx, sy = step[:a], step[a:]
-        if n == 0:
-            D0 = sx + sy
-        _, ok, done = _step_rule(cfg, n, sx + sy, D0)
-        for r in np.flatnonzero(~ok):
-            if r not in failed:
-                # Re-measure with the pair metric: the message then carries
-                # the very scalars solve_coupled reports.
-                j = live[r]
-                rx = space.distance(Z[r], Zn[r])
-                ry = space.distance(Z[a + r], Zn[a + r])
-                r0 = space.distance(Z0[j], Z1[j]) + space.distance(Z0[s + j], Z1[s + j])
-                failed[int(r)] = _step_error(n, rx, ry, _step_rule(cfg, n, rx + ry, r0)[0])
-        keep = retire(failed)
-        stop = done | (n + 1 == cfg.max_iter)
-        if keep is not None:
-            stop &= keep
-        if stop.any():
-            rows = live[stop]
-            XF[rows], YF[rows] = Zn[:a][stop], Zn[a:][stop]
-            converged[rows], ended[rows] = done[stop], True
-            keep = ~stop if keep is None else keep & ~stop
-        live, Z, D0 = take(keep, live, Zn, D0)
-        if len(live) and n + 1 < cfg.max_iter:
-            Zn, failed = _images(fn, Z, d)
-            live, Z, Zn, D0 = take(retire(failed), live, Z, Zn, D0)
+    live = np.arange(s)  # seed index of each live pair
+    Z = np.array([x for x, _ in starts] + [y for _, y in starts]).reshape(2 * s, d)
+    try:
+        Zn = images(Z)
+        edge = graph.edge_mask(Z[:s], Zn[:s]) & graph.edge_mask(Zn[s:], Z[s:])
+        for i in np.flatnonzero(~edge).tolist():
+            results[i] = None, False, f"SeedEdgeError: {_SEED_EDGE}"
+        both = np.concatenate([edge, edge])
+        live, Z, Zn = live[edge], Z[both], Zn[both]
+        for n in range(cfg.max_iter):
+            a = len(live)
+            if a == 0:
+                break
+            step = space.distance_batch(Z, Zn)
+            sx, sy = step[:a], step[a:]
+            if n == 0:
+                D0 = sx + sy
+            _, ok, done = _step_rule(cfg, n, sx + sy, D0)
+            stop = ok & (done | (n + 1 == cfg.max_iter))
+            keep = ok & ~stop
+            if not keep.all():
+                handed += live[~ok].tolist()
+                rows = live[stop]
+                XF[rows], YF[rows] = Zn[:a][stop], Zn[a:][stop]
+                converged[rows], ended[rows] = done[stop], True
+                both = np.concatenate([keep, keep])
+                live, Zn, D0 = live[keep], Zn[both], D0[keep]
+            Z = Zn
+            if len(live):
+                Zn = images(Z)
+    except Exception:
+        handed += live.tolist()
 
-    # solve_coupled then evaluates F at the final pair for its residual and
-    # measures d(x, y) for is_diagonal; a raise there fails the seed too.
-    live = np.flatnonzero(ended)
+    rows = np.flatnonzero(ended)
     is_diagonal = np.zeros(s, dtype=bool)
-    if len(live):
-        _, failed = _images(fn, np.concatenate([XF[live], YF[live]]), d)
-        diag, failed_diag = _distances(space, XF[live], YF[live])
-        retire({**failed_diag, **failed})
-        is_diagonal[live] = diag <= cfg.tol
+    if len(rows):
+        P = np.concatenate([XF[rows], YF[rows]])
+        try:
+            space.distance_batch(images(P), P)
+            is_diagonal[rows] = space.distance_batch(XF[rows], YF[rows]) <= cfg.tol
+        except Exception:
+            handed += rows.tolist()
+            ended[rows] = False
 
-    outcomes = []
-    for i, (x0, y0) in enumerate(starts):
-        if i in errors:
-            outcomes.append(SeedOutcome(i, x0, y0, None, False, errors[i]))
-            continue
+    for i in np.flatnonzero(ended).tolist():
         fp = CoupledFixedPoint(x=XF[i].copy(), y=YF[i].copy(), is_diagonal=bool(is_diagonal[i]))
-        err = None if converged[i] else "non-convergence at max_iter"
-        outcomes.append(SeedOutcome(i, x0, y0, fp, bool(converged[i]), err))
-    return outcomes
+        results[i] = fp, bool(converged[i]), None if converged[i] else "non-convergence at max_iter"
+    per_seed = replace(cfg, record_edges=False)
+    for i in sorted(handed):
+        try:
+            fp, trace = solve_coupled(fn, space, graph, *starts[i], per_seed)
+        except Exception as exc:
+            results[i] = None, False, f"{type(exc).__name__}: {exc}"
+        else:
+            results[i] = fp, trace.converged, None if trace.converged else "non-convergence at max_iter"
+    return [SeedOutcome(i, x0, y0, *results[i]) for i, (x0, y0) in enumerate(starts)]
 
 
 # Pairs per block of the clustering passes: the most rows of their batch calls.
@@ -659,8 +600,9 @@ def uniqueness_probe(
 
     Every seed is iterated as :func:`solve_coupled` would, all of them in
     lockstep as one batch (maps with ``eval_batch`` are evaluated once
-    per step for all seeds, others row by row).  Per-seed solver errors
-    are recorded in the outcome and the probe continues.  Pair distance
+    per step for all seeds, others row by row); a seed that fails there
+    is solved again by :func:`solve_coupled` alone.  Per-seed solver
+    errors are recorded in the outcome and the probe continues.  Pair distance
     is d(p,p') + d(q,q').
     """
     if len(seeds) == 0:

@@ -92,6 +92,17 @@ def test_instance_id_is_stable_and_discriminating():
     shipped = build_instance(parse_spec((SPEC_DIR / "single_sum_fifth.json").read_text()))
     assert instance_id_for(shipped) == "6311acc0291c"
 
+    # Edge-list graphs that differ only in their edges or vertices get different ids.
+    def edge_list(vertices, edges):
+        doc = json.loads((SPEC_DIR / "single_sum_fifth.json").read_text())
+        doc["graph"] = {"kind": "edge_list", "vertices": vertices, "edges": edges}
+        return instance_id_for(build_instance(parse_spec(json.dumps(doc))))
+
+    ids = {edge_list([0.0, 1.0], []), edge_list([0.0, 1.0], [[0.0, 1.0]]),
+           edge_list([0.0, 1.0], [[1.0, 0.0]]), edge_list([0.0, 1.0, 2.0], [[1.0, 0.0]])}
+    assert len(ids) == 4
+    assert edge_list([0.0, 1.0], [[0.0, 1.0]]) == edge_list([0.0, 1.0], [[0.0, 1.0]])
+
 
 def test_property_star_descending_series():
     seq = [(1.0 / 5.0) * (2.0 / 5.0) ** n for n in range(12)]

@@ -273,6 +273,37 @@ def test_non_integer_env_seed_exits_error(monkeypatch, capsys):
     assert "COUPLED_FPI_SEED must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["flag", "env", "spec"])
+def test_negative_seed_exits_error(tmp_path, monkeypatch, capsys, source):
+    spec, args = SINGLE, []
+    if source == "flag":
+        args = ["--seed", "-1"]
+    elif source == "env":
+        monkeypatch.setenv("COUPLED_FPI_SEED", "-2")
+    else:
+        doc = json.loads(pathlib.Path(SINGLE).read_text())
+        doc["sampler"]["rng_seed"] = -3
+        spec = str(tmp_path / "negative.json")
+        pathlib.Path(spec).write_text(json.dumps(doc))
+    assert main(["solve", spec, "--out-dir", str(tmp_path / "run"), "--quiet", *args]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    if source == "spec":
+        assert "invalid spec: sampler.rng_seed must be a nonnegative integer, got -3" in err
+    else:
+        want = -1 if source == "flag" else -2
+        assert f"InvalidParameterError: rng seed must be a nonnegative integer, got {want}" in err
+    assert not (tmp_path / "run" / "report.json").exists()
+
+
+@pytest.mark.parametrize("spec", [SINGLE, PROJECTION], ids=["passes", "fails_preflight"])
+def test_invalid_max_iter_exits_error_before_preflight(tmp_path, capsys, spec):
+    # checked before preflight, so a spec that fails preflight exits 3 as well
+    out = tmp_path / "run"
+    assert main(["solve", spec, "--out-dir", str(out), "--max-iter", "0", "--quiet"]) == EXIT_ERROR
+    assert "max_iter must be a positive integer, got 0" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as err:
         main([])

@@ -49,6 +49,8 @@ def test_spec_validation():
         SampleSpec(count=True)
     with pytest.raises(InvalidParameterError):
         SampleSpec(seed=1.5)
+    with pytest.raises(InvalidParameterError, match="nonnegative"):
+        SampleSpec(seed=-1)  # numpy's Generator rejects a negative seed
     spec = SampleSpec()
     assert spec.count == 10_000 and spec.seed == 0
 

@@ -626,6 +626,99 @@ def test_uniqueness_probe_computes_no_edge_flags():
     assert report.outcomes[0].converged
 
 
+def test_uniqueness_probe_ignores_record_edges_for_a_failing_seed():
+    # The NaN second iterate is no vertex: solve_coupled with record_edges
+    # stops at its edge flag, the probe reports the NaN step either way.
+    graph = FiniteGraph([1.0, 0.5], [(1.0, 0.5), (0.5, 1.0)])
+    fn = lambda x, y: 0.5 * np.asarray(x) if float(np.asarray(x)[0]) > 0.6 else np.full(1, np.nan)
+    cfg = SolveConfig(k=0.6, tol=1e-10, max_iter=200, record_edges=True)
+    with pytest.raises(NotAVertexError):
+        solve_coupled(fn, LINE, graph, 1.0, 1.0, cfg)
+    errors = [uniqueness_probe(fn, LINE, graph, [(1.0, 1.0)], c).outcomes[0].error
+              for c in (cfg, SolveConfig(k=0.6, tol=1e-10, max_iter=200))]
+    assert errors[0] == errors[1] == (
+        "NonFiniteValueError: step 1: non-finite step size (step_x = nan, step_y = nan)")
+
+
+def test_uniqueness_probe_fails_a_seed_whose_residual_cannot_be_measured():
+    # max_iter = 1 ends at the pair (0.5, 0.5); its residual measures
+    # F = 0.25 against it, and the metric has no value below 0.3.
+    def metric(p, q):
+        if min(abs(float(p[0])), abs(float(q[0]))) < 0.3:
+            raise ValueError("no distance below 0.3")
+        return abs(float(p[0] - q[0]))
+
+    space, cfg = CallbackSpace(1, metric), SolveConfig(k=0.6, tol=1e-10, max_iter=1)
+    fn = lambda x, y: 0.5 * np.asarray(x)
+    with pytest.raises(ValueError, match="no distance below 0.3"):
+        solve_coupled(fn, space, FullGraph(1), 1.0, 1.0, cfg)
+    report = uniqueness_probe(fn, space, FullGraph(1), [(1.0, 1.0), (4.0, 4.0)], cfg)
+    assert [o.error for o in report.outcomes] == [
+        "ValueError: no distance below 0.3", "non-convergence at max_iter"]
+
+
+class _RefusesOnePoint:
+    """Affine map whose eval_batch raises on any batch with x = *bad* in a
+    row, and whose plain call raises at x = *bad* alone."""
+
+    def __init__(self, bad):
+        self.bad = bad
+
+    def __call__(self, x, y):
+        if np.array_equal(x, self.bad):
+            raise ValueError(f"no value at {np.asarray(x).tolist()}")
+        return 0.3 * np.asarray(x) - 0.2 * np.asarray(y) + 0.1
+
+    def eval_batch(self, X, Y):
+        if (X == self.bad).all(axis=1).any():
+            raise ValueError("the batch holds a refused point")
+        return 0.3 * X - 0.2 * Y + 0.1
+
+
+def test_uniqueness_probe_solves_every_seed_of_a_raising_batch_alone():
+    # The refused point is the first iterate of seed 3, so the batch of
+    # step 1 raises: seed 3 then fails with solve_coupled's own error, and
+    # every other seed still iterating is solved again one at a time.
+    space, graph = EuclideanSpace(2), PredicateGraph(2, lambda p, q: bool(p.sum() <= q.sum() + 0.5))
+    rng = np.random.default_rng(9)
+    seeds = [(rng.uniform(-3, 3, 2), rng.uniform(-3, 3, 2)) for _ in range(12)]
+    fn = _RefusesOnePoint(0.3 * seeds[3][0] - 0.2 * seeds[3][1] + 0.1)
+    cfg = SolveConfig(k=0.65, tol=1e-9, max_iter=300, check_bounds=True)
+    report = _assert_probe_is_oracle(fn, space, graph, seeds, cfg)
+    outcomes = probe_oracle(fn, space, graph, seeds, cfg)[0]
+    for got, (i, fp, converged, err) in zip(report.outcomes, outcomes, strict=True):
+        assert (got.index, got.converged, got.error) == (i, converged, err)
+        assert (got.point is None) == (fp is None)
+        if fp is not None:
+            assert got.point.x.tobytes() == fp.x.tobytes()
+            assert got.point.y.tobytes() == fp.y.tobytes()
+            assert got.point.is_diagonal == fp.is_diagonal
+    errors = [o.error for o in report.outcomes]
+    assert errors[3] == "ValueError: no value at " + repr(fn.bad.tolist())
+    assert None in errors and any(e and e.startswith("SeedEdgeError") for e in errors)
+
+
+def test_uniqueness_probe_keeps_seed_edge_failures_in_lockstep(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args[3])
+        return solve_coupled(*args)
+
+    monkeypatch.setattr(solver, "solve_coupled", counting)
+    cfg = SolveConfig(k=2.0 / 3.0, tol=1e-10, max_iter=300)
+    seeds = [(0.0, 1.0), (5.0, 5.0), (-3.0, 2.0), (1.0, -4.0)]
+    report = uniqueness_probe(sum_fifth, LINE, OrderGraph(1), seeds, cfg)
+    assert [o.error is None for o in report.outcomes] == [True, False, True, False]
+    assert all(o.error.startswith("SeedEdgeError") for o in report.outcomes if o.error)
+    assert calls == []
+    # a rejected step is what solve_coupled is called for
+    fn = lambda x, y: np.full(1, np.nan) if float(np.asarray(x)[0]) > 2.0 else 0.5 * np.asarray(x)
+    report = uniqueness_probe(fn, LINE, FullGraph(1), [(1.0, 1.0), (3.0, 1.0)], cfg)
+    assert report.outcomes[1].error.startswith("NonFiniteValueError")
+    assert [float(x0[0]) for x0 in calls] == [3.0]
+
+
 def probe_oracle(fn, space, graph, seeds, cfg):
     """The probe written seed by seed: solve_coupled per seed, then the
     pairwise clustering loop.  Returns (outcomes, clusters, diameters,
