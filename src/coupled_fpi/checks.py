@@ -42,7 +42,7 @@ from .finite_sets import _point_rows
 from .finite_sets import as_finite_set, dist_to_set  # noqa: F401
 from .graphs import Digraph
 from .sampling import Sampler, SampleSpec
-from .spaces import MetricSpace, as_point
+from .spaces import MetricSpace, as_point, fold_last
 
 SLACK = 1e-12
 
@@ -210,9 +210,9 @@ def _mixed_monotone(fn: Callable, graph: Digraph, sample: SampleSpec, multi: boo
         else:
             A, B = _images(fn, W, P2, d, multi), _images(fn, W, P1, d, multi)
         edges = graph.edge_mask(*_pairs(A, B)).reshape(*A.shape[:2], -1)
-        finite_a, finite_b = np.isfinite(A).all(axis=2), np.isfinite(B).all(axis=2)
-        unmatched = ~(edges & finite_b[:, None, :]).any(axis=2) | ~finite_a
-        bad = np.flatnonzero(unmatched.any(axis=1))
+        finite_a, finite_b = (fold_last(np.logical_and, np.isfinite(Z)) for Z in (A, B))
+        unmatched = ~fold_last(np.logical_or, edges & finite_b[:, None, :]) | ~finite_a
+        bad = np.flatnonzero(fold_last(np.logical_or, unmatched))
         total += len(P1)
         count += len(bad)
         for i in bad[:VIOLATION_CAP - len(violations)]:
@@ -265,7 +265,7 @@ def _contraction_sample(fn: Callable, space: MetricSpace, graph: Digraph,
     X, Y, U, V = Sampler(sample, d).product_edge_pairs(graph)
     A = _images(fn, X, Y, d, multi)
     B = _images(fn, U, V, d, multi)
-    lhs = space.distance_batch(*_pairs(A, B)).reshape(*A.shape[:2], -1).min(axis=2)
+    lhs = fold_last(np.minimum, space.distance_batch(*_pairs(A, B)).reshape(*A.shape[:2], -1))
     den = space.distance_batch(X, U) + space.distance_batch(Y, V)
     return (X, Y, U, V), A, lhs, den
 
@@ -310,7 +310,7 @@ def _contraction(
     (X, Y, U, V), A, lhs, den = _contraction_sample(fn, space, graph, sample, multi)
     rhs = 0.5 * k * den
     over = ~(lhs <= rhs[:, None] + SLACK)
-    bad = np.flatnonzero(over.any(axis=1))
+    bad = np.flatnonzero(fold_last(np.logical_or, over))
     violations = []
     for i in bad[:VIOLATION_CAP]:
         j = over[i].argmax()

@@ -126,7 +126,9 @@ def report_document(
     return doc
 
 
-def _write_atomic(path: str, text: str) -> None:
+def _write_atomic(out_dir: str, name: str, text: str) -> None:
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
@@ -136,7 +138,7 @@ def _write_atomic(path: str, text: str) -> None:
 def _write_report(out_dir: str, doc: dict) -> None:
     """report.json as strict JSON: a non-finite float raises, never writes NaN."""
     text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    _write_atomic(os.path.join(out_dir, "report.json"), text)
+    _write_atomic(out_dir, "report.json", text)
 
 
 def _print_table(trace: IterationTrace, out) -> None:
@@ -175,7 +177,6 @@ def run(
     """
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    os.makedirs(out_dir, exist_ok=True)
 
     instance = build_instance(spec)
     sample = build_sample_spec(spec, seed)
@@ -202,7 +203,7 @@ def run(
 
     exit_code = EXIT_OK if trace.converged else EXIT_NO_CONVERGENCE
     doc = report_document(report, trace, result, exit_code, force, None)
-    _write_atomic(os.path.join(out_dir, "trace.csv"), trace_to_csv(trace))
+    _write_atomic(out_dir, "trace.csv", trace_to_csv(trace))
     _write_report(out_dir, doc)
 
     if not quiet:

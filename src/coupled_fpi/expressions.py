@@ -129,19 +129,21 @@ class _Parser:
         raise ExpressionError(f"unexpected {value!r}", pos)
 
 
-def _build(node) -> Callable:
-    op = node[0]
+def _build(nodes) -> Callable:
+    """One closure for trees equal up to their numbers: with g > 1 trees each
+    number is the (g, 1) column of theirs, and the g values come at once."""
+    op = nodes[0][0]
     if op == "num":
-        c = node[1]
+        c = nodes[0][1] if len(nodes) == 1 else np.array([[node[1]] for node in nodes])
         return lambda env: c
     if op == "var":
-        name = node[1]
+        name = nodes[0][1]
         return lambda env: env[name]
     if op == "neg":
-        f = _build(node[1])
+        f = _build([node[1] for node in nodes])
         return lambda env: -f(env)
-    left = _build(node[1])
-    right = _build(node[2])
+    left = _build([node[1] for node in nodes])
+    right = _build([node[2] for node in nodes])
     if op == "+":
         return lambda env: left(env) + right(env)
     if op == "-":
@@ -167,7 +169,8 @@ class CompiledExpression:
     def __init__(self, source: str, dimension: int):
         self.source = source
         self.dimension = dimension
-        self._fn = _build(_Parser(source, _variable_names(dimension)).parse())
+        self.tree = _Parser(source, _variable_names(dimension)).parse()
+        self._fn = _build([self.tree])
 
     def __call__(self, env: dict) -> np.float64:
         return self._fn(env)
@@ -188,40 +191,81 @@ def compile_expression(source: str, dimension: int = 1) -> CompiledExpression:
     return CompiledExpression(source, dimension)
 
 
-def _env_from_points(x: np.ndarray, y: np.ndarray, dimension: int) -> dict:
+def _env(xs, ys, dimension: int) -> dict:
+    """Variables bound to the coordinates of two points, or of two row arrays as X.T, Y.T."""
     env = {}
-    for i in range(dimension):
-        env[f"x{i+1}"] = x[i]
-        env[f"y{i+1}"] = y[i]
+    for i, (xi, yi) in enumerate(zip(xs, ys), 1):
+        env[f"x{i}"], env[f"y{i}"] = xi, yi
     if dimension == 1:
-        env["x"] = x[0]
-        env["y"] = y[0]
+        env["x"], env["y"] = env["x1"], env["y1"]
     return env
 
 
-def _env_from_columns(X: np.ndarray, Y: np.ndarray, dimension: int) -> dict:
-    env = {}
-    for i in range(dimension):
-        env[f"x{i+1}"] = X[:, i]
-        env[f"y{i+1}"] = Y[:, i]
-    if dimension == 1:
-        env["x"] = X[:, 0]
-        env["y"] = Y[:, 0]
-    return env
+def _blank(node):
+    """*node* with its numbers blanked out: equal for trees equal up to their numbers."""
+    if node[0] == "num":
+        return ("num",)
+    if node[0] == "var":
+        return node
+    return (node[0], *map(_blank, node[1:]))
 
 
-def _eval_points(points, X: np.ndarray, Y: np.ndarray, dimension: int) -> np.ndarray:
-    """(n, m, d) values on (n, d) rows of m point maps, each given as its d
-    compiled components, all run on one column environment."""
-    X = np.asarray(X, dtype=np.float64).reshape(len(X), dimension)
-    Y = np.asarray(Y, dtype=np.float64).reshape(len(Y), dimension)
-    env = _env_from_columns(X, Y, dimension)
-    out = np.empty((len(X), len(points), dimension))
-    with np.errstate(divide="ignore", invalid="ignore"):
+# Values per (g, rows) temporary: past glibc's 128 KiB mmap threshold every call faults them in.
+_BLOCK_VALUES = 12288
+
+
+class _PointKernel:
+    """(n, m, d) values of m point maps, given by their compiled components,
+    on (n, d) rows.  Components equal up to their numbers (same tree, same
+    variables) run as one (g, rows) expression with (g, 1) number columns
+    and go out in one indexed write; a component alone in its form writes
+    its own column.  Each row is bitwise the per-point arithmetic's value.
+    """
+
+    def __init__(self, points, dimension: int):
+        self.shape = (len(points), dimension)
+        forms: dict = {}
         for j, components in enumerate(points):
             for i, c in enumerate(components):
-                out[:, j, i] = c(env)  # a constant component broadcasts
-    return out
+                forms.setdefault(_blank(c.tree), []).append((j, i, c))
+        self.single, self.stacked, flat = [], [], []
+        for members in forms.values():
+            js, cs, compiled = zip(*members)
+            if len(members) == 1:
+                self.single.append((js[0], cs[0], compiled[0]._fn))
+            else:
+                f = _build([c.tree for c in compiled])
+                self.stacked.append((len(flat), len(flat) + len(members), f))
+                flat += [j * dimension + i for j, i in zip(js, cs)]
+        self.flat = np.array(flat, dtype=np.intp)
+        self.rows = _BLOCK_VALUES // max(map(len, forms.values()))
+
+    def __call__(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        (m, d), n = self.shape, len(X)
+        X = np.asarray(X, dtype=np.float64).reshape(n, d)
+        Y = np.asarray(Y, dtype=np.float64).reshape(len(Y), d)
+        out = np.empty((n, m, d))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for r in range(0, n, self.rows):
+                block = slice(r, r + self.rows)
+                env = _env(X[block].T, Y[block].T, d)
+                for j, i, f in self.single:
+                    out[block, j, i] = f(env)  # a constant broadcasts
+                if self.stacked:
+                    buf = np.empty((len(self.flat), min(self.rows, n - r)))
+                    for a, b, f in self.stacked:
+                        buf[a:b] = f(env)
+                    out.reshape(n, -1)[block, self.flat] = buf.T
+        return out
+
+
+def _components(expressions, dimension: int) -> tuple:
+    """The d compiled components of one point map."""
+    if isinstance(expressions, str):
+        expressions = [expressions]
+    if len(expressions) != dimension:
+        raise ExpressionError(f"need {dimension} component expression(s), got {len(expressions)}")
+    return tuple(compile_expression(src, dimension) for src in expressions)
 
 
 class ExpressionCoupledMap:
@@ -233,26 +277,19 @@ class ExpressionCoupledMap:
     """
 
     def __init__(self, expressions, dimension: int = 1):
-        if isinstance(expressions, str):
-            expressions = [expressions]
-        if len(expressions) != dimension:
-            raise ExpressionError(
-                f"need {dimension} component expression(s), got {len(expressions)}"
-            )
-        self.components = tuple(
-            compile_expression(src, dimension) for src in expressions
-        )
+        self.components = _components(expressions, dimension)
         self.dimension = dimension
+        self._kernel = _PointKernel((self.components,), dimension)
 
     def __call__(self, x, y) -> np.ndarray:
         x = as_point(x, self.dimension)
         y = as_point(y, self.dimension)
-        env = _env_from_points(x, y, self.dimension)
+        env = _env(x, y, self.dimension)
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.array([c(env) for c in self.components], dtype=np.float64)
 
     def eval_batch(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        return _eval_points((self.components,), X, Y, self.dimension)[:, 0]
+        return self._kernel(X, Y)[:, 0]
 
     def __repr__(self) -> str:
         inner = ", ".join(c.source for c in self.components)
@@ -262,24 +299,25 @@ class ExpressionCoupledMap:
 class ExpressionMultiMap:
     """Multivalued coupled map: a list of expression-defined image points.
 
-    ``eval_batch`` fills an (n, m, d) image array with the kernel of the
-    point maps' own ``eval_batch``, one column environment for all m
-    points, so it is bitwise equal to calling the map row by row.
+    ``eval_batch`` fills an (n, m, d) image array with one kernel for all
+    m points, and ``__call__`` reads row 0 of it; both are bitwise equal to
+    each point's ``ExpressionCoupledMap`` called on one point.
     """
 
     def __init__(self, point_expressions, dimension: int = 1):
         if not point_expressions:
             raise ExpressionError("a multivalued map needs at least one image expression")
-        self.points = tuple(
-            ExpressionCoupledMap(src, dimension) for src in point_expressions
-        )
+        self.points = tuple(_components(src, dimension) for src in point_expressions)
         self.dimension = dimension
+        self._kernel = _PointKernel(self.points, dimension)
 
     def __call__(self, x, y):
-        return [p(x, y) for p in self.points]
+        x = as_point(x, self.dimension)
+        y = as_point(y, self.dimension)
+        return list(self._kernel(x[None], y[None])[0])
 
     def eval_batch(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        return _eval_points([p.components for p in self.points], X, Y, self.dimension)
+        return self._kernel(X, Y)
 
     def __repr__(self) -> str:
         return f"ExpressionMultiMap({len(self.points)} points)"

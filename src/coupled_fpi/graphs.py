@@ -27,7 +27,7 @@ from .errors import (
     NotAVertexError,
     UnsupportedModeError,
 )
-from .spaces import PointLike, as_point
+from .spaces import PointLike, as_point, fold_last
 
 
 class Digraph:
@@ -104,7 +104,7 @@ class OrderGraph(Digraph):
         Q = np.asarray(Q, dtype=np.float64)
         if P.ndim == 1:
             return P <= Q
-        return (P <= Q).all(axis=1)
+        return fold_last(np.logical_and, P <= Q)
 
     def construct_edges(
         self, draw: Callable[[int], np.ndarray], n: int
@@ -238,7 +238,10 @@ class SymmetrizedGraph(Digraph):
         return self._base.has_edge(p, q) or self._base.has_edge(q, p)
 
     def edge_mask(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-        return self._base.edge_mask(P, Q) | self._base.edge_mask(Q, P)
+        """Like ``has_edge``, tests a row's reverse only where its forward edge fails."""
+        mask = self._base.edge_mask(P, Q)
+        mask[~mask] = self._base.edge_mask(Q[~mask], P[~mask])
+        return mask
 
     def vertices(self) -> list[np.ndarray]:
         return self._base.vertices()

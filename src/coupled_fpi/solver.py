@@ -194,7 +194,8 @@ def _step_error(n: int, sx, sy, bound, step) -> CoupledFpiError:
             f"step {n}: non-finite step size (step_x = {float(sx)!r}, step_y = {float(sy)!r})"
         )
     return HypothesisViolationError(
-        f"step {n}: step_x + step_y = {sx + sy!r} exceeds k^n * D0 = {2.0 * bound!r}",
+        f"step {n}: step_x + step_y = {float(sx + sy)!r} "
+        f"exceeds k^n * D0 = {float(2.0 * bound)!r}",
         step=step,
     )
 
@@ -213,20 +214,22 @@ def _run_iteration(
 
     *advance* maps the current pair to the next one; everything recorded
     (steps, bounds, flags, stopping) is computed here so the two solvers
-    agree bitwise on identical transition sequences.
+    agree bitwise on identical transition sequences.  The iterates are valid
+    when made; ``_dist`` and one ``edge_mask`` call take them as they are.
     """
-    D0 = space.distance(x0, x1) + space.distance(y0, y1)
+    dist = space._dist
+    D0 = dist(x0, x1) + dist(y0, y1)
     steps: list[TraceStep] = []
     xn, yn = x0, y0
     xn1, yn1 = x1, y1
     converged = False
     for n in range(cfg.max_iter):
-        sx = space.distance(xn, xn1)
-        sy = space.distance(yn, yn1)
+        sx = dist(xn, xn1)
+        sy = dist(yn, yn1)
         bound, ok, done = _step_rule(cfg, n, sx + sy, D0)
-        diag = space.distance(xn, yn)
-        ex = graph.has_edge(xn, xn1) if cfg.record_edges else None
-        ey = graph.has_edge(yn1, yn) if cfg.record_edges else None
+        diag = dist(xn, yn)
+        ex, ey = graph.edge_mask(np.array([xn, yn1]), np.array([xn1, yn])).tolist() \
+            if cfg.record_edges else (None, None)
         step = TraceStep(n, xn, yn, sx, sy, bound, diag, ex, ey)
         steps.append(step)
         if not ok:

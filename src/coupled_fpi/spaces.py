@@ -52,6 +52,20 @@ def as_point(value: PointLike, dimension: int | None = None) -> np.ndarray:
     return pt
 
 
+def fold_last(op: np.ufunc, a: np.ndarray) -> np.ndarray:
+    """``op.reduce(a, axis=-1)`` (max, min, and, or, add), column by column
+    when the last axis is short, which numpy reduces at a cost per row: up to
+    8 columns, sums below 8 terms, where numpy too adds them to 0.0 one by
+    one (from 8 it sums pairwise).  A NaN may differ in sign or payload bits."""
+    size = a.shape[-1]
+    if not 0 < size < (8 if op is np.add else 9):
+        return op.reduce(a, axis=-1)
+    out = 0.0 + a[..., 0] if op is np.add else a[..., 0]
+    for i in range(1, size):
+        out = op(out, a[..., i])
+    return out
+
+
 def _check_dimension(dimension: int) -> int:
     if not isinstance(dimension, int) or isinstance(dimension, bool) or dimension < 1:
         raise InvalidParameterError(f"dimension must be a positive integer, got {dimension!r}")
@@ -112,7 +126,7 @@ class EuclideanSpace(MetricSpace):
             return np.abs(diff)
         if diff.shape[1] == 1:
             return np.abs(diff[:, 0])
-        return np.sqrt((diff * diff).sum(axis=1))
+        return np.sqrt(fold_last(np.add, diff * diff))
 
     def pairwise(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
         diff = P[:, None, :] - Q[None, :, :]
@@ -131,7 +145,7 @@ class ChebyshevSpace(MetricSpace):
         diff = np.abs(np.asarray(P, dtype=np.float64) - np.asarray(Q, dtype=np.float64))
         if diff.ndim == 1:
             return diff
-        return diff.max(axis=1)
+        return fold_last(np.maximum, diff)
 
     def pairwise(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
         return np.abs(P[:, None, :] - Q[None, :, :]).max(axis=2)
@@ -140,7 +154,7 @@ class ChebyshevSpace(MetricSpace):
 class CallbackSpace(MetricSpace):
     """Metric defined by a user callback ``fn(p, q) -> float``.
 
-    The callback receives validated point arrays.  No metric axioms are
+    The callback receives copies of validated points.  No metric axioms are
     enforced here; the sampled checkers are the place to falsify them.
     """
 
@@ -151,7 +165,7 @@ class CallbackSpace(MetricSpace):
         self._fn = fn
 
     def _dist(self, p: np.ndarray, q: np.ndarray) -> float:
-        return float(self._fn(p, q))
+        return float(self._fn(p.copy(), q.copy()))
 
 
 def real_line() -> EuclideanSpace:

@@ -292,7 +292,7 @@ def test_negative_seed_exits_error(tmp_path, monkeypatch, capsys, source):
     else:
         want = -1 if source == "flag" else -2
         assert f"InvalidParameterError: rng seed must be a nonnegative integer, got {want}" in err
-    assert not (tmp_path / "run" / "report.json").exists()
+    assert not (tmp_path / "run").exists()  # rejected before anything is written
 
 
 @pytest.mark.parametrize("spec", [SINGLE, PROJECTION], ids=["passes", "fails_preflight"])
@@ -301,7 +301,7 @@ def test_invalid_max_iter_exits_error_before_preflight(tmp_path, capsys, spec):
     out = tmp_path / "run"
     assert main(["solve", spec, "--out-dir", str(out), "--max-iter", "0", "--quiet"]) == EXIT_ERROR
     assert "max_iter must be a positive integer, got 0" in capsys.readouterr().err
-    assert not (out / "report.json").exists()
+    assert not out.exists()  # rejected before anything is written
 
 
 def test_usage_errors_exit_two():

@@ -132,3 +132,54 @@ def test_multi_map_images():
     assert values == [-0.2, 0.2]
     with pytest.raises(ExpressionError):
         ExpressionMultiMap([], dimension=1)
+
+
+def _random_form(rng, names, depth=3):
+    """A random expression over the whole grammar, its numbers left as {}."""
+    if depth == 0 or rng.random() < 0.25:
+        return "{}" if not names or rng.random() < 0.4 else str(rng.choice(names))
+    if rng.random() < 0.15:
+        return f"-{_random_form(rng, names, depth - 1)}"
+    op = str(rng.choice(list("+-*/")))
+    return f"({_random_form(rng, names, depth - 1)} {op} {_random_form(rng, names, depth - 1)})"
+
+
+def _number(rng):
+    """A literal: often 0 (so x / 0 and 0 / 0 occur), else a float of any scale."""
+    return "0" if rng.random() < 0.15 else f"{rng.uniform(0.1, 10.0) * 10.0 ** rng.integers(-3, 4):.17g}"
+
+
+def test_eval_batch_is_bitwise_per_point_on_random_trees():
+    # The batch kernel stacks components that differ only in their numbers;
+    # every row must be bitwise the per-point value of each point map.
+    rng = np.random.default_rng(603)
+    for trial in range(120):
+        m, d = int(rng.integers(1, 9)), int(rng.integers(1, 4))
+        names = [f"{v}{i}" for v in "xy" for i in range(1, d + 1)] + (["x", "y"] if d == 1 else [])
+        # a few shared forms, some without variables, so that groups form
+        forms = [_random_form(rng, names if rng.random() < 0.8 else []) for _ in range(3)]
+        forms.append("x1 / {}")
+        points = []
+        for _ in range(m):
+            point = []
+            for _ in range(d):
+                form = str(rng.choice(forms)) if rng.random() < 0.7 else _random_form(rng, names)
+                point.append(form.format(*(_number(rng) for _ in range(form.count("{}")))))
+            points.append(point)
+        multi = ExpressionMultiMap(points, dimension=d)
+        single = [ExpressionCoupledMap(p, dimension=d) for p in points]
+        rows = multi._kernel.rows
+        n = int(rng.choice([0, 1, 2, rows + 3]))
+        X = rng.choice([0.0, -0.0, 1.0, -2.5], size=(n, d)) * (rng.random((n, d)) < 0.3) \
+            + rng.normal(size=(n, d)) * (rng.random((n, d)) < 0.7)
+        Y = X[::-1] * rng.choice([1.0, -1.0])
+        with np.errstate(over="ignore"):
+            images = multi.eval_batch(X, Y)
+            assert images.shape == (n, m, d)
+            check = sorted({0, 1, n - 1, rows - 1, rows, *rng.integers(0, max(n, 1), 8).tolist()})
+            for i in (i for i in check if 0 <= i < n):
+                want = np.array([p(X[i], Y[i]) for p in single])
+                assert images[i].tobytes() == want.tobytes(), (points, i)
+                assert np.array(multi(X[i], Y[i])).tobytes() == want.tobytes()
+            if m == 1:
+                assert single[0].eval_batch(X, Y).tobytes() == images[:, 0].tobytes()

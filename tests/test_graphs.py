@@ -120,14 +120,25 @@ def test_reverse_and_symmetrize():
 
 
 def test_edge_mask_default_matches_has_edge():
-    g = PredicateGraph(1, lambda p, q: p[0] + 1.0 < q[0])
+    calls = []
+
+    def pred(p, q):
+        calls.append(1)
+        return p[0] + 1.0 < q[0]
+
     rng = np.random.default_rng(205)
     P = rng.uniform(-3.0, 3.0, size=(200, 1))
     Q = rng.uniform(-3.0, 3.0, size=(200, 1))
-    mask = g.edge_mask(P, Q)
-    assert mask.dtype == bool
-    for i in range(200):
-        assert mask[i] == g.has_edge(P[i], Q[i])
+    for g in (PredicateGraph(1, pred), symmetrize_graph(PredicateGraph(1, pred))):
+        calls.clear()
+        mask = g.edge_mask(P, Q)
+        assert mask.dtype == bool
+        mask_calls = len(calls)
+        calls.clear()
+        for i in range(200):
+            assert mask[i] == g.has_edge(P[i], Q[i])
+        # a symmetrized graph tests a reverse edge only where the forward one fails
+        assert mask_calls == len(calls)
 
 
 def test_weak_connectivity_examples():

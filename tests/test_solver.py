@@ -201,6 +201,48 @@ def test_check_bounds_raises_on_wrong_k():
     assert err.value.step.step_x + err.value.step.step_y > 2.0 * err.value.step.bound
 
 
+def test_bound_violation_message_shows_plain_floats():
+    # Euclidean step sizes in dimension 1 are numpy floats; the message
+    # shows them as plain float reprs, like every other space
+    cfg = SolveConfig(k=0.1, check_bounds=True)
+    with pytest.raises(HypothesisViolationError) as err:
+        solve_coupled(lambda x, y: 0.9 * x + 1.0, EuclideanSpace(1), FullGraph(1), 0.0, 0.0, cfg)
+    assert str(err.value) == "step 1: step_x + step_y = 1.7999999999999998 exceeds k^n * D0 = 0.2"
+
+
+def test_callbacks_that_write_into_their_arguments_cannot_change_the_trace():
+    # the solvers hand their iterates to the metric and the graph without
+    # copying them first; a callback that overwrites its arguments must not
+    # reach the recorded trace
+    def metric(p, q):
+        value = float(np.abs(p - q).sum())
+        p[:], q[:] = 1e9, -1e9
+        return value
+
+    def pred(p, q):
+        ok = bool((p <= q).all())
+        p[:], q[:] = 1e9, -1e9
+        return ok
+
+    clean_space = CallbackSpace(2, lambda p, q: float(np.abs(p - q).sum()))
+    clean_graph = PredicateGraph(2, lambda p, q: bool((p <= q).all()))
+    cfg = SolveConfig(k=0.61, tol=1e-10, max_iter=200, record_edges=True)
+    fn = LinearCoupledMap(0.2, -0.1)
+    multi = SingletonMultiMap(fn)
+    x0, y0 = np.array([-1.0, -2.0]), np.array([1.0, 3.0])
+    x1, y1 = fn(x0, y0), fn(y0, x0)
+    runs = []
+    for space, graph in ((clean_space, clean_graph), (CallbackSpace(2, metric), PredicateGraph(2, pred))):
+        runs.append((solve_coupled(fn, space, graph, x0, y0, cfg),
+                     solve_coupled_multi(multi, space, graph, x0, y0, x1, y1, cfg)))
+    for (fp, clean), (fp_dirty, dirty) in zip(*runs):
+        assert clean.converged and len(clean.steps) > 5
+        assert all(s.edge_ok_x is True and s.edge_ok_y is True for s in clean.steps)
+        assert repr(dirty) == repr(clean) and repr(fp_dirty) == repr(fp)
+        for a, b in zip(clean.steps, dirty.steps):
+            assert a.x.tobytes() == b.x.tobytes() and a.y.tobytes() == b.y.tobytes()
+
+
 def test_record_edges_on_monotone_instance():
     fn = LinearCoupledMap(0.2, -0.1)
     cfg = SolveConfig(k=0.61, tol=1e-10, max_iter=200, record_edges=True)

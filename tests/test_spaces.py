@@ -11,9 +11,11 @@ from coupled_fpi import (
     EuclideanSpace,
     InvalidInputError,
     InvalidParameterError,
+    OrderGraph,
     as_point,
     real_line,
 )
+from coupled_fpi.spaces import fold_last
 
 
 def test_as_point_scalar_promotion():
@@ -95,6 +97,36 @@ def test_distance_batch_matches_scalar_bitwise():
         batch = space.distance_batch(P, Q)
         scalar = np.array([space.distance(p, q) for p, q in zip(P, Q)])
         assert np.array_equal(batch, scalar)
+
+
+def test_short_axis_folds_match_the_reductions_bytewise():
+    # distance_batch, OrderGraph.edge_mask and the checkers fold short
+    # trailing axes column by column; each gives the bytes of the numpy
+    # reduction it replaces, across the fold limits (sums below 8 terms)
+    rng = np.random.default_rng(104)
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0])
+    with np.errstate(invalid="ignore", over="ignore"):
+        for d in range(1, 13):
+            P = rng.normal(size=(96, d)) * 10.0 ** rng.integers(-160, 160, size=(96, d))
+            Q = rng.normal(size=(96, d)) * 10.0 ** rng.integers(-160, 160, size=(96, d))
+            for A in (P, Q):
+                hit = rng.random(A.shape) < 0.15
+                A[hit] = rng.choice(special, size=hit.sum())
+            P[0], Q[0] = -0.0, 0.0
+            P[1], Q[1] = np.inf, np.inf  # inf - inf: NaN in every column
+            P[2], Q[2] = np.nan, -0.0
+            P[3, -1], Q[3, -1] = np.inf, np.inf  # NaN only in the last column
+            diff = P - Q
+            old_euclid = np.abs(diff[:, 0]) if d == 1 else np.sqrt((diff * diff).sum(axis=1))
+            assert EuclideanSpace(d).distance_batch(P, Q).tobytes() == old_euclid.tobytes()
+            old_cheb = np.abs(diff).max(axis=1)
+            assert ChebyshevSpace(d).distance_batch(P, Q).tobytes() == old_cheb.tobytes()
+            assert OrderGraph(d).edge_mask(P, Q).tobytes() == (P <= Q).all(axis=1).tobytes()
+            dist = np.abs(diff).reshape(96, 1, d)  # distances, as the checkers' (n, m, m) minimum
+            assert fold_last(np.minimum, dist).tobytes() == dist.min(axis=2).tobytes()
+            flags = (P <= Q).reshape(96, 1, d)
+            assert fold_last(np.logical_and, flags).tobytes() == flags.all(axis=2).tobytes()
+            assert fold_last(np.logical_or, flags).tobytes() == flags.any(axis=2).tobytes()
 
 
 def test_pairwise_matches_scalar_bitwise():
