@@ -26,6 +26,7 @@ SINGLE = str(SPEC_DIR / "single_sum_fifth.json")
 MULTI = str(SPEC_DIR / "multi_sum_fifth.json")
 PROJECTION = str(SPEC_DIR / "single_projection_x.json")
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
+CORPUS_DIR = GOLDEN_DIR / "corpus"
 
 
 def read_report(out_dir):
@@ -103,17 +104,25 @@ def test_reruns_are_byte_identical(tmp_path):
     assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
 
 
-@pytest.mark.parametrize("stem, exit_code", [
-    ("single_sum_fifth", EXIT_OK),
-    ("single_projection_x", EXIT_PREFLIGHT_FAILED),
-    ("multi_sum_fifth", EXIT_OK),
-])
-def test_shipped_specs_match_golden_outputs(tmp_path, stem, exit_code):
+GOLDEN_CASES = [
+    (SPEC_DIR, GOLDEN_DIR, "single_sum_fifth", EXIT_OK),
+    (SPEC_DIR, GOLDEN_DIR, "single_projection_x", EXIT_PREFLIGHT_FAILED),
+    (SPEC_DIR, GOLDEN_DIR, "multi_sum_fifth", EXIT_OK),
+    # hand-written corpus specs, kept out of specs/: an edge-list graph whose
+    # checks meet points it does not list, and Chebyshev d = 2 in property_star
+    (CORPUS_DIR, CORPUS_DIR, "edge_list_property_star", EXIT_PREFLIGHT_FAILED),
+    (CORPUS_DIR, CORPUS_DIR, "chebyshev_2d_property_star", EXIT_OK),
+]
+
+
+@pytest.mark.parametrize("spec_dir, golden_dir, stem, exit_code", GOLDEN_CASES,
+                         ids=[f"{stem}-{code}" for _, _, stem, code in GOLDEN_CASES])
+def test_shipped_specs_match_golden_outputs(tmp_path, spec_dir, golden_dir, stem, exit_code):
     # The committed files are the outputs of the spec under its own
     # sampler.rng_seed; any change to them must be deliberate.
-    spec = parse_spec((SPEC_DIR / f"{stem}.json").read_text())
+    spec = parse_spec((spec_dir / f"{stem}.json").read_text())
     assert run(spec, str(tmp_path), quiet=True).exit_code == exit_code
-    golden = GOLDEN_DIR / stem
+    golden = golden_dir / stem
     names = sorted(p.name for p in golden.iterdir())
     assert sorted(p.name for p in tmp_path.iterdir()) == names
     for name in names:
