@@ -38,7 +38,6 @@ from .errors import (
     SeedEdgeError,
     SelectionFailureError,
     SpecError,
-    UnsupportedModeError,
 )
 from .expressions import (
     CompiledExpression,
@@ -46,15 +45,13 @@ from .expressions import (
     ExpressionMultiMap,
     compile_expression,
 )
-from .finite_sets import FiniteSet, as_finite_set, dist_to_set, hausdorff, select_near
+from .finite_sets import FiniteSet, as_finite_set, dist_to_set, hausdorff
 from .graphs import (
     Digraph,
     FiniteGraph,
     FullGraph,
     OrderGraph,
     PredicateGraph,
-    is_path,
-    is_weakly_connected,
     product_edge,
     reverse_graph,
     symmetrize_graph,
@@ -69,7 +66,6 @@ from .solver import (
     TraceStep,
     UniquenessReport,
     diagonal_decay_check,
-    safe_k,
     solve_coupled,
     solve_coupled_multi,
     step_bound,
@@ -118,8 +114,8 @@ __all__ = [
     "PredicateGraph",
     "ProblemInstance",
     "ProblemSpec",
-    "Sampler",
     "SampleSpec",
+    "Sampler",
     "SeedEdgeError",
     "SelectionFailureError",
     "SingletonMultiMap",
@@ -127,7 +123,6 @@ __all__ = [
     "SpecError",
     "TraceStep",
     "UniquenessReport",
-    "UnsupportedModeError",
     "as_finite_set",
     "as_point",
     "build_instance",
@@ -142,19 +137,15 @@ __all__ = [
     "estimate_k",
     "hausdorff",
     "instance_id_for",
-    "is_path",
-    "is_weakly_connected",
     "parse_spec",
     "preflight",
     "product_edge",
     "real_line",
     "reverse_graph",
-    "safe_k",
-    "select_near",
     "serialize_spec",
-    "solve_instance",
     "solve_coupled",
     "solve_coupled_multi",
+    "solve_instance",
     "step_bound",
     "symmetrize_graph",
     "tail_bound",

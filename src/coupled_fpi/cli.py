@@ -63,10 +63,7 @@ def _fmt_float(v: float) -> str:
 
 
 def _fmt_point(p: np.ndarray) -> str:
-    p = np.asarray(p, dtype=np.float64).reshape(-1)
-    if p.size == 1:
-        return _fmt_float(p[0])
-    return ";".join(_fmt_float(c) for c in p)
+    return ";".join(map(_fmt_float, np.asarray(p, dtype=np.float64).reshape(-1).tolist()))
 
 
 def _fmt_flag(flag: bool | None) -> str:

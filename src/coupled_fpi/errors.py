@@ -12,11 +12,7 @@ class InvalidInputError(CoupledFpiError, ValueError):
 
 
 class NotAVertexError(InvalidInputError):
-    """Point queried against an extensional graph that does not list it."""
-
-
-class UnsupportedModeError(CoupledFpiError):
-    """Operation requires an extensional graph but got an intensional one."""
+    """Point queried against a finite graph that does not list it."""
 
 
 class InvalidParameterError(CoupledFpiError, ValueError):

@@ -1,9 +1,9 @@
-"""Finite point sets, the Pompeiu-Hausdorff distance and near-point selection.
+"""Finite point sets and the Pompeiu-Hausdorff distance.
 
 Multivalued maps in this package take values in nonempty finite point
-sets, so every infimum below is a minimum and selection is exact
-arithmetic rather than an approximation argument.  (Finite sets are
-compact, hence closed and bounded; nothing here needs the distinction.)
+sets, so every infimum below is a minimum, computed exactly.  (Finite
+sets are compact, hence closed and bounded; nothing here needs the
+distinction.)
 """
 
 from __future__ import annotations
@@ -112,38 +112,12 @@ def hausdorff(space: MetricSpace, A: FiniteSetLike, B: FiniteSetLike) -> float:
     """Pompeiu-Hausdorff distance between finite sets.
 
     H(A, B) = max( max_a min_b d(a,b), max_b min_a d(a,b) ), the larger
-    of the two one-sided excesses.
+    of the two one-sided excesses, over one ``distance_batch`` call on
+    every (a, b) row pair.
     """
-    A = as_finite_set(A, space.dimension)
-    B = as_finite_set(B, space.dimension)
-    D = space.pairwise(A.points, B.points)
+    A = as_finite_set(A, space.dimension).points
+    B = as_finite_set(B, space.dimension).points
+    D = space.distance_batch(np.repeat(A, len(B), axis=0), np.tile(B, (len(A), 1)))
+    D = D.reshape(len(A), len(B))
     return float(max(D.min(axis=1).max(), D.min(axis=0).max()))
 
-
-def select_near(
-    space: MetricSpace,
-    A: FiniteSetLike,
-    B: FiniteSetLike,
-    a: PointLike,
-    eps: float = 1e-12,
-) -> np.ndarray:
-    """Pick b in B nearest to a, for a member a of A.
-
-    On finite sets the nearest point realizes d(a, B) <= H(A, B) exactly,
-    so it satisfies the approximate-selection bound d(a, b) <= H(A, B) + eps
-    for every positive slack *eps*.  Ties resolve to the lowest index in
-    B's construction order.
-
-    Raises:
-        InvalidInputError: ``a`` is not a member of ``A`` or *eps* is not
-            positive.
-    """
-    if not eps > 0.0:
-        raise InvalidInputError(f"eps must be positive, got {eps!r}")
-    A = as_finite_set(A, space.dimension)
-    B = as_finite_set(B, space.dimension)
-    a = as_point(a, space.dimension)
-    if not A.contains(a):
-        raise InvalidInputError("selection source point must belong to the first set")
-    dists = space.distance_batch(np.broadcast_to(a, B.points.shape), B.points)
-    return B[int(np.argmin(dists))].copy()

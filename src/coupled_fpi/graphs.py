@@ -1,10 +1,10 @@
 """Reflexive digraphs over points, and the product graph on pairs.
 
-Graphs come in two modes.  Intensional graphs answer ``has_edge`` from
-a predicate and have no vertex list; extensional graphs enumerate a
-finite vertex set and edge set.  Loops are present everywhere: the
+Every graph answers edge tests only (``has_edge`` and its rowwise
+``edge_mask``); none enumerates its vertices or edges, because no
+hypothesis checked here needs them.  Loops are present everywhere: the
 structures modeled here are reflexive by definition, so ``has_edge(p, p)``
-is always true and extensional constructions add loops automatically.
+is always true for every vertex p.
 
 The coupled iteration lives on the product graph over pairs:
 
@@ -18,15 +18,11 @@ on it.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import (
-    InvalidInputError,
-    NotAVertexError,
-    UnsupportedModeError,
-)
+from .errors import InvalidInputError, NotAVertexError
 from .spaces import PointLike, as_point, fold_last
 
 
@@ -39,11 +35,6 @@ class Digraph:
     @property
     def dimension(self) -> int:
         return self._dimension
-
-    @property
-    def extensional(self) -> bool:
-        """True when the graph enumerates its vertices."""
-        return False
 
     def has_edge(self, p: PointLike, q: PointLike) -> bool:
         raise NotImplementedError
@@ -66,12 +57,6 @@ class Digraph:
         to rejection.
         """
         return None
-
-    def vertices(self) -> list[np.ndarray]:
-        raise UnsupportedModeError("graph does not enumerate vertices")
-
-    def edges(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        raise UnsupportedModeError("graph does not enumerate edges")
 
 
 class PredicateGraph(Digraph):
@@ -142,11 +127,11 @@ class FullGraph(Digraph):
 
 
 class FiniteGraph(Digraph):
-    """Extensional graph over an explicit vertex list.
+    """Graph over an explicit vertex list and edge list.
 
-    Duplicate vertices collapse (bitwise), loops are added, and edges
-    must join listed vertices.  ``has_edge`` against an unlisted point
-    raises :class:`NotAVertexError`.
+    Vertices are told apart bitwise (so 0.0 and -0.0 are two vertices),
+    every vertex has its loop, and edges must join listed vertices.
+    ``has_edge`` against an unlisted point raises :class:`NotAVertexError`.
     """
 
     def __init__(
@@ -155,47 +140,26 @@ class FiniteGraph(Digraph):
         edges: Iterable[tuple[PointLike, PointLike]] = (),
         dimension: int | None = None,
     ):
-        pts: list[np.ndarray] = []
-        index: dict[bytes, int] = {}
+        keys: set[bytes] = set()
         for v in vertices:
             p = as_point(v, dimension)
-            if dimension is None:
-                dimension = p.size
-            key = p.tobytes()
-            if key not in index:
-                index[key] = len(pts)
-                pts.append(p)
-        if not pts:
+            dimension = p.size
+            keys.add(p.tobytes())
+        if not keys:
             raise InvalidInputError("vertex list must be nonempty")
         super().__init__(dimension)
-        self._points = pts
-        self._index = index
-        self._edges: set[tuple[int, int]] = {(i, i) for i in range(len(pts))}
-        for a, b in edges:
-            self._edges.add((self._vertex_id(a), self._vertex_id(b)))
-        for p in pts:
-            p.setflags(write=False)
+        self._keys = keys
+        self._edges = {(self._vertex_key(a), self._vertex_key(b)) for a, b in edges}
 
-    def _vertex_id(self, p: PointLike) -> int:
+    def _vertex_key(self, p: PointLike) -> bytes:
         key = as_point(p, self._dimension).tobytes()
-        try:
-            return self._index[key]
-        except KeyError:
-            raise NotAVertexError(f"point {np.frombuffer(key)!r} is not a vertex") from None
-
-    @property
-    def extensional(self) -> bool:
-        return True
+        if key not in self._keys:
+            raise NotAVertexError(f"point {np.frombuffer(key)!r} is not a vertex")
+        return key
 
     def has_edge(self, p: PointLike, q: PointLike) -> bool:
-        return (self._vertex_id(p), self._vertex_id(q)) in self._edges
-
-    def vertices(self) -> list[np.ndarray]:
-        return list(self._points)
-
-    def edges(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        for i, j in sorted(self._edges):
-            yield self._points[i], self._points[j]
+        a, b = self._vertex_key(p), self._vertex_key(q)
+        return a == b or (a, b) in self._edges
 
 
 class ReversedGraph(Digraph):
@@ -205,22 +169,11 @@ class ReversedGraph(Digraph):
         super().__init__(base.dimension)
         self._base = base
 
-    @property
-    def extensional(self) -> bool:
-        return self._base.extensional
-
     def has_edge(self, p: PointLike, q: PointLike) -> bool:
         return self._base.has_edge(q, p)
 
     def edge_mask(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
         return self._base.edge_mask(Q, P)
-
-    def vertices(self) -> list[np.ndarray]:
-        return self._base.vertices()
-
-    def edges(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        for a, b in self._base.edges():
-            yield b, a
 
 
 class SymmetrizedGraph(Digraph):
@@ -230,10 +183,6 @@ class SymmetrizedGraph(Digraph):
         super().__init__(base.dimension)
         self._base = base
 
-    @property
-    def extensional(self) -> bool:
-        return self._base.extensional
-
     def has_edge(self, p: PointLike, q: PointLike) -> bool:
         return self._base.has_edge(p, q) or self._base.has_edge(q, p)
 
@@ -242,14 +191,6 @@ class SymmetrizedGraph(Digraph):
         mask = self._base.edge_mask(P, Q)
         mask[~mask] = self._base.edge_mask(Q[~mask], P[~mask])
         return mask
-
-    def vertices(self) -> list[np.ndarray]:
-        return self._base.vertices()
-
-    def edges(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        for a, b in self._base.edges():
-            yield a, b
-            yield b, a
 
 
 def reverse_graph(g: Digraph) -> Digraph:
@@ -275,38 +216,3 @@ def product_edge(
     u, v = pair_b
     return g.has_edge(x, u) and g.has_edge(v, y)
 
-
-def is_path(g: Digraph, points: Sequence[PointLike]) -> bool:
-    """True when consecutive points are joined by edges.
-
-    A single point is a (trivial) path; an empty sequence is invalid.
-    """
-    if len(points) == 0:
-        raise InvalidInputError("a path needs at least one point")
-    return all(g.has_edge(points[i], points[i + 1]) for i in range(len(points) - 1))
-
-
-def is_weakly_connected(g: Digraph) -> bool:
-    """Connectivity of the symmetrization; extensional graphs only.
-
-    Raises:
-        UnsupportedModeError: the graph does not enumerate vertices.
-    """
-    if not g.extensional:
-        raise UnsupportedModeError("weak connectivity needs an extensional graph")
-    verts = g.vertices()
-    ids = {p.tobytes(): i for i, p in enumerate(verts)}
-    parent = list(range(len(verts)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for a, b in g.edges():
-        ra, rb = find(ids[a.tobytes()]), find(ids[b.tobytes()])
-        if ra != rb:
-            parent[ra] = rb
-    roots = {find(i) for i in range(len(verts))}
-    return len(roots) <= 1

@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .certifier import ProblemInstance
+from .checks import _point_json
 from .errors import ExpressionError, SpecError
 from .expressions import ExpressionCoupledMap, ExpressionMultiMap, compile_expression
 from .graphs import Digraph, FiniteGraph, FullGraph, OrderGraph
@@ -333,10 +334,6 @@ def parse_spec(text: str) -> ProblemSpec:
     return ProblemSpec(space, graph, map_spec, k, seed, solve, sampler)
 
 
-def _point_doc(pt: tuple):
-    return pt[0] if len(pt) == 1 else list(pt)
-
-
 def serialize_spec(spec: ProblemSpec) -> str:
     """Canonical JSON for *spec*; round-trips through :func:`parse_spec`."""
     doc: dict[str, Any] = {
@@ -344,8 +341,8 @@ def serialize_spec(spec: ProblemSpec) -> str:
     }
     graph: dict[str, Any] = {"kind": spec.graph.kind}
     if spec.graph.kind == "edge_list":
-        graph["vertices"] = [_point_doc(v) for v in spec.graph.vertices]
-        graph["edges"] = [[_point_doc(a), _point_doc(b)] for a, b in spec.graph.edges]
+        graph["vertices"] = [_point_json(v) for v in spec.graph.vertices]
+        graph["edges"] = [[_point_json(a), _point_json(b)] for a, b in spec.graph.edges]
     doc["graph"] = graph
     if spec.map.builtin is not None:
         definition: Any = {"name": spec.map.builtin, **dict(spec.map.params)}
@@ -360,12 +357,12 @@ def serialize_spec(spec: ProblemSpec) -> str:
     doc["map"] = {"kind": spec.map.kind, "definition": definition}
     doc["k"] = spec.k
     seed: dict[str, Any] = {
-        "x0": _point_doc(spec.seed.x0),
-        "y0": _point_doc(spec.seed.y0),
+        "x0": _point_json(spec.seed.x0),
+        "y0": _point_json(spec.seed.y0),
     }
     if spec.seed.x1 is not None:
-        seed["x1"] = _point_doc(spec.seed.x1)
-        seed["y1"] = _point_doc(spec.seed.y1)
+        seed["x1"] = _point_json(spec.seed.x1)
+        seed["y1"] = _point_json(spec.seed.y1)
     doc["seed"] = seed
     doc["solve"] = {
         "tol": spec.solve.tol,

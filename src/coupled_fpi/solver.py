@@ -158,18 +158,6 @@ def tail_bound(k: float, D0: float, n: int) -> float:
     return (k ** n) * D0 / (2.0 * (1.0 - k))
 
 
-def safe_k(estimate: float, margin: float = 1.05) -> float:
-    """Declared k from a sampled estimate: margin * estimate, capped into (0,1).
-
-    The sampled estimate is a lower bound on the true minimal constant,
-    so the margin buys slack; the cap keeps the result admissible.  The
-    floor guards the degenerate estimate 0 (constant maps).
-    """
-    if not estimate >= 0.0:
-        raise InvalidParameterError(f"estimate must be nonnegative, got {estimate!r}")
-    return min(max(margin * estimate, 1e-12), 1.0 - 1e-12)
-
-
 def _step_rule(cfg: SolveConfig, n: int, total, D0):
     """Bound check and stopping rule of step n, shared by both kernels.
 

@@ -76,9 +76,8 @@ class MetricSpace:
     """Base metric space over R^d points.
 
     Subclasses implement :meth:`_dist` on validated arrays.  ``distance``
-    validates inputs; the batch helpers (``distance_batch``, ``pairwise``)
-    fall back to row loops and are overridden with vectorized versions
-    where the metric allows it.
+    validates inputs; ``distance_batch`` falls back to a row loop and is
+    overridden with a vectorized version where the metric allows it.
     """
 
     def __init__(self, dimension: int):
@@ -102,14 +101,6 @@ class MetricSpace:
             (self._dist(p, q) for p, q in zip(P, Q)), np.float64, count=len(P)
         )
 
-    def pairwise(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-        """Full (len(P), len(Q)) distance matrix."""
-        out = np.empty((len(P), len(Q)))
-        for i, p in enumerate(P):
-            for j, q in enumerate(Q):
-                out[i, j] = self._dist(p, q)
-        return out
-
 
 class EuclideanSpace(MetricSpace):
     """R^d with the Euclidean metric; plain absolute value when d = 1."""
@@ -128,12 +119,6 @@ class EuclideanSpace(MetricSpace):
             return np.abs(diff[:, 0])
         return np.sqrt(fold_last(np.add, diff * diff))
 
-    def pairwise(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-        diff = P[:, None, :] - Q[None, :, :]
-        if diff.shape[2] == 1:
-            return np.abs(diff[:, :, 0])
-        return np.sqrt((diff * diff).sum(axis=2))
-
 
 class ChebyshevSpace(MetricSpace):
     """R^d with the max metric d(p,q) = max_i |p_i - q_i|."""
@@ -146,9 +131,6 @@ class ChebyshevSpace(MetricSpace):
         if diff.ndim == 1:
             return diff
         return fold_last(np.maximum, diff)
-
-    def pairwise(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-        return np.abs(P[:, None, :] - Q[None, :, :]).max(axis=2)
 
 
 class CallbackSpace(MetricSpace):

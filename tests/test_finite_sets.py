@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from coupled_fpi import (
+    CallbackSpace,
+    ChebyshevSpace,
     EuclideanSpace,
     FiniteSet,
     InvalidInputError,
@@ -11,7 +13,6 @@ from coupled_fpi import (
     dist_to_set,
     hausdorff,
     real_line,
-    select_near,
 )
 
 
@@ -67,13 +68,20 @@ def _brute_force_hausdorff(space, A, B):
 
 
 def test_hausdorff_against_brute_force_oracle():
-    space = EuclideanSpace(2)
+    # bitwise, on each builtin metric's vectorized distance_batch (Euclidean
+    # d = 9 sums pairwise) and on a callback metric's row loop
+    spaces = [EuclideanSpace(1), EuclideanSpace(3), EuclideanSpace(9), ChebyshevSpace(2),
+              CallbackSpace(2, lambda p, q: float(np.abs(p - q).sum()))]
     rng = np.random.default_rng(301)
-    for _ in range(500):
-        na, nb = rng.integers(1, 21, size=2)
-        A = as_finite_set(rng.uniform(-5.0, 5.0, size=(na, 2)), 2)
-        B = as_finite_set(rng.uniform(-5.0, 5.0, size=(nb, 2)), 2)
-        assert hausdorff(space, A, B) == _brute_force_hausdorff(space, A, B)
+    for space in spaces:
+        d = space.dimension
+        for _ in range(200):
+            na, nb = rng.integers(1, 13, size=2)
+            A = as_finite_set(rng.uniform(-5.0, 5.0, size=(na, d)), d)
+            B = as_finite_set(rng.uniform(-5.0, 5.0, size=(nb, d)), d)
+            got = hausdorff(space, A, B)
+            assert np.float64(got).tobytes() == np.float64(
+                _brute_force_hausdorff(space, A, B)).tobytes(), (type(space).__name__, d)
 
 
 def test_hausdorff_metric_properties():
@@ -91,35 +99,3 @@ def test_hausdorff_metric_properties():
         # zero exactly on equal sets, order of listing irrelevant
         perm = rng.permutation(len(A))
         assert hausdorff(space, A, as_finite_set(A.points[perm], 2)) == 0.0
-
-
-def test_select_near_examples():
-    line = real_line()
-    assert float(select_near(line, [0.0], [1.0, 3.0], 0.0)[0]) == 1.0
-    same = FiniteSet([4.0, 7.0])
-    assert float(select_near(line, same, same, 7.0)[0]) == 7.0
-    # equidistant candidates resolve to the lowest index in listed order
-    picked = select_near(line, [0.0, 1.0], [-0.2, 0.2], 0.0)
-    assert float(picked[0]) == -0.2
-
-
-def test_select_near_validation():
-    line = real_line()
-    with pytest.raises(InvalidInputError):
-        select_near(line, [0.0], [1.0], 5.0)  # a not in A
-    with pytest.raises(InvalidInputError):
-        select_near(line, [0.0], [1.0], 0.0, eps=0.0)
-
-
-def test_select_near_realizes_dist_to_set():
-    space = EuclideanSpace(2)
-    rng = np.random.default_rng(303)
-    for _ in range(300):
-        na, nb = rng.integers(1, 12, size=2)
-        A = as_finite_set(rng.uniform(-4.0, 4.0, size=(na, 2)), 2)
-        B = as_finite_set(rng.uniform(-4.0, 4.0, size=(nb, 2)), 2)
-        a = A[int(rng.integers(0, len(A)))]
-        b = select_near(space, A, B, a)
-        gap = dist_to_set(space, a, B)
-        assert space.distance(a, b) == gap
-        assert gap <= hausdorff(space, A, B) + 1e-12

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 import pytest
 
@@ -12,9 +10,6 @@ from coupled_fpi import (
     NotAVertexError,
     OrderGraph,
     PredicateGraph,
-    UnsupportedModeError,
-    is_path,
-    is_weakly_connected,
     product_edge,
     reverse_graph,
     symmetrize_graph,
@@ -79,19 +74,8 @@ def test_product_edge_componentwise_definition():
     assert reversal_matters > 0
 
 
-def test_is_path():
-    g = OrderGraph(1)
-    assert is_path(g, [0.0, 1.0, 2.0])
-    assert not is_path(g, [0.0, 2.0, 1.0])
-    assert is_path(g, [7.0])
-    with pytest.raises(InvalidInputError):
-        is_path(g, [])
-
-
 def test_finite_graph_basics():
-    g = FiniteGraph([0.0, 1.0, 0.0], edges=[(0.0, 1.0)])
-    assert g.extensional
-    assert len(g.vertices()) == 2  # duplicate collapsed
+    g = FiniteGraph([0.0, 1.0, 0.0], edges=[(0.0, 1.0)])  # duplicate listed twice
     assert g.has_edge(0.0, 0.0)  # auto loop
     assert g.has_edge(0.0, 1.0)
     assert not g.has_edge(1.0, 0.0)
@@ -101,22 +85,15 @@ def test_finite_graph_basics():
         FiniteGraph([])
 
 
-def test_finite_graph_edges_iteration_is_sorted():
-    g = FiniteGraph([0.0, 1.0, 2.0], edges=[(2.0, 0.0), (0.0, 2.0)])
-    listed = [(float(a[0]), float(b[0])) for a, b in g.edges()]
-    assert listed == sorted(listed)
-    assert (0.0, 0.0) in listed and (2.0, 0.0) in listed
-
-
 def test_reverse_and_symmetrize():
     g = FiniteGraph([0.0, 1.0], edges=[(0.0, 1.0)])
     r = reverse_graph(g)
     assert r.has_edge(1.0, 0.0) and not r.has_edge(0.0, 1.0)
     s = symmetrize_graph(g)
     assert s.has_edge(0.0, 1.0) and s.has_edge(1.0, 0.0)
-    assert r.extensional and s.extensional
-    assert sorted((float(a[0]), float(b[0])) for a, b in r.edges()) == [
-        (0.0, 0.0), (1.0, 0.0), (1.0, 1.0)]
+    assert r.has_edge(0.0, 0.0) and r.has_edge(1.0, 1.0)  # loops survive both
+    with pytest.raises(NotAVertexError):
+        r.has_edge(1.0, 5.0)
 
 
 def test_edge_mask_default_matches_has_edge():
@@ -141,52 +118,34 @@ def test_edge_mask_default_matches_has_edge():
         assert mask_calls == len(calls)
 
 
-def test_weak_connectivity_examples():
-    assert is_weakly_connected(FiniteGraph([0.0, 1.0], edges=[(0.0, 1.0)]))
-    assert not is_weakly_connected(FiniteGraph([0.0, 1.0]))
-    assert is_weakly_connected(
-        FiniteGraph([1.0, 2.0, 3.0], edges=[(1.0, 2.0), (3.0, 2.0)])
-    )
-    with pytest.raises(UnsupportedModeError):
-        is_weakly_connected(OrderGraph(1))
+def test_finite_graph_edge_tests_against_edge_set_oracle():
+    # Vertices are told apart by their bytes: duplicates collapse, 0.0 and
+    # -0.0 are two vertices, and a NaN vertex has its loop like any other.
+    g = FiniteGraph([0.0, -0.0, np.nan, 0.0], edges=[(0.0, np.nan)])
+    assert g.has_edge(np.nan, np.nan) and g.has_edge(-0.0, -0.0)
+    assert g.has_edge(0.0, np.nan) and not g.has_edge(-0.0, np.nan)
+    assert not g.has_edge(0.0, -0.0) and not g.has_edge(np.nan, 0.0)
+    with pytest.raises(NotAVertexError, match=r"^point array\(\[0\.5\]\) is not a vertex$"):
+        g.has_edge(0.0, 0.5)
+    with pytest.raises(NotAVertexError, match=r"^point array\(\[2\.\]\) is not a vertex$"):
+        FiniteGraph([0.0, 1.0], edges=[(0.0, 2.0)])  # an edge to an unlisted point
 
-
-def _bfs_connected(n: int, edges: set[tuple[int, int]]) -> bool:
-    adj: dict[int, set[int]] = {i: set() for i in range(n)}
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        cur = queue.popleft()
-        for nxt in adj[cur]:
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return len(seen) == n
-
-
-def test_weak_connectivity_against_bfs_oracle():
     rng = np.random.default_rng(206)
     for _ in range(200):
-        n = int(rng.integers(1, 51))
-        m = int(rng.integers(0, max(1, 2 * n)))
-        edges = set()
-        for _ in range(m):
-            a, b = int(rng.integers(0, n)), int(rng.integers(0, n))
-            edges.add((a, b))
-        g = FiniteGraph(
-            [float(i) for i in range(n)],
-            edges=[(float(a), float(b)) for a, b in edges],
-        )
-        assert is_weakly_connected(g) == _bfs_connected(n, edges)
-
-
-def test_intensional_graphs_refuse_enumeration():
-    g = OrderGraph(1)
-    assert not g.extensional
-    with pytest.raises(UnsupportedModeError):
-        g.vertices()
-    with pytest.raises(UnsupportedModeError):
-        list(g.edges())
+        n = int(rng.integers(1, 21))
+        values = [float(i) for i in range(n)] + [0.0, -0.0, np.nan]
+        listed = [values[i] for i in rng.integers(0, len(values), size=n + 3)]
+        verts = list({np.float64(v).tobytes(): v for v in listed}.values())
+        m = len(verts)
+        edges = {(int(a), int(b)) for a, b in rng.integers(0, m, size=(int(rng.integers(0, 2 * m)), 2))}
+        g = FiniteGraph(listed, edges=[(verts[a], verts[b]) for a, b in edges])
+        pairs = [(a, b) for a in range(m) for b in range(m)]
+        expected = [a == b or (a, b) in edges for a, b in pairs]
+        assert [g.has_edge(verts[a], verts[b]) for a, b in pairs] == expected
+        P = np.array([[verts[a]] for a, _ in pairs])
+        Q = np.array([[verts[b]] for _, b in pairs])
+        assert g.edge_mask(P, Q).tolist() == expected
+        with pytest.raises(NotAVertexError):
+            g.has_edge(verts[0], n + 0.5)
+        with pytest.raises(NotAVertexError):
+            FiniteGraph(listed, edges=[(verts[-1], n + 0.5)])

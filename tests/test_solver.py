@@ -36,7 +36,6 @@ from coupled_fpi import (
     diagonal_decay_check,
     dist_to_set,
     real_line,
-    safe_k,
     solve_coupled,
     solve_coupled_multi,
     step_bound,
@@ -103,14 +102,6 @@ def test_tail_bound_values():
     # tail equals the summed per-step bounds
     partial = sum(step_bound(0.4, 1.0, n) for n in range(5, 200))
     assert math.isclose(tail_bound(0.4, 1.0, 5), partial, rel_tol=1e-12)
-
-
-def test_safe_k():
-    assert safe_k(0.5) == 0.525
-    assert safe_k(0.0) == 1e-12
-    assert safe_k(2.0) == 1.0 - 1e-12
-    with pytest.raises(InvalidParameterError):
-        safe_k(-0.1)
 
 
 def test_sum_map_closed_form_iterates():

@@ -129,19 +129,6 @@ def test_short_axis_folds_match_the_reductions_bytewise():
             assert fold_last(np.logical_or, flags).tobytes() == flags.any(axis=2).tobytes()
 
 
-def test_pairwise_matches_scalar_bitwise():
-    rng = np.random.default_rng(103)
-    for space in _spaces():
-        d = space.dimension
-        P = rng.uniform(-5.0, 5.0, size=(7, d))
-        Q = rng.uniform(-5.0, 5.0, size=(11, d))
-        M = space.pairwise(P, Q)
-        assert M.shape == (7, 11)
-        for i in range(7):
-            for j in range(11):
-                assert M[i, j] == space.distance(P[i], Q[j])
-
-
 def test_callback_space_requires_callable():
     with pytest.raises(InvalidInputError):
         CallbackSpace(1, "not callable")
