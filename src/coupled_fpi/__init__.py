@@ -53,8 +53,6 @@ from .graphs import (
     OrderGraph,
     PredicateGraph,
     product_edge,
-    reverse_graph,
-    symmetrize_graph,
 )
 from .maps import LinearCoupledMap, SingletonMultiMap
 from .problem_spec import ProblemSpec, build_instance, parse_spec, serialize_spec
@@ -141,13 +139,11 @@ __all__ = [
     "preflight",
     "product_edge",
     "real_line",
-    "reverse_graph",
     "serialize_spec",
     "solve_coupled",
     "solve_coupled_multi",
     "solve_instance",
     "step_bound",
-    "symmetrize_graph",
     "tail_bound",
     "uniqueness_probe",
     "validate_k",

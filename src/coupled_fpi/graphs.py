@@ -162,45 +162,6 @@ class FiniteGraph(Digraph):
         return a == b or (a, b) in self._edges
 
 
-class ReversedGraph(Digraph):
-    """Adapter exposing the reversal of a base graph (edges flipped)."""
-
-    def __init__(self, base: Digraph):
-        super().__init__(base.dimension)
-        self._base = base
-
-    def has_edge(self, p: PointLike, q: PointLike) -> bool:
-        return self._base.has_edge(q, p)
-
-    def edge_mask(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-        return self._base.edge_mask(Q, P)
-
-
-class SymmetrizedGraph(Digraph):
-    """Adapter exposing the symmetrization (edge iff either direction)."""
-
-    def __init__(self, base: Digraph):
-        super().__init__(base.dimension)
-        self._base = base
-
-    def has_edge(self, p: PointLike, q: PointLike) -> bool:
-        return self._base.has_edge(p, q) or self._base.has_edge(q, p)
-
-    def edge_mask(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-        """Like ``has_edge``, tests a row's reverse only where its forward edge fails."""
-        mask = self._base.edge_mask(P, Q)
-        mask[~mask] = self._base.edge_mask(Q[~mask], P[~mask])
-        return mask
-
-
-def reverse_graph(g: Digraph) -> Digraph:
-    return ReversedGraph(g)
-
-
-def symmetrize_graph(g: Digraph) -> Digraph:
-    return SymmetrizedGraph(g)
-
-
 def product_edge(
     g: Digraph,
     pair_a: tuple[PointLike, PointLike],

@@ -14,11 +14,11 @@ with ``U`` from ``Generator.random``, the same bytes numpy's
   row kept.  ``edge_triples`` draws its free ``w`` after the pair;
   ``product_edge_pairs`` builds (x, u) first and (v, y) second, so the
   draw order is A_xu, B_xu, A_vy, B_vy.
-* Rejection: every other graph (``PredicateGraph``, ``FiniteGraph``,
-  the reversed/symmetrized adapters) and every point pool.  Draws happen
-  in fixed-size rounds in a fixed column order, get filtered by the edge
-  constraint, and accumulate until the requested count is reached or the
-  draw budget runs out; a short sample is returned as is.
+* Rejection: every other graph (``PredicateGraph``, ``FiniteGraph``)
+  and every point pool.  Draws happen in fixed-size rounds in a fixed
+  column order, get filtered by the edge constraint, and accumulate
+  until the requested count is reached or the draw budget runs out; a
+  short sample is returned as is.
 """
 
 from __future__ import annotations

@@ -11,8 +11,6 @@ from coupled_fpi import (
     OrderGraph,
     PredicateGraph,
     product_edge,
-    reverse_graph,
-    symmetrize_graph,
 )
 
 
@@ -85,17 +83,6 @@ def test_finite_graph_basics():
         FiniteGraph([])
 
 
-def test_reverse_and_symmetrize():
-    g = FiniteGraph([0.0, 1.0], edges=[(0.0, 1.0)])
-    r = reverse_graph(g)
-    assert r.has_edge(1.0, 0.0) and not r.has_edge(0.0, 1.0)
-    s = symmetrize_graph(g)
-    assert s.has_edge(0.0, 1.0) and s.has_edge(1.0, 0.0)
-    assert r.has_edge(0.0, 0.0) and r.has_edge(1.0, 1.0)  # loops survive both
-    with pytest.raises(NotAVertexError):
-        r.has_edge(1.0, 5.0)
-
-
 def test_edge_mask_default_matches_has_edge():
     calls = []
 
@@ -106,16 +93,14 @@ def test_edge_mask_default_matches_has_edge():
     rng = np.random.default_rng(205)
     P = rng.uniform(-3.0, 3.0, size=(200, 1))
     Q = rng.uniform(-3.0, 3.0, size=(200, 1))
-    for g in (PredicateGraph(1, pred), symmetrize_graph(PredicateGraph(1, pred))):
-        calls.clear()
-        mask = g.edge_mask(P, Q)
-        assert mask.dtype == bool
-        mask_calls = len(calls)
-        calls.clear()
-        for i in range(200):
-            assert mask[i] == g.has_edge(P[i], Q[i])
-        # a symmetrized graph tests a reverse edge only where the forward one fails
-        assert mask_calls == len(calls)
+    g = PredicateGraph(1, pred)
+    mask = g.edge_mask(P, Q)
+    assert mask.dtype == bool
+    mask_calls = len(calls)
+    calls.clear()
+    for i in range(200):
+        assert mask[i] == g.has_edge(P[i], Q[i])
+    assert mask_calls == len(calls)
 
 
 def test_finite_graph_edge_tests_against_edge_set_oracle():
