@@ -424,6 +424,7 @@ def build_sample_spec(spec: ProblemSpec, seed: int | None = None) -> SampleSpec:
         seed=seed,
         low=spec.sampler.low,
         high=spec.sampler.high,
+        points=spec.graph.vertices,
     )
 
 

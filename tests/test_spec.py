@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import pathlib
 
+import numpy as np
 import pytest
 
 from coupled_fpi import (
@@ -14,9 +15,11 @@ from coupled_fpi import (
     FullGraph,
     LinearCoupledMap,
     OrderGraph,
+    Sampler,
     SpecError,
     build_instance,
     parse_spec,
+    preflight,
     serialize_spec,
 )
 from coupled_fpi.problem_spec import (
@@ -204,7 +207,6 @@ def test_build_map():
     assert linear.a == 0.2 and linear.b == -0.1
     expr = build_map(parse_spec(doc()))
     assert isinstance(expr, ExpressionCoupledMap)
-    import numpy as np
     assert expr(np.array([0.0]), np.array([1.0]))[0] == 0.2
     multi = build_map(parse_spec(doc(
         map={"kind": "multi", "definition": ["-(x + y) / 5", "(x + y) / 5"]},
@@ -227,6 +229,30 @@ def test_build_sample_spec_seed_precedence():
     assert build_sample_spec(with_seed, seed=77).seed == 77
     assert build_sample_spec(no_seed, seed=77).seed == 77
     assert build_sample_spec(no_seed).count == 10_000
+
+
+def test_edge_list_checkers_draw_only_vertices(monkeypatch):
+    # Box points are never vertices of an edge_list graph, so its checkers
+    # sample the vertex list; order and full graphs keep the sampler box.
+    vertices = {0.0, 0.5, 1.0}
+    spec = parse_spec(doc(
+        graph={"kind": "edge_list", "vertices": sorted(vertices),
+               "edges": [[0.0, 0.5], [0.5, 1.0], [0.0, 1.0]]},
+        map={"kind": "single", "definition": "0.5 + 0 * (x + y)"},
+        k=0.5, solve={"mode": "property_star"}, sampler={"count": 500}))
+    drawn = []
+    box_draw = Sampler.draw
+
+    def recorded_draw(self, n):
+        drawn.append(box_draw(self, n))
+        return drawn[-1]
+
+    monkeypatch.setattr(Sampler, "draw", recorded_draw)
+    report = preflight(build_instance(spec), build_sample_spec(spec))
+    assert report.theorem_applicable == "thm_3_2", report.notes
+    assert drawn and set(np.concatenate(drawn).ravel()) <= vertices
+    for kind in ("order", "full"):
+        assert build_sample_spec(parse_spec(doc(graph={"kind": kind}))).points == ()
 
 
 def test_build_instance():
