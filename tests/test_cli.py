@@ -108,10 +108,11 @@ GOLDEN_CASES = [
     (SPEC_DIR, GOLDEN_DIR, "single_sum_fifth", EXIT_OK),
     (SPEC_DIR, GOLDEN_DIR, "single_projection_x", EXIT_PREFLIGHT_FAILED),
     (SPEC_DIR, GOLDEN_DIR, "multi_sum_fifth", EXIT_OK),
-    # hand-written corpus specs, kept out of specs/: an edge-list graph whose
-    # checks meet points it does not list, and Chebyshev d = 2 in property_star
-    (CORPUS_DIR, CORPUS_DIR, "edge_list_property_star", EXIT_PREFLIGHT_FAILED),
-    (CORPUS_DIR, CORPUS_DIR, "chebyshev_2d_property_star", EXIT_OK),
+] + [
+    # hand-written corpus specs, kept out of specs/; each expects the exit
+    # code its committed report records
+    (CORPUS_DIR, CORPUS_DIR, path.stem, read_report(CORPUS_DIR / path.stem)["exit_code"])
+    for path in sorted(CORPUS_DIR.glob("*.json"))
 ]
 
 
