@@ -148,7 +148,7 @@ def test_criterion_03_geometric_bound_suite():
 
 
 def test_criterion_04_hausdorff_oracle_equivalence():
-    from coupled_fpi import ChebyshevSpace, EuclideanSpace, FiniteSet
+    from coupled_fpi import EuclideanSpace, FiniteSet
 
     space = EuclideanSpace(2)
 
