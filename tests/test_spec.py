@@ -232,8 +232,8 @@ def test_build_sample_spec_seed_precedence():
 
 
 def test_edge_list_checkers_draw_only_vertices(monkeypatch):
-    # Box points are never vertices of an edge_list graph, so its checkers
-    # sample the vertex list; order and full graphs keep the sampler box.
+    # Box points are almost never vertices of an edge_list graph, so its
+    # checkers sample the vertex list; order and full graphs keep the box.
     vertices = {0.0, 0.5, 1.0}
     spec = parse_spec(doc(
         graph={"kind": "edge_list", "vertices": sorted(vertices),
@@ -241,10 +241,10 @@ def test_edge_list_checkers_draw_only_vertices(monkeypatch):
         map={"kind": "single", "definition": "0.5 + 0 * (x + y)"},
         k=0.5, solve={"mode": "property_star"}, sampler={"count": 500}))
     drawn = []
-    box_draw = Sampler.draw
+    draw = Sampler.draw
 
     def recorded_draw(self, n):
-        drawn.append(box_draw(self, n))
+        drawn.append(draw(self, n))
         return drawn[-1]
 
     monkeypatch.setattr(Sampler, "draw", recorded_draw)
