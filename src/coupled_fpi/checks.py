@@ -14,8 +14,8 @@ path and differ only in how they format witnesses.
 
 * Contraction (``MBL``; ``BL`` when m = 1) on product edges (see
   :func:`coupled_fpi.graphs.product_edge`): every point of F(x,y) lies
-  within (k/2)(d(x,u) + d(y,v)) of the set F(u,v), a max-min over
-  (n, m, m) distances.
+  within (k/2)(d(x,u) + d(y,v)) of the set F(u,v), a max-min
+  (:func:`coupled_fpi.finite_sets._excess`) over (n, m, m) distances.
 * Mixed monotonicity (``mixed_monotone_multi``; ``mixed_monotone`` when
   m = 1): edges in the first argument push forward through F, edges in
   the second argument push forward *reversed*.  Every point of the
@@ -37,7 +37,7 @@ from .errors import (
     InvalidParameterError,
     NonFiniteValueError,
 )
-from .finite_sets import _point_rows
+from .finite_sets import _excess, _pairs, _point_rows
 # Not used here; perfbench/tracer.py patches them under these names.
 from .finite_sets import as_finite_set, dist_to_set  # noqa: F401
 from .graphs import Digraph
@@ -165,15 +165,6 @@ def _images(fn: Callable, X: np.ndarray, Y: np.ndarray, dimension: int, multi: b
                      for s in sets])
 
 
-def _pairs(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every (A[i, j], B[i, l]) pair as two flat (n*m*mb, d) row arrays."""
-    n, m, d = A.shape
-    shape = (n, m, B.shape[1], d)
-    P = np.broadcast_to(A[:, :, None, :], shape).reshape(-1, d)
-    Q = np.broadcast_to(B[:, None, :, :], shape).reshape(-1, d)
-    return P, Q
-
-
 def _finalize(name, total, violations, count, seed, detail="", estimate=None):
     """A certificate whose witness list is capped at ``VIOLATION_CAP``."""
     return Certificate(
@@ -265,7 +256,7 @@ def _contraction_sample(fn: Callable, space: MetricSpace, graph: Digraph,
     X, Y, U, V = Sampler(sample, d).product_edge_pairs(graph)
     A = _images(fn, X, Y, d, multi)
     B = _images(fn, U, V, d, multi)
-    lhs = fold_last(np.minimum, space.distance_batch(*_pairs(A, B)).reshape(*A.shape[:2], -1))
+    lhs = _excess(space, A, B)
     den = space.distance_batch(X, U) + space.distance_batch(Y, V)
     return (X, Y, U, V), A, lhs, den
 

@@ -17,6 +17,7 @@ from coupled_fpi import (
     PredicateGraph,
     ProblemInstance,
     SampleSpec,
+    SingletonMultiMap,
     SolveConfig,
     build_instance,
     check_property_star,
@@ -194,7 +195,7 @@ def test_preflight_certifies_continuous_multi_instance():
     assert report.theorem_applicable == "thm_4_1"
     assert report.certificate("mixed_monotone_multi").passed
     assert report.certificate("MBL").passed
-    assert any("accepted without spot check" in n for n in report.notes)
+    assert any("continuity asserted; spot check found no violation" in n for n in report.notes)
 
 
 def test_preflight_noncontinuous_single_checks_limit_edges():
@@ -254,6 +255,62 @@ def test_preflight_falsifies_asserted_continuity():
     report = preflight(inst, pool)
     assert report.theorem_applicable == "none"
     assert any("continuity spot check FAILED" in n for n in report.notes)
+
+
+@pytest.mark.parametrize("rng_seed", [46, 61, 101, 108])
+def test_continuity_probe_has_a_direction_on_a_vertex_pool(rng_seed):
+    # a pool with a vertex at 0: drawn from the pool, every approach
+    # direction at these seeds was 0 and the probe compared F(a, b) with
+    # itself; the unit-box directions, probed on both sides, see the
+    # jump at 0.5 whatever their sign
+    def step_map(x, y):
+        return 0.3 if float(np.asarray(x).reshape(-1)[0]) < 0.5 else 0.2
+
+    pool = SampleSpec(count=64, seed=rng_seed, points=((0.0,), (0.5,), (1.0,)))
+    inst = single_instance(FullGraph(1), x0=0.0, y0=1.0, fn=step_map, k=0.5)
+    report = preflight(inst, pool)
+    assert report.theorem_applicable == "none"
+    assert any(n.startswith("continuity spot check FAILED near 0.5") for n in report.notes)
+
+
+def _split(x, y):
+    s = (float(np.asarray(x).reshape(-1)[0]) + float(np.asarray(y).reshape(-1)[0])) / 5.0
+    return float(np.asarray(x).reshape(-1)[0]), s
+
+
+@pytest.mark.parametrize("fn, note", [
+    # one image point jumps by 1 as x crosses 1
+    (lambda x, y: [_split(x, y)[1], _split(x, y)[1] + (_split(x, y)[0] >= 1.0)],
+     "continuity spot check FAILED near 1.0: jump 1.0"),
+    # the two image points swap places at x = 1: the set does not move
+    (lambda x, y: [_split(x, y)[1], -_split(x, y)[1]][::1 if _split(x, y)[0] < 1.0 else -1],
+     "continuity asserted; spot check found no violation"),
+    # NaN at every anchor: the note names the first one drawn
+    (lambda x, y: [_split(x, y)[1], np.nan], "continuity spot check FAILED near 2.0: jump nan"),
+], ids=["jump", "permuted", "nan"])
+def test_multivalued_continuity_spot_check(fn, note):
+    # the anchors drawn from this pool are (2, 1), (2, 2) and (1, 2)
+    pool = SampleSpec(count=64, seed=9, points=((1.0,), (2.0,)))
+    inst = ProblemInstance(kind="multi", space=LINE, graph=FullGraph(1), map=fn, k=2.0 / 3.0,
+                           x0=1.0, y0=2.0, x1=0.6, y1=0.6)
+    notes = [n for n in preflight(inst, pool).notes if n.startswith("continuity")]
+    assert len(notes) == 1 and notes[0].startswith(note)
+
+
+@pytest.mark.parametrize("fn, note", [
+    (sum_fifth, "continuity asserted; spot check found no violation"),
+    (lambda x, y: 0.3 if float(np.asarray(x)[0]) < 1.0 else 0.2,
+     "continuity spot check FAILED near 1.0: jump 0.0999"),
+], ids=["continuous", "step"])
+def test_singleton_multimap_gets_the_single_valued_continuity_note(fn, note):
+    pool = SampleSpec(count=64, seed=9, points=((1.0,), (2.0,)))
+    single = single_instance(FullGraph(1), x0=1.0, y0=2.0, fn=fn, k=2.0 / 3.0)
+    x1, y1 = fn(np.array([1.0]), np.array([2.0])), fn(np.array([2.0]), np.array([1.0]))
+    multi = ProblemInstance(kind="multi", space=LINE, graph=FullGraph(1), map=SingletonMultiMap(fn),
+                            k=2.0 / 3.0, x0=1.0, y0=2.0, x1=x1, y1=y1)
+    notes = [[n for n in preflight(inst, pool).notes if n.startswith("continuity")]
+             for inst in (single, multi)]
+    assert notes[0] == notes[1] and len(notes[0]) == 1 and notes[0][0].startswith(note)
 
 
 def test_preflight_flags_non_member_seed_iterate():
