@@ -229,20 +229,23 @@ def solve_instance(
 
 
 def _spot_check_continuity(instance: ProblemInstance, sample: SampleSpec, notes: list[str]) -> bool:
-    """Compare F at three sampled anchors p = (a, b) with F at p +- 2^-48 (u, u),
-    u drawn from the unit box, in Hausdorff distance (a single-valued map is
-    the one-point case).  A continuous map closes that gap; a jump at the
-    anchor, from either side, cannot.  Returns False only when a gap above
-    tolerance (or NaN) was actually observed.
+    """Compare F at three sampled anchors (a, b) with F just beside them, in
+    Hausdorff distance (a single-valued map is the one-point case).  The
+    probes sit at p +- 2^-48 u max(1, |p|) for p = a and p = b, with u drawn
+    from the unit box; scaled by |p|, the step survives rounding.  A
+    continuous map closes the gap; a jump at the anchor, from either side,
+    cannot.  Returns False only when a gap above tolerance (or NaN) was
+    actually observed.
     """
     d, multi, space = instance.space.dimension, instance.kind == "multi", instance.space
     sampler = Sampler(replace(sample, count=3, seed=sample.seed + 1), d)
     anchors, partners = sampler.draw(3), sampler.draw(3)
-    step = 2.0 ** -48 * Sampler(SampleSpec(count=3, seed=sample.seed + 1), d).draw(3)
+    u = 2.0 ** -48 * Sampler(SampleSpec(count=3, seed=sample.seed + 1), d).draw(3)
+    beside = [np.vstack([p + u * np.maximum(1.0, abs(p)), p - u * np.maximum(1.0, abs(p))])
+              for p in (anchors, partners)]
     try:
         base = np.tile(_images(instance.map, anchors, partners, d, multi), (2, 1, 1))
-        near = _images(instance.map, np.vstack([anchors + step, anchors - step]),
-                       np.vstack([partners + step, partners - step]), d, multi)
+        near = _images(instance.map, *beside, d, multi)
     except CoupledFpiError as exc:
         notes.append(f"continuity spot check skipped: {exc}")
         return True

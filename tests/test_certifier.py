@@ -257,36 +257,40 @@ def test_preflight_falsifies_asserted_continuity():
     assert any("continuity spot check FAILED" in n for n in report.notes)
 
 
+@pytest.mark.parametrize("scale", [1.0, 100.0])
 @pytest.mark.parametrize("rng_seed", [46, 61, 101, 108])
-def test_continuity_probe_has_a_direction_on_a_vertex_pool(rng_seed):
-    # a pool with a vertex at 0: drawn from the pool, every approach
-    # direction at these seeds was 0 and the probe compared F(a, b) with
-    # itself; the unit-box directions, probed on both sides, see the
-    # jump at 0.5 whatever their sign
+def test_continuity_probe_has_a_direction_on_a_vertex_pool(rng_seed, scale):
+    # at these seeds a direction drawn from the pool would be 0 every
+    # time; unit-box directions, probed on both sides, see the jump in
+    # the middle vertex, and at scale 100 only a step scaled by the
+    # anchor survives rounding there
     def step_map(x, y):
-        return 0.3 if float(np.asarray(x).reshape(-1)[0]) < 0.5 else 0.2
+        return 0.3 if float(np.asarray(x).reshape(-1)[0]) < 0.5 * scale else 0.2
 
-    pool = SampleSpec(count=64, seed=rng_seed, points=((0.0,), (0.5,), (1.0,)))
-    inst = single_instance(FullGraph(1), x0=0.0, y0=1.0, fn=step_map, k=0.5)
+    pool = SampleSpec(count=64, seed=rng_seed, points=((0.0,), (0.5 * scale,), (scale,)))
+    inst = single_instance(FullGraph(1), x0=0.0, y0=scale, fn=step_map, k=0.5)
     report = preflight(inst, pool)
     assert report.theorem_applicable == "none"
-    assert any(n.startswith("continuity spot check FAILED near 0.5") for n in report.notes)
+    assert any(n.startswith(f"continuity spot check FAILED near {0.5 * scale!r}")
+               for n in report.notes)
 
 
-def _split(x, y):
-    s = (float(np.asarray(x).reshape(-1)[0]) + float(np.asarray(y).reshape(-1)[0])) / 5.0
-    return float(np.asarray(x).reshape(-1)[0]), s
+def _multimap(image):
+    """The multimap (x, y) -> image(x, (x + y) / 5) on the line."""
+    def fn(x, y):
+        x, y = float(np.asarray(x)[0]), float(np.asarray(y)[0])
+        return image(x, (x + y) / 5.0)
+    return fn
 
 
 @pytest.mark.parametrize("fn, note", [
     # one image point jumps by 1 as x crosses 1
-    (lambda x, y: [_split(x, y)[1], _split(x, y)[1] + (_split(x, y)[0] >= 1.0)],
-     "continuity spot check FAILED near 1.0: jump 1.0"),
+    (_multimap(lambda x, s: [s, s + (x >= 1.0)]), "continuity spot check FAILED near 1.0: jump 1.0"),
     # the two image points swap places at x = 1: the set does not move
-    (lambda x, y: [_split(x, y)[1], -_split(x, y)[1]][::1 if _split(x, y)[0] < 1.0 else -1],
+    (_multimap(lambda x, s: [s, -s] if x < 1.0 else [-s, s]),
      "continuity asserted; spot check found no violation"),
     # NaN at every anchor: the note names the first one drawn
-    (lambda x, y: [_split(x, y)[1], np.nan], "continuity spot check FAILED near 2.0: jump nan"),
+    (_multimap(lambda x, s: [s, np.nan]), "continuity spot check FAILED near 2.0: jump nan"),
 ], ids=["jump", "permuted", "nan"])
 def test_multivalued_continuity_spot_check(fn, note):
     # the anchors drawn from this pool are (2, 1), (2, 2) and (1, 2)
