@@ -40,7 +40,7 @@ from .checks import (
     check_mixed_monotone_multi,
 )
 from .errors import CoupledFpiError, InvalidInputError, InvalidParameterError
-from .finite_sets import _excess
+from .finite_sets import _gaps
 # Not used here; perfbench/tracer.py patches them under these names.
 from .checks import estimate_k  # noqa: F401
 from .finite_sets import as_finite_set, dist_to_set  # noqa: F401
@@ -249,8 +249,7 @@ def _spot_check_continuity(instance: ProblemInstance, sample: SampleSpec, notes:
     except CoupledFpiError as exc:
         notes.append(f"continuity spot check skipped: {exc}")
         return True
-    gap = np.maximum(_excess(space, base, near).max(axis=1), _excess(space, near, base).max(axis=1))
-    gap = gap.reshape(2, 3).max(axis=0)  # each anchor's larger side
+    gap = _gaps(space, base, near).reshape(2, 3).max(axis=0)  # each anchor's larger side
     bad = np.flatnonzero(~(gap <= _CONTINUITY_TOL))
     if bad.size:
         notes.append("continuity spot check FAILED near "

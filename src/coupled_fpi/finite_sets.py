@@ -4,7 +4,8 @@ Multivalued maps in this package take values in nonempty finite point
 sets, so every infimum below is a minimum, computed exactly.  (Finite
 sets are compact, hence closed and bounded; nothing here needs the
 distinction.)  Every point-to-set distance in the package, here and in
-the checkers and the certifier, is one :func:`_excess` reduction.
+the checkers and the certifier, is one :func:`_excess` reduction (both
+directions at once in :func:`_gaps`).
 """
 
 from __future__ import annotations
@@ -111,11 +112,25 @@ def _pairs(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return P, Q
 
 
+def _distances(space: MetricSpace, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """(n, m, mb) distances d(A[i, j], B[i, l]) for (n, m, d) and (n, mb, d) arrays."""
+    n, m = A.shape[:2]
+    return space.distance_batch(*_pairs(A, B)).reshape(n, m, -1)
+
+
 def _excess(space: MetricSpace, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """(n, m) distance of each point A[i, j] to the set B[i], for (n, m, d)
     and (n, mb, d) arrays; NaN where one of its distances is NaN."""
-    n, m = A.shape[:2]
-    return fold_last(np.minimum, space.distance_batch(*_pairs(A, B)).reshape(n, m, -1))
+    return fold_last(np.minimum, _distances(space, A, B))
+
+
+def _gaps(space: MetricSpace, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """(n,) Pompeiu-Hausdorff distance between the sets A[i] and B[i]: the
+    larger of the two directed excesses, both reduced from one distance
+    array (a metric is symmetric); NaN where one of the distances is NaN."""
+    D = _distances(space, A, B)
+    return np.maximum(fold_last(np.minimum, D).max(axis=1),
+                      fold_last(np.minimum, D.swapaxes(1, 2)).max(axis=1))
 
 
 def dist_to_set(space: MetricSpace, a: PointLike, B: FiniteSetLike) -> float:
@@ -128,4 +143,4 @@ def hausdorff(space: MetricSpace, A: FiniteSetLike, B: FiniteSetLike) -> float:
     """Pompeiu-Hausdorff distance between finite sets: the larger of the
     directed excesses max_a min_b d(a,b) and max_b min_a d(a,b)."""
     A, B = (_point_rows(Z, space.dimension)[None] for Z in (A, B))
-    return float(max(_excess(space, A, B).max(), _excess(space, B, A).max()))
+    return float(_gaps(space, A, B)[0])
