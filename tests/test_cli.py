@@ -225,6 +225,22 @@ def test_infinite_sampler_box_exits_error(tmp_path, capsys):
     assert "invalid spec: sampler.high - sampler.low must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("definition", [
+    " + ".join(f"x / {k}" for k in range(2000, 1001, -1)) + " - y / 5",
+    "(" * 250 + "x + y" + ")" * 250 + " / 5",
+], ids=["1000-term-chain", "250-parentheses"])
+def test_too_deep_expression_exits_error(tmp_path, capsys, definition):
+    # Deeper than the nesting limit: an input error with a position, not a RecursionError.
+    spec = json.loads(pathlib.Path(SINGLE).read_text())
+    spec["map"]["definition"] = definition
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(spec))
+    assert main(["solve", str(path), "--out-dir", str(tmp_path / "run"), "--quiet"]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert "invalid spec: map.definition: expression nests more than 100 levels deep (at position" in err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("mode", ["continuous", "property_star"])
 def test_inverted_sampler_box_exits_error_in_both_modes(tmp_path, capsys, mode):
     spec = json.loads(pathlib.Path(SINGLE).read_text())

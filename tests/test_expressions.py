@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -169,7 +171,7 @@ def test_eval_batch_is_bitwise_per_point_on_random_trees():
         multi = ExpressionMultiMap(points, dimension=d)
         single = [ExpressionCoupledMap(p, dimension=d) for p in points]
         rows = multi._kernel.rows
-        n = int(rng.choice([0, 1, 2, rows + 3]))
+        n = int(rng.choice([0, 1, 2, 8, 9, rows + 3]))
         X = rng.choice([0.0, -0.0, 1.0, -2.5], size=(n, d)) * (rng.random((n, d)) < 0.3) \
             + rng.normal(size=(n, d)) * (rng.random((n, d)) < 0.7)
         Y = X[::-1] * rng.choice([1.0, -1.0])
@@ -183,3 +185,122 @@ def test_eval_batch_is_bitwise_per_point_on_random_trees():
                 assert np.array(multi(X[i], Y[i])).tobytes() == want.tobytes()
             if m == 1:
                 assert single[0].eval_batch(X, Y).tobytes() == images[:, 0].tobytes()
+            if n <= 8:
+                # the same rows on the numpy path, inside a batch of more than 8 rows
+                pad = rng.normal(size=(9, d))
+                batch = multi.eval_batch(np.vstack([X, pad]), np.vstack([Y, pad]))
+                assert _same_bits(images, batch[:n]), (points, n)
+        # the generated text names only the arguments and the numbers
+        for c in (c for point in multi.points for c in point):
+            allowed = {"lambda", *(f"{v}{i}" for v in "xy" for i in range(1, d + 1)),
+                       *(f"c{i}" for i in range(len(c.numbers)))}
+            assert set(re.findall(r"[A-Za-z_]\w*", c.form)) <= allowed, c.form
+
+
+def _same_bits(a, b):
+    """Equal bytes, except that any NaN matches any NaN: numpy itself gives a
+    NaN of either sign, by the array position (vector body or remainder)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(np.isnan(a), np.isnan(b)) and \
+        np.where(np.isnan(a), 0.0, a).tobytes() == np.where(np.isnan(b), 0.0, b).tobytes()
+
+
+def test_point_path_matches_numpy_path_on_edge_cases():
+    # A point and a few rows run on Python floats, which raise ZeroDivisionError
+    # where numpy gives inf or NaN; such a call falls back to numpy.  Every
+    # value has the numpy path's bits.
+    values = [0.0, -0.0, 1.0, -2.5, 1e308, np.inf, -np.inf, np.nan]
+    X, Y = (v.reshape(-1, 1) for v in np.meshgrid(values, values))
+    cases = ["x / 0", "0 / 0", "x / -0.0", "x / y", "y / x", "(x - x) / (y - y)", "1 / 0",
+             "1 / 0 + x", "1e999", "1e999 - x", "--x", "-x + y", "x - (y - 1)",
+             "x / (y / 2)", "x * y", "x * 1e308 - y"]
+    with np.errstate(over="ignore"):
+        for source in cases:
+            fn = ExpressionCoupledMap([source])
+            batch = fn.eval_batch(X, Y)  # 64 rows: the numpy path
+            for i in range(len(X)):
+                assert _same_bits(fn(X[i], Y[i]), batch[i]), (source, X[i], Y[i])
+            for size in (1, 2, 8):
+                for a in range(0, len(X), size):
+                    assert _same_bits(fn.eval_batch(X[a:a + size], Y[a:a + size]),
+                                      batch[a:a + size]), (source, a, size)
+        multi = ExpressionMultiMap([["x / y"], ["x - (y - 1)"], ["1 / 0"], ["--x"]])
+        images = multi.eval_batch(X, Y)
+        for i in range(len(X)):
+            assert _same_bits(np.array(multi(X[i], Y[i])), images[i])
+            assert _same_bits(multi.eval_batch(X[i:i + 2], Y[i:i + 2]), images[i:i + 2])
+    fn = ExpressionCoupledMap(["x / y"])
+    assert fn(np.array([-1.0]), np.array([-0.0]))[0] == np.inf
+    assert np.isnan(fn(np.array([0.0]), np.array([0.0]))[0])
+
+
+@pytest.mark.parametrize("source, body", [
+    ("x + y + 1", "x1 + y1 + c0"),
+    ("x + (y + 1)", "x1 + (y1 + c0)"),
+    ("x - (y - 1)", "x1 - (y1 - c0)"),
+    ("x / (y / 2)", "x1 / (y1 / c0)"),
+    ("2 * 3 / x", "c0 * c1 / x1"),
+    ("(x + y) * 2", "(x1 + y1) * c0"),
+    ("x + y * 2", "x1 + y1 * c0"),
+    ("((x)) * -(y - 1)", "x1 * -(y1 - c0)"),
+    ("--x", "--x1"),
+    ("-(-(x))", "--x1"),
+])
+def test_generated_text_keeps_the_operations_in_order(source, body):
+    compiled = compile_expression(source)
+    params = ", ".join(["x1", "y1", *(f"c{i}" for i in range(len(compiled.numbers)))])
+    assert compiled.form == f"lambda {params}: {body}"
+
+
+def test_forms_share_one_compiled_function():
+    a, b = (ExpressionCoupledMap([src]).components[0] for src in ("2 * x + 1", "0.5 * x1 + 7e3"))
+    assert a.form == b.form == "lambda x1, y1, c0, c1: c0 * x1 + c1"
+    assert a.fn is b.fn
+    assert a.floats == (2.0, 1.0) and b.floats == (0.5, 7000.0)
+    assert all(type(v) is float for v in a.floats)
+    c = compile_expression("x1 * x2", dimension=2)
+    assert c.form == "lambda x1, x2, y1, y2: x1 * x2" and c.fn is not a.fn
+
+
+@pytest.mark.parametrize("source", ["__import__", "__import__('os')", "x1.real", "(lambda: 0)",
+                                    "x if y else 1", "x ** 2", "x; y"])
+def test_only_grammar_names_reach_the_generator(source):
+    with pytest.raises(ExpressionError):
+        compile_expression(source)
+
+
+def test_compiled_expression_on_a_numpy_env():
+    # only the variables used, numpy values in and out, no warning
+    out = compile_expression("x / y")({"x": np.array([1.0, 0.0]), "y": np.array([0.0, 0.0])})
+    assert isinstance(out, np.ndarray) and np.isinf(out[0]) and np.isnan(out[1])
+    value = compile_expression("x2 * 2 - y1", dimension=2)({"x2": np.float64(3.0), "y1": np.float64(1.0)})
+    assert type(value) is np.float64 and value == 5.0
+    assert compile_expression("x1 - y")({"x1": np.float64(1.0), "y": np.float64(0.5)}) == 0.5
+
+
+def test_nesting_limit():
+    # 100 levels (each operator and each pair of parentheses is one) evaluate
+    # as the plain left-to-right arithmetic; one more level is an
+    # ExpressionError at the operator or parenthesis whose level passes it.
+    x, y = np.float64(0.7), np.float64(-1.3)
+    chain = " + ".join(f"x / {k}" for k in range(2, 102))
+    want_chain = x / np.float64(2)
+    for k in range(3, 102):
+        want_chain = want_chain + x / np.float64(k)
+    nested, want_nested = "y", y
+    for level in range(50):
+        nested = f"x - ({nested})" if level % 2 else f"y / ({nested})"
+        want_nested = x - want_nested if level % 2 else y / want_nested
+    cases = [(chain, want_chain), (nested, want_nested), ("(" * 99 + "x + y" + ")" * 99, x + y),
+             ("-" * 100 + "x", x), ("-" * 99 + "x", -x)]
+    X, Y = np.full((12, 1), x), np.full((12, 1), y)
+    for source, want in cases:
+        fn = ExpressionCoupledMap([source])
+        assert fn(x, y).tobytes() == np.array([want]).tobytes(), source[:40]
+        assert fn.eval_batch(X, Y).tobytes() == np.full((12, 1), want).tobytes(), source[:40]
+    too_deep = [(chain + " + x", len(chain) + 1), ("(" * 100 + "x + y" + ")" * 100, 0), ("(" * 101 + "x" + ")" * 101, 100),
+                ("-" * 101 + "x", 100), ("x - (" + nested + ")", 4)]
+    for source, position in too_deep:
+        with pytest.raises(ExpressionError, match="nests more than 100 levels deep") as err:
+            compile_expression(source)
+        assert err.value.position == position, source[:40]
