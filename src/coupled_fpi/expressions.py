@@ -243,12 +243,12 @@ class _PointKernel:
     """(n, m, d) values of m point maps, given by their compiled components,
     on (n, d) rows.  A few rows (``_POINT_ROWS``, ``_POINT_VALUES``) run on
     Python floats, and a division by zero hands them to numpy, which gives
-    its inf or NaN.  On
-    numpy, components of one form run as one (g, rows) expression with
-    (g, 1) number columns and go out in one indexed write; a component
-    alone in its form writes its own column.  Both paths do the same IEEE
-    operations in the same order, so each value has the same bits (a NaN's
-    sign and payload aside, which numpy itself varies by array position).
+    its inf or NaN.  On numpy, components of one form run as one (g, rows)
+    expression with (g, 1) number columns and go out in one indexed write;
+    a component alone in its form writes its own column.  Both paths do the
+    same IEEE operations in the same order, so each value has the same bits
+    (a NaN's sign and payload aside, which numpy itself varies by array
+    position).
     """
 
     def __init__(self, points, dimension: int):
