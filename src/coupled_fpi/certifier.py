@@ -56,8 +56,6 @@ from .solver import (
 )
 from .spaces import MetricSpace, PointLike, as_point
 
-THEOREM_LEVELS = ("thm_3_1", "thm_3_2", "thm_4_1", "thm_4_2", "none")
-
 # Trial-trace length for the property_star path and the continuity spot
 # check; long enough to exercise the edge chain, short enough to stay
 # cheap even for slow user maps.
@@ -259,12 +257,22 @@ def _spot_check_continuity(instance: ProblemInstance, sample: SampleSpec, notes:
     return True
 
 
-def _note_shortfall(cert: Certificate, requested: int, notes: list[str]) -> None:
-    """Say so when rejection ran out of draws before the requested count."""
+def _run_check(what: str, check: Callable, args: tuple, requested: int,
+               certs: list[Certificate], notes: list[str]) -> bool:
+    """Run one checker and keep its certificate; note an abort, and a sample
+    that rejection ran out of draws for before *requested*.  Returns whether
+    the check ran and passed."""
+    try:
+        cert = check(*args)
+    except CoupledFpiError as exc:
+        notes.append(f"{what} check aborted: {exc}")
+        return False
+    certs.append(cert)
     if cert.samples_tested < requested:
         notes.append(
             f"{cert.property_name} tested {cert.samples_tested} of {requested} requested samples"
         )
+    return cert.passed
 
 
 def preflight(instance: ProblemInstance, sample: SampleSpec) -> HypothesisReport:
@@ -289,25 +297,13 @@ def preflight(instance: ProblemInstance, sample: SampleSpec) -> HypothesisReport
         notes.append("seed edge condition FAILED")
 
     single = instance.kind == "single"
-    try:
-        check = check_mixed_monotone if single else check_mixed_monotone_multi
-        mono = check(instance.map, instance.graph, sample)
-        certs.append(mono)
-        _note_shortfall(mono, 2 * sample.count, notes)  # one sample per clause
-        mono_ok = mono.passed
-    except CoupledFpiError as exc:
-        notes.append(f"monotonicity check aborted: {exc}")
-        mono_ok = False
-
-    try:
-        check = check_bl if single else check_mbl
-        bound_cert = check(instance.map, instance.space, instance.graph, instance.k, sample)
-        certs.append(bound_cert)
-        _note_shortfall(bound_cert, sample.count, notes)
-        bound_ok = bound_cert.passed
-    except CoupledFpiError as exc:
-        notes.append(f"contraction check aborted: {exc}")
-        bound_ok = False
+    mono = check_mixed_monotone if single else check_mixed_monotone_multi
+    mono_ok = _run_check("monotonicity", mono, (instance.map, instance.graph, sample),
+                         2 * sample.count, certs, notes)  # one sample per clause
+    bound = check_bl if single else check_mbl
+    bound_ok = _run_check("contraction", bound,
+                          (instance.map, instance.space, instance.graph, instance.k, sample),
+                          sample.count, certs, notes)
 
     limit_mode_ok = True
     if instance.continuous:

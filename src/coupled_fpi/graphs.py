@@ -177,3 +177,10 @@ def product_edge(
     u, v = pair_b
     return g.has_edge(x, u) and g.has_edge(v, y)
 
+
+def product_edge_mask(g: Digraph, X: np.ndarray, Y: np.ndarray, U: np.ndarray,
+                      V: np.ndarray) -> np.ndarray:
+    """Rowwise :func:`product_edge` from (X, Y) to (U, V) over (n, d) arrays:
+    ``edge_mask(X, U)`` then ``edge_mask(V, Y)``, both on every row."""
+    return g.edge_mask(X, U) & g.edge_mask(V, Y)
+

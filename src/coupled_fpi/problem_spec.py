@@ -141,12 +141,20 @@ def _as_point_tuple(value, dimension: int, where: str) -> tuple:
     return pt
 
 
-def _parse_space(doc, where="space") -> SpaceSpec:
+def _section(doc, where: str, kinds: tuple = ()) -> Any:
+    """Check that the section *doc* is an object and, when *kinds* is given,
+    that its required ``kind`` is one of them; returns that kind."""
     if not isinstance(doc, dict):
         raise SpecError(f"{where} must be an object")
-    kind = _require(doc, "kind", where)
-    if kind not in SPACE_KINDS:
-        raise SpecError(f"{where}.kind must be one of {SPACE_KINDS}, got {kind!r}")
+    if kinds:
+        kind = _require(doc, "kind", where)
+        if kind not in kinds:
+            raise SpecError(f"{where}.kind must be one of {kinds}, got {kind!r}")
+        return kind
+
+
+def _parse_space(doc, where="space") -> SpaceSpec:
+    kind = _section(doc, where, SPACE_KINDS)
     dim = _as_int(_require(doc, "dimension", where), f"{where}.dimension")
     if dim < 1:
         raise SpecError(f"{where}.dimension must be a positive integer, got {dim}")
@@ -154,11 +162,7 @@ def _parse_space(doc, where="space") -> SpaceSpec:
 
 
 def _parse_graph(doc, dimension: int, where="graph") -> GraphSpec:
-    if not isinstance(doc, dict):
-        raise SpecError(f"{where} must be an object")
-    kind = _require(doc, "kind", where)
-    if kind not in GRAPH_KINDS:
-        raise SpecError(f"{where}.kind must be one of {GRAPH_KINDS}, got {kind!r}")
+    kind = _section(doc, where, GRAPH_KINDS)
     if kind != "edge_list":
         return GraphSpec(kind=kind)
     verts = _require(doc, "vertices", where)
@@ -199,11 +203,7 @@ def _component_expressions(defn, dimension: int, where: str) -> tuple[str, ...]:
 
 
 def _parse_map(doc, dimension: int, where="map") -> MapSpec:
-    if not isinstance(doc, dict):
-        raise SpecError(f"{where} must be an object")
-    kind = _require(doc, "kind", where)
-    if kind not in MAP_KINDS:
-        raise SpecError(f"{where}.kind must be one of {MAP_KINDS}, got {kind!r}")
+    kind = _section(doc, where, MAP_KINDS)
     defn = _require(doc, "definition", where)
     if kind == "single":
         if isinstance(defn, dict):
@@ -236,8 +236,7 @@ def _parse_map(doc, dimension: int, where="map") -> MapSpec:
 
 
 def _parse_seed(doc, dimension: int, multi: bool, where="seed") -> SeedSpec:
-    if not isinstance(doc, dict):
-        raise SpecError(f"{where} must be an object")
+    _section(doc, where)
     x0 = _as_point_tuple(_require(doc, "x0", where), dimension, f"{where}.x0")
     y0 = _as_point_tuple(_require(doc, "y0", where), dimension, f"{where}.y0")
     if not multi:
@@ -253,8 +252,7 @@ def _parse_seed(doc, dimension: int, multi: bool, where="seed") -> SeedSpec:
 def _parse_solve(doc, where="solve") -> SolveSpec:
     if doc is None:
         return SolveSpec()
-    if not isinstance(doc, dict):
-        raise SpecError(f"{where} must be an object")
+    _section(doc, where)
     out = SolveSpec(
         tol=_as_number(doc.get("tol", SolveSpec.tol), f"{where}.tol"),
         max_iter=_as_int(doc.get("max_iter", SolveSpec.max_iter), f"{where}.max_iter"),
@@ -274,8 +272,7 @@ def _parse_solve(doc, where="solve") -> SolveSpec:
 def _parse_sampler(doc, dimension: int, where="sampler") -> SamplerSpec:
     if doc is None:
         return SamplerSpec()
-    if not isinstance(doc, dict):
-        raise SpecError(f"{where} must be an object")
+    _section(doc, where)
 
     def bound(key, default):
         val = doc.get(key, default)

@@ -28,9 +28,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InsufficientSamplesError, InvalidInputError, InvalidParameterError
-from .graphs import Digraph
-from .spaces import as_point
+from .errors import InsufficientSamplesError, InvalidInputError
+from .graphs import Digraph, product_edge_mask
+from .spaces import _check_int, as_point
 
 # Per-round batch size and the cap on total draws, as multiples of the
 # requested count.  The cap is what turns an (almost) empty edge set into
@@ -56,10 +56,8 @@ class SampleSpec:
     points: tuple = ()
 
     def __post_init__(self):
-        if not isinstance(self.count, int) or isinstance(self.count, bool) or self.count < 1:
-            raise InvalidParameterError(f"sample count must be a positive integer, got {self.count!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
-            raise InvalidParameterError(f"rng seed must be a nonnegative integer, got {self.seed!r}")
+        _check_int(self.count, "sample count", 1)
+        _check_int(self.seed, "rng seed", 0)
 
 
 class Sampler:
@@ -152,7 +150,5 @@ class Sampler:
         if xu is not None:
             (X, U), (V, Y) = xu, self._construct(graph)
             return X, Y, U, V
-        X, Y, U, V = self._filtered(
-            4, lambda c: graph.edge_mask(c[0], c[2]) & graph.edge_mask(c[3], c[1])
-        )
+        X, Y, U, V = self._filtered(4, lambda c: product_edge_mask(graph, *c))
         return X, Y, U, V

@@ -63,8 +63,8 @@ from .errors import (
 from .finite_sets import FiniteSetLike, _point_rows, dist_to_set
 # as_finite_set is not used here; perfbench/tracer.py patches it under this name.
 from .finite_sets import as_finite_set  # noqa: F401
-from .graphs import Digraph, product_edge
-from .spaces import MetricSpace, PointLike, as_point
+from .graphs import Digraph, product_edge, product_edge_mask
+from .spaces import MetricSpace, PointLike, _check_int, as_point
 
 
 @dataclass(frozen=True)
@@ -89,10 +89,7 @@ class SolveConfig:
         validate_k(self.k)
         if not self.tol > 0.0:
             raise InvalidParameterError(f"tol must be positive, got {self.tol!r}")
-        if not isinstance(self.max_iter, int) or isinstance(self.max_iter, bool) or self.max_iter < 1:
-            raise InvalidParameterError(
-                f"max_iter must be a positive integer, got {self.max_iter!r}"
-            )
+        _check_int(self.max_iter, "max_iter", 1)
 
 
 @dataclass(frozen=True)
@@ -130,17 +127,20 @@ class CoupledFixedPoint:
     is_diagonal: bool
 
 
+def _check_bound_args(k: float, D0: float, n: int) -> None:
+    validate_k(k)
+    if not D0 >= 0.0:
+        raise InvalidParameterError(f"D0 must be nonnegative, got {D0!r}")
+    _check_int(n, "n", 0)
+
+
 def step_bound(k: float, D0: float, n: int) -> float:
     """Theoretical per-step bound (k^n / 2) * D0.
 
     Raises:
         InvalidParameterError: k outside (0,1), negative D0 or n.
     """
-    validate_k(k)
-    if not D0 >= 0.0:
-        raise InvalidParameterError(f"D0 must be nonnegative, got {D0!r}")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise InvalidParameterError(f"n must be a nonnegative integer, got {n!r}")
+    _check_bound_args(k, D0, n)
     return (k ** n) * D0 / 2.0
 
 
@@ -150,11 +150,7 @@ def tail_bound(k: float, D0: float, n: int) -> float:
     Bounds d(x_n, x*) and d(y_n, y*) individually, hence also the a
     priori iteration count needed for a given tolerance.
     """
-    validate_k(k)
-    if not D0 >= 0.0:
-        raise InvalidParameterError(f"D0 must be nonnegative, got {D0!r}")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise InvalidParameterError(f"n must be a nonnegative integer, got {n!r}")
+    _check_bound_args(k, D0, n)
     return (k ** n) * D0 / (2.0 * (1.0 - k))
 
 
@@ -446,7 +442,7 @@ def _solve_rows(fn, space, graph, starts, cfg: SolveConfig) -> list[SeedOutcome]
     Z = np.array([x for x, _ in starts] + [y for _, y in starts]).reshape(2 * s, d)
     try:
         Zn = images(Z)
-        edge = graph.edge_mask(Z[:s], Zn[:s]) & graph.edge_mask(Zn[s:], Z[s:])
+        edge = product_edge_mask(graph, Z[:s], Z[s:], Zn[:s], Zn[s:])
         for i in np.flatnonzero(~edge).tolist():
             results[i] = None, False, f"SeedEdgeError: {_SEED_EDGE}"
         both = np.concatenate([edge, edge])
@@ -552,15 +548,8 @@ def _cluster(space: MetricSpace, graph: Digraph, good: list[SeedOutcome], tol: f
         if len(fa) == 0:
             continue
         Pa, Qa, Pb, Qb = P[fa], Q[fa], P[fb], Q[fb]
-        try:
-            edge = ((graph.edge_mask(Pa, Pb) & graph.edge_mask(Qb, Qa))
-                    | (graph.edge_mask(Pb, Pa) & graph.edge_mask(Qa, Qb)))
-        except Exception:
-            # Pair by pair, in row-major order, so a graph error is the one
-            # the first failing pair's own short-circuited test raises.
-            edge = np.array([product_edge(graph, (Pa[i], Qa[i]), (Pb[i], Qb[i]))
-                             or product_edge(graph, (Pb[i], Qb[i]), (Pa[i], Qa[i]))
-                             for i in range(len(fa))], dtype=bool)
+        edge = (product_edge_mask(graph, Pa, Qa, Pb, Qb)
+                | product_edge_mask(graph, Pb, Qb, Pa, Qa))
         for i, j, gap in zip(fa[edge].tolist(), fb[edge].tolist(), dist[far][edge].tolist()):
             edge_violations.append({"seeds": (good[i].index, good[j].index), "distance": gap})
     # A root is its component's lowest row, so the groups come out sorted.

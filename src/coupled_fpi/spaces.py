@@ -66,10 +66,12 @@ def fold_last(op: np.ufunc, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_dimension(dimension: int) -> int:
-    if not isinstance(dimension, int) or isinstance(dimension, bool) or dimension < 1:
-        raise InvalidParameterError(f"dimension must be a positive integer, got {dimension!r}")
-    return dimension
+def _check_int(value, name: str, low: int) -> int:
+    """*value*, which must be an integer (not a bool) of at least *low*, 0 or 1."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < low:
+        kind = "positive" if low else "nonnegative"
+        raise InvalidParameterError(f"{name} must be a {kind} integer, got {value!r}")
+    return value
 
 
 class MetricSpace:
@@ -81,7 +83,7 @@ class MetricSpace:
     """
 
     def __init__(self, dimension: int):
-        self._dimension = _check_dimension(dimension)
+        self._dimension = _check_int(dimension, "dimension", 1)
 
     @property
     def dimension(self) -> int:

@@ -752,6 +752,20 @@ def test_uniqueness_probe_keeps_seed_edge_failures_in_lockstep(monkeypatch):
     assert [float(x0[0]) for x0 in calls] == [3.0]
 
 
+def test_uniqueness_probe_raises_what_a_clustering_edge_test_raises():
+    # The limits 0 and 40/3 are far apart, so clustering tests them for a
+    # product edge, and this graph refuses to compare points more than 5 apart.
+    def pred(p, q):
+        if abs(float(p[0]) - float(q[0])) > 5.0:
+            raise InvalidInputError("points too far apart to compare")
+        return bool(p[0] <= q[0])
+
+    fn = lambda x, y: (x + y) / 5.0 + np.where(x < 5.0, 0.0, 8.0)
+    cfg = SolveConfig(k=0.5, tol=1e-10, max_iter=300)
+    with pytest.raises(InvalidInputError, match="too far apart"):
+        uniqueness_probe(fn, LINE, PredicateGraph(1, pred), [(0.0, 1.0), (12.0, 13.0)], cfg)
+
+
 def probe_oracle(fn, space, graph, seeds, cfg):
     """The probe written seed by seed: solve_coupled per seed, then the
     pairwise clustering loop.  Returns (outcomes, clusters, diameters,
