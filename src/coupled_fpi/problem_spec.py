@@ -430,18 +430,14 @@ def build_instance(spec: ProblemSpec) -> ProblemInstance:
 
     The solve mode doubles as the continuity assertion: "continuous"
     asserts the map is continuous, "property_star" does not and relies
-    on the graph's limit-edge persistence instead.
+    on the graph's limit-edge persistence instead.  The label is the
+    canonical spec text, so the instance id tells apart any two specs
+    that differ, and a run's ``--seed`` or ``--max-iter``, applied
+    elsewhere, leaves it alone.
     """
-    space = build_space(spec)
-    label = {"map": spec.map.expressions or spec.map.builtin, "graph": spec.graph.kind}
-    if spec.map.builtin is not None:
-        # Only builtins carry params; expression labels (and ids) stay as they were.
-        label["params"] = spec.map.params
-    if spec.graph.kind == "edge_list":
-        label.update(vertices=spec.graph.vertices, edges=spec.graph.edges)
     return ProblemInstance(
         kind=spec.map.kind,
-        space=space,
+        space=build_space(spec),
         graph=build_graph(spec),
         map=build_map(spec),
         k=spec.k,
@@ -450,5 +446,5 @@ def build_instance(spec: ProblemSpec) -> ProblemInstance:
         x1=spec.seed.x1,
         y1=spec.seed.y1,
         continuous=spec.solve.mode == "continuous",
-        label=json.dumps(label, sort_keys=True),
+        label=serialize_spec(spec),
     )

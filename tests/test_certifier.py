@@ -89,9 +89,19 @@ def test_instance_id_is_stable_and_discriminating():
 
     assert linear(0.2, -0.1) == linear(0.2, -0.1)
     assert len({linear(0.2, -0.1), linear(0.3, -0.1), linear(0.2, 0.1)}) == 3
-    # Expression maps keep the ids (and report.json bytes) they always had.
-    shipped = build_instance(parse_spec((SPEC_DIR / "single_sum_fifth.json").read_text()))
-    assert instance_id_for(shipped) == "6311acc0291c"
+    shipped_text = (SPEC_DIR / "single_sum_fifth.json").read_text()
+    shipped = build_instance(parse_spec(shipped_text))
+    assert instance_id_for(shipped) == "f87d59e2ec11"
+
+    # The id is a digest of the whole spec: the sampler and the solve settings count too.
+    def variant(section, key, value):
+        doc = json.loads(shipped_text)
+        doc[section][key] = value
+        return instance_id_for(build_instance(parse_spec(json.dumps(doc))))
+
+    variants = [("sampler", "count", 5000), ("sampler", "low", -9.0), ("sampler", "rng_seed", 7),
+                ("solve", "tol", 1e-11), ("solve", "max_iter", 300), ("solve", "check_bounds", False)]
+    assert len({instance_id_for(shipped), *(variant(*v) for v in variants)}) == 7
 
     # Edge-list graphs that differ only in their edges or vertices get different ids.
     def edge_list(vertices, edges):

@@ -104,6 +104,13 @@ def test_reruns_are_byte_identical(tmp_path):
     assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
 
 
+def test_seed_and_max_iter_overrides_keep_the_instance_id(tmp_path):
+    spec = parse_spec(pathlib.Path(SINGLE).read_text())
+    plain = run(spec, str(tmp_path / "plain"), quiet=True)
+    overridden = run(spec, str(tmp_path / "overridden"), seed=5, max_iter=50, quiet=True)
+    assert plain.report.instance_id == overridden.report.instance_id
+
+
 GOLDEN_CASES = [
     (SPEC_DIR, GOLDEN_DIR, "single_sum_fifth", EXIT_OK),
     (SPEC_DIR, GOLDEN_DIR, "single_projection_x", EXIT_PREFLIGHT_FAILED),
