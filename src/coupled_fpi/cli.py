@@ -5,7 +5,8 @@
 Exit codes:
     0  preflight passed (or --force) and the iteration converged
     2  preflight failed and --force not given (report.json still written)
-    3  input or solver error (bad file, bad spec, seed violations, ...)
+    3  input or solver error (bad file, bad spec, seed violations,
+       unwritable output directory, ...)
     4  iteration ran but did not converge within max_iter (trace written)
 
 The RNG seed for the sampled checks resolves in this order: ``--seed``
@@ -269,6 +270,9 @@ def main(argv=None) -> int:
         )
     except CoupledFpiError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except OSError as exc:
+        print(f"cannot write outputs: {exc}", file=sys.stderr)
         return EXIT_ERROR
     return artifacts.exit_code
 

@@ -222,6 +222,14 @@ def test_invalid_spec_file_exits_error(tmp_path, capsys):
     assert "cannot read spec file" in capsys.readouterr().err
 
 
+def test_unwritable_out_dir_exits_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory")
+    assert main(["solve", SINGLE, "--out-dir", str(taken), "--quiet"]) == EXIT_ERROR
+    assert "cannot write outputs" in capsys.readouterr().err
+    assert taken.read_text() == "a file, not a directory"
+
+
 def test_infinite_sampler_box_exits_error(tmp_path, capsys):
     # the width 1e308 - (-1e308) overflows to inf: an input error, not a crash
     spec = json.loads(pathlib.Path(SINGLE).read_text())
