@@ -56,9 +56,9 @@ from .solver import (
 )
 from .spaces import MetricSpace, PointLike, as_point
 
-# Trial-trace length for the property_star path and the continuity spot
-# check; long enough to exercise the edge chain, short enough to stay
-# cheap even for slow user maps.
+# Trial-trace length for the property_star path; long enough to exercise
+# the edge chain, short enough to stay cheap even for slow user maps.
+# ``cli.run``'s final solve resumes from the trial's iterates x_0..x_25.
 _TRIAL_STEPS = 25
 _CONTINUITY_TOL = 1e-8
 
@@ -69,7 +69,8 @@ class ProblemInstance:
 
     ``kind`` is "single" or "multi"; for multivalued instances the seed
     iterates x1, y1 are part of the instance (the theorems' existential
-    seed).  ``continuous`` is the user's continuity assertion.
+    seed).  ``continuous`` is the user's continuity assertion.  An empty
+    ``label`` becomes the map's ``canonical`` text where it has one.
     """
 
     kind: str
@@ -88,6 +89,8 @@ class ProblemInstance:
         if self.kind not in ("single", "multi"):
             raise InvalidParameterError(f"kind must be 'single' or 'multi', got {self.kind!r}")
         d = self.space.dimension
+        if not self.label:
+            object.__setattr__(self, "label", getattr(self.map, "canonical", ""))
         object.__setattr__(self, "x0", as_point(self.x0, d))
         object.__setattr__(self, "y0", as_point(self.y0, d))
         if self.kind == "multi":
@@ -128,7 +131,9 @@ class HypothesisReport:
 
 
 def instance_id_for(instance: ProblemInstance) -> str:
-    """Stable short id from the instance's declared data."""
+    """Stable short id from the instance's declared data.  The label (the
+    spec text, else a builtin map's ``canonical`` text) names the map; an
+    arbitrary callable is not identified."""
     h = hashlib.sha256()
     parts = [
         instance.kind,
@@ -215,15 +220,17 @@ def _seed_edge_ok(instance: ProblemInstance, notes: list[str]) -> bool:
 
 
 def solve_instance(
-    instance: ProblemInstance, cfg: SolveConfig
+    instance: ProblemInstance, cfg: SolveConfig, *, known=None
 ) -> tuple[CoupledFixedPoint, IterationTrace]:
     """Solve *instance* from its declared seed with the solver of its kind,
-    raising what that solver raises."""
+    raising what that solver raises.  *known* is the trial iterates
+    ``(xs, ys)`` of :func:`_preflight`, which the solve takes instead of
+    computing them."""
     if instance.kind == "single":
         solve, seed = solve_coupled, (instance.x0, instance.y0)
     else:
         solve, seed = solve_coupled_multi, (instance.x0, instance.y0, instance.x1, instance.y1)
-    return solve(instance.map, instance.space, instance.graph, *seed, cfg)
+    return solve(instance.map, instance.space, instance.graph, *seed, cfg, known=known)
 
 
 def _spot_check_continuity(instance: ProblemInstance, sample: SampleSpec, notes: list[str]) -> bool:
@@ -287,6 +294,13 @@ def preflight(instance: ProblemInstance, sample: SampleSpec) -> HypothesisReport
     Raises:
         InvalidInputError: the sampling box or point pool is invalid.
     """
+    return _preflight(instance, sample)[0]
+
+
+def _preflight(instance: ProblemInstance, sample: SampleSpec):
+    """:func:`preflight`'s report and its trial trace's iterates ``(xs, ys)``,
+    or None if there was no trial or it raised or stopped early."""
+    known = None
     Sampler(sample, instance.space.dimension)  # one answer for a bad box, whatever the mode
     notes: list[str] = []
     certs: list[Certificate] = []
@@ -319,6 +333,8 @@ def preflight(instance: ProblemInstance, sample: SampleSpec) -> HypothesisReport
             star_y = check_property_star(instance.graph, ys, fp.y, "descending")
             certs.extend([star_x, star_y])
             limit_mode_ok = star_x.passed and star_y.passed
+            if not trace.converged:
+                known = xs, ys
             if limit_mode_ok:
                 notes.append(
                     f"limit-edge persistence checked on a {len(trace.steps)}-step "
@@ -344,4 +360,4 @@ def preflight(instance: ProblemInstance, sample: SampleSpec) -> HypothesisReport
         theorem_applicable=level,
         seed_edge_ok=seed_ok,
         notes=tuple(notes),
-    )
+    ), known

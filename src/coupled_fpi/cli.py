@@ -24,9 +24,9 @@ import os
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
-from .certifier import HypothesisReport, preflight, solve_instance
+from .certifier import HypothesisReport, solve_instance
+# preflight's report and trial iterates, under the name perfbench/tracer.py patches.
+from .certifier import _preflight as preflight
 from .checks import _json_safe, _point_json
 from .errors import CoupledFpiError
 from .problem_spec import (
@@ -59,39 +59,17 @@ class RunArtifacts:
     error: str | None = None
 
 
-def _fmt_float(v: float) -> str:
-    return repr(float(v))
-
-
-def _fmt_point(p: np.ndarray) -> str:
-    return ";".join(map(_fmt_float, np.asarray(p, dtype=np.float64).reshape(-1).tolist()))
-
-
-def _fmt_flag(flag: bool | None) -> str:
-    if flag is None:
-        return ""
-    return "true" if flag else "false"
+_FLAG = {None: "", True: "true", False: "false"}
 
 
 def trace_to_csv(trace: IterationTrace) -> str:
-    """Fixed-header CSV, one row per recorded step."""
+    """Fixed-header CSV, one row per recorded step; floats as shortest round-trip repr."""
     lines = [_CSV_HEADER]
     for s in trace.steps:
-        lines.append(
-            ",".join(
-                (
-                    str(s.n),
-                    _fmt_point(s.x),
-                    _fmt_point(s.y),
-                    _fmt_float(s.step_x),
-                    _fmt_float(s.step_y),
-                    _fmt_float(s.bound),
-                    _fmt_float(s.diag),
-                    _fmt_flag(s.edge_ok_x),
-                    _fmt_flag(s.edge_ok_y),
-                )
-            )
-        )
+        x = ";".join(map(repr, s.x.tolist()))
+        y = ";".join(map(repr, s.y.tolist()))
+        lines.append(f"{s.n},{x},{y},{float(s.step_x)!r},{float(s.step_y)!r},{float(s.bound)!r},"
+                     f"{float(s.diag)!r},{_FLAG[s.edge_ok_x]},{_FLAG[s.edge_ok_y]}")
     return "\n".join(lines) + "\n"
 
 
@@ -103,7 +81,7 @@ def report_document(
     forced: bool,
     error: str | None,
 ) -> dict:
-    doc = {
+    return {
         "instance_id": report.instance_id,
         "preflight": report.to_dict(),
         "forced": forced,
@@ -121,7 +99,6 @@ def report_document(
             "is_diagonal": result.is_diagonal,
         },
     }
-    return doc
 
 
 def _write_atomic(out_dir: str, name: str, text: str) -> None:
@@ -148,11 +125,9 @@ def _print_table(trace: IterationTrace, out) -> None:
         if s is None:
             print(f"{'...':>6}", file=out)
             continue
-        x0 = float(np.asarray(s.x).reshape(-1)[0])
-        y0 = float(np.asarray(s.y).reshape(-1)[0])
-        more = "" if np.asarray(s.x).size == 1 else ";.."
+        more = "" if len(s.x) == 1 else ";.."
         print(
-            f"{s.n:>6}  {x0:>14.6e}{more}  {y0:>14.6e}{more}  "
+            f"{s.n:>6}  {s.x[0]:>14.6e}{more}  {s.y[0]:>14.6e}{more}  "
             f"{s.step_x + s.step_y:>12.4e}  {2.0 * s.bound:>12.4e}  {s.diag:>12.4e}",
             file=out,
         )
@@ -179,7 +154,7 @@ def run(
     instance = build_instance(spec)
     sample = build_sample_spec(spec, seed)
     cfg = build_solve_config(spec, max_iter)
-    report = preflight(instance, sample)
+    report, known = preflight(instance, sample)
 
     if not report.passed and not force:
         doc = report_document(report, None, None, EXIT_PREFLIGHT_FAILED, force, None)
@@ -191,7 +166,7 @@ def run(
         return RunArtifacts(report, None, None, EXIT_PREFLIGHT_FAILED)
 
     try:
-        result, trace = solve_instance(instance, cfg)
+        result, trace = solve_instance(instance, cfg, known=known)
     except CoupledFpiError as exc:
         message = f"{type(exc).__name__}: {exc}"
         doc = report_document(report, None, None, EXIT_ERROR, force, message)

@@ -321,17 +321,18 @@ class ExpressionCoupledMap:
 
     One expression per output component.  A point runs on Python floats
     and a batch on numpy columns, through the same compiled functions, so
-    both give the same floats.
+    both give the same floats.  ``canonical`` (the sources) labels the map.
     """
 
     def __init__(self, expressions, dimension: int = 1):
         self.components = _components(expressions, dimension)
         self.dimension = dimension
+        self.canonical = repr([c.source for c in self.components])
         self._kernel = _PointKernel((self.components,), dimension)
 
     def __call__(self, x, y) -> np.ndarray:
-        x = as_point(x, self.dimension)
-        y = as_point(y, self.dimension)
+        x = as_point(x, self.dimension, copy=False)
+        y = as_point(y, self.dimension, copy=False)
         try:
             return np.array(self._kernel.on_floats(x.tolist() + y.tolist()))
         except ZeroDivisionError:
@@ -350,7 +351,9 @@ class ExpressionMultiMap:
 
     ``eval_batch`` fills an (n, m, d) image array with one kernel for all
     m points, and ``__call__`` reads row 0 of it; both are bitwise equal to
-    each point's ``ExpressionCoupledMap`` called on one point.
+    each point's ``ExpressionCoupledMap`` called on one point.  ``on_floats``
+    is the kernel's, for the solver's steps on Python floats; ``canonical``
+    (the sources) labels the map.
     """
 
     def __init__(self, point_expressions, dimension: int = 1):
@@ -358,11 +361,13 @@ class ExpressionMultiMap:
             raise ExpressionError("a multivalued map needs at least one image expression")
         self.points = tuple(_components(src, dimension) for src in point_expressions)
         self.dimension = dimension
+        self.canonical = repr([[c.source for c in point] for point in self.points])
         self._kernel = _PointKernel(self.points, dimension)
+        self.on_floats = self._kernel.on_floats
 
     def __call__(self, x, y):
-        x = as_point(x, self.dimension)
-        y = as_point(y, self.dimension)
+        x = as_point(x, self.dimension, copy=False)
+        y = as_point(y, self.dimension, copy=False)
         return list(self._kernel(x[None], y[None])[0])
 
     def eval_batch(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:

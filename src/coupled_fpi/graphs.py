@@ -18,6 +18,7 @@ on it.
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, Iterable
 
 import numpy as np
@@ -44,6 +45,10 @@ class Digraph:
         return np.fromiter(
             (self.has_edge(p, q) for p, q in zip(P, Q)), bool, count=len(P)
         )
+
+    def _row_rule(self) -> Callable[[list, list], bool] | None:
+        """``edge_mask`` on two rows of finite Python floats, or None."""
+        return None
 
     def construct_edges(
         self, draw: Callable[[int], np.ndarray], n: int
@@ -91,6 +96,9 @@ class OrderGraph(Digraph):
             return P <= Q
         return fold_last(np.logical_and, P <= Q)
 
+    def _row_rule(self):
+        return lambda p, q: all(map(operator.le, p, q))
+
     def construct_edges(
         self, draw: Callable[[int], np.ndarray], n: int
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -118,6 +126,9 @@ class FullGraph(Digraph):
 
     def edge_mask(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
         return np.ones(len(P), dtype=bool)
+
+    def _row_rule(self):
+        return lambda p, q: True
 
     def construct_edges(
         self, draw: Callable[[int], np.ndarray], n: int

@@ -24,6 +24,7 @@ class LinearCoupledMap:
     def __init__(self, a: float, b: float):
         self.a = float(a)
         self.b = float(b)
+        self.canonical = f"a={self.a!r} b={self.b!r}"
 
     def __call__(self, x: PointLike, y: PointLike):
         return self.a * np.asarray(x, dtype=np.float64) + self.b * np.asarray(

@@ -32,12 +32,16 @@ stops every solver with ``NonFiniteValueError``.
 
 Multivalued maps iterate by edge-filtered nearest-point selection: the
 next iterate is the image point nearest the current one among
-edge-compatible candidates, ties resolved by image index.  Each step
-evaluates both images as one (2, m, d) array, with a single
+edge-compatible candidates, ties resolved by image index.  A step runs
+on Python floats (:func:`_float_step`) where the map has ``on_floats``
+and the metric and the graph a ``_row_rule``.  Any other step, and one
+that meets a zero divisor, a non-finite image value or a side without a
+candidate, evaluates both images as one (2, m, d) array, with a single
 ``eval_batch`` call when the map has one and no finite set either way,
-and selects on that raw array for both sides with one masked argmin.
-Wrapping a single-valued map as a one-point multivalued map reproduces
-the single-valued trace bitwise.
+and selects on that raw array for both sides with one masked argmin,
+which raises the step's error; both give the same bits.  Wrapping a
+single-valued map as a one-point multivalued map reproduces the
+single-valued trace bitwise.
 """
 
 from __future__ import annotations
@@ -193,6 +197,7 @@ def _run_iteration(
     x1: np.ndarray,
     y1: np.ndarray,
     advance: Callable,
+    known=None,
 ):
     """Shared bookkeeping for both solvers.
 
@@ -200,7 +205,10 @@ def _run_iteration(
     (steps, bounds, flags, stopping) is computed here so the two solvers
     agree bitwise on identical transition sequences.  The iterates are valid
     when made; ``_dist`` and one ``edge_mask`` call take them as they are.
+    *known*, the iterates ``(xs, ys)`` of an earlier run from the same seed,
+    stands in for *advance* as far as it reaches.
     """
+    xs, ys = known or ((), ())
     dist = space._dist
     D0 = dist(x0, x1) + dist(y0, y1)
     steps: list[TraceStep] = []
@@ -223,7 +231,7 @@ def _run_iteration(
             converged = True
             break
         if n + 1 < cfg.max_iter:
-            xn1, yn1 = advance(n + 1, xn, yn)
+            xn1, yn1 = (xs[n + 2], ys[n + 2]) if n + 2 < len(xs) else advance(n + 1, xn, yn)
     return xn, yn, steps, D0, converged
 
 
@@ -237,11 +245,15 @@ def solve_coupled(
     x0: PointLike,
     y0: PointLike,
     cfg: SolveConfig,
+    *,
+    known=None,
 ) -> tuple[CoupledFixedPoint, IterationTrace]:
     """Iterate a single-valued coupled map to its coupled fixed point.
 
     The seed condition requires the product edge from (x0, y0) to the
-    first computed pair (F(x0,y0), F(y0,x0)).
+    first computed pair (F(x0,y0), F(y0,x0)).  *known* holds the iterates
+    ``(xs, ys)`` of an earlier run from this seed, which are taken instead
+    of computed; every check and record is made as without them.
 
     Returns the final pair and the full trace.  Non-convergence at
     max_iter is reported through ``trace.converged``, not an exception.
@@ -264,7 +276,7 @@ def solve_coupled(
     def advance(n, xn, yn):
         return as_point(fn(xn, yn), d), as_point(fn(yn, xn), d)
 
-    x, y, steps, D0, converged = _run_iteration(space, graph, cfg, x0, y0, x1, y1, advance)
+    x, y, steps, D0, converged = _run_iteration(space, graph, cfg, x0, y0, x1, y1, advance, known)
     residual = space.distance(as_point(fn(x, y), d), x) + space.distance(
         as_point(fn(y, x), d), y
     )
@@ -300,6 +312,39 @@ def _select_step(space, graph, images: np.ndarray, Z: np.ndarray, n: int):
     return images[0, best[0]].copy(), images[1, best[1]].copy()
 
 
+def _float_step(fn, space, graph):
+    """:func:`_select_step` on the pair's two lists of Python floats, or None
+    where the map, the metric or the graph has no float rule.  The step
+    gives None for :func:`_select_step` to take over on a zero divisor, a
+    non-finite image value or a side without a candidate."""
+    image, dist, edge = getattr(fn, "on_floats", None), space._row_rule(), graph._row_rule()
+    if image is None or dist is None or edge is None:
+        return None
+    d = space.dimension
+
+    def nearest(values, anchor, forward):
+        best, pick = math.inf, None
+        for j in range(0, len(values), d):
+            b = values[j:j + d]
+            if edge(anchor, b) if forward else edge(b, anchor):
+                gap = dist(anchor, b)
+                if gap < best:  # the first of equals, as argmin
+                    best, pick = gap, b
+        return pick
+
+    def step(x, y):
+        try:
+            vx, vy = image(x + y), image(y + x)
+        except ZeroDivisionError:
+            return None
+        if not abs(sum(vx) + sum(vy)) < math.inf:  # a non-finite value, or a sum that overflowed
+            return None
+        px, py = nearest(vx, x, True), nearest(vy, y, False)  # x and y are finite iterates
+        return None if px is None or py is None else (np.array(px), np.array(py))
+
+    return step
+
+
 def _seed_member(space: MetricSpace, p: np.ndarray, image: FiniteSetLike) -> bool:
     """p is a point of the image: within SLACK of it, or bitwise one of its
     points (an infinite point has NaN distance to itself).  A NaN distance
@@ -317,6 +362,8 @@ def solve_coupled_multi(
     x1: PointLike,
     y1: PointLike,
     cfg: SolveConfig,
+    *,
+    known=None,
 ) -> tuple[CoupledFixedPoint, IterationTrace]:
     """Iterate a multivalued coupled map by nearest-admissible selection.
 
@@ -326,7 +373,7 @@ def solve_coupled_multi(
     required edge (x_n -> b for the x-sequence, b -> y_n for the
     y-sequence), the one nearest the current iterate, breaking ties by
     image index.  A map with ``eval_batch`` is evaluated once per step
-    for both sides.
+    for both sides.  *known* is as for :func:`solve_coupled`.
 
     Raises:
         InvalidSeedError: x1/y1 not in the seed images.
@@ -348,11 +395,16 @@ def solve_coupled_multi(
     if not product_edge(graph, (x0, y0), (x1, y1)):
         raise SeedEdgeError("seed condition fails: ((x0,y0),(x1,y1)) is not a product edge")
 
-    def advance(n, xn, yn):
-        Z = np.array([xn, yn])
-        return _select_step(space, graph, _images(fn, Z, Z[::-1], d, multi=True), Z, n)
+    float_step = _float_step(fn, space, graph)
 
-    x, y, steps, D0, converged = _run_iteration(space, graph, cfg, x0, y0, x1, y1, advance)
+    def advance(n, xn, yn):
+        pair = None if float_step is None else float_step(xn.tolist(), yn.tolist())
+        if pair is None:
+            Z = np.array([xn, yn])
+            pair = _select_step(space, graph, _images(fn, Z, Z[::-1], d, multi=True), Z, n)
+        return pair
+
+    x, y, steps, D0, converged = _run_iteration(space, graph, cfg, x0, y0, x1, y1, advance, known)
     residual = dist_to_set(space, x, fn(x, y)) + dist_to_set(space, y, fn(y, x))
     fp = CoupledFixedPoint(x=x, y=y, is_diagonal=bool(space.distance(x, y) <= cfg.tol))
     return fp, IterationTrace(tuple(steps), D0, converged, residual)

@@ -14,6 +14,7 @@ n = 1) and the Chebyshev (max) metric; arbitrary metrics plug in via
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -23,18 +24,19 @@ from .errors import InvalidInputError, InvalidParameterError
 PointLike = Union[float, int, Sequence[float], np.ndarray]
 
 
-def as_point(value: PointLike, dimension: int | None = None) -> np.ndarray:
+def as_point(value: PointLike, dimension: int | None = None, copy: bool = True) -> np.ndarray:
     """Normalize *value* to a float64 point array.
 
     Scalars become length-1 arrays.  When *dimension* is given the
-    result's length must match it.
+    result's length must match it.  With ``copy=False`` a float64 vector
+    is returned as it is, for a point that is only read.
 
     Raises:
         InvalidInputError: non-numeric data, wrong shape, or a
             dimension mismatch.
     """
     if isinstance(value, np.ndarray) and value.dtype == np.float64 and value.ndim == 1:
-        pt = value.copy()
+        pt = value.copy() if copy else value
     else:
         try:
             arr = np.asarray(value, dtype=np.float64)
@@ -103,6 +105,18 @@ class MetricSpace:
             (self._dist(p, q) for p, q in zip(P, Q)), np.float64, count=len(P)
         )
 
+    def _row_rule(self) -> Callable[[list, list], float] | None:
+        """``distance_batch``'s bits on two rows of finite Python floats, or None."""
+        return None
+
+
+def _root_sum_squares(p: list, q: list) -> float:
+    """The root of the squared differences, added to 0.0 one by one."""
+    total = 0.0
+    for a, b in zip(p, q):
+        total += (a - b) * (a - b)
+    return math.sqrt(total)
+
 
 class EuclideanSpace(MetricSpace):
     """R^d with the Euclidean metric; plain absolute value when d = 1."""
@@ -121,6 +135,11 @@ class EuclideanSpace(MetricSpace):
             return np.abs(diff[:, 0])
         return np.sqrt(fold_last(np.add, diff * diff))
 
+    def _row_rule(self):
+        if self._dimension == 1:
+            return lambda p, q: abs(p[0] - q[0])
+        return _root_sum_squares if self._dimension < 8 else None  # fold_last's order of sums
+
 
 class ChebyshevSpace(MetricSpace):
     """R^d with the max metric d(p,q) = max_i |p_i - q_i|."""
@@ -133,6 +152,9 @@ class ChebyshevSpace(MetricSpace):
         if diff.ndim == 1:
             return diff
         return fold_last(np.maximum, diff)
+
+    def _row_rule(self):
+        return lambda p, q: max(map(abs, map(operator.sub, p, q)))
 
 
 class CallbackSpace(MetricSpace):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import pathlib
 
@@ -7,16 +8,22 @@ import numpy as np
 import pytest
 
 from coupled_fpi import (
+    ExpressionCoupledMap,
+    ExpressionMultiMap,
     FiniteGraph,
+    FiniteSet,
     FullGraph,
     HypothesisReport,
+    HypothesisViolationError,
     InvalidInputError,
     InvalidParameterError,
+    LinearCoupledMap,
     NonFiniteValueError,
     OrderGraph,
     PredicateGraph,
     ProblemInstance,
     SampleSpec,
+    SelectionFailureError,
     SingletonMultiMap,
     SolveConfig,
     build_instance,
@@ -28,10 +35,13 @@ from coupled_fpi import (
     solve_instance,
 )
 from coupled_fpi import finite_sets
+from coupled_fpi.certifier import _TRIAL_STEPS, _preflight
 from coupled_fpi.checks import VIOLATION_CAP
+from coupled_fpi.problem_spec import build_sample_spec, build_solve_config
 
 LINE = real_line()
 SPEC_DIR = pathlib.Path(__file__).resolve().parent.parent / "specs"
+CORPUS_DIR = pathlib.Path(__file__).resolve().parent / "golden" / "corpus"
 BOX = SampleSpec(count=10_000, seed=2024, low=-10.0, high=10.0)
 SMALL_BOX = SampleSpec(count=1500, seed=2024, low=-10.0, high=10.0)
 
@@ -113,6 +123,25 @@ def test_instance_id_is_stable_and_discriminating():
            edge_list([0.0, 1.0], [[1.0, 0.0]]), edge_list([0.0, 1.0, 2.0], [[1.0, 0.0]])}
     assert len(ids) == 4
     assert edge_list([0.0, 1.0], [[0.0, 1.0]]) == edge_list([0.0, 1.0], [[0.0, 1.0]])
+
+
+def test_library_instances_are_labeled_by_their_builtin_map():
+    def iid(fn, kind="single", **seeds):
+        return instance_id_for(ProblemInstance(kind=kind, space=LINE, graph=FullGraph(1), map=fn,
+                                               k=2.0 / 3.0, x0=0.0, y0=1.0, **seeds))
+
+    # these two shared the id 2bca29e82010 while the map was not digested
+    fifth, shifted = ExpressionCoupledMap(["(x + y) / 5"]), ExpressionCoupledMap(["x - y + 100"])
+    assert iid(fifth) != iid(shifted)
+    assert iid(fifth) == iid(ExpressionCoupledMap(["(x + y) / 5"]))
+    assert len({iid(LinearCoupledMap(0.2, 0.2)), iid(LinearCoupledMap(0.2, -0.2)), iid(fifth)}) == 3
+    multi = dict(kind="multi", x1=0.2, y1=0.2)
+    assert iid(ExpressionMultiMap([["(x + y) / 5"], ["x"]]), **multi) != \
+        iid(ExpressionMultiMap([["(x + y) / 5"], ["y"]]), **multi)
+    # an arbitrary callable is not identified; a spec-built label is kept
+    assert iid(sum_fifth) == iid(lambda x, y: x - y + 100)
+    shipped = build_instance(parse_spec((SPEC_DIR / "single_sum_fifth.json").read_text()))
+    assert instance_id_for(shipped) == "f87d59e2ec11"
 
 
 def test_property_star_descending_series():
@@ -437,3 +466,85 @@ def test_report_serializes():
     assert report.instance_id in text
     assert isinstance(doc["certificates"], list)
     assert isinstance(report, HypothesisReport)
+
+
+def solve_outcome(instance, cfg, known=None):
+    """A solve's whole trace and result as bytes, or its error and the step it
+    names, for bitwise comparison."""
+    try:
+        fp, trace = solve_instance(instance, cfg, known=known)
+    except Exception as exc:
+        step = getattr(exc, "step", None)
+        return type(exc).__name__, str(exc), step and (step.n, step.x.tobytes(), step.y.tobytes())
+    steps = [(s.n, s.x.tobytes(), s.y.tobytes(), float(s.step_x).hex(), float(s.step_y).hex(),
+              float(s.bound).hex(), float(s.diag).hex(), s.edge_ok_x, s.edge_ok_y) for s in trace.steps]
+    return (steps, float(trace.D0).hex(), trace.converged, float(trace.residual).hex(),
+            fp.x.tobytes(), fp.y.tobytes(), fp.is_diagonal)
+
+
+@pytest.mark.parametrize("stem", ["chebyshev_2d_property_star", "multi_8_points_2d_property_star"])
+def test_resumed_solve_equals_a_fresh_solve(stem):
+    spec = parse_spec((CORPUS_DIR / f"{stem}.json").read_text())
+    instance, base = build_instance(spec), build_solve_config(spec)
+    sample = dataclasses.replace(build_sample_spec(spec), count=40)
+    report, known = _preflight(instance, sample)
+    assert report == preflight(instance, sample)
+    assert [len(k) for k in known] == [_TRIAL_STEPS + 1] * 2
+    configs = [
+        base,
+        dataclasses.replace(base, tol=1e-3),  # met inside the trial's steps
+        dataclasses.replace(base, record_edges=False, check_bounds=False),
+        dataclasses.replace(base, max_iter=10),
+        dataclasses.replace(base, max_iter=_TRIAL_STEPS),
+        dataclasses.replace(base, max_iter=_TRIAL_STEPS + 1),
+        dataclasses.replace(base, max_iter=30),
+    ]
+    seen = set()
+    for cfg in configs:
+        got = solve_outcome(instance, cfg, known)
+        assert got == solve_outcome(instance, cfg)
+        seen.add((got[2], len(got[0]) < _TRIAL_STEPS))
+    assert seen == {(True, False), (True, True), (False, True), (False, False)}
+
+    # a declared k far too small: the bound check fails at the same step, with the same message
+    small = dataclasses.replace(instance, k=0.01)
+    _, known = _preflight(small, sample)
+    cfg = dataclasses.replace(base, k=0.01, check_bounds=True)
+    got = solve_outcome(small, cfg, known)
+    assert got[0] == "HypothesisViolationError" and got[2][0] < _TRIAL_STEPS
+    assert got == solve_outcome(small, cfg)
+
+
+def test_resumed_solve_takes_the_trial_iterates():
+    calls = []
+
+    def counted(x, y):
+        calls.append(1)
+        return (x + y) / 5.0
+
+    instance = single_instance(FullGraph(1), fn=counted, continuous=False)
+    _, known = _preflight(instance, SampleSpec(count=20, seed=4, low=-1.0, high=1.0))
+    cfg = SolveConfig(k=2.0 / 3.0, tol=1e-300, max_iter=30)
+    calls.clear()
+    resumed = solve_outcome(instance, cfg, known)
+    assert len(calls) == 2 + 2 * (30 - _TRIAL_STEPS) + 2  # seed, steps past the trial, residual
+    calls.clear()
+    assert resumed == solve_outcome(instance, cfg)
+    assert len(calls) == 2 + 2 * 29 + 2
+
+
+def test_no_resume_after_a_trial_that_raised_or_stopped_early():
+    # the trial's second step has no edge-compatible candidate
+    graph = FiniteGraph([0.0, 1.0, 3.0], edges=[(0.0, 1.0), (1.0, 0.0)])
+    jump = lambda x, y: FiniteSet([1.0]) if float(x[0]) == 0.0 else FiniteSet([3.0])
+    instance = ProblemInstance(kind="multi", space=LINE, graph=graph, map=jump, k=0.5,
+                               x0=0.0, y0=0.0, x1=1.0, y1=1.0, continuous=False)
+    report, known = _preflight(instance, SampleSpec(count=5, seed=1, points=(0.0, 1.0, 3.0)))
+    assert known is None
+    assert any(n.startswith("trial trace for limit-edge check failed: step 1") for n in report.notes)
+    with pytest.raises(SelectionFailureError, match="^step 1: no edge-compatible candidate in the x-image"):
+        solve_instance(instance, SolveConfig(k=0.5))
+    # a zero step ends the trial early, at tol 1e-300 too
+    constant = single_instance(FullGraph(1), fn=lambda x, y: np.zeros(1), continuous=False)
+    report, known = _preflight(constant, SMALL_BOX)
+    assert known is None and report.passed

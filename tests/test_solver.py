@@ -42,7 +42,8 @@ from coupled_fpi import (
     tail_bound,
     uniqueness_probe,
 )
-from coupled_fpi.checks import SLACK, VIOLATION_CAP
+from coupled_fpi.checks import SLACK, VIOLATION_CAP, _images
+from coupled_fpi.errors import CoupledFpiError
 from coupled_fpi.graphs import product_edge
 from coupled_fpi import solver
 from coupled_fpi.solver import _pair_blocks, _run_iteration
@@ -1006,3 +1007,85 @@ def test_cluster_batch_calls_stay_within_a_pair_block(fn):
         assert len(report.clusters) == 1 and not any(call == "edge_mask" for call, _ in rows)
     else:
         assert len(report.clusters) == 400 and len(report.edge_violations) == pairs
+
+
+def _numpy_step(emm, space, graph, Z, n):
+    """The numpy multivalued step on the pair Z = [x_n; y_n], as bytes or its error."""
+    try:
+        x, y = solver._select_step(space, graph, _images(emm, Z, Z[::-1], space.dimension, True), Z, n)
+    except CoupledFpiError as exc:
+        return type(exc).__name__, str(exc)
+    return x.tobytes(), y.tobytes()
+
+
+# Components for the float step test: dyadic affine maps, exact ties around
+# x1, signed zeros, values whose squares or differences overflow, an
+# infinite and a NaN value, and a zero divisor.
+_FLOAT_STEP_COMPONENTS = (
+    "0.5 * x1 - 0.25 * y1", "x1 + 0.5", "x1 - 0.5", "y1 - 0.25", "0", "-0.0", "0 * -1",
+    "1e308", "-1e308", "0.5 * x1 + 1e200", "1e308 * 10", "-1e308 * 10",
+    "1e308 * 10 - 1e308 * 10", "1 / (x1 - x1)",
+)
+_FLOAT_STEP_ANCHORS = (0.0, -0.0, 0.25, -0.5, 1.0, 1e308, -1e308, 1e200)
+
+
+def test_float_step_matches_numpy_step():
+    # The float step gives the numpy step's two rows bit for bit, or hands
+    # the step back; the numpy step then gives the rows or the error.
+    rng = np.random.default_rng(909)
+    seen = set()
+    for d in (1, 2, 3):
+        for space in (EuclideanSpace(d), ChebyshevSpace(d)):
+            for graph in (FullGraph(d), OrderGraph(d)):
+                for m in range(1, 9):
+                    for _ in range(6):
+                        pool = rng.choice(len(_FLOAT_STEP_COMPONENTS), size=3)
+                        points = [[_FLOAT_STEP_COMPONENTS[rng.choice(pool)] for _ in range(d)]
+                                  for _ in range(m)]
+                        emm = ExpressionMultiMap(points, dimension=d)
+                        Z = rng.choice(_FLOAT_STEP_ANCHORS, size=(2, d))
+                        step = solver._float_step(emm, space, graph)
+                        with np.errstate(over="ignore"):
+                            want = _numpy_step(emm, space, graph, Z, 7)
+                            images = _images(emm, Z, Z[::-1], d, True).reshape(2 * m, d)
+                            gaps = space.distance_batch(np.repeat(Z, m, axis=0), images)
+                        got = step(Z[0].tolist(), Z[1].tolist())
+                        if got is None:
+                            seen.add(want[0] if isinstance(want[0], str) else "handed back, rows")
+                            continue
+                        assert (got[0].tobytes(), got[1].tobytes()) == want, (points, Z)
+                        seen.add("rows")
+                        if np.isinf(gaps).any():
+                            seen.add("overflow")
+                        if any(v == 0.0 and math.copysign(1.0, v) < 0 for v in (*got[0], *got[1])):
+                            seen.add("signed zero")
+    assert seen == {"rows", "overflow", "signed zero", "handed back, rows",
+                    "NonFiniteValueError", "SelectionFailureError"}
+
+
+def test_float_step_ties_go_to_the_lowest_index():
+    # x1 + 0.5 and x1 - 0.5, and 0 and -0.0, are equally near; the first wins
+    for points, want in (([["x1 + 0.5"], ["x1 - 0.5"]], 1.5), ([["x1 - 0.5"], ["x1 + 0.5"]], 0.5),
+                         ([["-0.0"], ["0"]], -0.0), ([["0"], ["-0.0"]], 0.0)):
+        emm = ExpressionMultiMap(points)
+        for space in (LINE, ChebyshevSpace(1)):
+            x, y = solver._float_step(emm, space, FullGraph(1))([1.0 if want else 0.0], [0.0])
+            Z = np.array([[1.0 if want else 0.0], [0.0]])
+            assert (x.tobytes(), y.tobytes()) == _numpy_step(emm, space, FullGraph(1), Z, 1)
+            assert x.tobytes() == np.array([want]).tobytes()
+
+
+def test_float_step_only_where_map_metric_and_graph_have_a_float_rule():
+    emm = ExpressionMultiMap([["x1", "x2"]], dimension=2)
+    assert solver._float_step(emm, EuclideanSpace(2), OrderGraph(2)) is not None
+    others = [
+        (lambda x, y: emm(x, y), EuclideanSpace(2), OrderGraph(2)),
+        (emm, CallbackSpace(2, lambda p, q: 0.0), OrderGraph(2)),
+        (emm, EuclideanSpace(2), PredicateGraph(2, lambda p, q: True)),
+        (emm, EuclideanSpace(2), FiniteGraph([[0.0, 0.0]])),
+    ]
+    assert all(solver._float_step(*args) is None for args in others)
+    # from 8 coordinates numpy sums the squares pairwise
+    wide = ExpressionMultiMap([[f"x{i}" for i in range(1, 9)]], dimension=8)
+    assert solver._float_step(wide, EuclideanSpace(8), FullGraph(8)) is None
+    assert solver._float_step(wide, ChebyshevSpace(8), FullGraph(8)) is not None
