@@ -130,7 +130,7 @@ def test_library_instances_are_labeled_by_their_builtin_map():
         return instance_id_for(ProblemInstance(kind=kind, space=LINE, graph=FullGraph(1), map=fn,
                                                k=2.0 / 3.0, x0=0.0, y0=1.0, **seeds))
 
-    # these two shared the id 2bca29e82010 while the map was not digested
+    # instances that differ only in their expression map
     fifth, shifted = ExpressionCoupledMap(["(x + y) / 5"]), ExpressionCoupledMap(["x - y + 100"])
     assert iid(fifth) != iid(shifted)
     assert iid(fifth) == iid(ExpressionCoupledMap(["(x + y) / 5"]))
