@@ -299,7 +299,7 @@ def preflight(instance: ProblemInstance, sample: SampleSpec) -> HypothesisReport
 
 def _preflight(instance: ProblemInstance, sample: SampleSpec):
     """:func:`preflight`'s report and its trial trace's iterates ``(xs, ys)``,
-    or None if there was no trial or it raised or stopped early."""
+    or None if there was no trial or it raised."""
     known = None
     Sampler(sample, instance.space.dimension)  # one answer for a bad box, whatever the mode
     notes: list[str] = []
@@ -333,8 +333,7 @@ def _preflight(instance: ProblemInstance, sample: SampleSpec):
             star_y = check_property_star(instance.graph, ys, fp.y, "descending")
             certs.extend([star_x, star_y])
             limit_mode_ok = star_x.passed and star_y.passed
-            if not trace.converged:
-                known = xs, ys
+            known = xs, ys
             if limit_mode_ok:
                 notes.append(
                     f"limit-edge persistence checked on a {len(trace.steps)}-step "

@@ -24,6 +24,8 @@ import os
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .certifier import HypothesisReport, solve_instance
 # preflight's report and trial iterates, under the name perfbench/tracer.py patches.
 from .certifier import _preflight as preflight
@@ -81,7 +83,7 @@ def report_document(
     forced: bool,
     error: str | None,
 ) -> dict:
-    return {
+    doc = {
         "instance_id": report.instance_id,
         "preflight": report.to_dict(),
         "forced": forced,
@@ -99,6 +101,7 @@ def report_document(
             "is_diagonal": result.is_diagonal,
         },
     }
+    return doc
 
 
 def _write_atomic(out_dir: str, name: str, text: str) -> None:
@@ -125,9 +128,11 @@ def _print_table(trace: IterationTrace, out) -> None:
         if s is None:
             print(f"{'...':>6}", file=out)
             continue
-        more = "" if len(s.x) == 1 else ";.."
+        x0 = float(np.asarray(s.x).reshape(-1)[0])
+        y0 = float(np.asarray(s.y).reshape(-1)[0])
+        more = "" if np.asarray(s.x).size == 1 else ";.."
         print(
-            f"{s.n:>6}  {s.x[0]:>14.6e}{more}  {s.y[0]:>14.6e}{more}  "
+            f"{s.n:>6}  {x0:>14.6e}{more}  {y0:>14.6e}{more}  "
             f"{s.step_x + s.step_y:>12.4e}  {2.0 * s.bound:>12.4e}  {s.diag:>12.4e}",
             file=out,
         )

@@ -352,8 +352,9 @@ class ExpressionMultiMap:
     ``eval_batch`` fills an (n, m, d) image array with one kernel for all
     m points, and ``__call__`` reads row 0 of it; both are bitwise equal to
     each point's ``ExpressionCoupledMap`` called on one point.  ``on_floats``
-    is the kernel's, for the solver's steps on Python floats; ``canonical``
-    (the sources) labels the map.
+    is the kernel's, for the solver's steps on Python floats, while a step's
+    two images hold at most ``_POINT_VALUES`` values; past that numpy steps
+    as fast, and it is None.  ``canonical`` (the sources) labels the map.
     """
 
     def __init__(self, point_expressions, dimension: int = 1):
@@ -363,7 +364,8 @@ class ExpressionMultiMap:
         self.dimension = dimension
         self.canonical = repr([[c.source for c in point] for point in self.points])
         self._kernel = _PointKernel(self.points, dimension)
-        self.on_floats = self._kernel.on_floats
+        floats = 2 * len(self.points) * dimension <= _POINT_VALUES  # a step's two images
+        self.on_floats = self._kernel.on_floats if floats else None
 
     def __call__(self, x, y):
         x = as_point(x, self.dimension, copy=False)

@@ -34,14 +34,15 @@ Multivalued maps iterate by edge-filtered nearest-point selection: the
 next iterate is the image point nearest the current one among
 edge-compatible candidates, ties resolved by image index.  A step runs
 on Python floats (:func:`_float_step`) where the map has ``on_floats``
-and the metric and the graph a ``_row_rule``.  Any other step, and one
-that meets a zero divisor, a non-finite image value or a side without a
-candidate, evaluates both images as one (2, m, d) array, with a single
-``eval_batch`` call when the map has one and no finite set either way,
-and selects on that raw array for both sides with one masked argmin,
-which raises the step's error; both give the same bits.  Wrapping a
-single-valued map as a one-point multivalued map reproduces the
-single-valued trace bitwise.
+(an ``ExpressionMultiMap`` with at most 32 values in a step's two images,
+past which numpy steps as fast) and the metric and the graph a
+``_row_rule``.  Any other step, and one that meets a zero divisor, a
+non-finite image value or a side without a candidate, evaluates both
+images as one (2, m, d) array, with a single ``eval_batch`` call when
+the map has one and no finite set either way, and selects on that raw
+array for both sides with one masked argmin, which raises the step's
+error; both give the same bits.  Wrapping a single-valued map as a
+one-point multivalued map reproduces the single-valued trace bitwise.
 """
 
 from __future__ import annotations

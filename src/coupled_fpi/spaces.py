@@ -154,6 +154,8 @@ class ChebyshevSpace(MetricSpace):
         return fold_last(np.maximum, diff)
 
     def _row_rule(self):
+        if self._dimension == 1:
+            return lambda p, q: abs(p[0] - q[0])
         return lambda p, q: max(map(abs, map(operator.sub, p, q)))
 
 

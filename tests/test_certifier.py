@@ -533,7 +533,7 @@ def test_resumed_solve_takes_the_trial_iterates():
     assert len(calls) == 2 + 2 * 29 + 2
 
 
-def test_no_resume_after_a_trial_that_raised_or_stopped_early():
+def test_resume_after_a_failed_or_short_trial():
     # the trial's second step has no edge-compatible candidate
     graph = FiniteGraph([0.0, 1.0, 3.0], edges=[(0.0, 1.0), (1.0, 0.0)])
     jump = lambda x, y: FiniteSet([1.0]) if float(x[0]) == 0.0 else FiniteSet([3.0])
@@ -544,7 +544,11 @@ def test_no_resume_after_a_trial_that_raised_or_stopped_early():
     assert any(n.startswith("trial trace for limit-edge check failed: step 1") for n in report.notes)
     with pytest.raises(SelectionFailureError, match="^step 1: no edge-compatible candidate in the x-image"):
         solve_instance(instance, SolveConfig(k=0.5))
-    # a zero step ends the trial early, at tol 1e-300 too
-    constant = single_instance(FullGraph(1), fn=lambda x, y: np.zeros(1), continuous=False)
-    report, known = _preflight(constant, SMALL_BOX)
-    assert known is None and report.passed
+    # steps below 1e-300 end the trial early; its iterates are still the
+    # solve's, which at a smaller tol goes on past them
+    tiny = single_instance(FullGraph(1), x0=1e-300, y0=1e-300, continuous=False)
+    _, known = _preflight(tiny, SMALL_BOX)
+    assert [len(k) for k in known] == [3, 3]
+    for cfg in (SolveConfig(k=2.0 / 3.0, tol=1e-300), SolveConfig(k=2.0 / 3.0, tol=5e-324, max_iter=10)):
+        got = solve_outcome(tiny, cfg, known)
+        assert got == solve_outcome(tiny, cfg) and len(got[0]) == (2 if got[2] else 10)

@@ -46,6 +46,7 @@ from coupled_fpi.checks import SLACK, VIOLATION_CAP, _images
 from coupled_fpi.errors import CoupledFpiError
 from coupled_fpi.graphs import product_edge
 from coupled_fpi import solver
+from coupled_fpi.expressions import _POINT_VALUES
 from coupled_fpi.solver import _pair_blocks, _run_iteration
 from coupled_fpi.spaces import as_point
 
@@ -1045,6 +1046,9 @@ def test_float_step_matches_numpy_step():
                         emm = ExpressionMultiMap(points, dimension=d)
                         Z = rng.choice(_FLOAT_STEP_ANCHORS, size=(2, d))
                         step = solver._float_step(emm, space, graph)
+                        if step is None:  # past the float step's size
+                            assert 2 * m * d > _POINT_VALUES
+                            continue
                         with np.errstate(over="ignore"):
                             want = _numpy_step(emm, space, graph, Z, 7)
                             images = _images(emm, Z, Z[::-1], d, True).reshape(2 * m, d)
@@ -1089,3 +1093,7 @@ def test_float_step_only_where_map_metric_and_graph_have_a_float_rule():
     wide = ExpressionMultiMap([[f"x{i}" for i in range(1, 9)]], dimension=8)
     assert solver._float_step(wide, EuclideanSpace(8), FullGraph(8)) is None
     assert solver._float_step(wide, ChebyshevSpace(8), FullGraph(8)) is not None
+    # past _POINT_VALUES values in a step's two images numpy steps as fast
+    for m, d, floats in ((16, 1, True), (17, 1, False), (8, 2, True), (3, 6, False)):
+        emm = ExpressionMultiMap([["x1"] * d] * m, dimension=d)
+        assert (solver._float_step(emm, ChebyshevSpace(d), FullGraph(d)) is not None) == floats
