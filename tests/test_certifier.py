@@ -374,6 +374,41 @@ def test_preflight_flags_nan_seed_iterate():
     assert any("seed edge condition FAILED" in n for n in report.notes)
 
 
+def _raise_at(x0, y0, fn):
+    """*fn*, but raising a package error when evaluated at (x0, y0)."""
+    def at(x, y):
+        if float(np.asarray(x)[0]) == x0 and float(np.asarray(y)[0]) == y0:
+            raise InvalidInputError(f"no value at ({x0}, {y0})")
+        return fn(x, y)
+    return at
+
+
+def test_preflight_notes_a_seed_evaluation_failure():
+    # F raises at the seed itself and nowhere the samples or anchors reach
+    single = single_instance(FullGraph(1), fn=_raise_at(1.0, 0.0, sum_fifth), k=0.5)
+    multi = dataclasses.replace(multi_instance(), map=_raise_at(0.0, 1.0, multi_sum_fifth))
+    for inst, where in ((single, "(1.0, 0.0)"), (multi, "(0.0, 1.0)")):
+        report = preflight(inst, SMALL_BOX)
+        assert not report.seed_edge_ok
+        assert report.theorem_applicable == "none"
+        assert report.notes[:2] == (f"seed evaluation failed: no value at {where}",
+                                    "seed edge condition FAILED")
+
+
+def test_preflight_notes_a_skipped_continuity_spot_check():
+    # every checker sample sits on the pool {1, 2}; the spot check probes
+    # just beside its anchors, where F raises
+    def pool_only(x, y):
+        if not {float(np.asarray(x)[0]), float(np.asarray(y)[0])} <= {1.0, 2.0}:
+            raise InvalidInputError("off the pool")
+        return 0.01
+
+    pool = SampleSpec(count=64, seed=9, points=((1.0,), (2.0,)))
+    report = preflight(single_instance(FullGraph(1), x0=1.0, y0=2.0, fn=pool_only, k=0.5), pool)
+    assert "continuity spot check skipped: off the pool" in report.notes
+    assert report.theorem_applicable == "thm_3_1"
+
+
 def test_multivalued_paths_build_no_finite_set(monkeypatch):
     # images are read as raw point rows, repeats kept: no deduplicating set
     def no_set(self, *args, **kwargs):
