@@ -39,7 +39,7 @@ from .checks import (
     check_mixed_monotone,
     check_mixed_monotone_multi,
 )
-from .errors import CoupledFpiError, InvalidInputError, InvalidParameterError
+from .errors import CoupledFpiError, InvalidInputError, InvalidParameterError, InvalidSeedError
 from .finite_sets import _gaps
 # Not used here; perfbench/tracer.py patches them under these names.
 from .checks import estimate_k  # noqa: F401
@@ -50,7 +50,7 @@ from .solver import (
     CoupledFixedPoint,
     IterationTrace,
     SolveConfig,
-    _seed_member,
+    _first_pair,
     solve_coupled,
     solve_coupled_multi,
 )
@@ -196,24 +196,20 @@ def check_property_star(
 
 
 def _seed_edge_ok(instance: ProblemInstance, notes: list[str]) -> bool:
-    d = instance.space.dimension
+    single = instance.kind == "single"
+    declared = () if single else (instance.x1, instance.y1)
     try:
-        if instance.kind == "single":
-            x1 = as_point(instance.map(instance.x0, instance.y0), d)
-            y1 = as_point(instance.map(instance.y0, instance.x0), d)
+        x0, y0, x1, y1 = _first_pair(instance.map, instance.space, instance.x0, instance.y0, *declared)
+        if single:
             for p, image in ((x1, "F(x0, y0)"), (y1, "F(y0, x0)")):
                 if not np.isfinite(p).all():
                     # the full graph has every edge, NaN ones included
                     notes.append(f"seed iterate {image} is not finite")
                     return False
-        else:
-            x1, y1 = instance.x1, instance.y1
-            in_x = _seed_member(instance.space, x1, instance.map(instance.x0, instance.y0))
-            in_y = _seed_member(instance.space, y1, instance.map(instance.y0, instance.x0))
-            if not (in_x and in_y):
-                notes.append("declared seed iterates are not members of the seed images")
-                return False
-        return product_edge(instance.graph, (instance.x0, instance.y0), (x1, y1))
+        return product_edge(instance.graph, (x0, y0), (x1, y1))
+    except InvalidSeedError:
+        notes.append("declared seed iterates are not members of the seed images")
+        return False
     except CoupledFpiError as exc:
         notes.append(f"seed evaluation failed: {exc}")
         return False

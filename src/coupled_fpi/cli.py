@@ -160,31 +160,27 @@ def run(
     sample = build_sample_spec(spec, seed)
     cfg = build_solve_config(spec, max_iter)
     report, known = preflight(instance, sample)
-
+    trace = result = error = None
     if not report.passed and not force:
-        doc = report_document(report, None, None, EXIT_PREFLIGHT_FAILED, force, None)
-        _write_report(out_dir, doc)
-        if not quiet:
-            print(f"preflight FAILED (theorem_applicable = none); see {out_dir}/report.json", file=stdout)
-            for note in report.notes:
-                print(f"  note: {note}", file=stdout)
-        return RunArtifacts(report, None, None, EXIT_PREFLIGHT_FAILED)
+        exit_code = EXIT_PREFLIGHT_FAILED
+    else:
+        try:
+            result, trace = solve_instance(instance, cfg, known=known)
+        except CoupledFpiError as exc:
+            exit_code, error = EXIT_ERROR, f"{type(exc).__name__}: {exc}"
+        else:
+            exit_code = EXIT_OK if trace.converged else EXIT_NO_CONVERGENCE
 
-    try:
-        result, trace = solve_instance(instance, cfg, known=known)
-    except CoupledFpiError as exc:
-        message = f"{type(exc).__name__}: {exc}"
-        doc = report_document(report, None, None, EXIT_ERROR, force, message)
-        _write_report(out_dir, doc)
-        print(f"solver error: {message}", file=stderr)
-        return RunArtifacts(report, None, None, EXIT_ERROR, error=message)
-
-    exit_code = EXIT_OK if trace.converged else EXIT_NO_CONVERGENCE
-    doc = report_document(report, trace, result, exit_code, force, None)
-    _write_atomic(out_dir, "trace.csv", trace_to_csv(trace))
-    _write_report(out_dir, doc)
-
-    if not quiet:
+    if trace is not None:
+        _write_atomic(out_dir, "trace.csv", trace_to_csv(trace))
+    _write_report(out_dir, report_document(report, trace, result, exit_code, force, error))
+    if error is not None:
+        print(f"solver error: {error}", file=stderr)
+    elif not quiet and trace is None:
+        print(f"preflight FAILED (theorem_applicable = none); see {out_dir}/report.json", file=stdout)
+        for note in report.notes:
+            print(f"  note: {note}", file=stdout)
+    elif not quiet:
         print(f"instance {report.instance_id}  theorem {report.theorem_applicable}"
               f"{'  (forced)' if force and not report.passed else ''}", file=stdout)
         _print_table(trace, stdout)
@@ -194,7 +190,7 @@ def run(
             f"exit {exit_code}",
             file=stdout,
         )
-    return RunArtifacts(report, trace, result, exit_code)
+    return RunArtifacts(report, trace, result, exit_code, error)
 
 
 def _parse_args(argv):

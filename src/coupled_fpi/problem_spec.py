@@ -118,9 +118,12 @@ def _as_number(value, where: str) -> float:
     return float(value)
 
 
-def _as_int(value, where: str) -> int:
+def _as_int(value, where: str, low: int | None = None) -> int:
+    """*value*, an integer (not a bool), and at least *low* (1 or 0) when given."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise SpecError(f"{where} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise SpecError(f"{where} must be a {'positive' if low else 'nonnegative'} integer, got {value}")
     return value
 
 
@@ -155,9 +158,7 @@ def _section(doc, where: str, kinds: tuple = ()) -> Any:
 
 def _parse_space(doc, where="space") -> SpaceSpec:
     kind = _section(doc, where, SPACE_KINDS)
-    dim = _as_int(_require(doc, "dimension", where), f"{where}.dimension")
-    if dim < 1:
-        raise SpecError(f"{where}.dimension must be a positive integer, got {dim}")
+    dim = _as_int(_require(doc, "dimension", where), f"{where}.dimension", 1)
     return SpaceSpec(kind=kind, dimension=dim)
 
 
@@ -253,20 +254,16 @@ def _parse_solve(doc, where="solve") -> SolveSpec:
     if doc is None:
         return SolveSpec()
     _section(doc, where)
-    out = SolveSpec(
-        tol=_as_number(doc.get("tol", SolveSpec.tol), f"{where}.tol"),
-        max_iter=_as_int(doc.get("max_iter", SolveSpec.max_iter), f"{where}.max_iter"),
-        mode=doc.get("mode", SolveSpec.mode),
-        check_bounds=_as_bool(doc.get("check_bounds", SolveSpec.check_bounds), f"{where}.check_bounds"),
-        record_edges=_as_bool(doc.get("record_edges", SolveSpec.record_edges), f"{where}.record_edges"),
-    )
-    if out.mode not in ("continuous", "property_star"):
-        raise SpecError(f"{where}.mode must be 'continuous' or 'property_star', got {out.mode!r}")
-    if not out.tol > 0.0:
-        raise SpecError(f"{where}.tol must be positive, got {out.tol!r}")
-    if out.max_iter < 1:
-        raise SpecError(f"{where}.max_iter must be a positive integer, got {out.max_iter}")
-    return out
+    tol = _as_number(doc.get("tol", SolveSpec.tol), f"{where}.tol")
+    check_bounds = _as_bool(doc.get("check_bounds", SolveSpec.check_bounds), f"{where}.check_bounds")
+    record_edges = _as_bool(doc.get("record_edges", SolveSpec.record_edges), f"{where}.record_edges")
+    mode = doc.get("mode", SolveSpec.mode)
+    if mode not in ("continuous", "property_star"):
+        raise SpecError(f"{where}.mode must be 'continuous' or 'property_star', got {mode!r}")
+    if not tol > 0.0:
+        raise SpecError(f"{where}.tol must be positive, got {tol!r}")
+    max_iter = _as_int(doc.get("max_iter", SolveSpec.max_iter), f"{where}.max_iter", 1)
+    return SolveSpec(tol, max_iter, mode, check_bounds, record_edges)
 
 
 def _parse_sampler(doc, dimension: int, where="sampler") -> SamplerSpec:
@@ -291,14 +288,10 @@ def _parse_sampler(doc, dimension: int, where="sampler") -> SamplerSpec:
             raise SpecError(f"{where}.low exceeds {where}.high in coordinate {i}: {lo!r} > {h!r}")
     if not all(math.isfinite(h - lo) for lo, h in zip(lows, highs)):
         raise SpecError(f"{where}.high - {where}.low must be finite, got {high!r} - {low!r}")
-    count = _as_int(doc.get("count", SamplerSpec.count), f"{where}.count")
-    if count < 1:
-        raise SpecError(f"{where}.count must be a positive integer, got {count}")
+    count = _as_int(doc.get("count", SamplerSpec.count), f"{where}.count", 1)
     seed = doc.get("rng_seed", None)
     if seed is not None:
-        seed = _as_int(seed, f"{where}.rng_seed")
-        if seed < 0:
-            raise SpecError(f"{where}.rng_seed must be a nonnegative integer, got {seed}")
+        seed = _as_int(seed, f"{where}.rng_seed", 0)
     return SamplerSpec(low=low, high=high, count=count, rng_seed=seed)
 
 
@@ -333,9 +326,8 @@ def parse_spec(text: str) -> ProblemSpec:
 
 def serialize_spec(spec: ProblemSpec) -> str:
     """Canonical JSON for *spec*; round-trips through :func:`parse_spec`."""
-    doc: dict[str, Any] = {
-        "space": {"kind": spec.space.kind, "dimension": spec.space.dimension},
-    }
+    # sort_keys orders every section's fields, and tuples dump as lists
+    doc: dict[str, Any] = {"space": vars(spec.space)}
     graph: dict[str, Any] = {"kind": spec.graph.kind}
     if spec.graph.kind == "edge_list":
         graph["vertices"] = [_point_json(v) for v in spec.graph.vertices]
@@ -353,29 +345,9 @@ def serialize_spec(spec: ProblemSpec) -> str:
         ]
     doc["map"] = {"kind": spec.map.kind, "definition": definition}
     doc["k"] = spec.k
-    seed: dict[str, Any] = {
-        "x0": _point_json(spec.seed.x0),
-        "y0": _point_json(spec.seed.y0),
-    }
-    if spec.seed.x1 is not None:
-        seed["x1"] = _point_json(spec.seed.x1)
-        seed["y1"] = _point_json(spec.seed.y1)
-    doc["seed"] = seed
-    doc["solve"] = {
-        "tol": spec.solve.tol,
-        "max_iter": spec.solve.max_iter,
-        "mode": spec.solve.mode,
-        "check_bounds": spec.solve.check_bounds,
-        "record_edges": spec.solve.record_edges,
-    }
-    sampler: dict[str, Any] = {
-        "low": list(spec.sampler.low) if isinstance(spec.sampler.low, tuple) else spec.sampler.low,
-        "high": list(spec.sampler.high) if isinstance(spec.sampler.high, tuple) else spec.sampler.high,
-        "count": spec.sampler.count,
-    }
-    if spec.sampler.rng_seed is not None:
-        sampler["rng_seed"] = spec.sampler.rng_seed
-    doc["sampler"] = sampler
+    doc["seed"] = {key: _point_json(p) for key, p in vars(spec.seed).items() if p is not None}
+    doc["solve"] = vars(spec.solve)
+    doc["sampler"] = {key: v for key, v in vars(spec.sampler).items() if v is not None}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 

@@ -65,7 +65,7 @@ from .errors import (
     SeedEdgeError,
     SelectionFailureError,
 )
-from .finite_sets import FiniteSetLike, _point_rows, dist_to_set
+from .finite_sets import _point_rows, dist_to_set
 # as_finite_set is not used here; perfbench/tracer.py patches it under this name.
 from .finite_sets import as_finite_set  # noqa: F401
 from .graphs import Digraph, product_edge, product_edge_mask
@@ -239,6 +239,31 @@ def _run_iteration(
 _SEED_EDGE = "seed condition fails: ((x0,y0),(F(x0,y0),F(y0,x0))) is not a product edge"
 
 
+def _first_pair(fn: Callable, space: MetricSpace, x0: PointLike, y0: PointLike,
+                x1: PointLike | None = None, y1: PointLike | None = None):
+    """The seed (x0, y0) and the first pair (x1, y1) as points, for the seed
+    condition: with no x1 the computed (F(x0, y0), F(y0, x0)), otherwise the
+    declared x1 and y1, each a point of its image, x1 first.  A point of an
+    image is within SLACK of it, or bitwise one of its points (an infinite
+    point has NaN distance to itself); a NaN distance to an image without
+    it is no membership.
+
+    Raises:
+        InvalidSeedError: a declared iterate is not a point of its image.
+    """
+    d = space.dimension
+    x0, y0 = as_point(x0, d), as_point(y0, d)
+    if x1 is None:
+        return x0, y0, as_point(fn(x0, y0), d), as_point(fn(y0, x0), d)
+    x1, y1 = as_point(x1, d), as_point(y1, d)
+    for p, a, b, message in ((x1, x0, y0, "x1 is not a point of F(x0, y0)"),
+                             (y1, y0, x0, "y1 is not a point of F(y0, x0)")):
+        rows = _point_rows(fn(a, b), d)
+        if not (dist_to_set(space, p, rows) <= SLACK or any(r.tobytes() == p.tobytes() for r in rows)):
+            raise InvalidSeedError(message)
+    return x0, y0, x1, y1
+
+
 def solve_coupled(
     fn: Callable,
     space: MetricSpace,
@@ -267,10 +292,7 @@ def solve_coupled(
             wrong for this instance).
     """
     d = space.dimension
-    x0 = as_point(x0, d)
-    y0 = as_point(y0, d)
-    x1 = as_point(fn(x0, y0), d)
-    y1 = as_point(fn(y0, x0), d)
+    x0, y0, x1, y1 = _first_pair(fn, space, x0, y0)
     if not product_edge(graph, (x0, y0), (x1, y1)):
         raise SeedEdgeError(_SEED_EDGE)
 
@@ -346,14 +368,6 @@ def _float_step(fn, space, graph):
     return step
 
 
-def _seed_member(space: MetricSpace, p: np.ndarray, image: FiniteSetLike) -> bool:
-    """p is a point of the image: within SLACK of it, or bitwise one of its
-    points (an infinite point has NaN distance to itself).  A NaN distance
-    to an image without p is no membership."""
-    rows = _point_rows(image, space.dimension)
-    return dist_to_set(space, p, rows) <= SLACK or any(r.tobytes() == p.tobytes() for r in rows)
-
-
 def solve_coupled_multi(
     fn: Callable,
     space: MetricSpace,
@@ -385,14 +399,7 @@ def solve_coupled_multi(
         InvalidInputError: ``eval_batch`` returned a wrongly shaped array.
     """
     d = space.dimension
-    x0 = as_point(x0, d)
-    y0 = as_point(y0, d)
-    x1 = as_point(x1, d)
-    y1 = as_point(y1, d)
-    if not _seed_member(space, x1, fn(x0, y0)):
-        raise InvalidSeedError("x1 is not a point of F(x0, y0)")
-    if not _seed_member(space, y1, fn(y0, x0)):
-        raise InvalidSeedError("y1 is not a point of F(y0, x0)")
+    x0, y0, x1, y1 = _first_pair(fn, space, x0, y0, x1, y1)
     if not product_edge(graph, (x0, y0), (x1, y1)):
         raise SeedEdgeError("seed condition fails: ((x0,y0),(x1,y1)) is not a product edge")
 

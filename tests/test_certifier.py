@@ -17,6 +17,7 @@ from coupled_fpi import (
     HypothesisViolationError,
     InvalidInputError,
     InvalidParameterError,
+    InvalidSeedError,
     LinearCoupledMap,
     NonFiniteValueError,
     OrderGraph,
@@ -393,6 +394,12 @@ def test_preflight_notes_a_seed_evaluation_failure():
         assert report.theorem_applicable == "none"
         assert report.notes[:2] == (f"seed evaluation failed: no value at {where}",
                                     "seed edge condition FAILED")
+    # x1 is checked before F(y0, x0) is evaluated, by preflight as by the solver
+    inst = dataclasses.replace(multi_instance(x1=0.3), map=_raise_at(1.0, 0.0, multi_sum_fifth))
+    assert preflight(inst, SMALL_BOX).notes[0] == \
+        "declared seed iterates are not members of the seed images"
+    with pytest.raises(InvalidSeedError, match=r"^x1 is not a point of F\(x0, y0\)$"):
+        solve_instance(inst, SolveConfig(k=0.5))
 
 
 def test_preflight_notes_a_skipped_continuity_spot_check():
