@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 from .certifier import ProblemInstance
@@ -144,11 +144,23 @@ def _as_point_tuple(value, dimension: int, where: str) -> tuple:
     return pt
 
 
-def _section(doc, where: str, kinds: tuple = ()) -> Any:
-    """Check that the section *doc* is an object and, when *kinds* is given,
-    that its required ``kind`` is one of them; returns that kind."""
+def _field_names(cls) -> tuple:
+    return tuple(f.name for f in fields(cls))
+
+
+def _known_keys(doc: dict, keys: tuple, what: str) -> None:
+    for key in doc:
+        if key not in keys:
+            raise SpecError(f"unknown {what} field {key!r}")
+
+
+def _section(doc, where: str, keys: tuple, kinds: tuple = ()) -> Any:
+    """Check that the section *doc* is an object with no key outside *keys*
+    and, when *kinds* is given, that its required ``kind`` is one of them;
+    returns that kind."""
     if not isinstance(doc, dict):
         raise SpecError(f"{where} must be an object")
+    _known_keys(doc, keys, where)
     if kinds:
         kind = _require(doc, "kind", where)
         if kind not in kinds:
@@ -157,14 +169,17 @@ def _section(doc, where: str, kinds: tuple = ()) -> Any:
 
 
 def _parse_space(doc, where="space") -> SpaceSpec:
-    kind = _section(doc, where, SPACE_KINDS)
+    kind = _section(doc, where, _field_names(SpaceSpec), SPACE_KINDS)
     dim = _as_int(_require(doc, "dimension", where), f"{where}.dimension", 1)
     return SpaceSpec(kind=kind, dimension=dim)
 
 
 def _parse_graph(doc, dimension: int, where="graph") -> GraphSpec:
-    kind = _section(doc, where, GRAPH_KINDS)
+    kind = _section(doc, where, _field_names(GraphSpec), GRAPH_KINDS)
     if kind != "edge_list":
+        for extra in ("vertices", "edges"):
+            if extra in doc:
+                raise SpecError(f"{where}.{extra} is only meaningful for edge_list graphs")
         return GraphSpec(kind=kind)
     verts = _require(doc, "vertices", where)
     if not isinstance(verts, list) or not verts:
@@ -204,7 +219,7 @@ def _component_expressions(defn, dimension: int, where: str) -> tuple[str, ...]:
 
 
 def _parse_map(doc, dimension: int, where="map") -> MapSpec:
-    kind = _section(doc, where, MAP_KINDS)
+    kind = _section(doc, where, ("kind", "definition"), MAP_KINDS)
     defn = _require(doc, "definition", where)
     if kind == "single":
         if isinstance(defn, dict):
@@ -237,7 +252,7 @@ def _parse_map(doc, dimension: int, where="map") -> MapSpec:
 
 
 def _parse_seed(doc, dimension: int, multi: bool, where="seed") -> SeedSpec:
-    _section(doc, where)
+    _section(doc, where, _field_names(SeedSpec))
     x0 = _as_point_tuple(_require(doc, "x0", where), dimension, f"{where}.x0")
     y0 = _as_point_tuple(_require(doc, "y0", where), dimension, f"{where}.y0")
     if not multi:
@@ -253,7 +268,7 @@ def _parse_seed(doc, dimension: int, multi: bool, where="seed") -> SeedSpec:
 def _parse_solve(doc, where="solve") -> SolveSpec:
     if doc is None:
         return SolveSpec()
-    _section(doc, where)
+    _section(doc, where, _field_names(SolveSpec))
     tol = _as_number(doc.get("tol", SolveSpec.tol), f"{where}.tol")
     check_bounds = _as_bool(doc.get("check_bounds", SolveSpec.check_bounds), f"{where}.check_bounds")
     record_edges = _as_bool(doc.get("record_edges", SolveSpec.record_edges), f"{where}.record_edges")
@@ -269,7 +284,7 @@ def _parse_solve(doc, where="solve") -> SolveSpec:
 def _parse_sampler(doc, dimension: int, where="sampler") -> SamplerSpec:
     if doc is None:
         return SamplerSpec()
-    _section(doc, where)
+    _section(doc, where, _field_names(SamplerSpec))
 
     def bound(key, default):
         val = doc.get(key, default)
@@ -308,10 +323,7 @@ def parse_spec(text: str) -> ProblemSpec:
         raise SpecError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise SpecError("spec must be a JSON object")
-    known = {"space", "graph", "map", "k", "seed", "solve", "sampler"}
-    for key in doc:
-        if key not in known:
-            raise SpecError(f"unknown top-level field {key!r}")
+    _known_keys(doc, _field_names(ProblemSpec), "top-level")
     space = _parse_space(_require(doc, "space", ""))
     graph = _parse_graph(_require(doc, "graph", ""), space.dimension)
     map_spec = _parse_map(_require(doc, "map", ""), space.dimension)

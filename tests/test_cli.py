@@ -336,6 +336,17 @@ def test_negative_seed_exits_error(tmp_path, monkeypatch, capsys, source):
     assert not (tmp_path / "run").exists()  # rejected before anything is written
 
 
+def test_unknown_section_field_exits_error(tmp_path, capsys):
+    doc = json.loads(pathlib.Path(SINGLE).read_text())
+    doc["solve"]["max_iters"] = 5
+    spec = tmp_path / "misspelt.json"
+    spec.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    assert main(["solve", str(spec), "--out-dir", str(out), "--quiet"]) == EXIT_ERROR
+    assert "invalid spec: unknown solve field 'max_iters'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("spec", [SINGLE, PROJECTION], ids=["passes", "fails_preflight"])
 def test_invalid_max_iter_exits_error_before_preflight(tmp_path, capsys, spec):
     # checked before preflight, so a spec that fails preflight exits 3 as well

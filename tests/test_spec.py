@@ -101,7 +101,25 @@ def test_serialize_is_canonical():
 @pytest.mark.parametrize("bad, fragment", [
     pytest.param("{not json", "line 1 column", id="malformed-json"),
     pytest.param("[1, 2]", "must be a JSON object", id="non-object"),
-    pytest.param(doc(extra=1), "unknown top-level field", id="unknown-field"),
+    pytest.param(doc(extra=1), "unknown top-level field 'extra'", id="unknown-field"),
+    pytest.param(doc(space={"kind": "euclidean", "dimension": 1, "dim": 2}),
+                 "unknown space field 'dim'", id="unknown-space-field"),
+    pytest.param(doc(graph={"kind": "full", "edge": []}), "unknown graph field 'edge'",
+                 id="unknown-graph-field"),
+    pytest.param(doc(map={"kind": "single", "definition": "x", "expressions": ["y"]}),
+                 "unknown map field 'expressions'", id="unknown-map-field"),
+    pytest.param(doc(seed={"x0": 0.0, "y0": 1.0, "z0": 2.0}), "unknown seed field 'z0'",
+                 id="unknown-seed-field"),
+    pytest.param(doc(solve={"max_iters": 5}), "unknown solve field 'max_iters'",
+                 id="unknown-solve-field"),
+    pytest.param(doc(solve={"check_bound": True}), "unknown solve field 'check_bound'",
+                 id="misspelt-solve-field"),
+    pytest.param(doc(sampler={"seed": 3}), "unknown sampler field 'seed'",
+                 id="unknown-sampler-field"),
+    pytest.param(doc(graph={"kind": "order", "vertices": [0.0]}),
+                 "graph.vertices is only meaningful for edge_list graphs", id="vertices-on-order"),
+    pytest.param(doc(graph={"kind": "full", "edges": []}),
+                 "graph.edges is only meaningful for edge_list graphs", id="edges-on-full"),
     pytest.param(json.dumps({k: v for k, v in MINIMAL.items() if k != "space"}),
                  "space is required", id="missing-space"),
     pytest.param(json.dumps({k: v for k, v in MINIMAL.items() if k != "seed"}),
