@@ -199,7 +199,8 @@ def _seed_edge_ok(instance: ProblemInstance, notes: list[str]) -> bool:
     single = instance.kind == "single"
     declared = () if single else (instance.x1, instance.y1)
     try:
-        x0, y0, x1, y1 = _first_pair(instance.map, instance.space, instance.x0, instance.y0, *declared)
+        x0, y0, x1, y1 = _first_pair(instance.map, instance.space, instance.x0, instance.y0,
+                                     *declared)
         if single:
             for p, image in ((x1, "F(x0, y0)"), (y1, "F(y0, x0)")):
                 if not np.isfinite(p).all():

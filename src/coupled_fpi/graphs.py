@@ -24,7 +24,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import InvalidInputError, NotAVertexError
-from .spaces import PointLike, as_point, fold_last
+from .spaces import PointLike, _as_rows, as_point, fold_last
 
 
 class Digraph:
@@ -41,7 +41,9 @@ class Digraph:
         raise NotImplementedError
 
     def edge_mask(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-        """Rowwise ``has_edge`` over (n,d) arrays; loops over rows by default."""
+        """Rowwise ``has_edge`` over (n,d) arrays, read by ``spaces._as_rows``;
+        loops over rows by default."""
+        P, Q = _as_rows(P, self._dimension), _as_rows(Q, self._dimension)
         return np.fromiter(
             (self.has_edge(p, q) for p, q in zip(P, Q)), bool, count=len(P)
         )
@@ -90,11 +92,8 @@ class OrderGraph(Digraph):
         return bool((p <= q).all())
 
     def edge_mask(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-        P = np.asarray(P, dtype=np.float64)
-        Q = np.asarray(Q, dtype=np.float64)
-        if P.ndim == 1:
-            return P <= Q
-        return fold_last(np.logical_and, P <= Q)
+        d = self._dimension
+        return fold_last(np.logical_and, _as_rows(P, d) <= _as_rows(Q, d))
 
     def _row_rule(self):
         return lambda p, q: all(map(operator.le, p, q))
@@ -125,7 +124,7 @@ class FullGraph(Digraph):
         return True
 
     def edge_mask(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-        return np.ones(len(P), dtype=bool)
+        return np.ones(len(_as_rows(P, self._dimension)), dtype=bool)
 
     def _row_rule(self):
         return lambda p, q: True

@@ -123,7 +123,8 @@ def _as_int(value, where: str, low: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SpecError(f"{where} must be an integer, got {value!r}")
     if low is not None and value < low:
-        raise SpecError(f"{where} must be a {'positive' if low else 'nonnegative'} integer, got {value}")
+        kind = "positive" if low else "nonnegative"
+        raise SpecError(f"{where} must be a {kind} integer, got {value}")
     return value
 
 

@@ -259,7 +259,8 @@ def _first_pair(fn: Callable, space: MetricSpace, x0: PointLike, y0: PointLike,
     for p, a, b, message in ((x1, x0, y0, "x1 is not a point of F(x0, y0)"),
                              (y1, y0, x0, "y1 is not a point of F(y0, x0)")):
         rows = _point_rows(fn(a, b), d)
-        if not (dist_to_set(space, p, rows) <= SLACK or any(r.tobytes() == p.tobytes() for r in rows)):
+        if not (dist_to_set(space, p, rows) <= SLACK
+                or any(r.tobytes() == p.tobytes() for r in rows)):
             raise InvalidSeedError(message)
     return x0, y0, x1, y1
 

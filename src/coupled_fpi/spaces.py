@@ -54,6 +54,13 @@ def as_point(value: PointLike, dimension: int | None = None, copy: bool = True) 
     return pt
 
 
+def _as_rows(value, dimension: int) -> np.ndarray:
+    """*value* as float64 rows of *dimension* values, as every ``distance_batch``
+    and ``edge_mask`` reads its arguments: a flat vector is n points in
+    dimension 1 and one point otherwise."""
+    return np.asarray(value, dtype=np.float64).reshape(-1, dimension)
+
+
 def fold_last(op: np.ufunc, a: np.ndarray) -> np.ndarray:
     """``op.reduce(a, axis=-1)`` (max, min, and, or, add), column by column
     when the last axis is short, which numpy reduces at a cost per row: up to
@@ -100,7 +107,8 @@ class MetricSpace:
         raise NotImplementedError
 
     def distance_batch(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-        """Rowwise distances between (n,d) arrays P and Q."""
+        """Rowwise distances between (n,d) arrays P and Q, read by :func:`_as_rows`."""
+        P, Q = _as_rows(P, self._dimension), _as_rows(Q, self._dimension)
         return np.fromiter(
             (self._dist(p, q) for p, q in zip(P, Q)), np.float64, count=len(P)
         )
@@ -128,9 +136,7 @@ class EuclideanSpace(MetricSpace):
         return math.sqrt(float((diff * diff).sum()))
 
     def distance_batch(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-        diff = np.asarray(P, dtype=np.float64) - np.asarray(Q, dtype=np.float64)
-        if diff.ndim == 1:
-            return np.abs(diff)
+        diff = _as_rows(P, self._dimension) - _as_rows(Q, self._dimension)
         if diff.shape[1] == 1:
             return np.abs(diff[:, 0])
         return np.sqrt(fold_last(np.add, diff * diff))
@@ -148,10 +154,8 @@ class ChebyshevSpace(MetricSpace):
         return float(np.abs(p - q).max())
 
     def distance_batch(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-        diff = np.abs(np.asarray(P, dtype=np.float64) - np.asarray(Q, dtype=np.float64))
-        if diff.ndim == 1:
-            return diff
-        return fold_last(np.maximum, diff)
+        d = self._dimension
+        return fold_last(np.maximum, np.abs(_as_rows(P, d) - _as_rows(Q, d)))
 
     def _row_rule(self):
         if self._dimension == 1:

@@ -103,6 +103,23 @@ def test_edge_mask_default_matches_has_edge():
     assert mask_calls == len(calls)
 
 
+@pytest.mark.parametrize("graph", [
+    OrderGraph(1), OrderGraph(2), FullGraph(1), FullGraph(2),
+    PredicateGraph(2, lambda p, q: p[0] < q[1]),
+    FiniteGraph([[0.0, 5.0], [1.0, 1.0], [-1.0, -2.0], [0.0, 0.0]], [([0.0, 5.0], [1.0, 1.0])]),
+], ids=["order-1", "order-2", "full-1", "full-2", "predicate-2", "finite-2"])
+def test_edge_mask_reads_a_flat_vector_as_rows(graph):
+    # a flat vector is n points in dimension 1 and one point otherwise
+    d = graph.dimension
+    P, Q = np.array([0.0, 5.0, -1.0, -2.0]), np.array([1.0, 1.0, 0.0, 0.0])
+    want = [graph.has_edge(p, q) for p, q in zip(P.reshape(-1, d), Q.reshape(-1, d))]
+    assert graph.edge_mask(P[:d], Q[:d]).tolist() == want[:1]
+    assert graph.edge_mask(P, Q).tolist() == want
+    assert graph.edge_mask(P.reshape(-1, d), Q.reshape(-1, d)).tolist() == want
+    if isinstance(graph, OrderGraph) and d == 2:
+        assert want == [False, True]
+
+
 def test_finite_graph_edge_tests_against_edge_set_oracle():
     # Vertices are told apart by their bytes: duplicates collapse, 0.0 and
     # -0.0 are two vertices, and a NaN vertex has its loop like any other.

@@ -97,6 +97,22 @@ def test_distance_batch_matches_scalar_bitwise():
         assert np.array_equal(batch, scalar)
 
 
+@pytest.mark.parametrize("space", [
+    EuclideanSpace(1), EuclideanSpace(2), ChebyshevSpace(1), ChebyshevSpace(2),
+    CallbackSpace(2, lambda p, q: float(np.hypot(*(p - q)))),
+], ids=["euclidean-1", "euclidean-2", "chebyshev-1", "chebyshev-2", "callback-2"])
+def test_distance_batch_reads_a_flat_vector_as_rows(space):
+    # a flat vector is n points in dimension 1 and one point otherwise
+    d = space.dimension
+    P, Q = np.array([0.0, 0.0, 1.0, -2.0]), np.array([3.0, 4.0, 1.0, 2.0])
+    want = [space.distance(p, q) for p, q in zip(P.reshape(-1, d), Q.reshape(-1, d))]
+    assert space.distance_batch(P[:d], Q[:d]).tolist() == want[:1]
+    assert space.distance_batch(P, Q).tolist() == want
+    assert space.distance_batch(P.reshape(-1, d), Q.reshape(-1, d)).tolist() == want
+    if d == 2:
+        assert want[0] == (4.0 if isinstance(space, ChebyshevSpace) else 5.0)
+
+
 def test_short_axis_folds_match_the_reductions_bytewise():
     # distance_batch, OrderGraph.edge_mask and the checkers fold short
     # trailing axes column by column; each gives the bytes of the numpy
