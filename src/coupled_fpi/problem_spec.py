@@ -22,12 +22,14 @@ list of component expressions).  Points are numbers in dimension 1,
 length-d lists otherwise.
 
 ``parse_spec`` rejects malformed documents with the offending field
-named; ``serialize_spec`` writes the canonical form that round-trips:
+named, and any field a section does not define; ``serialize_spec``
+writes the canonical form that round-trips:
 ``parse_spec(serialize_spec(s)) == s``.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field, fields
@@ -145,6 +147,7 @@ def _as_point_tuple(value, dimension: int, where: str) -> tuple:
     return pt
 
 
+@functools.cache
 def _field_names(cls) -> tuple:
     return tuple(f.name for f in fields(cls))
 

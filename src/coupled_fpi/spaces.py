@@ -57,8 +57,9 @@ def as_point(value: PointLike, dimension: int | None = None, copy: bool = True) 
 def _as_rows(value, dimension: int) -> np.ndarray:
     """*value* as float64 rows of *dimension* values, as every ``distance_batch``
     and ``edge_mask`` reads its arguments: a flat vector is n points in
-    dimension 1 and one point otherwise."""
-    return np.asarray(value, dtype=np.float64).reshape(-1, dimension)
+    dimension 1 and one point otherwise; an (n, d) array is taken as it is."""
+    rows = np.asarray(value, dtype=np.float64)
+    return rows if rows.ndim == 2 else rows.reshape(-1, dimension)
 
 
 def fold_last(op: np.ufunc, a: np.ndarray) -> np.ndarray:
