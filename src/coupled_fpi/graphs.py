@@ -38,7 +38,12 @@ class Digraph:
         return self._dimension
 
     def has_edge(self, p: PointLike, q: PointLike) -> bool:
-        raise NotImplementedError
+        """Edge test by the graph's float rule (:meth:`_row_rule`)."""
+        rule = self._row_rule()
+        if rule is None:
+            raise NotImplementedError
+        d = self._dimension
+        return rule(as_point(p, d, copy=False).tolist(), as_point(q, d, copy=False).tolist())
 
     def edge_mask(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
         """Rowwise ``has_edge`` over (n,d) arrays, read by ``spaces._as_rows``;
@@ -49,7 +54,7 @@ class Digraph:
         )
 
     def _row_rule(self) -> Callable[[list, list], bool] | None:
-        """``edge_mask`` on two rows of finite Python floats, or None."""
+        """``edge_mask`` on two rows of Python floats, or None."""
         return None
 
     def construct_edges(
@@ -86,11 +91,6 @@ class PredicateGraph(Digraph):
 class OrderGraph(Digraph):
     """Edge p -> q iff p <= q componentwise (the usual order on R^d)."""
 
-    def has_edge(self, p: PointLike, q: PointLike) -> bool:
-        p = as_point(p, self._dimension)
-        q = as_point(q, self._dimension)
-        return bool((p <= q).all())
-
     def edge_mask(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
         d = self._dimension
         return fold_last(np.logical_and, _as_rows(P, d) <= _as_rows(Q, d))
@@ -117,11 +117,6 @@ class FullGraph(Digraph):
 
     Box samples are constructed, not rejected: any two draws form an edge.
     """
-
-    def has_edge(self, p: PointLike, q: PointLike) -> bool:
-        as_point(p, self._dimension)
-        as_point(q, self._dimension)
-        return True
 
     def edge_mask(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
         return np.ones(len(_as_rows(P, self._dimension)), dtype=bool)

@@ -115,9 +115,17 @@ def _require(doc: dict, key: str, where: str) -> Any:
 
 
 def _as_number(value, where: str) -> float:
+    """*value*, a finite number (not a bool): JSON reads 1e400 as inf, and
+    takes the NaN and Infinity tokens."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SpecError(f"{where} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer past the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise SpecError(f"{where} must be finite, got {number!r}")
+    return number
 
 
 def _as_int(value, where: str, low: int | None = None) -> int:
@@ -295,8 +303,6 @@ def _parse_sampler(doc, dimension: int, where="sampler") -> SamplerSpec:
         coords = tuple(_as_number(c, f"{where}.{key}") for c in (val if isinstance(val, list) else [val]))
         if isinstance(val, list) and len(coords) != dimension:
             raise SpecError(f"{where}.{key} needs {dimension} coordinate(s), got {len(coords)}")
-        if not all(math.isfinite(c) for c in coords):
-            raise SpecError(f"{where}.{key} must be finite, got {val!r}")
         return coords if isinstance(val, list) else coords[0]
 
     low, high = bound("low", SamplerSpec.low), bound("high", SamplerSpec.high)

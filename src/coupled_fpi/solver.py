@@ -55,7 +55,6 @@ import numpy as np
 
 from .checks import SLACK, Certificate, _finalize, _images, validate_k
 from .errors import (
-    CoupledFpiError,
     HypothesisViolationError,
     InapplicableCheckError,
     InvalidInputError,
@@ -166,8 +165,7 @@ def _step_rule(cfg: SolveConfig, n: int, total, D0):
     for one pair or as arrays for a batch of rows.  Returns the bound
     (k^n / 2) * D0, whether the step may stand (finite, and with
     ``check_bounds`` within 2 * bound + SLACK) and whether the stopping
-    rule fires.  A step that may not stand is reported by
-    :func:`_step_error`.
+    rule fires.
     """
     bound = (cfg.k ** n) * D0 / 2.0
     ok = abs(total) < math.inf
@@ -176,49 +174,35 @@ def _step_rule(cfg: SolveConfig, n: int, total, D0):
     return bound, ok, cfg.k / (1.0 - cfg.k) * total <= cfg.tol
 
 
-def _step_error(n: int, sx, sy, bound, step) -> CoupledFpiError:
-    """The error for step n after :func:`_step_rule` rejected it."""
-    if not abs(sx + sy) < math.inf:
-        return NonFiniteValueError(
-            f"step {n}: non-finite step size (step_x = {float(sx)!r}, step_y = {float(sy)!r})"
-        )
-    return HypothesisViolationError(
-        f"step {n}: step_x + step_y = {float(sx + sy)!r} "
-        f"exceeds k^n * D0 = {float(2.0 * bound)!r}",
-        step=step,
-    )
-
-
 def _run_iteration(
     space: MetricSpace,
     graph: Digraph,
     cfg: SolveConfig,
-    x0: np.ndarray,
-    y0: np.ndarray,
-    x1: np.ndarray,
-    y1: np.ndarray,
+    first: tuple,
+    seed_edge: str,
     advance: Callable,
+    residual: Callable,
     known=None,
-):
-    """Shared bookkeeping for both solvers.
-
-    *advance* maps the current pair to the next one; everything recorded
-    (steps, bounds, flags, stopping) is computed here so the two solvers
-    agree bitwise on identical transition sequences.  The iterates are valid
-    when made; ``_dist`` and one ``edge_mask`` call take them as they are.
-    *known*, the iterates ``(xs, ys)`` of an earlier run from the same seed,
-    stands in for *advance* as far as it reaches.
+) -> tuple[CoupledFixedPoint, IterationTrace]:
+    """The Picard body both solvers share, from :func:`_first_pair`'s
+    (x0, y0, x1, y1) *first*: ``SeedEdgeError(seed_edge)`` without their
+    product edge, then *advance* maps each pair to the next and *residual*
+    measures the last.  Everything recorded (steps, bounds, flags, stopping)
+    is computed here, on iterates valid when made; *known*, the iterates
+    ``(xs, ys)`` of an earlier run from the same seed, stands in for
+    *advance* as far as it reaches.
     """
+    xn, yn, xn1, yn1 = first
+    if not product_edge(graph, (xn, yn), (xn1, yn1)):
+        raise SeedEdgeError(seed_edge)
     xs, ys = known or ((), ())
     dist = space._dist
-    D0 = dist(x0, x1) + dist(y0, y1)
     steps: list[TraceStep] = []
-    xn, yn = x0, y0
-    xn1, yn1 = x1, y1
-    converged = False
-    for n in range(cfg.max_iter):
+    for n in range(cfg.max_iter):  # max_iter >= 1, so step 0 sets D0
         sx = dist(xn, xn1)
         sy = dist(yn, yn1)
+        if n == 0:
+            D0 = sx + sy
         bound, ok, done = _step_rule(cfg, n, sx + sy, D0)
         diag = dist(xn, yn)
         ex, ey = graph.edge_mask(np.array([xn, yn1]), np.array([xn1, yn])).tolist() \
@@ -226,14 +210,23 @@ def _run_iteration(
         step = TraceStep(n, xn, yn, sx, sy, bound, diag, ex, ey)
         steps.append(step)
         if not ok:
-            raise _step_error(n, sx, sy, bound, step)
+            if not abs(sx + sy) < math.inf:
+                raise NonFiniteValueError(
+                    f"step {n}: non-finite step size (step_x = {float(sx)!r}, step_y = {float(sy)!r})"
+                )
+            raise HypothesisViolationError(
+                f"step {n}: step_x + step_y = {float(sx + sy)!r} "
+                f"exceeds k^n * D0 = {float(2.0 * bound)!r}",
+                step=step,
+            )
         xn, yn = xn1, yn1
         if done:
-            converged = True
             break
         if n + 1 < cfg.max_iter:
             xn1, yn1 = (xs[n + 2], ys[n + 2]) if n + 2 < len(xs) else advance(n + 1, xn, yn)
-    return xn, yn, steps, D0, converged
+    r = residual(xn, yn)
+    fp = CoupledFixedPoint(x=xn, y=yn, is_diagonal=bool(space.distance(xn, yn) <= cfg.tol))
+    return fp, IterationTrace(tuple(steps), D0, bool(done), r)  # done: the last step stopped
 
 
 _SEED_EDGE = "seed condition fails: ((x0,y0),(F(x0,y0),F(y0,x0))) is not a product edge"
@@ -293,19 +286,16 @@ def solve_coupled(
             wrong for this instance).
     """
     d = space.dimension
-    x0, y0, x1, y1 = _first_pair(fn, space, x0, y0)
-    if not product_edge(graph, (x0, y0), (x1, y1)):
-        raise SeedEdgeError(_SEED_EDGE)
 
     def advance(n, xn, yn):
         return as_point(fn(xn, yn), d), as_point(fn(yn, xn), d)
 
-    x, y, steps, D0, converged = _run_iteration(space, graph, cfg, x0, y0, x1, y1, advance, known)
-    residual = space.distance(as_point(fn(x, y), d), x) + space.distance(
-        as_point(fn(y, x), d), y
-    )
-    fp = CoupledFixedPoint(x=x, y=y, is_diagonal=bool(space.distance(x, y) <= cfg.tol))
-    return fp, IterationTrace(tuple(steps), D0, converged, residual)
+    def residual(x, y):
+        return (space.distance(as_point(fn(x, y), d), x)
+                + space.distance(as_point(fn(y, x), d), y))
+
+    return _run_iteration(space, graph, cfg, _first_pair(fn, space, x0, y0), _SEED_EDGE,
+                          advance, residual, known)
 
 
 def _select_step(space, graph, images: np.ndarray, Z: np.ndarray, n: int):
@@ -400,10 +390,6 @@ def solve_coupled_multi(
         InvalidInputError: ``eval_batch`` returned a wrongly shaped array.
     """
     d = space.dimension
-    x0, y0, x1, y1 = _first_pair(fn, space, x0, y0, x1, y1)
-    if not product_edge(graph, (x0, y0), (x1, y1)):
-        raise SeedEdgeError("seed condition fails: ((x0,y0),(x1,y1)) is not a product edge")
-
     float_step = _float_step(fn, space, graph)
 
     def advance(n, xn, yn):
@@ -413,10 +399,12 @@ def solve_coupled_multi(
             pair = _select_step(space, graph, _images(fn, Z, Z[::-1], d, multi=True), Z, n)
         return pair
 
-    x, y, steps, D0, converged = _run_iteration(space, graph, cfg, x0, y0, x1, y1, advance, known)
-    residual = dist_to_set(space, x, fn(x, y)) + dist_to_set(space, y, fn(y, x))
-    fp = CoupledFixedPoint(x=x, y=y, is_diagonal=bool(space.distance(x, y) <= cfg.tol))
-    return fp, IterationTrace(tuple(steps), D0, converged, residual)
+    def residual(x, y):
+        return dist_to_set(space, x, fn(x, y)) + dist_to_set(space, y, fn(y, x))
+
+    return _run_iteration(space, graph, cfg, _first_pair(fn, space, x0, y0, x1, y1),
+                          "seed condition fails: ((x0,y0),(x1,y1)) is not a product edge",
+                          advance, residual, known)
 
 
 def diagonal_decay_check(trace: IterationTrace, graph: Digraph, k: float) -> Certificate:

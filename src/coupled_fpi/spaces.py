@@ -56,10 +56,19 @@ def as_point(value: PointLike, dimension: int | None = None, copy: bool = True) 
 
 def _as_rows(value, dimension: int) -> np.ndarray:
     """*value* as float64 rows of *dimension* values, as every ``distance_batch``
-    and ``edge_mask`` reads its arguments: a flat vector is n points in
-    dimension 1 and one point otherwise; an (n, d) array is taken as it is."""
+    and ``edge_mask`` reads its arguments: an (n, d) array is taken as it is,
+    and a flat vector is its consecutive points of d coordinates.
+
+    Raises:
+        InvalidInputError: any other shape.
+    """
     rows = np.asarray(value, dtype=np.float64)
-    return rows if rows.ndim == 2 else rows.reshape(-1, dimension)
+    if rows.ndim < 2 and rows.size % dimension == 0:
+        rows = rows.reshape(-1, dimension)
+    if rows.ndim != 2 or rows.shape[1] != dimension:
+        raise InvalidInputError(
+            f"expected rows of {dimension} coordinate(s), got shape {rows.shape}")
+    return rows
 
 
 def fold_last(op: np.ufunc, a: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ from coupled_fpi import (
     real_line,
     validate_k,
 )
-from coupled_fpi.checks import SLACK, VIOLATION_CAP
+from coupled_fpi.checks import SLACK, VIOLATION_CAP, _images
 from coupled_fpi.sampling import Sampler
 
 LINE = real_line()
@@ -94,6 +94,10 @@ def test_certificate_consistency_enforced():
         Certificate(property_name="BL", samples_tested=1, passed=True, violation_count=3)
     with pytest.raises(InvalidParameterError):
         Certificate(property_name="nope", samples_tested=1, passed=True)
+    for estimate in (-0.5, float("nan")):
+        with pytest.raises(InvalidParameterError, match="^estimated constant must be nonnegative$"):
+            Certificate(property_name="BL", samples_tested=1, passed=True,
+                        estimated_constant=estimate)
     cert = Certificate(property_name="BL", samples_tested=5, passed=True, seed=3)
     json.dumps(cert.to_dict())  # must be JSON-serializable as-is
 
@@ -365,6 +369,15 @@ def test_malformed_single_valued_batch_is_an_input_error():
                 check_mixed_monotone(fn, graph, spec)
             with pytest.raises(InvalidInputError, match=message):
                 estimate_k(fn, space, graph, spec)
+
+
+def test_flat_single_valued_batch_is_read_as_one_point_images():
+    # a 1-D eval_batch result is n one-point images, which fits dimension 1 only
+    flat = MisshapenBatchMap(())
+    images = _images(flat, np.zeros((50, 1)), np.ones((50, 1)), 1, multi=False)
+    assert images.shape == (50, 1, 1) and not images.any()
+    with pytest.raises(InvalidInputError, match=r"^eval_batch returned shape \(50,\), expected \(50, 2\)$"):
+        _images(flat, np.zeros((50, 2)), np.ones((50, 2)), 2, multi=False)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")

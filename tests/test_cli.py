@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 import math
 import pathlib
@@ -15,6 +16,7 @@ from coupled_fpi.cli import (
     EXIT_NO_CONVERGENCE,
     EXIT_OK,
     EXIT_PREFLIGHT_FAILED,
+    _print_table,
     main,
     report_document,
     run,
@@ -58,6 +60,23 @@ def test_trace_csv_joins_coordinates_with_semicolons():
                      step_x=0.5, step_y=0.5, bound=1.0, diag=2.0)
     trace = IterationTrace(steps=(step,), D0=2.0, converged=False, residual=0.5)
     assert trace_to_csv(trace).splitlines()[1] == "0,1.0;2.0,3.0;4.0,0.5,0.5,1.0,2.0,,"
+
+
+def test_printed_table_elides_the_middle_of_a_long_trace():
+    # up to 24 steps print in full; a longer trace shows its first 20, a
+    # "..." row and its last 3
+    def trace(n):
+        steps = tuple(TraceStep(n=i, x=np.array([0.0]), y=np.array([1.0]), step_x=0.5,
+                                step_y=0.5, bound=1.0, diag=1.0) for i in range(n))
+        return IterationTrace(steps=steps, D0=1.0, converged=True, residual=0.0)
+
+    for n, ns in ((24, list(range(24))), (30, [*range(20), "...", 27, 28, 29])):
+        out = io.StringIO()
+        _print_table(trace(n), out)
+        lines = out.getvalue().splitlines()
+        assert lines[0].split() == ["n", "x", "y", "step_sum", "bound", "diag"]
+        assert [line.split()[0] for line in lines[1:]] == [str(i) for i in ns]
+    assert lines[21] == "   ..."
 
 
 def test_report_document_without_trace():

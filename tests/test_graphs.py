@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from coupled_fpi import (
+    Digraph,
     FiniteGraph,
     FullGraph,
     InvalidInputError,
@@ -109,7 +110,7 @@ def test_edge_mask_default_matches_has_edge():
     FiniteGraph([[0.0, 5.0], [1.0, 1.0], [-1.0, -2.0], [0.0, 0.0]], [([0.0, 5.0], [1.0, 1.0])]),
 ], ids=["order-1", "order-2", "full-1", "full-2", "predicate-2", "finite-2"])
 def test_edge_mask_reads_a_flat_vector_as_rows(graph):
-    # a flat vector is n points in dimension 1 and one point otherwise
+    # a flat vector is its consecutive points of d coordinates
     d = graph.dimension
     P, Q = np.array([0.0, 5.0, -1.0, -2.0]), np.array([1.0, 1.0, 0.0, 0.0])
     want = [graph.has_edge(p, q) for p, q in zip(P.reshape(-1, d), Q.reshape(-1, d))]
@@ -118,6 +119,37 @@ def test_edge_mask_reads_a_flat_vector_as_rows(graph):
     assert graph.edge_mask(P.reshape(-1, d), Q.reshape(-1, d)).tolist() == want
     if isinstance(graph, OrderGraph) and d == 2:
         assert want == [False, True]
+
+
+@pytest.mark.parametrize("graph", [
+    OrderGraph(2), FullGraph(2), PredicateGraph(2, lambda p, q: p[0] < q[1]),
+    FiniteGraph([[0.0, 0.0]]),
+], ids=["order-2", "full-2", "predicate-2", "finite-2"])
+@pytest.mark.parametrize("shape", [(4, 1), (3, 5), (2, 2, 2), (3,)])
+def test_edge_mask_rejects_other_shapes(graph, shape):
+    # rows of another width, more than two axes, or a flat vector that is
+    # not whole points
+    with pytest.raises(InvalidInputError, match=r"^expected rows of 2 coordinate\(s\), got shape "):
+        graph.edge_mask(np.zeros(shape), np.zeros(shape))
+
+
+def test_has_edge_follows_the_float_rule_on_special_values():
+    # OrderGraph and FullGraph test an edge by their float rule; on every
+    # pair of NaN, +-inf, +-0.0 and +-1 coordinates it agrees with numpy's
+    # componentwise order and with edge_mask
+    values = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0]
+    for d in (1, 2):
+        points = np.array(np.meshgrid(*[values] * d)).reshape(d, -1).T
+        P = np.repeat(points, len(points), axis=0)
+        Q = np.tile(points, (len(points), 1))
+        order, full = OrderGraph(d), FullGraph(d)
+        assert [order.has_edge(p, q) for p, q in zip(P, Q)] == (P <= Q).all(axis=1).tolist() \
+            == order.edge_mask(P, Q).tolist()
+        assert all(full.has_edge(p, q) for p, q in zip(P, Q)) and full.edge_mask(P, Q).all()
+    with pytest.raises(NotImplementedError):
+        Digraph(1).has_edge(0.0, 1.0)  # no float rule
+    with pytest.raises(InvalidInputError):
+        OrderGraph(2).has_edge([0.0, 1.0], 1.0)
 
 
 def test_finite_graph_edge_tests_against_edge_set_oracle():

@@ -8,7 +8,6 @@ import pytest
 from coupled_fpi import (
     CallbackSpace,
     ChebyshevSpace,
-    CoupledFixedPoint,
     EuclideanSpace,
     ExpressionCoupledMap,
     ExpressionMultiMap,
@@ -20,7 +19,6 @@ from coupled_fpi import (
     InvalidInputError,
     InvalidParameterError,
     InvalidSeedError,
-    IterationTrace,
     LinearCoupledMap,
     NonFiniteValueError,
     NotAVertexError,
@@ -351,8 +349,6 @@ def multi_oracle(fn, space, graph, x0, y0, x1, y1, cfg, seen):
         image = as_finite_set(fn(a, b), d)
         if not (dist_to_set(space, p, image) <= SLACK or image.contains(p)):
             raise InvalidSeedError(name)
-    if not product_edge(graph, (x0, y0), (x1, y1)):
-        raise SeedEdgeError("seed condition fails: ((x0,y0),(x1,y1)) is not a product edge")
 
     def advance(n, xn, yn):
         raw = (fn(xn, yn), fn(yn, xn))
@@ -379,11 +375,13 @@ def multi_oracle(fn, space, graph, x0, y0, x1, y1, cfg, seen):
             picks.append(img.points[int(np.argmin(dist))].copy())
         return picks[0], picks[1]
 
-    x, y, steps, D0, converged = _run_iteration(space, graph, cfg, x0, y0, x1, y1, advance)
-    residual = dist_to_set(space, x, as_finite_set(fn(x, y), d)) + dist_to_set(
-        space, y, as_finite_set(fn(y, x), d))
-    fp = CoupledFixedPoint(x=x, y=y, is_diagonal=bool(space.distance(x, y) <= cfg.tol))
-    return fp, IterationTrace(tuple(steps), D0, converged, residual)
+    def residual(x, y):
+        return dist_to_set(space, x, as_finite_set(fn(x, y), d)) + dist_to_set(
+            space, y, as_finite_set(fn(y, x), d))
+
+    return _run_iteration(space, graph, cfg, (x0, y0, x1, y1),
+                          "seed condition fails: ((x0,y0),(x1,y1)) is not a product edge",
+                          advance, residual)
 
 
 def multi_outcome(solve):

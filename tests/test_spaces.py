@@ -102,7 +102,7 @@ def test_distance_batch_matches_scalar_bitwise():
     CallbackSpace(2, lambda p, q: float(np.hypot(*(p - q)))),
 ], ids=["euclidean-1", "euclidean-2", "chebyshev-1", "chebyshev-2", "callback-2"])
 def test_distance_batch_reads_a_flat_vector_as_rows(space):
-    # a flat vector is n points in dimension 1 and one point otherwise
+    # a flat vector is its consecutive points of d coordinates
     d = space.dimension
     P, Q = np.array([0.0, 0.0, 1.0, -2.0]), np.array([3.0, 4.0, 1.0, 2.0])
     want = [space.distance(p, q) for p, q in zip(P.reshape(-1, d), Q.reshape(-1, d))]
@@ -111,6 +111,17 @@ def test_distance_batch_reads_a_flat_vector_as_rows(space):
     assert space.distance_batch(P.reshape(-1, d), Q.reshape(-1, d)).tolist() == want
     if d == 2:
         assert want[0] == (4.0 if isinstance(space, ChebyshevSpace) else 5.0)
+
+
+@pytest.mark.parametrize("space", [
+    EuclideanSpace(2), ChebyshevSpace(2), CallbackSpace(2, lambda p, q: float(np.hypot(*(p - q)))),
+], ids=["euclidean-2", "chebyshev-2", "callback-2"])
+@pytest.mark.parametrize("shape", [(4, 1), (3, 5), (2, 2, 2), (3,)])
+def test_distance_batch_rejects_other_shapes(space, shape):
+    # rows of another width, more than two axes, or a flat vector that is
+    # not whole points
+    with pytest.raises(InvalidInputError, match=r"^expected rows of 2 coordinate\(s\), got shape "):
+        space.distance_batch(np.zeros(shape), np.ones(shape))
 
 
 def test_short_axis_folds_match_the_reductions_bytewise():

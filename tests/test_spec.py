@@ -165,6 +165,37 @@ def test_serialize_is_canonical():
                      sampler={"low": [0.0, 1.0], "high": [1.0, 0.5]}),
                  r"sampler.low exceeds sampler.high in coordinate 1: 1.0 > 0.5",
                  id="inverted-box-one-coordinate"),
+    pytest.param(doc(solve={"check_bounds": 1}), "^solve.check_bounds must be a boolean, got 1$",
+                 id="non-boolean-flag"),
+    pytest.param(doc(seed={"x0": "0", "y0": 1.0}),
+                 "^seed.x0 must be a number or a list of numbers$", id="string-point"),
+    pytest.param(doc(solve=[]), "^solve must be an object$", id="non-object-section"),
+    pytest.param(doc(graph={"kind": "edge_list", "vertices": [0.0], "edges": {}}),
+                 "^graph.edges must be a list$", id="non-list-edges"),
+    pytest.param(doc(map={"kind": "single", "definition": 5}),
+                 "^map.definition must be an expression string or list of them$",
+                 id="non-string-definition"),
+    pytest.param(doc(map={"kind": "single", "definition": ["x", "y"]}),
+                 r"^map.definition needs 1 component expression\(s\), got 2$",
+                 id="component-count"),
+    pytest.param(doc(map={"kind": "single", "definition": {"name": "affine"}}),
+                 r"^map.definition.name must be one of \('linear',\), got 'affine'$",
+                 id="unknown-builtin"),
+    # JSON reads 1e400 as inf and takes the NaN and Infinity tokens
+    pytest.param(doc(solve={"tol": 0.5}).replace("0.5", "1e400"),
+                 "^solve.tol must be finite, got inf$", id="infinite-tol"),
+    pytest.param(doc(k=float("nan")), "^k must be finite, got nan$", id="nan-k"),
+    pytest.param(doc(k=10 ** 400), "^k must be finite, got inf$", id="huge-integer-k"),
+    pytest.param(doc(seed={"x0": float("-inf"), "y0": 1.0}), "^seed.x0 must be finite, got -inf$",
+                 id="infinite-seed"),
+    pytest.param(doc(graph={"kind": "edge_list", "vertices": [0.0, float("nan")]}),
+                 r"^graph.vertices\[1\] must be finite, got nan$", id="nan-vertex"),
+    pytest.param(doc(map={"kind": "single", "definition": {"name": "linear", "a": float("inf"),
+                                                            "b": 0.1}}),
+                 "^map.definition.a must be finite, got inf$", id="infinite-linear-a"),
+    pytest.param(doc(map={"kind": "single", "definition": {"name": "linear", "a": 0.1,
+                                                            "b": 0.5}}).replace("0.5", "1e400"),
+                 "^map.definition.b must be finite, got inf$", id="infinite-linear-b"),
 ])
 def test_parse_errors_name_the_field(bad, fragment):
     with pytest.raises(SpecError, match=fragment):
