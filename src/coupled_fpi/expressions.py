@@ -329,6 +329,7 @@ class ExpressionCoupledMap:
         self.dimension = dimension
         self.canonical = repr([c.source for c in self.components])
         self._kernel = _PointKernel((self.components,), dimension)
+        self.on_floats = self._kernel.on_floats  # for the solver's steps on Python floats
 
     def __call__(self, x, y) -> np.ndarray:
         x = as_point(x, self.dimension, copy=False)

@@ -34,6 +34,10 @@ class LinearCoupledMap:
     def eval_batch(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         return self.a * X + self.b * Y
 
+    def on_floats(self, args: list) -> list:  # __call__ at Python floats x1..xd, y1..yd
+        d = len(args) // 2
+        return [self.a * x + self.b * y for x, y in zip(args[:d], args[d:])]
+
     def __repr__(self) -> str:
         return f"LinearCoupledMap(a={self.a!r}, b={self.b!r})"
 

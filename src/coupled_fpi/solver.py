@@ -47,6 +47,7 @@ one-point multivalued map reproduces the single-valued trace bitwise.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -183,6 +184,7 @@ def _run_iteration(
     advance: Callable,
     residual: Callable,
     known=None,
+    rules=None,
 ) -> tuple[CoupledFixedPoint, IterationTrace]:
     """The Picard body both solvers share, from :func:`_first_pair`'s
     (x0, y0, x1, y1) *first*: ``SeedEdgeError(seed_edge)`` without their
@@ -190,23 +192,32 @@ def _run_iteration(
     measures the last.  Everything recorded (steps, bounds, flags, stopping)
     is computed here, on iterates valid when made; *known*, the iterates
     ``(xs, ys)`` of an earlier run from the same seed, stands in for
-    *advance* as far as it reaches.
+    *advance* as far as it reaches.  With :func:`_float_rules`' *rules*, a
+    step whose four iterates have finite floats takes sizes, ``diag`` and edge
+    flags from the float rules; ``advance(n, x, y, fx, fy)`` gets those floats
+    (or None) and returns arrays or, from a float rule, lists.
     """
-    xn, yn, xn1, yn1 = first
-    if not product_edge(graph, (xn, yn), (xn1, yn1)):
+    def held(p):  # the iterate p, an array or a list of floats, as an array and its finite floats
+        v = p if isinstance(p, list) else rules and p.tolist()
+        return (np.array(p) if v is p else p), (v if v and abs(sum(v)) < math.inf else None)
+
+    if not product_edge(graph, first[:2], first[2:]):
         raise SeedEdgeError(seed_edge)
+    (xn, fx), (yn, fy), (xn1, fx1), (yn1, fy1) = map(held, first)
     xs, ys = known or ((), ())
-    dist = space._dist
+    dist, (_, rule, edge) = space._dist, rules or (None,) * 3
     steps: list[TraceStep] = []
     for n in range(cfg.max_iter):  # max_iter >= 1, so step 0 sets D0
-        sx = dist(xn, xn1)
-        sy = dist(yn, yn1)
+        if fx is None or fy is None or fx1 is None or fy1 is None:
+            sx, sy, diag = dist(xn, xn1), dist(yn, yn1), dist(xn, yn)
+            ex, ey = graph.edge_mask(np.array([xn, yn1]), np.array([xn1, yn])).tolist() \
+                if cfg.record_edges else (None, None)
+        else:
+            sx, sy, diag = rule(fx, fx1), rule(fy, fy1), rule(fx, fy)
+            ex, ey = (edge(fx, fx1), edge(fy1, fy)) if cfg.record_edges else (None, None)
         if n == 0:
             D0 = sx + sy
         bound, ok, done = _step_rule(cfg, n, sx + sy, D0)
-        diag = dist(xn, yn)
-        ex, ey = graph.edge_mask(np.array([xn, yn1]), np.array([xn1, yn])).tolist() \
-            if cfg.record_edges else (None, None)
         step = TraceStep(n, xn, yn, sx, sy, bound, diag, ex, ey)
         steps.append(step)
         if not ok:
@@ -219,14 +230,21 @@ def _run_iteration(
                 f"exceeds k^n * D0 = {float(2.0 * bound)!r}",
                 step=step,
             )
-        xn, yn = xn1, yn1
+        xn, yn, fx, fy = xn1, yn1, fx1, fy1
         if done:
             break
         if n + 1 < cfg.max_iter:
-            xn1, yn1 = (xs[n + 2], ys[n + 2]) if n + 2 < len(xs) else advance(n + 1, xn, yn)
+            pair = (xs[n + 2], ys[n + 2]) if n + 2 < len(xs) else advance(n + 1, xn, yn, fx, fy)
+            (xn1, fx1), (yn1, fy1) = map(held, pair)
     r = residual(xn, yn)
     fp = CoupledFixedPoint(x=xn, y=yn, is_diagonal=bool(space.distance(xn, yn) <= cfg.tol))
     return fp, IterationTrace(tuple(steps), D0, bool(done), r)  # done: the last step stopped
+
+
+def _float_rules(fn: Callable, space: MetricSpace, graph: Digraph):
+    """The map's ``on_floats``, the metric's and the graph's ``_row_rule``, or None if one is."""
+    rules = getattr(fn, "on_floats", None), space._row_rule(), graph._row_rule()
+    return None if None in rules else rules
 
 
 _SEED_EDGE = "seed condition fails: ((x0,y0),(F(x0,y0),F(y0,x0))) is not a product edge"
@@ -286,8 +304,12 @@ def solve_coupled(
             wrong for this instance).
     """
     d = space.dimension
+    rules = _float_rules(fn, space, graph)
 
-    def advance(n, xn, yn):
+    def advance(n, xn, yn, fx, fy):
+        if fx is not None and fy is not None:  # finite floats, and the map has on_floats
+            with contextlib.suppress(ZeroDivisionError):  # then fn gives numpy's inf or NaN
+                return rules[0](fx + fy), rules[0](fy + fx)
         return as_point(fn(xn, yn), d), as_point(fn(yn, xn), d)
 
     def residual(x, y):
@@ -295,7 +317,7 @@ def solve_coupled(
                 + space.distance(as_point(fn(y, x), d), y))
 
     return _run_iteration(space, graph, cfg, _first_pair(fn, space, x0, y0), _SEED_EDGE,
-                          advance, residual, known)
+                          advance, residual, known, rules)
 
 
 def _select_step(space, graph, images: np.ndarray, Z: np.ndarray, n: int):
@@ -326,15 +348,12 @@ def _select_step(space, graph, images: np.ndarray, Z: np.ndarray, n: int):
     return images[0, best[0]].copy(), images[1, best[1]].copy()
 
 
-def _float_step(fn, space, graph):
-    """:func:`_select_step` on the pair's two lists of Python floats, or None
-    where the map, the metric or the graph has no float rule.  The step
-    gives None for :func:`_select_step` to take over on a zero divisor, a
-    non-finite image value or a side without a candidate."""
-    image, dist, edge = getattr(fn, "on_floats", None), space._row_rule(), graph._row_rule()
-    if image is None or dist is None or edge is None:
-        return None
-    d = space.dimension
+def _float_step(rules, d: int):
+    """:func:`_select_step` on the pair's two lists of finite Python floats,
+    by :func:`_float_rules`' *rules*, as two lists.  The step gives None for
+    :func:`_select_step` to take over on a zero divisor, a non-finite image
+    value or a side without a candidate."""
+    image, dist, edge = rules
 
     def nearest(values, anchor, forward):
         best, pick = math.inf, None
@@ -353,8 +372,8 @@ def _float_step(fn, space, graph):
             return None
         if not abs(sum(vx) + sum(vy)) < math.inf:  # a non-finite value, or a sum that overflowed
             return None
-        px, py = nearest(vx, x, True), nearest(vy, y, False)  # x and y are finite iterates
-        return None if px is None or py is None else (np.array(px), np.array(py))
+        px, py = nearest(vx, x, True), nearest(vy, y, False)
+        return None if px is None or py is None else (px, py)
 
     return step
 
@@ -390,10 +409,11 @@ def solve_coupled_multi(
         InvalidInputError: ``eval_batch`` returned a wrongly shaped array.
     """
     d = space.dimension
-    float_step = _float_step(fn, space, graph)
+    rules = _float_rules(fn, space, graph)
+    float_step = rules and _float_step(rules, d)
 
-    def advance(n, xn, yn):
-        pair = None if float_step is None else float_step(xn.tolist(), yn.tolist())
+    def advance(n, xn, yn, fx, fy):
+        pair = None if fx is None or fy is None else float_step(fx, fy)
         if pair is None:
             Z = np.array([xn, yn])
             pair = _select_step(space, graph, _images(fn, Z, Z[::-1], d, multi=True), Z, n)
@@ -404,7 +424,7 @@ def solve_coupled_multi(
 
     return _run_iteration(space, graph, cfg, _first_pair(fn, space, x0, y0, x1, y1),
                           "seed condition fails: ((x0,y0),(x1,y1)) is not a product edge",
-                          advance, residual, known)
+                          advance, residual, known, rules)
 
 
 def diagonal_decay_check(trace: IterationTrace, graph: Digraph, k: float) -> Certificate:

@@ -350,7 +350,7 @@ def multi_oracle(fn, space, graph, x0, y0, x1, y1, cfg, seen):
         if not (dist_to_set(space, p, image) <= SLACK or image.contains(p)):
             raise InvalidSeedError(name)
 
-    def advance(n, xn, yn):
+    def advance(n, xn, yn, fx, fy):  # without float rules, fx and fy are None
         raw = (fn(xn, yn), fn(yn, xn))
         images = [as_finite_set(r, d) for r in raw]
         if any(len(img) < len(r) for img, r in zip(images, raw)):
@@ -1043,10 +1043,11 @@ def test_float_step_matches_numpy_step():
                                   for _ in range(m)]
                         emm = ExpressionMultiMap(points, dimension=d)
                         Z = rng.choice(_FLOAT_STEP_ANCHORS, size=(2, d))
-                        step = solver._float_step(emm, space, graph)
-                        if step is None:  # past the float step's size
+                        rules = solver._float_rules(emm, space, graph)
+                        if rules is None:  # past the float step's size
                             assert 2 * m * d > _POINT_VALUES
                             continue
+                        step = solver._float_step(rules, d)
                         with np.errstate(over="ignore"):
                             want = _numpy_step(emm, space, graph, Z, 7)
                             images = _images(emm, Z, Z[::-1], d, True).reshape(2 * m, d)
@@ -1055,7 +1056,7 @@ def test_float_step_matches_numpy_step():
                         if got is None:
                             seen.add(want[0] if isinstance(want[0], str) else "handed back, rows")
                             continue
-                        assert (got[0].tobytes(), got[1].tobytes()) == want, (points, Z)
+                        assert (np.array(got[0]).tobytes(), np.array(got[1]).tobytes()) == want, (points, Z)
                         seen.add("rows")
                         if np.isinf(gaps).any():
                             seen.add("overflow")
@@ -1071,7 +1072,8 @@ def test_float_step_ties_go_to_the_lowest_index():
                          ([["-0.0"], ["0"]], -0.0), ([["0"], ["-0.0"]], 0.0)):
         emm = ExpressionMultiMap(points)
         for space in (LINE, ChebyshevSpace(1)):
-            x, y = solver._float_step(emm, space, FullGraph(1))([1.0 if want else 0.0], [0.0])
+            step = solver._float_step(solver._float_rules(emm, space, FullGraph(1)), 1)
+            x, y = map(np.array, step([1.0 if want else 0.0], [0.0]))
             Z = np.array([[1.0 if want else 0.0], [0.0]])
             assert (x.tobytes(), y.tobytes()) == _numpy_step(emm, space, FullGraph(1), Z, 1)
             assert x.tobytes() == np.array([want]).tobytes()
@@ -1079,19 +1081,19 @@ def test_float_step_ties_go_to_the_lowest_index():
 
 def test_float_step_only_where_map_metric_and_graph_have_a_float_rule():
     emm = ExpressionMultiMap([["x1", "x2"]], dimension=2)
-    assert solver._float_step(emm, EuclideanSpace(2), OrderGraph(2)) is not None
+    assert solver._float_rules(emm, EuclideanSpace(2), OrderGraph(2)) is not None
     others = [
         (lambda x, y: emm(x, y), EuclideanSpace(2), OrderGraph(2)),
         (emm, CallbackSpace(2, lambda p, q: 0.0), OrderGraph(2)),
         (emm, EuclideanSpace(2), PredicateGraph(2, lambda p, q: True)),
         (emm, EuclideanSpace(2), FiniteGraph([[0.0, 0.0]])),
     ]
-    assert all(solver._float_step(*args) is None for args in others)
+    assert all(solver._float_rules(*args) is None for args in others)
     # from 8 coordinates numpy sums the squares pairwise
     wide = ExpressionMultiMap([[f"x{i}" for i in range(1, 9)]], dimension=8)
-    assert solver._float_step(wide, EuclideanSpace(8), FullGraph(8)) is None
-    assert solver._float_step(wide, ChebyshevSpace(8), FullGraph(8)) is not None
+    assert solver._float_rules(wide, EuclideanSpace(8), FullGraph(8)) is None
+    assert solver._float_rules(wide, ChebyshevSpace(8), FullGraph(8)) is not None
     # past _POINT_VALUES values in a step's two images numpy steps as fast
     for m, d, floats in ((16, 1, True), (17, 1, False), (8, 2, True), (3, 6, False)):
         emm = ExpressionMultiMap([["x1"] * d] * m, dimension=d)
-        assert (solver._float_step(emm, ChebyshevSpace(d), FullGraph(d)) is not None) == floats
+        assert (solver._float_rules(emm, ChebyshevSpace(d), FullGraph(d)) is not None) == floats
