@@ -48,7 +48,7 @@ class Digraph:
     def edge_mask(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
         """Rowwise ``has_edge`` over (n,d) arrays, read by ``spaces._as_rows``;
         loops over rows by default."""
-        P, Q = _as_rows(P, self._dimension), _as_rows(Q, self._dimension)
+        P, Q = _as_rows(P, Q, self._dimension)
         return np.fromiter(
             (self.has_edge(p, q) for p, q in zip(P, Q)), bool, count=len(P)
         )
@@ -92,8 +92,8 @@ class OrderGraph(Digraph):
     """Edge p -> q iff p <= q componentwise (the usual order on R^d)."""
 
     def edge_mask(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-        d = self._dimension
-        return fold_last(np.logical_and, _as_rows(P, d) <= _as_rows(Q, d))
+        P, Q = _as_rows(P, Q, self._dimension)
+        return fold_last(np.logical_and, P <= Q)
 
     def _row_rule(self):
         return lambda p, q: all(map(operator.le, p, q))
@@ -119,7 +119,7 @@ class FullGraph(Digraph):
     """
 
     def edge_mask(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-        return np.ones(len(_as_rows(P, self._dimension)), dtype=bool)
+        return np.ones(len(_as_rows(P, Q, self._dimension)[0]), dtype=bool)
 
     def _row_rule(self):
         return lambda p, q: True

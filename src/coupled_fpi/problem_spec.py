@@ -32,6 +32,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from typing import Any
 
@@ -331,6 +332,9 @@ def parse_spec(text: str) -> ProblemSpec:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # json's one other error: int() past the digit limit
+        raise SpecError(
+            f"an integer literal has more than {sys.get_int_max_str_digits()} digits") from exc
     if not isinstance(doc, dict):
         raise SpecError("spec must be a JSON object")
     _known_keys(doc, _field_names(ProblemSpec), "top-level")

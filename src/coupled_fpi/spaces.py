@@ -54,21 +54,27 @@ def as_point(value: PointLike, dimension: int | None = None, copy: bool = True) 
     return pt
 
 
-def _as_rows(value, dimension: int) -> np.ndarray:
-    """*value* as float64 rows of *dimension* values, as every ``distance_batch``
-    and ``edge_mask`` reads its arguments: an (n, d) array is taken as it is,
+def _as_rows(P, Q, dimension: int) -> tuple[np.ndarray, np.ndarray]:
+    """*P* and *Q* as float64 rows of *dimension* values, as every ``distance_batch``
+    and ``edge_mask`` reads its two arguments: an (n, d) array is taken as it is,
     and a flat vector is its consecutive points of d coordinates.
 
     Raises:
-        InvalidInputError: any other shape.
+        InvalidInputError: any other shape, or a different number of rows.
     """
-    rows = np.asarray(value, dtype=np.float64)
-    if rows.ndim < 2 and rows.size % dimension == 0:
-        rows = rows.reshape(-1, dimension)
-    if rows.ndim != 2 or rows.shape[1] != dimension:
-        raise InvalidInputError(
-            f"expected rows of {dimension} coordinate(s), got shape {rows.shape}")
-    return rows
+    pair = []
+    for value in (P, Q):
+        rows = np.asarray(value, dtype=np.float64)
+        if rows.ndim < 2 and rows.size % dimension == 0:
+            rows = rows.reshape(-1, dimension)
+        if rows.ndim != 2 or rows.shape[1] != dimension:
+            raise InvalidInputError(
+                f"expected rows of {dimension} coordinate(s), got shape {rows.shape}")
+        pair.append(rows)
+    P, Q = pair
+    if len(P) != len(Q):
+        raise InvalidInputError(f"expected as many rows in Q as in P, got {len(P)} and {len(Q)}")
+    return P, Q
 
 
 def fold_last(op: np.ufunc, a: np.ndarray) -> np.ndarray:
@@ -118,7 +124,7 @@ class MetricSpace:
 
     def distance_batch(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
         """Rowwise distances between (n,d) arrays P and Q, read by :func:`_as_rows`."""
-        P, Q = _as_rows(P, self._dimension), _as_rows(Q, self._dimension)
+        P, Q = _as_rows(P, Q, self._dimension)
         return np.fromiter(
             (self._dist(p, q) for p, q in zip(P, Q)), np.float64, count=len(P)
         )
@@ -146,7 +152,8 @@ class EuclideanSpace(MetricSpace):
         return math.sqrt(float((diff * diff).sum()))
 
     def distance_batch(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-        diff = _as_rows(P, self._dimension) - _as_rows(Q, self._dimension)
+        P, Q = _as_rows(P, Q, self._dimension)
+        diff = P - Q
         if diff.shape[1] == 1:
             return np.abs(diff[:, 0])
         return np.sqrt(fold_last(np.add, diff * diff))
@@ -164,8 +171,8 @@ class ChebyshevSpace(MetricSpace):
         return float(np.abs(p - q).max())
 
     def distance_batch(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-        d = self._dimension
-        return fold_last(np.maximum, np.abs(_as_rows(P, d) - _as_rows(Q, d)))
+        P, Q = _as_rows(P, Q, self._dimension)
+        return fold_last(np.maximum, np.abs(P - Q))
 
     def _row_rule(self):
         if self._dimension == 1:

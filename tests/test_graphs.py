@@ -133,6 +133,22 @@ def test_edge_mask_rejects_other_shapes(graph, shape):
         graph.edge_mask(np.zeros(shape), np.zeros(shape))
 
 
+@pytest.mark.parametrize("graph", [
+    OrderGraph(2), FullGraph(2), PredicateGraph(2, lambda p, q: p[0] < q[1]),
+    FiniteGraph([[0.0, 0.0]]),
+], ids=["order-2", "full-2", "predicate-2", "finite-2"])
+@pytest.mark.parametrize("P, Q", [
+    (np.zeros((1, 2)), np.zeros((4, 2))), (np.zeros((3, 2)), np.zeros((4, 2))),
+    (np.zeros((4, 2)), np.zeros((3, 2))), (np.zeros(4), np.zeros(6)),
+], ids=["1-4", "3-4", "4-3", "flat-2-3"])
+def test_edge_mask_rejects_unequal_row_counts(graph, P, Q):
+    # no broadcast of one row, and no truncation to the shorter argument
+    rows = len(np.reshape(P, (-1, 2))), len(np.reshape(Q, (-1, 2)))
+    with pytest.raises(InvalidInputError,
+                       match=rf"^expected as many rows in Q as in P, got {rows[0]} and {rows[1]}$"):
+        graph.edge_mask(P, Q)
+
+
 def test_has_edge_follows_the_float_rule_on_special_values():
     # OrderGraph and FullGraph test an edge by their float rule; on every
     # pair of NaN, +-inf, +-0.0 and +-1 coordinates it agrees with numpy's

@@ -633,6 +633,18 @@ def test_non_finite_steps_raise_in_both_solvers():
         inf_map = lambda x, y: [np.asarray(x) * np.inf]
         with pytest.raises(NonFiniteValueError, match="^step 0: "):
             solve_coupled_multi(inf_map, LINE, FullGraph(1), 1.0, 1.0, np.inf, np.inf, cfg)
+        # inf - inf in the second coordinate only: the Chebyshev float rule,
+        # Python's max, would drop that NaN, so a non-finite iterate takes
+        # its step sizes from numpy, which keeps it
+        nan_second = ExpressionCoupledMap(["(x1 + y1) / 5", "x2 * 1e308 * 10 - y2 * 1e308 * 10"], 2)
+        with pytest.raises(NonFiniteValueError,
+                           match=r"^step 0: non-finite step size \(step_x = nan, step_y = nan\)$"):
+            solve_coupled(nan_second, ChebyshevSpace(2), FullGraph(2), [0.0, 0.5], [1.0, 0.25], cfg)
+        # the same after a finite step, from iterates the float rules produced
+        nan_later = ExpressionCoupledMap(["(x1 + y1) / 5", "x2 * x2 * 1e300 - y2 * y2 * 1e300"], 2)
+        with pytest.raises(NonFiniteValueError,
+                           match=r"^step 1: non-finite step size \(step_x = nan, step_y = nan\)$"):
+            solve_coupled(nan_later, ChebyshevSpace(2), FullGraph(2), [0.0, 1.0], [1.0, 0.0], cfg)
 
 
 def test_uniqueness_probe_reports_non_finite_seeds():
@@ -1097,3 +1109,61 @@ def test_float_step_only_where_map_metric_and_graph_have_a_float_rule():
     for m, d, floats in ((16, 1, True), (17, 1, False), (8, 2, True), (3, 6, False)):
         emm = ExpressionMultiMap([["x1"] * d] * m, dimension=d)
         assert (solver._float_rules(emm, ChebyshevSpace(d), FullGraph(d)) is not None) == floats
+
+
+# Components for the float bookkeeping test, by template: a contraction, a
+# zero divisor at every step and one at step 1 on the y side alone (from
+# y0 = 1), overflow to inf, inf - inf one step after a finite step, and
+# inf - inf at once.
+_PARITY_COMPONENTS = (
+    "(x{j} + y{k}) / 5 + 0.1", "0.5 * x{j} - 0.25 * y{k}", "1 / (x{j} - x{j})",
+    "0.5 * y{j} + 0 / (y{j} - 0.5)", "x{j} * 1e308 * 10 - y{j} * 1e308 * 10",
+    "x{j} * x{j} * 1e300 - y{j} * y{j} * 1e300", "1e308 * 10 - 1e308 * 10",
+)
+
+
+def _parity_maps(d):
+    """Expression maps of a few templates per component, and linear maps."""
+    def components(*templates):
+        return [_PARITY_COMPONENTS[templates[j % len(templates)]].format(j=j + 1, k=(j + 1) % d + 1)
+                for j in range(d)]
+    single = [ExpressionCoupledMap(components(*t), d)
+              for t in ((0,), (1, 0), (2, 0), (0, 2), (3, 1), (4, 0), (0, 4), (5, 0), (0, 5), (6, 0))]
+    multi = [ExpressionMultiMap([components(*t), components(*t[::-1])], d)
+             for t in ((0, 1), (2, 0), (3, 0), (5, 0), (0, 5))]
+    linear = [LinearCoupledMap(a, b) for a, b in ((0.2, -0.3), (0.5, 0.25), (3.0, 2.0), (1e308, 1e308))]
+    return single + linear, multi
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 7])
+@pytest.mark.parametrize("metric", [EuclideanSpace, ChebyshevSpace])
+@pytest.mark.parametrize("graph_type", [FullGraph, OrderGraph])
+def test_float_bookkeeping_matches_numpy_bookkeeping(d, metric, graph_type):
+    # A metric and a graph without float rules, whose callbacks are the
+    # builtins' numpy rules, take every step and record on numpy; the
+    # builtins take them on Python floats.  Both give the same bits, or the
+    # same error.
+    space, graph = metric(d), graph_type(d)
+    twin_space = CallbackSpace(d, space._dist)
+    twin_graph = PredicateGraph(d, lambda p, q: bool(graph.edge_mask(p, q)[0]))
+    single, multi = _parity_maps(d)
+    seeds = [(np.full(d, -1.0) - 0.5 * (np.arange(d) == 0), np.full(d, 1.0)),
+             (np.linspace(-1.0, 1.0, d), np.linspace(1.0, 2.0, d)),
+             (np.full(d, -1.0), np.full(d, 0.5)), (np.full(d, 1e300), np.full(d, -1e300))]
+    seen = set()
+    with np.errstate(all="ignore"):
+        for check_bounds, record_edges in ((False, False), (True, True), (False, True), (True, False)):
+            cfg = SolveConfig(k=0.6, tol=1e-10, max_iter=80, check_bounds=check_bounds,
+                              record_edges=record_edges)
+            for (x0, y0), fn in ((seed, fn) for seed in seeds for fn in single):
+                assert solver._float_rules(fn, space, graph) is not None
+                got = multi_outcome(lambda: solve_coupled(fn, space, graph, x0, y0, cfg))
+                assert got == multi_outcome(lambda: solve_coupled(fn, twin_space, twin_graph, x0, y0, cfg))
+                seen.add(got[0] if isinstance(got[0], str) else "converged" if got[2] else "not converged")
+            for (x0, y0), emm in ((seed, emm) for seed in seeds for emm in multi):
+                x1, y1 = emm(x0, y0)[0], emm(y0, x0)[0]
+                got = multi_outcome(lambda: solve_coupled_multi(emm, space, graph, x0, y0, x1, y1, cfg))
+                assert got == multi_outcome(
+                    lambda: solve_coupled_multi(emm, twin_space, twin_graph, x0, y0, x1, y1, cfg))
+                seen.add(got[0] if isinstance(got[0], str) else "converged" if got[2] else "not converged")
+    assert seen >= {"converged", "NonFiniteValueError"}

@@ -124,6 +124,21 @@ def test_distance_batch_rejects_other_shapes(space, shape):
         space.distance_batch(np.zeros(shape), np.ones(shape))
 
 
+@pytest.mark.parametrize("space", [
+    EuclideanSpace(2), ChebyshevSpace(2), CallbackSpace(2, lambda p, q: float(np.hypot(*(p - q)))),
+], ids=["euclidean-2", "chebyshev-2", "callback-2"])
+@pytest.mark.parametrize("P, Q", [
+    (np.zeros((1, 2)), np.ones((4, 2))), (np.zeros((3, 2)), np.ones((4, 2))),
+    (np.zeros((4, 2)), np.ones((3, 2))), (np.zeros(4), np.ones(6)),
+], ids=["1-4", "3-4", "4-3", "flat-2-3"])
+def test_distance_batch_rejects_unequal_row_counts(space, P, Q):
+    # no broadcast of one row, and no truncation to the shorter argument
+    rows = len(np.reshape(P, (-1, 2))), len(np.reshape(Q, (-1, 2)))
+    with pytest.raises(InvalidInputError,
+                       match=rf"^expected as many rows in Q as in P, got {rows[0]} and {rows[1]}$"):
+        space.distance_batch(P, Q)
+
+
 def test_short_axis_folds_match_the_reductions_bytewise():
     # distance_batch, OrderGraph.edge_mask and the checkers fold short
     # trailing axes column by column; each gives the bytes of the numpy
