@@ -30,6 +30,16 @@ every other failing seed to :func:`solve_coupled`, so each seed gets the
 outcome :func:`solve_coupled` gives it.  A NaN or infinite step size
 stops every solver with ``NonFiniteValueError``.
 
+Where the map has ``on_floats`` and the metric and the graph a
+``_row_rule``, each iterate is also held as its Python floats.  A step
+whose four iterates are all finite takes its step sizes, ``diag`` and
+edge flags from those float rules, and a single-valued step is
+``on_floats`` on both sides (on a zero divisor, the map's ``__call__``).
+Every other step (a non-finite iterate, a plain callable,
+``CallbackSpace``, ``PredicateGraph``, ``FiniteGraph``, Euclidean from 8
+coordinates) keeps the numpy bookkeeping, ``_dist`` and ``edge_mask``;
+both give the same bits.
+
 Multivalued maps iterate by edge-filtered nearest-point selection: the
 next iterate is the image point nearest the current one among
 edge-compatible candidates, ties resolved by image index.  A step runs
