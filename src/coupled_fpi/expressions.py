@@ -342,6 +342,11 @@ class ExpressionCoupledMap:
     def eval_batch(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         return self._kernel(X, Y)[:, 0]
 
+    def on_rows(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """``eval_batch``'s bits on float64 (n, d) rows, read as they are,
+        for the probe's lockstep steps."""
+        return self._kernel.on_arrays(X, Y)[:, 0]
+
     def __repr__(self) -> str:
         inner = ", ".join(c.source for c in self.components)
         return f"ExpressionCoupledMap([{inner}])"

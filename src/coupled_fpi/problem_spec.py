@@ -335,6 +335,8 @@ def parse_spec(text: str) -> ProblemSpec:
     except ValueError as exc:  # json's one other error: int() past the digit limit
         raise SpecError(
             f"an integer literal has more than {sys.get_int_max_str_digits()} digits") from exc
+    except RecursionError as exc:  # the decoder recurses once per nested array or object
+        raise SpecError("arrays or objects nest too deep to decode") from exc
     if not isinstance(doc, dict):
         raise SpecError("spec must be a JSON object")
     _known_keys(doc, _field_names(ProblemSpec), "top-level")

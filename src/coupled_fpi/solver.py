@@ -27,8 +27,11 @@ solver trusts the declared k; certifying it is the job of the checkers
 lockstep over an (s, d) batch, with the bound check and stopping rule of
 the per-pair kernel.  It records a missing seed edge itself and hands
 every other failing seed to :func:`solve_coupled`, so each seed gets the
-outcome :func:`solve_coupled` gives it.  A NaN or infinite step size
-stops every solver with ``NonFiniteValueError``.
+outcome :func:`solve_coupled` gives it.  ``ExpressionCoupledMap`` and
+``LinearCoupledMap`` evaluate the batch through their row hook
+``on_rows``, unchecked; every other map through the validated
+``checks._images``, the reference; both give the same bits.  A NaN or
+infinite step size stops every solver with ``NonFiniteValueError``.
 
 Where the map has ``on_floats`` and the metric and the graph a
 ``_row_rule``, each iterate is also held as its Python floats.  A step
@@ -495,22 +498,27 @@ def _solve_rows(fn, space, graph, starts, cfg: SolveConfig) -> list[SeedOutcome]
     """:func:`solve_coupled` from every seed at once.
 
     The live pairs are held stacked, Z = [X; Y], and advance in lockstep
-    through batched map, graph and metric calls on unvalidated arrays;
-    a row freezes when it converges or reaches ``max_iter``, and a seed
-    without its seed edge records ``SeedEdgeError``.  Any other failure
-    hands the seed to :func:`solve_coupled` itself, which gives its
-    outcome: a step :func:`_step_rule` rejects, or a raise in a batched
-    call (every seed still in that call) or at the final pair, where
-    ``solve_coupled`` measures its residual d(F(x, y), x) + d(F(y, x), y)
-    and d(x, y) for ``is_diagonal``.  No edge flags are computed
-    (``record_edges`` is ignored).
+    through batched map, graph and metric calls on unvalidated arrays:
+    the map's ``on_rows`` on [Z; swap(Z)] where it has one (expression
+    and linear maps), otherwise :func:`checks._images`, which checks the
+    batch's shape; both give the same bits.  A row freezes when it
+    converges or reaches ``max_iter``, and a seed without its seed edge
+    records ``SeedEdgeError``.  Any other failure hands the seed to
+    :func:`solve_coupled` itself, which gives its outcome: a step
+    :func:`_step_rule` rejects, or a raise in a batched call (every seed
+    still in that call) or at the final pair, where ``solve_coupled``
+    measures its residual d(F(x, y), x) + d(F(y, x), y) and d(x, y) for
+    ``is_diagonal``.  No edge flags are computed (``record_edges`` is
+    ignored).
     """
     s, d = len(starts), space.dimension
+    on_rows = getattr(fn, "on_rows", None)
 
     def images(Z):
         """Stacked images [F(X, Y); F(Y, X)] of the pairs Z = [X; Y]."""
         a = len(Z) // 2
-        return _images(fn, Z, np.concatenate([Z[a:], Z[:a]]), d, multi=False)[:, 0]
+        W = np.concatenate([Z[a:], Z[:a]])
+        return on_rows(Z, W) if on_rows else _images(fn, Z, W, d, multi=False)[:, 0]
 
     results: dict[int, tuple] = {}
     handed: list[int] = []  # seeds solve_coupled solves
@@ -535,9 +543,11 @@ def _solve_rows(fn, space, graph, starts, cfg: SolveConfig) -> list[SeedOutcome]
             if n == 0:
                 D0 = sx + sy
             _, ok, done = _step_rule(cfg, n, sx + sy, D0)
-            stop = ok & (done | (n + 1 == cfg.max_iter))
-            keep = ok & ~stop
-            if not keep.all():
+            last = n + 1 == cfg.max_iter
+            keep = ok & ~done
+            if last or not keep.all():
+                stop = ok & (done | last)
+                keep &= ~stop
                 handed += live[~ok].tolist()
                 rows = live[stop]
                 XF[rows], YF[rows] = Zn[:a][stop], Zn[a:][stop]
@@ -658,11 +668,11 @@ def uniqueness_probe(
     """Solve from each seed and cluster the resulting fixed points.
 
     Every seed is iterated as :func:`solve_coupled` would, all of them in
-    lockstep as one batch (maps with ``eval_batch`` are evaluated once
-    per step for all seeds, others row by row); a seed that fails there
-    is solved again by :func:`solve_coupled` alone.  Per-seed solver
-    errors are recorded in the outcome and the probe continues.  Pair distance
-    is d(p,p') + d(q,q').
+    lockstep as one batch (maps with ``on_rows`` or ``eval_batch`` are
+    evaluated once per step for all seeds, others row by row); a seed that
+    fails there is solved again by :func:`solve_coupled` alone.  Per-seed
+    solver errors are recorded in the outcome and the probe continues.  Pair
+    distance is d(p,p') + d(q,q').
     """
     if len(seeds) == 0:
         raise InvalidInputError("at least one seed is required")

@@ -275,6 +275,16 @@ def test_too_deep_expression_exits_error(tmp_path, capsys, definition):
     assert not (tmp_path / "run").exists()
 
 
+def test_too_deep_json_exits_error(tmp_path, capsys):
+    # 100000 nested arrays overflow the JSON decoder's recursion: an input error, not a crash
+    text = pathlib.Path(SINGLE).read_text()
+    path = tmp_path / "nested.json"
+    path.write_text(text.replace('"x0": 0.0', '"x0": ' + "[" * 100000 + "]" * 100000))
+    assert main(["solve", str(path), "--out-dir", str(tmp_path / "run"), "--quiet"]) == EXIT_ERROR
+    assert capsys.readouterr().err == "invalid spec: arrays or objects nest too deep to decode\n"
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("mode", ["continuous", "property_star"])
 def test_inverted_sampler_box_exits_error_in_both_modes(tmp_path, capsys, mode):
     spec = json.loads(pathlib.Path(SINGLE).read_text())

@@ -819,6 +819,20 @@ def probe_oracle(fn, space, graph, seeds, cfg):
     return outcomes, clusters, diameters, tuple(violations)
 
 
+class _NarrowBatch:
+    """An affine map whose eval_batch returns only the first coordinate, as
+    (n, 1) rows: the right shape at d = 1, and one that broadcasts at d = 2."""
+
+    def __init__(self, d):
+        self.d = d
+
+    def __call__(self, x, y):
+        return 0.3 * np.asarray(x) - 0.2 * np.asarray(y) + 0.1
+
+    def eval_batch(self, X, Y):
+        return (0.3 * X - 0.2 * Y + 0.1)[:, :1]
+
+
 def _charted_l1(p, q):
     """L1 metric that raises, naming the point, outside the box |coordinate| <= 4."""
     for point in (p, q):
@@ -850,6 +864,7 @@ def _maps(d):
 
     return {
         "expression": expr,
+        "narrow_batch": _NarrowBatch(d),
         "linear": LinearCoupledMap(0.25, -0.3),
         "lambda": lambda x, y: 0.3 * np.asarray(x) - 0.2 * np.asarray(y) + 0.2,
         "projection": lambda x, y: x,
@@ -921,6 +936,78 @@ def _check_probe_against_oracle(space):
     assert seen >= {"ok", "SeedEdgeError", "HypothesisViolationError", "InvalidInputError",
                     "ValueError", "non-convergence at max_iter", "several clusters",
                     "chain", "edge violations"}
+
+
+def _assert_same_report(got, want):
+    """Two probe reports agree bit for bit: outcomes, clusters, diameters
+    and edge violations, floats compared by float.hex and points by bytes."""
+    assert len(got.outcomes) == len(want.outcomes)
+    for a, b in zip(got.outcomes, want.outcomes):
+        assert (a.index, a.converged, a.error) == (b.index, b.converged, b.error)
+        assert (a.x0.tobytes(), a.y0.tobytes()) == (b.x0.tobytes(), b.y0.tobytes())
+        assert (a.point is None) == (b.point is None)
+        if a.point is not None:
+            assert (a.point.x.tobytes(), a.point.y.tobytes(), a.point.is_diagonal) == (
+                b.point.x.tobytes(), b.point.y.tobytes(), b.point.is_diagonal)
+    assert got.clusters == want.clusters
+    assert [float(x).hex() for x in got.diameters] == [float(x).hex() for x in want.diameters]
+    assert [(v["seeds"], float(v["distance"]).hex()) for v in got.edge_violations] == [
+        (v["seeds"], float(v["distance"]).hex()) for v in want.edge_violations]
+
+
+@pytest.mark.parametrize("count", [25, 100])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("metric", [EuclideanSpace, ChebyshevSpace])
+def test_uniqueness_probe_row_hook_matches_the_validated_path(count, d, metric, monkeypatch):
+    # Expression and linear maps step the lockstep batch through on_rows; a
+    # plain callable around the same map has no hook and is evaluated
+    # through _images, row by row.  Both give the same report.
+    space, graph = metric(d), OrderGraph(d)
+    calls = []
+    checked = _images
+    monkeypatch.setattr(solver, "_images",
+                        lambda *args, **kwargs: calls.append(args) or checked(*args, **kwargs))
+    if d == 1:
+        maps = [ExpressionCoupledMap(["0.3*x - 0.2*y + 0.5"], 1), ExpressionCoupledMap(["x"], 1)]
+    else:
+        maps = [ExpressionCoupledMap(["0.3*x1 - 0.2*y1 + 0.1", "0.3*x2 - 0.2*y2 - 0.4"], 2),
+                ExpressionCoupledMap(["x1", "x2"], 2)]
+    maps.append(LinearCoupledMap(0.3, -0.2))
+    rng = np.random.default_rng(100 * count + d)
+    # Seeds from 1e-6 to 100 away from the limit: with max_iter = 12 the
+    # far ones stop unconverged, and on the order graph some fail the seed edge.
+    seeds = [tuple(10.0 ** rng.uniform(-6, 2) * rng.uniform(-1, 1, d) for _ in "xy")
+             for _ in range(count)]
+    seen = set()
+    for max_iter in (12, 300):
+        cfg = SolveConfig(k=0.65, tol=1e-9, max_iter=max_iter, check_bounds=True)
+        for fn in maps:
+            del calls[:]
+            hooked = uniqueness_probe(fn, space, graph, seeds, cfg)
+            assert calls == []
+            plain = uniqueness_probe(lambda x, y: fn(x, y), space, graph, seeds, cfg)
+            assert calls
+            _assert_same_report(hooked, plain)
+            seen.update((o.error or "ok").split(":")[0] for o in hooked.outcomes)
+            if hooked.edge_violations:
+                seen.add("edge violations")
+    assert seen == {"ok", "SeedEdgeError", "non-convergence at max_iter", "edge violations"}
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_uniqueness_probe_fails_every_seed_of_a_multivalued_map(d):
+    # A multivalued map has no row hook: its two-point images are no points,
+    # so every seed fails as solve_coupled fails on it.
+    emm = ExpressionMultiMap([["0.3*x1 - 0.2*y1"] * d, ["x1"] * d], d)
+    rng = np.random.default_rng(7)
+    seeds = [(rng.uniform(-3, 3, d), rng.uniform(-3, 3, d)) for _ in range(6)]
+    cfg = SolveConfig(k=0.65, tol=1e-9, max_iter=50)
+    report = uniqueness_probe(emm, EuclideanSpace(d), FullGraph(d), seeds, cfg)
+    want = f"InvalidInputError: a point must be a flat vector, got shape (2, {d})"
+    assert [o.error for o in report.outcomes] == [want] * len(seeds)
+    with pytest.raises(InvalidInputError):
+        solve_coupled(emm, EuclideanSpace(d), FullGraph(d), *seeds[0], cfg)
+    assert report.clusters == ()
 
 
 def _assert_probe_is_oracle(fn, space, graph, seeds, cfg):

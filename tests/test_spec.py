@@ -188,6 +188,8 @@ def test_serialize_is_canonical():
     pytest.param(doc(k=10 ** 400), "^k must be finite, got inf$", id="huge-integer-k"),
     pytest.param(doc().replace('"x0": 0.0', '"x0": ' + "1" * 5000),
                  "^an integer literal has more than 4300 digits$", id="integer-past-the-digit-limit"),
+    pytest.param(doc().replace('"x0": 0.0', '"x0": ' + "[" * 100000 + "]" * 100000),
+                 "^arrays or objects nest too deep to decode$", id="nested-past-the-recursion-limit"),
     pytest.param(doc(seed={"x0": float("-inf"), "y0": 1.0}), "^seed.x0 must be finite, got -inf$",
                  id="infinite-seed"),
     pytest.param(doc(graph={"kind": "edge_list", "vertices": [0.0, float("nan")]}),
