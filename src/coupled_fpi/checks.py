@@ -26,6 +26,7 @@ path and differ only in how they format witnesses.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -106,6 +107,8 @@ class Certificate:
 
 
 def validate_k(k: float) -> float:
+    if not isinstance(k, numbers.Real):
+        raise InvalidParameterError(f"k must be a number, got {k!r}")
     k = float(k)
     if not (0.0 < k < 1.0):
         raise InvalidParameterError("k must lie in (0,1)")

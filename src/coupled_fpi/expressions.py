@@ -17,9 +17,9 @@ Each expression becomes the text of one Python lambda over the arguments
 ``x1..xd, y1..yd`` and one parameter ``c<i>`` per number, with the same
 operations in the same order.  That text is compiled once per process and
 shared by every expression of the same form (equal up to its numbers).
-The one function runs on Python floats (a point, or a few rows), on numpy
-columns (a batch), and with ``(g, 1)`` number columns on g components of
-one form at once.
+The one function runs on Python floats (a point), on numpy columns (a
+batch), and with ``(g, 1)`` number columns on g components of one form
+at once.
 """
 
 from __future__ import annotations
@@ -232,18 +232,15 @@ def compile_expression(source: str, dimension: int = 1) -> CompiledExpression:
 # Values per (g, rows) temporary: past glibc's 128 KiB mmap threshold every call faults them in.
 _BLOCK_VALUES = 12288
 
-# Up to this many rows, and values in all, go row by row on Python floats.
-# There they beat numpy's fixed cost per call; measured at n = 1..16 rows for
-# m * d = 1..16, the crossover lies at 8 rows when m * d <= 5, at 2-3 rows
-# when m * d = 16.
-_POINT_ROWS, _POINT_VALUES = 8, 32
+# ExpressionMultiMap.on_floats exists while a step's two images hold at most this many values.
+_POINT_VALUES = 32
 
 
 class _PointKernel:
     """(n, m, d) values of m point maps, given by their compiled components,
-    on (n, d) rows.  A few rows (``_POINT_ROWS``, ``_POINT_VALUES``) run on
-    Python floats, and a division by zero hands them to numpy, which gives
-    its inf or NaN.  On numpy, components of one form run as one (g, rows)
+    on (n, d) rows.  A single point (``at_point``) runs on Python floats, and
+    a division by zero hands it to numpy, which gives its inf or NaN; rows
+    run on numpy.  There components of one form run as one (g, rows)
     expression with (g, 1) number columns and go out in one indexed write;
     a component alone in its form writes its own column.  Both paths do the
     same IEEE operations in the same order, so each value has the same bits
@@ -273,16 +270,17 @@ class _PointKernel:
         self.rows = _BLOCK_VALUES // max(map(len, forms.values()))
 
     def __call__(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        (m, d), n = self.shape, len(X)
-        X = np.asarray(X, dtype=np.float64).reshape(n, d)
+        d = self.shape[1]
+        X = np.asarray(X, dtype=np.float64).reshape(len(X), d)
         Y = np.asarray(Y, dtype=np.float64).reshape(len(Y), d)
-        if n <= _POINT_ROWS and n * m * d <= _POINT_VALUES:
-            try:
-                rows = [self.on_floats(x + y) for x, y in zip(X.tolist(), Y.tolist())]
-                return np.array(rows).reshape(n, m, d)
-            except ZeroDivisionError:
-                pass
         return self.on_arrays(X, Y)
+
+    def at_point(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The m * d values, row-major, at one pair of float64 points."""
+        try:
+            return np.array(self.on_floats(x.tolist() + y.tolist()))
+        except ZeroDivisionError:
+            return self.on_arrays(x[None], y[None]).reshape(-1)
 
     def on_floats(self, args: list) -> list:
         """The m * d values, row-major, at one row's Python floats
@@ -334,10 +332,7 @@ class ExpressionCoupledMap:
     def __call__(self, x, y) -> np.ndarray:
         x = as_point(x, self.dimension, copy=False)
         y = as_point(y, self.dimension, copy=False)
-        try:
-            return np.array(self._kernel.on_floats(x.tolist() + y.tolist()))
-        except ZeroDivisionError:
-            return self._kernel.on_arrays(x[None], y[None])[0, 0]
+        return self._kernel.at_point(x, y)
 
     def eval_batch(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         return self._kernel(X, Y)[:, 0]
@@ -356,7 +351,8 @@ class ExpressionMultiMap:
     """Multivalued coupled map: a list of expression-defined image points.
 
     ``eval_batch`` fills an (n, m, d) image array with one kernel for all
-    m points, and ``__call__`` reads row 0 of it; both are bitwise equal to
+    m points, and ``__call__`` gives the m images of one point through the
+    same point entry as ``ExpressionCoupledMap``; both are bitwise equal to
     each point's ``ExpressionCoupledMap`` called on one point.  ``on_floats``
     is the kernel's, for the solver's steps on Python floats, while a step's
     two images hold at most ``_POINT_VALUES`` values; past that numpy steps
@@ -376,7 +372,7 @@ class ExpressionMultiMap:
     def __call__(self, x, y):
         x = as_point(x, self.dimension, copy=False)
         y = as_point(y, self.dimension, copy=False)
-        return list(self._kernel(x[None], y[None])[0])
+        return list(self._kernel.at_point(x, y).reshape(self._kernel.shape))
 
     def eval_batch(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         return self._kernel(X, Y)

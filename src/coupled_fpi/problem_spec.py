@@ -44,7 +44,7 @@ from .graphs import Digraph, FiniteGraph, FullGraph, OrderGraph
 from .maps import LinearCoupledMap
 from .sampling import SampleSpec
 from .solver import SolveConfig
-from .spaces import ChebyshevSpace, EuclideanSpace, MetricSpace
+from .spaces import ChebyshevSpace, EuclideanSpace, MetricSpace, _check_int
 
 SPACE_KINDS = ("euclidean", "chebyshev")
 GRAPH_KINDS = ("order", "full", "edge_list")
@@ -129,16 +129,6 @@ def _as_number(value, where: str) -> float:
     return number
 
 
-def _as_int(value, where: str, low: int | None = None) -> int:
-    """*value*, an integer (not a bool), and at least *low* (1 or 0) when given."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SpecError(f"{where} must be an integer, got {value!r}")
-    if low is not None and value < low:
-        kind = "positive" if low else "nonnegative"
-        raise SpecError(f"{where} must be a {kind} integer, got {value}")
-    return value
-
-
 def _as_bool(value, where: str) -> bool:
     if not isinstance(value, bool):
         raise SpecError(f"{where} must be a boolean, got {value!r}")
@@ -183,7 +173,7 @@ def _section(doc, where: str, keys: tuple, kinds: tuple = ()) -> Any:
 
 def _parse_space(doc, where="space") -> SpaceSpec:
     kind = _section(doc, where, _field_names(SpaceSpec), SPACE_KINDS)
-    dim = _as_int(_require(doc, "dimension", where), f"{where}.dimension", 1)
+    dim = _check_int(_require(doc, "dimension", where), f"{where}.dimension", 1, SpecError)
     return SpaceSpec(kind=kind, dimension=dim)
 
 
@@ -290,7 +280,7 @@ def _parse_solve(doc, where="solve") -> SolveSpec:
         raise SpecError(f"{where}.mode must be 'continuous' or 'property_star', got {mode!r}")
     if not tol > 0.0:
         raise SpecError(f"{where}.tol must be positive, got {tol!r}")
-    max_iter = _as_int(doc.get("max_iter", SolveSpec.max_iter), f"{where}.max_iter", 1)
+    max_iter = _check_int(doc.get("max_iter", SolveSpec.max_iter), f"{where}.max_iter", 1, SpecError)
     return SolveSpec(tol, max_iter, mode, check_bounds, record_edges)
 
 
@@ -314,10 +304,10 @@ def _parse_sampler(doc, dimension: int, where="sampler") -> SamplerSpec:
             raise SpecError(f"{where}.low exceeds {where}.high in coordinate {i}: {lo!r} > {h!r}")
     if not all(math.isfinite(h - lo) for lo, h in zip(lows, highs)):
         raise SpecError(f"{where}.high - {where}.low must be finite, got {high!r} - {low!r}")
-    count = _as_int(doc.get("count", SamplerSpec.count), f"{where}.count", 1)
+    count = _check_int(doc.get("count", SamplerSpec.count), f"{where}.count", 1, SpecError)
     seed = doc.get("rng_seed", None)
     if seed is not None:
-        seed = _as_int(seed, f"{where}.rng_seed", 0)
+        seed = _check_int(seed, f"{where}.rng_seed", 0, SpecError)
     return SamplerSpec(low=low, high=high, count=count, rng_seed=seed)
 
 

@@ -56,8 +56,8 @@ class SampleSpec:
     points: tuple = ()
 
     def __post_init__(self):
-        _check_int(self.count, "sample count", 1)
-        _check_int(self.seed, "rng seed", 0)
+        object.__setattr__(self, "count", _check_int(self.count, "sample count", 1))
+        object.__setattr__(self, "seed", _check_int(self.seed, "rng seed", 0))
 
 
 class Sampler:
@@ -73,8 +73,12 @@ class Sampler:
             self._low = self._width = None
         else:
             self._pool = None
-            low = np.broadcast_to(np.asarray(spec.low, dtype=np.float64), (dimension,))
-            high = np.broadcast_to(np.asarray(spec.high, dtype=np.float64), (dimension,))
+            try:
+                low, high = (np.broadcast_to(np.asarray(b, dtype=np.float64), (dimension,))
+                             for b in (spec.low, spec.high))
+            except (TypeError, ValueError) as exc:
+                raise InvalidInputError(f"sampling box bounds must be numbers, one or {dimension} "
+                                        f"each: low {spec.low!r}, high {spec.high!r}") from exc
             if np.isnan(low).any() or np.isnan(high).any():
                 raise InvalidInputError(f"sampling box bound is NaN: low {spec.low!r}, high {spec.high!r}")
             if not (low <= high).all():

@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -105,9 +106,9 @@ class SolveConfig:
 
     def __post_init__(self):
         validate_k(self.k)
-        if not self.tol > 0.0:
-            raise InvalidParameterError(f"tol must be positive, got {self.tol!r}")
-        _check_int(self.max_iter, "max_iter", 1)
+        if not (isinstance(self.tol, numbers.Real) and self.tol > 0.0):
+            raise InvalidParameterError(f"tol must be a positive number, got {self.tol!r}")
+        object.__setattr__(self, "max_iter", _check_int(self.max_iter, "max_iter", 1))
 
 
 @dataclass(frozen=True)

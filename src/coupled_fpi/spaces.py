@@ -14,6 +14,7 @@ n = 1) and the Chebyshev (max) metric; arbitrary metrics plug in via
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from typing import Callable, Sequence, Union
 
@@ -91,12 +92,13 @@ def fold_last(op: np.ufunc, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_int(value, name: str, low: int) -> int:
-    """*value*, which must be an integer (not a bool) of at least *low*, 0 or 1."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < low:
+def _check_int(value, name: str, low: int, error: type = InvalidParameterError) -> int:
+    """*value*, which must be an integer (numpy's too, not a bool) of at
+    least *low*, 0 or 1, as a Python int; else raises *error*."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < low:
         kind = "positive" if low else "nonnegative"
-        raise InvalidParameterError(f"{name} must be a {kind} integer, got {value!r}")
-    return value
+        raise error(f"{name} must be a {kind} integer, got {value!r}")
+    return int(value)
 
 
 class MetricSpace:

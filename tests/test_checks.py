@@ -107,6 +107,9 @@ def test_validate_k():
     for bad in (0.0, 1.0, -1.0, 1.5):
         with pytest.raises(InvalidParameterError, match=r"k must lie in \(0,1\)"):
             validate_k(bad)
+    for bad in (None, "abc", "0.5"):
+        with pytest.raises(InvalidParameterError, match="^k must be a number, got "):
+            validate_k(bad)
 
 
 def test_mixed_monotone_reversal_clause_fails_for_sum_map_on_order_graph():

@@ -186,7 +186,7 @@ def test_eval_batch_is_bitwise_per_point_on_random_trees():
             if m == 1:
                 assert single[0].eval_batch(X, Y).tobytes() == images[:, 0].tobytes()
             if n <= 8:
-                # the same rows on the numpy path, inside a batch of more than 8 rows
+                # the same rows inside a larger batch
                 pad = rng.normal(size=(9, d))
                 batch = multi.eval_batch(np.vstack([X, pad]), np.vstack([Y, pad]))
                 assert _same_bits(images, batch[:n]), (points, n)
@@ -206,9 +206,9 @@ def _same_bits(a, b):
 
 
 def test_point_path_matches_numpy_path_on_edge_cases():
-    # A point and a few rows run on Python floats, which raise ZeroDivisionError
-    # where numpy gives inf or NaN; such a call falls back to numpy.  Every
-    # value has the numpy path's bits.
+    # A point runs on Python floats, which raise ZeroDivisionError where numpy
+    # gives inf or NaN; such a call falls back to numpy.  Every value has the
+    # numpy path's bits, in a batch of any size.
     values = [0.0, -0.0, 1.0, -2.5, 1e308, np.inf, -np.inf, np.nan]
     X, Y = (v.reshape(-1, 1) for v in np.meshgrid(values, values))
     cases = ["x / 0", "0 / 0", "x / -0.0", "x / y", "y / x", "(x - x) / (y - y)", "1 / 0",

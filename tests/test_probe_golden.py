@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import pathlib
 
-from coupled_fpi import build_instance, parse_spec, uniqueness_probe
+from coupled_fpi import build_instance, parse_spec, solver, uniqueness_probe
 from coupled_fpi.problem_spec import build_solve_config
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "probe_seeds.json"
@@ -62,6 +62,19 @@ def test_probes_match_golden():
     for probe in probes:
         fresh = json.loads(json.dumps(probe_outputs(probe["spec"], probe["seeds"])))
         assert fresh == {key: probe[key] for key in fresh}
+
+
+def test_probes_hand_no_seed_to_solve_coupled(monkeypatch):
+    # The lockstep batch finishes every golden probe itself.  It hands a seed
+    # to solve_coupled when a batched call raises, so a bug in the batch path
+    # shows here, where the outcomes alone would still match.
+    calls = []
+    solve = solver.solve_coupled
+    monkeypatch.setattr(solver, "solve_coupled",
+                        lambda *args, **kwargs: calls.append(args) or solve(*args, **kwargs))
+    for probe in json.loads(GOLDEN.read_text()):
+        probe_outputs(probe["spec"], probe["seeds"])
+    assert calls == []
 
 
 if __name__ == "__main__":

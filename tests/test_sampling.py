@@ -79,6 +79,9 @@ def test_per_coordinate_bounds():
 def test_invalid_box():
     with pytest.raises(InvalidInputError):
         Sampler(SampleSpec(count=10, seed=1, low=1.0, high=0.0), 1)
+    for low, high in (("a", 1.0), (0.0, [1.0, 2.0])):
+        with pytest.raises(InvalidInputError, match="^sampling box bounds must be numbers, one or 1 each"):
+            Sampler(SampleSpec(count=10, seed=1, low=low, high=high), 1)
 
 
 def test_non_finite_box_is_rejected():

@@ -78,6 +78,11 @@ def test_config_validation():
         SolveConfig(k=0.5, max_iter=0)
     with pytest.raises(InvalidParameterError):
         SolveConfig(k=0.5, max_iter=2.5)
+    with pytest.raises(InvalidParameterError, match="^k must be a number, got '0.5'$"):
+        SolveConfig(k="0.5")
+    for tol in ("1e-3", None):
+        with pytest.raises(InvalidParameterError, match="^tol must be a positive number, got "):
+            SolveConfig(k=0.5, tol=tol)
     cfg = SolveConfig(k=0.5)
     assert cfg.tol == 1e-10 and cfg.max_iter == 1000
 

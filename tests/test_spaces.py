@@ -10,8 +10,11 @@ from coupled_fpi import (
     InvalidInputError,
     InvalidParameterError,
     OrderGraph,
+    SampleSpec,
+    SolveConfig,
     as_point,
     real_line,
+    step_bound,
 )
 from coupled_fpi.spaces import fold_last
 
@@ -56,9 +59,22 @@ def test_distance_validates_dimension():
 
 
 def test_bad_dimension_rejected():
-    for bad in (0, -1, 1.5, True):
+    for bad in (0, -1, 1.5, True, np.bool_(True), np.float64(2.0)):
         with pytest.raises(InvalidParameterError):
             EuclideanSpace(bad)
+
+
+def test_numpy_integers_are_integers():
+    # each integer parameter takes numpy's integers and keeps a Python int
+    space = EuclideanSpace(np.int64(2))
+    cfg = SolveConfig(k=0.5, max_iter=np.int64(100))
+    spec = SampleSpec(count=np.uint16(10), seed=np.int32(3))
+    for value, want in ((space.dimension, 2), (cfg.max_iter, 100), (spec.count, 10), (spec.seed, 3)):
+        assert type(value) is int and value == want
+    assert step_bound(0.5, 1.0, np.int64(3)) == step_bound(0.5, 1.0, 3) == 0.0625
+    assert space.distance([0.0, 0.0], [3.0, 4.0]) == 5.0
+    with pytest.raises(InvalidParameterError, match="^max_iter must be a positive integer, got "):
+        SolveConfig(k=0.5, max_iter=np.int64(0))
 
 
 def _spaces():

@@ -152,6 +152,10 @@ def test_serialize_is_canonical():
     pytest.param(doc(solve={"max_iter": 0}), "solve.max_iter", id="bad-max-iter"),
     pytest.param(doc(sampler={"count": 0}), "sampler.count", id="bad-count"),
     pytest.param(doc(sampler={"rng_seed": 1.5}), "sampler.rng_seed", id="float-rng-seed"),
+    pytest.param(doc(solve={"max_iter": 2.5}), "^solve.max_iter must be a positive integer, got 2.5$",
+                 id="float-max-iter"),
+    pytest.param(doc(space={"kind": "euclidean", "dimension": True}),
+                 "^space.dimension must be a positive integer, got True$", id="boolean-dimension"),
     pytest.param(doc(sampler={"rng_seed": -3}), "sampler.rng_seed must be a nonnegative",
                  id="negative-rng-seed"),
     pytest.param(doc(sampler={"low": [-1.0, -2.0]}), "sampler.low needs 1 coordinate",
