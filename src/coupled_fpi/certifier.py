@@ -38,6 +38,7 @@ from .checks import (
     check_mbl,
     check_mixed_monotone,
     check_mixed_monotone_multi,
+    validate_k,
 )
 from .errors import CoupledFpiError, InvalidInputError, InvalidParameterError, InvalidSeedError
 from .finite_sets import _gaps
@@ -54,7 +55,7 @@ from .solver import (
     solve_coupled,
     solve_coupled_multi,
 )
-from .spaces import MetricSpace, PointLike, as_point
+from .spaces import MetricSpace, PointLike, _check_flag, as_point
 
 # Trial-trace length for the property_star path; long enough to exercise
 # the edge chain, short enough to stay cheap even for slow user maps.
@@ -89,6 +90,10 @@ class ProblemInstance:
         if self.kind not in ("single", "multi"):
             raise InvalidParameterError(f"kind must be 'single' or 'multi', got {self.kind!r}")
         d = self.space.dimension
+        if self.graph.dimension != d:
+            raise InvalidInputError(f"graph dimension {self.graph.dimension} != space dimension {d}")
+        object.__setattr__(self, "k", validate_k(self.k))
+        object.__setattr__(self, "continuous", _check_flag(self.continuous, "continuous"))
         if not self.label:
             object.__setattr__(self, "label", getattr(self.map, "canonical", ""))
         object.__setattr__(self, "x0", as_point(self.x0, d))
@@ -140,12 +145,12 @@ def instance_id_for(instance: ProblemInstance) -> str:
         type(instance.space).__name__,
         str(instance.space.dimension),
         type(instance.graph).__name__,
-        repr(float(instance.k)),
+        repr(instance.k),
         repr([float(c) for c in instance.x0]),
         repr([float(c) for c in instance.y0]),
         repr(None if instance.x1 is None else [float(c) for c in instance.x1]),
         repr(None if instance.y1 is None else [float(c) for c in instance.y1]),
-        str(bool(instance.continuous)),
+        str(instance.continuous),
         instance.label,
     ]
     h.update("|".join(parts).encode())

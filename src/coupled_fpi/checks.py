@@ -26,7 +26,6 @@ path and differ only in how they format witnesses.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -43,7 +42,7 @@ from .finite_sets import _excess, _pairs, _point_rows
 from .finite_sets import as_finite_set, dist_to_set  # noqa: F401
 from .graphs import Digraph
 from .sampling import Sampler, SampleSpec
-from .spaces import MetricSpace, as_point, fold_last
+from .spaces import MetricSpace, _check_number, as_point, fold_last
 
 SLACK = 1e-12
 
@@ -106,12 +105,10 @@ class Certificate:
         }
 
 
-def validate_k(k: float) -> float:
-    if not isinstance(k, numbers.Real):
-        raise InvalidParameterError(f"k must be a number, got {k!r}")
-    k = float(k)
+def validate_k(k: float, error: type = InvalidParameterError) -> float:
+    k = _check_number(k, "k", error)
     if not (0.0 < k < 1.0):
-        raise InvalidParameterError("k must lie in (0,1)")
+        raise error("k must lie in (0,1)")
     return k
 
 

@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ExpressionError
-from .spaces import as_point
+from .spaces import _check_int, as_point
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
@@ -226,7 +226,7 @@ def compile_expression(source: str, dimension: int = 1) -> CompiledExpression:
     """
     if not isinstance(source, str):
         raise ExpressionError(f"expression must be a string, got {type(source).__name__}")
-    return CompiledExpression(source, dimension)
+    return CompiledExpression(source, _check_int(dimension, "dimension", 1))
 
 
 # Values per (g, rows) temporary: past glibc's 128 KiB mmap threshold every call faults them in.
@@ -309,7 +309,7 @@ def _components(expressions, dimension: int) -> tuple:
     """The d compiled components of one point map."""
     if isinstance(expressions, str):
         expressions = [expressions]
-    if len(expressions) != dimension:
+    if len(expressions) != _check_int(dimension, "dimension", 1):
         raise ExpressionError(f"need {dimension} component expression(s), got {len(expressions)}")
     return tuple(compile_expression(src, dimension) for src in expressions)
 

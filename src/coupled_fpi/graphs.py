@@ -24,14 +24,14 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import InvalidInputError, NotAVertexError
-from .spaces import PointLike, _as_rows, as_point, fold_last
+from .spaces import PointLike, _as_rows, _check_int, as_point, fold_last
 
 
 class Digraph:
     """Base reflexive digraph."""
 
     def __init__(self, dimension: int):
-        self._dimension = dimension
+        self._dimension = _check_int(dimension, "dimension", 1)
 
     @property
     def dimension(self) -> int:

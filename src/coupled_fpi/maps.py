@@ -15,15 +15,15 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .finite_sets import FiniteSet
-from .spaces import PointLike
+from .spaces import PointLike, _check_number
 
 
 class LinearCoupledMap:
     """f(x, y) = a*x + b*y componentwise, scalar coefficients."""
 
     def __init__(self, a: float, b: float):
-        self.a = float(a)
-        self.b = float(b)
+        self.a = _check_number(a, "a")
+        self.b = _check_number(b, "b")
         self.canonical = f"a={self.a!r} b={self.b!r}"
 
     def __call__(self, x: PointLike, y: PointLike):

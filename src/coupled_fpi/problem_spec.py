@@ -37,14 +37,14 @@ from dataclasses import dataclass, field, fields
 from typing import Any
 
 from .certifier import ProblemInstance
-from .checks import _point_json
+from .checks import _point_json, validate_k
 from .errors import ExpressionError, SpecError
 from .expressions import ExpressionCoupledMap, ExpressionMultiMap, compile_expression
 from .graphs import Digraph, FiniteGraph, FullGraph, OrderGraph
 from .maps import LinearCoupledMap
 from .sampling import SampleSpec
 from .solver import SolveConfig
-from .spaces import ChebyshevSpace, EuclideanSpace, MetricSpace, _check_int
+from .spaces import ChebyshevSpace, EuclideanSpace, MetricSpace, _check_flag, _check_int, _check_number
 
 SPACE_KINDS = ("euclidean", "chebyshev")
 GRAPH_KINDS = ("order", "full", "edge_list")
@@ -115,32 +115,12 @@ def _require(doc: dict, key: str, where: str) -> Any:
     return doc[key]
 
 
-def _as_number(value, where: str) -> float:
-    """*value*, a finite number (not a bool): JSON reads 1e400 as inf, and
-    takes the NaN and Infinity tokens."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SpecError(f"{where} must be a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer past the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise SpecError(f"{where} must be finite, got {number!r}")
-    return number
-
-
-def _as_bool(value, where: str) -> bool:
-    if not isinstance(value, bool):
-        raise SpecError(f"{where} must be a boolean, got {value!r}")
-    return value
-
-
 def _as_point_tuple(value, dimension: int, where: str) -> tuple:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         value = [value]
     if not isinstance(value, list) or not value:
         raise SpecError(f"{where} must be a number or a list of numbers")
-    pt = tuple(_as_number(c, where) for c in value)
+    pt = tuple(_check_number(c, where, SpecError) for c in value)
     if len(pt) != dimension:
         raise SpecError(f"{where} must have {dimension} coordinate(s), got {len(pt)}")
     return pt
@@ -233,7 +213,7 @@ def _parse_map(doc, dimension: int, where="map") -> MapSpec:
                 )
             params = tuple(
                 sorted(
-                    (key, _as_number(val, f"{where}.definition.{key}"))
+                    (key, _check_number(val, f"{where}.definition.{key}", SpecError))
                     for key, val in defn.items()
                     if key != "name"
                 )
@@ -272,14 +252,13 @@ def _parse_solve(doc, where="solve") -> SolveSpec:
     if doc is None:
         return SolveSpec()
     _section(doc, where, _field_names(SolveSpec))
-    tol = _as_number(doc.get("tol", SolveSpec.tol), f"{where}.tol")
-    check_bounds = _as_bool(doc.get("check_bounds", SolveSpec.check_bounds), f"{where}.check_bounds")
-    record_edges = _as_bool(doc.get("record_edges", SolveSpec.record_edges), f"{where}.record_edges")
+    tol = _check_number(doc.get("tol", SolveSpec.tol), f"{where}.tol", SpecError, positive=True)
+    check_bounds, record_edges = (
+        _check_flag(doc.get(key, getattr(SolveSpec, key)), f"{where}.{key}", SpecError)
+        for key in ("check_bounds", "record_edges"))
     mode = doc.get("mode", SolveSpec.mode)
     if mode not in ("continuous", "property_star"):
         raise SpecError(f"{where}.mode must be 'continuous' or 'property_star', got {mode!r}")
-    if not tol > 0.0:
-        raise SpecError(f"{where}.tol must be positive, got {tol!r}")
     max_iter = _check_int(doc.get("max_iter", SolveSpec.max_iter), f"{where}.max_iter", 1, SpecError)
     return SolveSpec(tol, max_iter, mode, check_bounds, record_edges)
 
@@ -291,7 +270,8 @@ def _parse_sampler(doc, dimension: int, where="sampler") -> SamplerSpec:
 
     def bound(key, default):
         val = doc.get(key, default)
-        coords = tuple(_as_number(c, f"{where}.{key}") for c in (val if isinstance(val, list) else [val]))
+        vals = val if isinstance(val, list) else [val]
+        coords = tuple(_check_number(c, f"{where}.{key}", SpecError) for c in vals)
         if isinstance(val, list) and len(coords) != dimension:
             raise SpecError(f"{where}.{key} needs {dimension} coordinate(s), got {len(coords)}")
         return coords if isinstance(val, list) else coords[0]
@@ -333,9 +313,7 @@ def parse_spec(text: str) -> ProblemSpec:
     space = _parse_space(_require(doc, "space", ""))
     graph = _parse_graph(_require(doc, "graph", ""), space.dimension)
     map_spec = _parse_map(_require(doc, "map", ""), space.dimension)
-    k = _as_number(_require(doc, "k", ""), "k")
-    if not (0.0 < k < 1.0):
-        raise SpecError("k must lie in (0,1)")
+    k = validate_k(_require(doc, "k", ""), SpecError)
     seed = _parse_seed(_require(doc, "seed", ""), space.dimension, map_spec.kind == "multi")
     solve = _parse_solve(doc.get("solve"))
     sampler = _parse_sampler(doc.get("sampler"), space.dimension)

@@ -65,7 +65,7 @@ class Sampler:
 
     def __init__(self, spec: SampleSpec, dimension: int):
         self.spec = spec
-        self.dimension = dimension
+        self.dimension = dimension = _check_int(dimension, "dimension", 1)
         self._rng = np.random.default_rng(spec.seed)
         if spec.points:
             rows = [as_point(p, dimension) for p in spec.points]

@@ -62,7 +62,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -83,7 +82,7 @@ from .finite_sets import _point_rows, dist_to_set
 # as_finite_set is not used here; perfbench/tracer.py patches it under this name.
 from .finite_sets import as_finite_set  # noqa: F401
 from .graphs import Digraph, product_edge, product_edge_mask
-from .spaces import MetricSpace, PointLike, _check_int, as_point
+from .spaces import MetricSpace, PointLike, _check_flag, _check_int, _check_number, as_point
 
 
 @dataclass(frozen=True)
@@ -105,10 +104,11 @@ class SolveConfig:
     record_edges: bool = False
 
     def __post_init__(self):
-        validate_k(self.k)
-        if not (isinstance(self.tol, numbers.Real) and self.tol > 0.0):
-            raise InvalidParameterError(f"tol must be a positive number, got {self.tol!r}")
+        object.__setattr__(self, "k", validate_k(self.k))
+        object.__setattr__(self, "tol", _check_number(self.tol, "tol", positive=True))
         object.__setattr__(self, "max_iter", _check_int(self.max_iter, "max_iter", 1))
+        for name in ("check_bounds", "record_edges"):
+            object.__setattr__(self, name, _check_flag(getattr(self, name), name))
 
 
 @dataclass(frozen=True)
@@ -148,7 +148,7 @@ class CoupledFixedPoint:
 
 def _check_bound_args(k: float, D0: float, n: int) -> None:
     validate_k(k)
-    if not D0 >= 0.0:
+    if not _check_number(D0, "D0") >= 0.0:
         raise InvalidParameterError(f"D0 must be nonnegative, got {D0!r}")
     _check_int(n, "n", 0)
 

@@ -101,6 +101,30 @@ def _check_int(value, name: str, low: int, error: type = InvalidParameterError) 
     return int(value)
 
 
+def _check_number(value, name: str, error: type = InvalidParameterError,
+                  positive: bool = False) -> float:
+    """*value*, which must be a finite real number (numpy's too, not a bool)
+    and above 0 when *positive*, as a Python float; else raises *error*."""
+    kind = "a positive number" if positive else "a number"
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer past the float range
+            number = math.inf
+        if not math.isfinite(number):
+            raise error(f"{name} must be finite, got {number!r}")
+        if number > 0.0 or not positive:
+            return number
+    raise error(f"{name} must be {kind}, got {value!r}")
+
+
+def _check_flag(value, name: str, error: type = InvalidParameterError) -> bool:
+    """*value*, which must be a bool (numpy's too), as a bool; else raises *error*."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise error(f"{name} must be a boolean, got {value!r}")
+    return bool(value)
+
+
 class MetricSpace:
     """Base metric space over R^d points.
 

@@ -82,6 +82,26 @@ def test_instance_validation():
     assert inst.y0[0] == 1.0
 
 
+def test_instance_graph_must_match_the_space():
+    with pytest.raises(InvalidInputError, match="^graph dimension 2 != space dimension 1$"):
+        single_instance(OrderGraph(2))
+
+
+def test_instance_k_follows_the_k_rule():
+    for k, want in (("a", "^k must be a number, got 'a'$"), (1.5, r"^k must lie in \(0,1\)$")):
+        with pytest.raises(InvalidParameterError, match=want):
+            single_instance(FullGraph(1), k=k)
+    inst = single_instance(FullGraph(1), k=np.float64(0.5))
+    assert type(inst.k) is float
+    assert instance_id_for(inst) == instance_id_for(single_instance(FullGraph(1), k=0.5))
+
+
+def test_instance_continuity_is_a_flag():
+    with pytest.raises(InvalidParameterError, match="^continuous must be a boolean, got 'no'$"):
+        single_instance(FullGraph(1), continuous="no")
+    assert single_instance(FullGraph(1), continuous=np.False_).continuous is False
+
+
 def test_instance_id_is_stable_and_discriminating():
     a = single_instance(FullGraph(1))
     b = single_instance(FullGraph(1))

@@ -20,6 +20,7 @@ from coupled_fpi import (
     OrderGraph,
     SampleSpec,
     SingletonMultiMap,
+    SpecError,
     check_bl,
     check_mbl,
     check_mixed_monotone,
@@ -107,9 +108,16 @@ def test_validate_k():
     for bad in (0.0, 1.0, -1.0, 1.5):
         with pytest.raises(InvalidParameterError, match=r"k must lie in \(0,1\)"):
             validate_k(bad)
-    for bad in (None, "abc", "0.5"):
+    for bad in (None, "abc", "0.5", True, np.True_):
         with pytest.raises(InvalidParameterError, match="^k must be a number, got "):
             validate_k(bad)
+    for bad in (float("nan"), float("inf"), 10 ** 400):
+        with pytest.raises(InvalidParameterError, match="^k must be finite, got "):
+            validate_k(bad)
+    # the caller names the error type; numpy's numbers come back as Python floats
+    with pytest.raises(SpecError, match=r"^k must lie in \(0,1\)$"):
+        validate_k(2, SpecError)
+    assert type(validate_k(np.float32(0.5))) is float and validate_k(np.float32(0.5)) == 0.5
 
 
 def test_mixed_monotone_reversal_clause_fails_for_sum_map_on_order_graph():

@@ -1,15 +1,35 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
-from coupled_fpi import FiniteSet, InvalidInputError, LinearCoupledMap, SingletonMultiMap
+from coupled_fpi import (
+    FiniteSet,
+    InvalidInputError,
+    InvalidParameterError,
+    LinearCoupledMap,
+    SingletonMultiMap,
+)
 
 
 def test_linear_map_evaluation():
     fn = LinearCoupledMap(0.2, -0.1)
     out = fn(np.array([1.0]), np.array([2.0]))
     assert out[0] == 0.2 * 1.0 - 0.1 * 2.0
+
+
+def test_linear_map_coefficients_are_numbers():
+    for a, b, want in (("1", 0.1, "^a must be a number, got '1'$"),
+                       (None, 0.1, "^a must be a number, got None$"),
+                       (math.inf, 0.0, "^a must be finite, got inf$"),
+                       (0.1, True, "^b must be a number, got True$")):
+        with pytest.raises(InvalidParameterError, match=want):
+            LinearCoupledMap(a, b)
+    fn = LinearCoupledMap(np.float64(0.2), np.int64(0))
+    assert type(fn.a) is float and type(fn.b) is float
+    assert fn.canonical == "a=0.2 b=0.0"
 
 
 def test_linear_map_batch_matches_scalar():

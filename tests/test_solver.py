@@ -80,11 +80,20 @@ def test_config_validation():
         SolveConfig(k=0.5, max_iter=2.5)
     with pytest.raises(InvalidParameterError, match="^k must be a number, got '0.5'$"):
         SolveConfig(k="0.5")
-    for tol in ("1e-3", None):
+    for tol in ("1e-3", None, True, -1e-3):
         with pytest.raises(InvalidParameterError, match="^tol must be a positive number, got "):
             SolveConfig(k=0.5, tol=tol)
+    with pytest.raises(InvalidParameterError, match="^tol must be finite, got inf$"):
+        SolveConfig(k=0.5, tol=math.inf)
+    for flag, bad in (("check_bounds", "no"), ("record_edges", 1), ("record_edges", None)):
+        with pytest.raises(InvalidParameterError, match=f"^{flag} must be a boolean, got {bad!r}$"):
+            SolveConfig(k=0.5, **{flag: bad})
     cfg = SolveConfig(k=0.5)
     assert cfg.tol == 1e-10 and cfg.max_iter == 1000
+    # numpy's numbers and flags are taken and kept as Python types
+    cfg = SolveConfig(k=np.float64(0.5), tol=np.float32(1e-3), check_bounds=np.True_)
+    assert type(cfg.k) is float and type(cfg.tol) is float and cfg.tol == float(np.float32(1e-3))
+    assert cfg.check_bounds is True and cfg.record_edges is False
 
 
 def test_step_bound_values():
@@ -97,6 +106,11 @@ def test_step_bound_values():
         step_bound(0.5, -1.0, 0)
     with pytest.raises(InvalidParameterError):
         step_bound(0.5, 1.0, -1)
+    for bound in (step_bound, tail_bound):
+        for D0, want in (("1", "a number, got '1'"), (None, "a number, got None"),
+                         (math.inf, "finite, got inf")):
+            with pytest.raises(InvalidParameterError, match=f"^D0 must be {want}$"):
+                bound(0.5, D0, 0)
 
 
 def test_tail_bound_values():

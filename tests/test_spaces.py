@@ -7,12 +7,18 @@ from coupled_fpi import (
     CallbackSpace,
     ChebyshevSpace,
     EuclideanSpace,
+    ExpressionCoupledMap,
+    ExpressionMultiMap,
+    FullGraph,
     InvalidInputError,
     InvalidParameterError,
     OrderGraph,
+    PredicateGraph,
+    Sampler,
     SampleSpec,
     SolveConfig,
     as_point,
+    compile_expression,
     real_line,
     step_bound,
 )
@@ -59,9 +65,14 @@ def test_distance_validates_dimension():
 
 
 def test_bad_dimension_rejected():
-    for bad in (0, -1, 1.5, True, np.bool_(True), np.float64(2.0)):
-        with pytest.raises(InvalidParameterError):
-            EuclideanSpace(bad)
+    # every dimension argument, of a space, graph, sampler or expression, follows the integer rule
+    makers = (EuclideanSpace, OrderGraph, FullGraph, lambda d: PredicateGraph(d, lambda p, q: True),
+              lambda d: Sampler(SampleSpec(), d), lambda d: compile_expression("x", d),
+              lambda d: ExpressionCoupledMap(["x1"], d), lambda d: ExpressionMultiMap(["x"], d))
+    for make in makers:
+        for bad in (0, -1, 1.0, 1.5, 2.5, "1", "x", None, True, np.bool_(True), np.float64(2.0)):
+            with pytest.raises(InvalidParameterError, match="^dimension must be a positive integer, got "):
+                make(bad)
 
 
 def test_numpy_integers_are_integers():

@@ -171,6 +171,12 @@ def test_serialize_is_canonical():
                  id="inverted-box-one-coordinate"),
     pytest.param(doc(solve={"check_bounds": 1}), "^solve.check_bounds must be a boolean, got 1$",
                  id="non-boolean-flag"),
+    pytest.param(doc(solve={"record_edges": "yes"}),
+                 "^solve.record_edges must be a boolean, got 'yes'$", id="string-flag"),
+    pytest.param(doc(k=True), "^k must be a number, got True$", id="boolean-k"),
+    # the tol rule comes before the mode check
+    pytest.param(doc(solve={"tol": 0.0, "mode": "fast"}),
+                 r"^solve.tol must be a positive number, got 0.0$", id="zero-tol-before-mode"),
     pytest.param(doc(seed={"x0": "0", "y0": 1.0}),
                  "^seed.x0 must be a number or a list of numbers$", id="string-point"),
     pytest.param(doc(solve=[]), "^solve must be an object$", id="non-object-section"),
