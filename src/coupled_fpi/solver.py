@@ -25,9 +25,12 @@ solver trusts the declared k; certifying it is the job of the checkers
 
 :func:`uniqueness_probe` runs this iteration from many seeds at once, in
 lockstep over an (s, d) batch, with the bound check and stopping rule of
-the per-pair kernel.  It records a missing seed edge itself and hands
-every other failing seed to :func:`solve_coupled`, so each seed gets the
-outcome :func:`solve_coupled` gives it.  ``ExpressionCoupledMap`` and
+the per-pair kernel.  It advances by blocks of ``_STEP_BLOCK`` steps and
+checks a block's steps at once, so it makes up to ``_STEP_BLOCK - 1`` map
+calls past the last seed's stop.  It records a missing seed edge itself and
+hands every other failing seed to :func:`solve_coupled`, so each seed gets
+the outcome :func:`solve_coupled` gives it; a raise inside a block hands
+every seed of the block, also one that would have stopped before it.  ``ExpressionCoupledMap`` and
 ``LinearCoupledMap`` evaluate the batch through their row hook
 ``on_rows``, unchecked; every other map through the validated
 ``checks._images``, the reference; both give the same bits.  A NaN or
@@ -173,16 +176,17 @@ def tail_bound(k: float, D0: float, n: int) -> float:
     return (k ** n) * D0 / (2.0 * (1.0 - k))
 
 
-def _step_rule(cfg: SolveConfig, n: int, total, D0):
+def _step_rule(cfg: SolveConfig, kn, total, D0):
     """Bound check and stopping rule of step n, shared by both kernels.
 
-    *total* is step_x + step_y and *D0* the first summed step, as floats
-    for one pair or as arrays for a batch of rows.  Returns the bound
+    *kn* is the Python float ``k ** n``, *total* step_x + step_y and *D0*
+    the first summed step, as floats for one pair or as arrays for a batch
+    of rows (*kn* then a column of powers, one per step).  Returns the bound
     (k^n / 2) * D0, whether the step may stand (finite, and with
     ``check_bounds`` within 2 * bound + SLACK) and whether the stopping
     rule fires.
     """
-    bound = (cfg.k ** n) * D0 / 2.0
+    bound = kn * D0 / 2.0
     ok = abs(total) < math.inf
     if cfg.check_bounds:
         ok = ok & (total <= 2.0 * bound + SLACK)
@@ -231,7 +235,7 @@ def _run_iteration(
             ex, ey = (edge(fx, fx1), edge(fy1, fy)) if cfg.record_edges else (None, None)
         if n == 0:
             D0 = sx + sy
-        bound, ok, done = _step_rule(cfg, n, sx + sy, D0)
+        bound, ok, done = _step_rule(cfg, cfg.k ** n, sx + sy, D0)
         step = TraceStep(n, xn, yn, sx, sy, bound, diag, ex, ey)
         steps.append(step)
         if not ok:
@@ -502,62 +506,69 @@ def _solve_rows(fn, space, graph, starts, cfg: SolveConfig) -> list[SeedOutcome]
     through batched map, graph and metric calls on unvalidated arrays:
     the map's ``on_rows`` on [Z; swap(Z)] where it has one (expression
     and linear maps), otherwise :func:`checks._images`, which checks the
-    batch's shape; both give the same bits.  A row freezes when it
-    converges or reaches ``max_iter``, and a seed without its seed edge
-    records ``SeedEdgeError``.  Any other failure hands the seed to
-    :func:`solve_coupled` itself, which gives its outcome: a step
-    :func:`_step_rule` rejects, or a raise in a batched call (every seed
-    still in that call) or at the final pair, where ``solve_coupled``
-    measures its residual d(F(x, y), x) + d(F(y, x), y) and d(x, y) for
-    ``is_diagonal``.  No edge flags are computed (``record_edges`` is
+    batch's shape; both give the same bits.  They advance by blocks of
+    ``_STEP_BLOCK`` steps: a block stacks its iterates, measures all its
+    step sizes in one metric call and applies :func:`_step_rule` to all its
+    steps at once.  Each row ends at its first event in the block, so a
+    probe makes at most ``_STEP_BLOCK - 1`` map calls past its last stop.
+    A row freezes when it converges or reaches ``max_iter``; a step
+    :func:`_step_rule` rejects hands the seed to :func:`solve_coupled`
+    itself, which gives its outcome.  A seed without its seed edge records
+    ``SeedEdgeError``.  A raise in a batched call hands every seed still in
+    that block, also one that would have stopped in it first, and a raise
+    at the final pair, where ``solve_coupled`` measures its residual
+    d(F(x, y), x) + d(F(y, x), y) and d(x, y) for ``is_diagonal``, hands
+    the seeds there.  No edge flags are computed (``record_edges`` is
     ignored).
     """
     s, d = len(starts), space.dimension
     on_rows = getattr(fn, "on_rows", None)
 
-    def images(Z):
-        """Stacked images [F(X, Y); F(Y, X)] of the pairs Z = [X; Y]."""
-        a = len(Z) // 2
-        W = np.concatenate([Z[a:], Z[:a]])
-        return on_rows(Z, W) if on_rows else _images(fn, Z, W, d, multi=False)[:, 0]
+    def iterates(P, K):
+        """The list P of stacked pairs [X; Y], each followed by its images
+        [F(X, Y); F(Y, X)] up to K + 1 pairs, as one (K + 1, 2a, d) array."""
+        while len(P) <= K:
+            Z, a = P[-1], len(P[-1]) // 2
+            W = np.concatenate([Z[a:], Z[:a]])
+            P.append(on_rows(Z, W) if on_rows else _images(fn, Z, W, d, multi=False)[:, 0])
+        return np.stack(P)
 
     results: dict[int, tuple] = {}
-    handed: list[int] = []  # seeds solve_coupled solves
     XF, YF = np.empty((s, d)), np.empty((s, d))
     converged = np.zeros(s, dtype=bool)
     ended = np.zeros(s, dtype=bool)
+    handed: list[int] = []  # seeds solve_coupled solves
     live = np.arange(s)  # seed index of each live pair
     Z = np.array([x for x, _ in starts] + [y for _, y in starts]).reshape(2 * s, d)
+    n = 0
     try:
-        Zn = images(Z)
+        Z, Zn = iterates([Z], 1)
         edge = product_edge_mask(graph, Z[:s], Z[s:], Zn[:s], Zn[s:])
         for i in np.flatnonzero(~edge).tolist():
             results[i] = None, False, f"SeedEdgeError: {_SEED_EDGE}"
         both = np.concatenate([edge, edge])
-        live, Z, Zn = live[edge], Z[both], Zn[both]
-        for n in range(cfg.max_iter):
-            a = len(live)
-            if a == 0:
-                break
-            step = space.distance_batch(Z, Zn)
-            sx, sy = step[:a], step[a:]
+        live, P = live[edge], [Z[both], Zn[both]]
+        while len(live):
+            a, K = len(live), min(_STEP_BLOCK, cfg.max_iter - n)
+            P = iterates(P, K)
+            step = space.distance_batch(P[:-1].reshape(-1, d), P[1:].reshape(-1, d)).reshape(K, 2 * a)
+            total = step[:, :a] + step[:, a:]
             if n == 0:
-                D0 = sx + sy
-            _, ok, done = _step_rule(cfg, n, sx + sy, D0)
-            last = n + 1 == cfg.max_iter
-            keep = ok & ~done
-            if last or not keep.all():
-                stop = ok & (done | last)
-                keep &= ~stop
-                handed += live[~ok].tolist()
-                rows = live[stop]
-                XF[rows], YF[rows] = Zn[:a][stop], Zn[a:][stop]
-                converged[rows], ended[rows] = done[stop], True
-                both = np.concatenate([keep, keep])
-                live, Zn, D0 = live[keep], Zn[both], D0[keep]
-            Z = Zn
-            if len(live):
-                Zn = images(Z)
+                D0 = total[0]
+            _, ok, done = _step_rule(cfg, np.array([[cfg.k ** j] for j in range(n, n + K)]), total, D0)
+            event = ~ok | done
+            n += K
+            event[-1] |= n == cfg.max_iter
+            if event.any():
+                t, cols = event.argmax(axis=0), np.arange(a)  # each row's first event, if it has one
+                hit, ok = event[t, cols], ok[t, cols]
+                handed += live[hit & ~ok].tolist()
+                stop = hit & ok
+                rows, t1 = live[stop], t[stop] + 1
+                XF[rows], YF[rows] = P[t1, cols[stop]], P[t1, a + cols[stop]]
+                converged[rows], ended[rows] = done[t, cols][stop], True
+                live, D0, P = live[~hit], D0[~hit], P[-1:, np.concatenate([~hit, ~hit])]
+            P = [P[-1]]
     except Exception:
         handed += live.tolist()
 
@@ -566,7 +577,7 @@ def _solve_rows(fn, space, graph, starts, cfg: SolveConfig) -> list[SeedOutcome]
     if len(rows):
         P = np.concatenate([XF[rows], YF[rows]])
         try:
-            space.distance_batch(images(P), P)
+            space.distance_batch(iterates([P], 1)[1], P)
             is_diagonal[rows] = space.distance_batch(XF[rows], YF[rows]) <= cfg.tol
         except Exception:
             handed += rows.tolist()
@@ -588,6 +599,9 @@ def _solve_rows(fn, space, graph, starts, cfg: SolveConfig) -> list[SeedOutcome]
 
 # Pairs per block of the clustering passes: the most rows of their batch calls.
 _PAIR_BLOCK = 2048
+
+# Lockstep steps per block of the probe's batch: step sizes and step rule once per block.
+_STEP_BLOCK = 8
 
 
 def _pair_blocks(n: int):

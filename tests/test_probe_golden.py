@@ -16,6 +16,8 @@ from __future__ import annotations
 import json
 import pathlib
 
+import pytest
+
 from coupled_fpi import build_instance, parse_spec, solver, uniqueness_probe
 from coupled_fpi.problem_spec import build_solve_config
 
@@ -76,6 +78,28 @@ def test_probes_hand_no_seed_to_solve_coupled(monkeypatch):
         probe_outputs(probe["spec"], probe["seeds"])
     assert calls == []
 
+
+
+# The on_rows calls of each golden probe when the batch advanced one step at
+# a time: the seed call, one per step before the last seed stopped, and one
+# at the final pairs.
+_STEPWISE_CALLS = [51, 52, 52, 52, 52, 51]
+
+
+@pytest.mark.parametrize("block", [1, 3, 8])
+def test_probes_make_at_most_a_block_of_extra_map_calls(block, monkeypatch):
+    # A block steps its rows on past their stops, so a probe makes up to
+    # _STEP_BLOCK - 1 batched map calls more than a step-by-step loop.
+    monkeypatch.setattr(solver, "_STEP_BLOCK", block)
+    for probe, stepwise in zip(json.loads(GOLDEN.read_text()), _STEPWISE_CALLS):
+        spec = parse_spec(probe["spec"])
+        instance = build_instance(spec)
+        calls = []
+        hook = instance.map.on_rows
+        instance.map.on_rows = lambda X, Y: calls.append(len(X)) or hook(X, Y)
+        uniqueness_probe(instance.map, instance.space, instance.graph, probe["seeds"],
+                         build_solve_config(spec))
+        assert stepwise <= len(calls) <= stepwise + block - 1
 
 if __name__ == "__main__":
     probes = json.loads(GOLDEN.read_text())

@@ -905,6 +905,15 @@ def test_uniqueness_probe_matches_oracle_across_pair_blocks(space, block, monkey
     _check_probe_against_oracle(space)
 
 
+@pytest.mark.parametrize("block", [1, 2, 3, 8])
+@pytest.mark.parametrize("space", _spaces(), ids=lambda s: f"{type(s).__name__}{s.dimension}")
+def test_uniqueness_probe_matches_oracle_across_step_blocks(space, block, monkeypatch):
+    # small blocks put stops, bound failures, raises and max_iter in the
+    # middle of the lockstep blocks and on their edges
+    monkeypatch.setattr(solver, "_STEP_BLOCK", block)
+    _check_probe_against_oracle(space)
+
+
 def _check_probe_against_oracle(space):
     d = space.dimension
     graphs = {
@@ -916,6 +925,8 @@ def _check_probe_against_oracle(space):
         "valid_k": SolveConfig(k=0.65, tol=1e-9, max_iter=300, check_bounds=True),
         "small_k": SolveConfig(k=0.2, tol=1e-9, max_iter=300, check_bounds=True),
         "short": SolveConfig(k=0.65, tol=1e-9, max_iter=4),
+        "one_block": SolveConfig(k=0.65, tol=1e-9, max_iter=8, check_bounds=True),
+        "two_blocks": SolveConfig(k=0.65, tol=1e-9, max_iter=16),
     }
     rng = np.random.default_rng(2024 + d)
     seen = set()
@@ -929,6 +940,9 @@ def _check_probe_against_oracle(space):
                 shift = np.zeros(d)
                 shift[0] = 1.5 * cfg.tol
                 seeds += [(seeds[0][0] + c * shift, seeds[0][1]) for c in (4.0, 6.0, 5.0)]
+                # infinite seeds: solve_coupled measures a non-finite step or fails
+                inf = np.full(d, np.inf)
+                seeds += [(inf, seeds[3][1]), (seeds[4][0], -inf), (inf, inf)]
                 report = uniqueness_probe(fn, space, graph, seeds, cfg)
                 outcomes, clusters, diameters, violations = probe_oracle(fn, space, graph, seeds, cfg)
                 assert len(report.outcomes) == len(outcomes)
@@ -978,6 +992,17 @@ def _assert_same_report(got, want):
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("metric", [EuclideanSpace, ChebyshevSpace])
 def test_uniqueness_probe_row_hook_matches_the_validated_path(count, d, metric, monkeypatch):
+    _check_row_hook_against_validated_path(count, d, metric, monkeypatch)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 8])
+@pytest.mark.parametrize("d", [1, 2])
+def test_uniqueness_probe_row_hook_matches_across_step_blocks(d, block, monkeypatch):
+    monkeypatch.setattr(solver, "_STEP_BLOCK", block)
+    _check_row_hook_against_validated_path(25, d, EuclideanSpace, monkeypatch)
+
+
+def _check_row_hook_against_validated_path(count, d, metric, monkeypatch):
     # Expression and linear maps step the lockstep batch through on_rows; a
     # plain callable around the same map has no hook and is evaluated
     # through _images, row by row.  Both give the same report.
@@ -998,7 +1023,7 @@ def test_uniqueness_probe_row_hook_matches_the_validated_path(count, d, metric, 
     seeds = [tuple(10.0 ** rng.uniform(-6, 2) * rng.uniform(-1, 1, d) for _ in "xy")
              for _ in range(count)]
     seen = set()
-    for max_iter in (12, 300):
+    for max_iter in (8, 12, 16, 300):
         cfg = SolveConfig(k=0.65, tol=1e-9, max_iter=max_iter, check_bounds=True)
         for fn in maps:
             del calls[:]
