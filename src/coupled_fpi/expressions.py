@@ -273,14 +273,15 @@ class _PointKernel:
         d = self.shape[1]
         X = np.asarray(X, dtype=np.float64).reshape(len(X), d)
         Y = np.asarray(Y, dtype=np.float64).reshape(len(Y), d)
-        return self.on_arrays(X, Y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return self.on_arrays(X, Y)
 
     def at_point(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """The m * d values, row-major, at one pair of float64 points."""
         try:
             return np.array(self.on_floats(x.tolist() + y.tolist()))
         except ZeroDivisionError:
-            return self.on_arrays(x[None], y[None]).reshape(-1)
+            return self(x[None], y[None]).reshape(-1)
 
     def on_floats(self, args: list) -> list:
         """The m * d values, row-major, at one row's Python floats
@@ -288,20 +289,19 @@ class _PointKernel:
         return [fn(*args, *numbers) for fn, numbers in self.point]
 
     def on_arrays(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """The (n, m, d) values on numpy columns of (n, d) float64 rows."""
+        """The (n, m, d) values on numpy columns of (n, d) float64 rows, in the caller's errstate."""
         (m, d), n = self.shape, len(X)
         out = np.empty((n, m, d))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for r in range(0, n, self.rows):
-                block = slice(r, r + self.rows)
-                args = [*X[block].T, *Y[block].T]
-                for j, i, fn, numbers in self.single:
-                    out[block, j, i] = fn(*args, *numbers)  # a constant broadcasts
-                if self.stacked:
-                    buf = np.empty((len(self.flat), min(self.rows, n - r)))
-                    for a, b, fn, columns in self.stacked:
-                        buf[a:b] = fn(*args, *columns)
-                    out.reshape(n, -1)[block, self.flat] = buf.T
+        for r in range(0, n, self.rows):
+            block = slice(r, r + self.rows)
+            args = [*X[block].T, *Y[block].T]
+            for j, i, fn, numbers in self.single:
+                out[block, j, i] = fn(*args, *numbers)  # a constant broadcasts
+            if self.stacked:
+                buf = np.empty((len(self.flat), min(self.rows, n - r)))
+                for a, b, fn, columns in self.stacked:
+                    buf[a:b] = fn(*args, *columns)
+                out.reshape(n, -1)[block, self.flat] = buf.T
         return out
 
 
@@ -338,8 +338,8 @@ class ExpressionCoupledMap:
         return self._kernel(X, Y)[:, 0]
 
     def on_rows(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """``eval_batch``'s bits on float64 (n, d) rows, read as they are,
-        for the probe's lockstep steps."""
+        """``eval_batch``'s bits on float64 (n, d) rows, read as they are, for the
+        probe's lockstep steps, under their ``np.errstate(divide="ignore", invalid="ignore")``."""
         return self._kernel.on_arrays(X, Y)[:, 0]
 
     def __repr__(self) -> str:

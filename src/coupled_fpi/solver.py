@@ -30,11 +30,11 @@ checks a block's steps at once, so it makes up to ``_STEP_BLOCK - 1`` map
 calls past the last seed's stop.  It records a missing seed edge itself and
 hands every other failing seed to :func:`solve_coupled`, so each seed gets
 the outcome :func:`solve_coupled` gives it; a raise inside a block hands
-every seed of the block, also one that would have stopped before it.  ``ExpressionCoupledMap`` and
-``LinearCoupledMap`` evaluate the batch through their row hook
-``on_rows``, unchecked; every other map through the validated
-``checks._images``, the reference; both give the same bits.  A NaN or
-infinite step size stops every solver with ``NonFiniteValueError``.
+every seed of the block, also one that would have stopped before it.
+``ExpressionCoupledMap`` and ``LinearCoupledMap`` evaluate the batch
+through their row hook ``on_rows``, unchecked, every other map through
+the validated ``checks._images``, the reference; both give the same bits.
+A NaN or infinite step size stops every solver with ``NonFiniteValueError``.
 
 Where the map has ``on_floats`` and the metric and the graph a
 ``_row_rule``, each iterate is also held as its Python floats.  A step
@@ -179,9 +179,9 @@ def tail_bound(k: float, D0: float, n: int) -> float:
 def _step_rule(cfg: SolveConfig, kn, total, D0):
     """Bound check and stopping rule of step n, shared by both kernels.
 
-    *kn* is the Python float ``k ** n``, *total* step_x + step_y and *D0*
-    the first summed step, as floats for one pair or as arrays for a batch
-    of rows (*kn* then a column of powers, one per step).  Returns the bound
+    *kn* is the Python float ``k ** n`` (a column of them for a block of
+    steps), *total* step_x + step_y and *D0* the first summed step, as floats
+    for one pair or as arrays for a batch of rows.  Returns the bound
     (k^n / 2) * D0, whether the step may stand (finite, and with
     ``check_bounds`` within 2 * bound + SLACK) and whether the stopping
     rule fires.
@@ -503,48 +503,47 @@ def _solve_rows(fn, space, graph, starts, cfg: SolveConfig) -> list[SeedOutcome]
     """:func:`solve_coupled` from every seed at once.
 
     The live pairs are held stacked, Z = [X; Y], and advance in lockstep
-    through batched map, graph and metric calls on unvalidated arrays:
-    the map's ``on_rows`` on [Z; swap(Z)] where it has one (expression
-    and linear maps), otherwise :func:`checks._images`, which checks the
-    batch's shape; both give the same bits.  They advance by blocks of
-    ``_STEP_BLOCK`` steps: a block stacks its iterates, measures all its
-    step sizes in one metric call and applies :func:`_step_rule` to all its
-    steps at once.  Each row ends at its first event in the block, so a
-    probe makes at most ``_STEP_BLOCK - 1`` map calls past its last stop.
-    A row freezes when it converges or reaches ``max_iter``; a step
-    :func:`_step_rule` rejects hands the seed to :func:`solve_coupled`
-    itself, which gives its outcome.  A seed without its seed edge records
-    ``SeedEdgeError``.  A raise in a batched call hands every seed still in
-    that block, also one that would have stopped in it first, and a raise
-    at the final pair, where ``solve_coupled`` measures its residual
-    d(F(x, y), x) + d(F(y, x), y) and d(x, y) for ``is_diagonal``, hands
-    the seeds there.  No edge flags are computed (``record_edges`` is
-    ignored).
+    through batched map, graph and metric calls on unvalidated arrays: the
+    map's ``on_rows`` on [Z; swap(Z)] where it has one (expression and
+    linear maps, under one ``np.errstate`` per block), otherwise
+    :func:`checks._images`, which checks the batch's shape; both give the
+    same bits.  A block of ``_STEP_BLOCK`` steps stacks its iterates,
+    measures their step sizes in one call and applies :func:`_step_rule`
+    once, and each row ends at its first event there, so a probe makes up
+    to ``_STEP_BLOCK - 1`` map calls past its last stop.  A row freezes
+    when it converges or reaches ``max_iter``, and a seed without its seed
+    edge records ``SeedEdgeError``.  Any other failure hands the seed to
+    :func:`solve_coupled`, which gives its outcome: a non-finite seed, a
+    step :func:`_step_rule` rejects, or a raise in a batched call (every
+    seed still in that block) or at the final pair, where ``solve_coupled``
+    measures its residual and d(x, y) for ``is_diagonal``.  No edge flags
+    are computed (``record_edges`` is ignored).
     """
     s, d = len(starts), space.dimension
     on_rows = getattr(fn, "on_rows", None)
 
     def iterates(P, K):
-        """The list P of stacked pairs [X; Y], each followed by its images
-        [F(X, Y); F(Y, X)] up to K + 1 pairs, as one (K + 1, 2a, d) array."""
-        while len(P) <= K:
-            Z, a = P[-1], len(P[-1]) // 2
-            W = np.concatenate([Z[a:], Z[:a]])
-            P.append(on_rows(Z, W) if on_rows else _images(fn, Z, W, d, multi=False)[:, 0])
+        """The list P of stacked pairs, each the images [F(X, Y); F(Y, X)] of
+        the one before, extended to K + 1 pairs and stacked, (K + 1, 2a, d)."""
+        with np.errstate(divide="ignore", invalid="ignore") if on_rows else contextlib.nullcontext():
+            while len(P) <= K:
+                Z, a = P[-1], len(P[-1]) // 2
+                W = np.concatenate([Z[a:], Z[:a]])
+                P.append(on_rows(Z, W) if on_rows else _images(fn, Z, W, d, multi=False)[:, 0])
         return np.stack(P)
 
     results: dict[int, tuple] = {}
     XF, YF = np.empty((s, d)), np.empty((s, d))
     converged = np.zeros(s, dtype=bool)
     ended = np.zeros(s, dtype=bool)
-    handed: list[int] = []  # seeds solve_coupled solves
-    live = np.arange(s)  # seed index of each live pair
     Z = np.array([x for x, _ in starts] + [y for _, y in starts]).reshape(2 * s, d)
-    n = 0
+    finite = np.isfinite(Z).all(axis=1).reshape(2, s).all(axis=0)
+    handed = np.flatnonzero(~finite).tolist()  # seeds solve_coupled solves
+    live, n = np.flatnonzero(finite), 0  # seed index of each live pair, steps made
     try:
-        Z, Zn = iterates([Z], 1)
-        edge = product_edge_mask(graph, Z[:s], Z[s:], Zn[:s], Zn[s:])
-        for i in np.flatnonzero(~edge).tolist():
+        Z, Zn = iterates([Z[np.concatenate([finite, finite])]], 1)
+        edge = product_edge_mask(graph, *Z.reshape(2, -1, d), *Zn.reshape(2, -1, d))
+        for i in live[~edge].tolist():
             results[i] = None, False, f"SeedEdgeError: {_SEED_EDGE}"
         both = np.concatenate([edge, edge])
         live, P = live[edge], [Z[both], Zn[both]]
@@ -560,12 +559,11 @@ def _solve_rows(fn, space, graph, starts, cfg: SolveConfig) -> list[SeedOutcome]
             n += K
             event[-1] |= n == cfg.max_iter
             if event.any():
-                t, cols = event.argmax(axis=0), np.arange(a)  # each row's first event, if it has one
+                t, cols = event.argmax(axis=0), np.arange(a)  # each row's first event, if any
                 hit, ok = event[t, cols], ok[t, cols]
                 handed += live[hit & ~ok].tolist()
-                stop = hit & ok
-                rows, t1 = live[stop], t[stop] + 1
-                XF[rows], YF[rows] = P[t1, cols[stop]], P[t1, a + cols[stop]]
+                stop, rows = hit & ok, live[hit & ok]
+                XF[rows], YF[rows] = P[t[stop] + 1, cols[stop]], P[t[stop] + 1, a + cols[stop]]
                 converged[rows], ended[rows] = done[t, cols][stop], True
                 live, D0, P = live[~hit], D0[~hit], P[-1:, np.concatenate([~hit, ~hit])]
             P = [P[-1]]
@@ -599,9 +597,7 @@ def _solve_rows(fn, space, graph, starts, cfg: SolveConfig) -> list[SeedOutcome]
 
 # Pairs per block of the clustering passes: the most rows of their batch calls.
 _PAIR_BLOCK = 2048
-
-# Lockstep steps per block of the probe's batch: step sizes and step rule once per block.
-_STEP_BLOCK = 8
+_STEP_BLOCK = 8  # lockstep steps per block of the probe's batch, checked at once
 
 
 def _pair_blocks(n: int):

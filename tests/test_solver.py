@@ -783,6 +783,27 @@ def test_uniqueness_probe_keeps_seed_edge_failures_in_lockstep(monkeypatch):
     assert [float(x0[0]) for x0 in calls] == [3.0]
 
 
+@pytest.mark.parametrize("graph", [OrderGraph(1), FullGraph(1)], ids=["order", "full"])
+def test_uniqueness_probe_quietens_the_row_hook(graph, monkeypatch):
+    # on_rows runs under the probe's errstate: 0/0 at the seed x = 2 gives a
+    # NaN image there, and no RuntimeWarning (an error in this suite) hands
+    # every seed to solve_coupled.  Only the seed whose step is NaN goes there.
+    calls = []
+    solve = solver.solve_coupled
+    monkeypatch.setattr(solver, "solve_coupled",
+                        lambda *args, **kwargs: calls.append(args[3]) or solve(*args, **kwargs))
+    fn = ExpressionCoupledMap(["0.3*x - 0.2*y + 0.5 + 0/(x - 2)"], 1)
+    seeds = [(2.0, 1.0), (0.0, 1.0), (-1.0, 3.0)]
+    cfg = SolveConfig(k=0.65, tol=1e-9, max_iter=300)
+    report = _assert_probe_is_oracle(fn, LINE, graph, seeds, cfg)
+    errors = [(o.error or "ok").split(":")[0] for o in report.outcomes]
+    if isinstance(graph, OrderGraph):
+        assert errors == ["SeedEdgeError", "ok", "ok"] and calls == []
+    else:
+        assert errors == ["NonFiniteValueError", "ok", "ok"]
+        assert [float(x0[0]) for x0 in calls] == [2.0]
+
+
 def test_uniqueness_probe_raises_what_a_clustering_edge_test_raises():
     # The limits 0 and 40/3 are far apart, so clustering tests them for a
     # product edge, and this graph refuses to compare points more than 5 apart.
@@ -1005,12 +1026,14 @@ def test_uniqueness_probe_row_hook_matches_across_step_blocks(d, block, monkeypa
 def _check_row_hook_against_validated_path(count, d, metric, monkeypatch):
     # Expression and linear maps step the lockstep batch through on_rows; a
     # plain callable around the same map has no hook and is evaluated
-    # through _images, row by row.  Both give the same report.
+    # through _images, row by row.  Both give the same report, and neither
+    # hands a seed to solve_coupled: the batch ends every row itself.
     space, graph = metric(d), OrderGraph(d)
-    calls = []
+    calls, handed = [], []
     checked = _images
     monkeypatch.setattr(solver, "_images",
                         lambda *args, **kwargs: calls.append(args) or checked(*args, **kwargs))
+    monkeypatch.setattr(solver, "solve_coupled", lambda *args, **kwargs: handed.append(args))
     if d == 1:
         maps = [ExpressionCoupledMap(["0.3*x - 0.2*y + 0.5"], 1), ExpressionCoupledMap(["x"], 1)]
     else:
@@ -1036,6 +1059,7 @@ def _check_row_hook_against_validated_path(count, d, metric, monkeypatch):
             if hooked.edge_violations:
                 seen.add("edge violations")
     assert seen == {"ok", "SeedEdgeError", "non-convergence at max_iter", "edge violations"}
+    assert handed == []
 
 
 @pytest.mark.parametrize("d", [1, 2])
