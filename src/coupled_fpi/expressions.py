@@ -324,9 +324,9 @@ class ExpressionCoupledMap:
 
     def __init__(self, expressions, dimension: int = 1):
         self.components = _components(expressions, dimension)
-        self.dimension = dimension
+        self.dimension = self.components[0].dimension  # the checked int
         self.canonical = repr([c.source for c in self.components])
-        self._kernel = _PointKernel((self.components,), dimension)
+        self._kernel = _PointKernel((self.components,), self.dimension)
         self.on_floats = self._kernel.on_floats  # for the solver's steps on Python floats
 
     def __call__(self, x, y) -> np.ndarray:
@@ -363,10 +363,10 @@ class ExpressionMultiMap:
         if not point_expressions:
             raise ExpressionError("a multivalued map needs at least one image expression")
         self.points = tuple(_components(src, dimension) for src in point_expressions)
-        self.dimension = dimension
+        self.dimension = self.points[0][0].dimension  # the checked int
         self.canonical = repr([[c.source for c in point] for point in self.points])
-        self._kernel = _PointKernel(self.points, dimension)
-        floats = 2 * len(self.points) * dimension <= _POINT_VALUES  # a step's two images
+        self._kernel = _PointKernel(self.points, self.dimension)
+        floats = 2 * len(self.points) * self.dimension <= _POINT_VALUES  # a step's two images
         self.on_floats = self._kernel.on_floats if floats else None
 
     def __call__(self, x, y):

@@ -14,7 +14,6 @@ from coupled_fpi import (
     FiniteSet,
     FullGraph,
     HypothesisReport,
-    HypothesisViolationError,
     InvalidInputError,
     InvalidParameterError,
     InvalidSeedError,

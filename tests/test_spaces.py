@@ -80,7 +80,11 @@ def test_numpy_integers_are_integers():
     space = EuclideanSpace(np.int64(2))
     cfg = SolveConfig(k=0.5, max_iter=np.int64(100))
     spec = SampleSpec(count=np.uint16(10), seed=np.int32(3))
-    for value, want in ((space.dimension, 2), (cfg.max_iter, 100), (spec.count, 10), (spec.seed, 3)):
+    single = ExpressionCoupledMap(["x1", "x2"], np.int64(2))
+    multi = ExpressionMultiMap([["x1", "y2"], ["y1", "x2"]], np.int32(2))
+    for value, want in ((space.dimension, 2), (cfg.max_iter, 100), (spec.count, 10), (spec.seed, 3),
+                        (single.dimension, 2), (multi.dimension, 2),
+                        (single._kernel.shape[1], 2), (multi._kernel.shape[1], 2)):
         assert type(value) is int and value == want
     assert step_bound(0.5, 1.0, np.int64(3)) == step_bound(0.5, 1.0, 3) == 0.0625
     assert space.distance([0.0, 0.0], [3.0, 4.0]) == 5.0
