@@ -513,7 +513,8 @@ def _solve_rows(fn, space, graph, starts, cfg: SolveConfig) -> list[SeedOutcome]
     to ``_STEP_BLOCK - 1`` map calls past its last stop.  A row freezes
     when it converges or reaches ``max_iter``, and a seed without its seed
     edge records ``SeedEdgeError``.  Any other failure hands the seed to
-    :func:`solve_coupled`, which gives its outcome: a non-finite seed, a
+    :func:`solve_coupled`, which gives its outcome: a non-finite seed (the
+    errstate would quieten the warnings ``solve_coupled`` gives on it), a
     step :func:`_step_rule` rejects, or a raise in a batched call (every
     seed still in that block) or at the final pair, where ``solve_coupled``
     measures its residual and d(x, y) for ``is_diagonal``.  No edge flags

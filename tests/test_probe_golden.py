@@ -79,7 +79,6 @@ def test_probes_hand_no_seed_to_solve_coupled(monkeypatch):
     assert calls == []
 
 
-
 # The on_rows calls of each golden probe when the batch advanced one step at
 # a time: the seed call, one per step before the last seed stopped, and one
 # at the final pairs.
@@ -100,6 +99,7 @@ def test_probes_make_at_most_a_block_of_extra_map_calls(block, monkeypatch):
         uniqueness_probe(instance.map, instance.space, instance.graph, probe["seeds"],
                          build_solve_config(spec))
         assert stepwise <= len(calls) <= stepwise + block - 1
+
 
 if __name__ == "__main__":
     probes = json.loads(GOLDEN.read_text())
