@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import sys
 from dataclasses import dataclass, field, fields
 from typing import Any
@@ -42,7 +41,7 @@ from .errors import ExpressionError, SpecError
 from .expressions import ExpressionCoupledMap, ExpressionMultiMap, compile_expression
 from .graphs import Digraph, FiniteGraph, FullGraph, OrderGraph
 from .maps import LinearCoupledMap
-from .sampling import SampleSpec
+from .sampling import SampleSpec, _check_box
 from .solver import SolveConfig
 from .spaces import ChebyshevSpace, EuclideanSpace, MetricSpace, _check_flag, _check_int, _check_number
 
@@ -267,23 +266,8 @@ def _parse_sampler(doc, dimension: int, where="sampler") -> SamplerSpec:
     if doc is None:
         return SamplerSpec()
     _section(doc, where, _field_names(SamplerSpec))
-
-    def bound(key, default):
-        val = doc.get(key, default)
-        vals = val if isinstance(val, list) else [val]
-        coords = tuple(_check_number(c, f"{where}.{key}", SpecError) for c in vals)
-        if isinstance(val, list) and len(coords) != dimension:
-            raise SpecError(f"{where}.{key} needs {dimension} coordinate(s), got {len(coords)}")
-        return coords if isinstance(val, list) else coords[0]
-
-    low, high = bound("low", SamplerSpec.low), bound("high", SamplerSpec.high)
-    # Pair coordinates as the sampler broadcasts them; an infinite width is unsampleable.
-    lows, highs = (b if isinstance(b, tuple) else (b,) * dimension for b in (low, high))
-    for i, (lo, h) in enumerate(zip(lows, highs)):
-        if lo > h:
-            raise SpecError(f"{where}.low exceeds {where}.high in coordinate {i}: {lo!r} > {h!r}")
-    if not all(math.isfinite(h - lo) for lo, h in zip(lows, highs)):
-        raise SpecError(f"{where}.high - {where}.low must be finite, got {high!r} - {low!r}")
+    low, high = _check_box(doc.get("low", SamplerSpec.low), doc.get("high", SamplerSpec.high),
+                           dimension, where, SpecError)
     count = _check_int(doc.get("count", SamplerSpec.count), f"{where}.count", 1, SpecError)
     seed = doc.get("rng_seed", None)
     if seed is not None:

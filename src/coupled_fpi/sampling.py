@@ -23,6 +23,7 @@ with ``U`` from ``Generator.random``, the same bytes numpy's
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -30,13 +31,35 @@ import numpy as np
 
 from .errors import InsufficientSamplesError, InvalidInputError
 from .graphs import Digraph, product_edge_mask
-from .spaces import _check_int, as_point
+from .spaces import _check_int, _check_number, as_point
 
 # Per-round batch size and the cap on total draws, as multiples of the
 # requested count.  The cap is what turns an (almost) empty edge set into
 # InsufficientSamplesError instead of a hang.
 _ROUND = 4096
 _BUDGET_FACTOR = 400
+
+
+def _check_box(low, high, dimension: int, where: str, error: type) -> tuple:
+    """*low* and *high*, each one number or *dimension* of them (a list, tuple
+    or 1-D array) by the number rule, with no low coordinate above its high
+    and every width ``high - low`` finite, returned as given: a float or a
+    tuple of floats.  Else raises *error*, naming ``{where}.low`` or ``.high``."""
+    given, coords = [], []
+    for name, value in ((f"{where}.low", low), (f"{where}.high", high)):
+        value = value.tolist() if isinstance(value, np.ndarray) else value
+        many = isinstance(value, (list, tuple))
+        values = tuple(_check_number(c, name, error) for c in (value if many else [value]))
+        if many and len(values) != dimension:
+            raise error(f"{name} needs {dimension} coordinate(s), got {len(values)}")
+        given.append(values if many else values[0])
+        coords.append(values if many else values * dimension)
+    for i, (lo, hi) in enumerate(zip(*coords)):
+        if lo > hi:
+            raise error(f"{where}.low exceeds {where}.high in coordinate {i}: {lo!r} > {hi!r}")
+    if not all(math.isfinite(hi - lo) for lo, hi in zip(*coords)):
+        raise error(f"{where}.high - {where}.low must be finite, got {given[1]!r} - {given[0]!r}")
+    return tuple(given)
 
 
 @dataclass(frozen=True)
@@ -73,22 +96,9 @@ class Sampler:
             self._low = self._width = None
         else:
             self._pool = None
-            try:
-                low, high = (np.broadcast_to(np.asarray(b, dtype=np.float64), (dimension,))
-                             for b in (spec.low, spec.high))
-            except (TypeError, ValueError) as exc:
-                raise InvalidInputError(f"sampling box bounds must be numbers, one or {dimension} "
-                                        f"each: low {spec.low!r}, high {spec.high!r}") from exc
-            if np.isnan(low).any() or np.isnan(high).any():
-                raise InvalidInputError(f"sampling box bound is NaN: low {spec.low!r}, high {spec.high!r}")
-            if not (low <= high).all():
-                raise InvalidInputError("sampling box has low > high")
-            with np.errstate(over="ignore"):
-                width = high - low
-            if not np.isfinite(width).all():
-                raise InvalidInputError("sampling box needs finite bounds and a finite width")
-            self._low = low
-            self._width = width
+            low, high = _check_box(spec.low, spec.high, dimension, "SampleSpec", InvalidInputError)
+            self._low = np.full(dimension, low)
+            self._width = np.full(dimension, high) - self._low
 
     def draw(self, n: int) -> np.ndarray:
         """(n, d) array of fresh points."""

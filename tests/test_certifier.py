@@ -278,7 +278,7 @@ def test_preflight_rejects_an_inverted_box_in_either_mode(continuous):
     inverted = SampleSpec(count=100, seed=2024, low=5.0, high=-5.0)
     for instance in (single_instance(FullGraph(1), continuous=continuous),
                      multi_instance(continuous=continuous)):
-        with pytest.raises(InvalidInputError, match="low > high"):
+        with pytest.raises(InvalidInputError, match="SampleSpec.low exceeds SampleSpec.high in coordinate 0: 5.0 > -5.0"):
             preflight(instance, inverted)
 
 

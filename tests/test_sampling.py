@@ -79,19 +79,20 @@ def test_per_coordinate_bounds():
 def test_invalid_box():
     with pytest.raises(InvalidInputError):
         Sampler(SampleSpec(count=10, seed=1, low=1.0, high=0.0), 1)
-    for low, high in (("a", 1.0), (0.0, [1.0, 2.0])):
-        with pytest.raises(InvalidInputError, match="^sampling box bounds must be numbers, one or 1 each"):
+    for low, high, message in (("a", 1.0, r"^SampleSpec.low must be a number, got 'a'$"),
+                               (0.0, [1.0, 2.0], r"^SampleSpec.high needs 1 coordinate\(s\), got 2$")):
+        with pytest.raises(InvalidInputError, match=message):
             Sampler(SampleSpec(count=10, seed=1, low=low, high=high), 1)
 
 
 def test_non_finite_box_is_rejected():
     for low, high, message in (
-        (float("nan"), 1.0, "bound is NaN: low nan, high 1.0"),
-        (0.0, [1.0, float("nan")], r"bound is NaN: low 0.0, high \[1.0, nan\]"),
-        (float("-inf"), 1.0, "finite bounds and a finite width"),
-        (0.0, float("inf"), "finite bounds and a finite width"),
-        (-1e308, 1e308, "finite bounds and a finite width"),  # the width overflows
-        ([0.0, -1e308], [1.0, 1e308], "finite bounds and a finite width"),
+        (float("nan"), 1.0, "SampleSpec.low must be finite, got nan"),
+        (0.0, [1.0, float("nan")], "SampleSpec.high must be finite, got nan"),
+        (float("-inf"), 1.0, "SampleSpec.low must be finite, got -inf"),
+        (0.0, float("inf"), "SampleSpec.high must be finite, got inf"),
+        (-1e308, 1e308, "SampleSpec.high - SampleSpec.low must be finite"),  # the width overflows
+        ([0.0, -1e308], [1.0, 1e308], "SampleSpec.high - SampleSpec.low must be finite"),
     ):
         with pytest.raises(InvalidInputError, match=message):
             Sampler(SampleSpec(count=10, seed=1, low=low, high=high), 2)
