@@ -131,6 +131,11 @@ class FullGraph(Digraph):
         return draw(n), draw(n)
 
 
+def _vertex_key(p: PointLike, dimension: int | None) -> bytes:
+    """*p*'s float64 bytes, which tell vertices apart in a graph and a spec alike."""
+    return as_point(p, dimension, copy=False).tobytes()
+
+
 class FiniteGraph(Digraph):
     """Graph over an explicit vertex list and edge list.
 
@@ -147,23 +152,23 @@ class FiniteGraph(Digraph):
     ):
         keys: set[bytes] = set()
         for v in vertices:
-            p = as_point(v, dimension)
-            dimension = p.size
-            keys.add(p.tobytes())
+            key = _vertex_key(v, dimension)
+            dimension = len(key) // 8  # float64 coordinates; the first vertex sets it
+            keys.add(key)
         if not keys:
             raise InvalidInputError("vertex list must be nonempty")
         super().__init__(dimension)
         self._keys = keys
-        self._edges = {(self._vertex_key(a), self._vertex_key(b)) for a, b in edges}
+        self._edges = {(self._listed_key(a), self._listed_key(b)) for a, b in edges}
 
-    def _vertex_key(self, p: PointLike) -> bytes:
-        key = as_point(p, self._dimension).tobytes()
+    def _listed_key(self, p: PointLike) -> bytes:
+        key = _vertex_key(p, self._dimension)
         if key not in self._keys:
             raise NotAVertexError(f"point {np.frombuffer(key)!r} is not a vertex")
         return key
 
     def has_edge(self, p: PointLike, q: PointLike) -> bool:
-        a, b = self._vertex_key(p), self._vertex_key(q)
+        a, b = self._listed_key(p), self._listed_key(q)
         return a == b or (a, b) in self._edges
 
 

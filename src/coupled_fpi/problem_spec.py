@@ -39,7 +39,7 @@ from .certifier import ProblemInstance
 from .checks import _point_json, validate_k
 from .errors import ExpressionError, SpecError
 from .expressions import ExpressionCoupledMap, ExpressionMultiMap, compile_expression
-from .graphs import Digraph, FiniteGraph, FullGraph, OrderGraph
+from .graphs import Digraph, FiniteGraph, FullGraph, OrderGraph, _vertex_key
 from .maps import LinearCoupledMap
 from .sampling import SampleSpec, _check_box
 from .solver import SolveConfig
@@ -173,13 +173,13 @@ def _parse_graph(doc, dimension: int, where="graph") -> GraphSpec:
     if not isinstance(edges_doc, list):
         raise SpecError(f"{where}.edges must be a list")
     edges = []
-    known = set(vertices)
+    known = {_vertex_key(v, dimension) for v in vertices}
     for i, e in enumerate(edges_doc):
         if not isinstance(e, list) or len(e) != 2:
             raise SpecError(f"{where}.edges[{i}] must be a [from, to] pair")
         a = _as_point_tuple(e[0], dimension, f"{where}.edges[{i}][0]")
         b = _as_point_tuple(e[1], dimension, f"{where}.edges[{i}][1]")
-        if a not in known or b not in known:
+        if _vertex_key(a, dimension) not in known or _vertex_key(b, dimension) not in known:
             raise SpecError(f"{where}.edges[{i}] references a point not in vertices")
         edges.append((a, b))
     return GraphSpec(kind=kind, vertices=vertices, edges=tuple(edges))

@@ -259,6 +259,18 @@ def test_infinite_sampler_box_exits_error(tmp_path, capsys):
     assert "invalid spec: sampler.high - sampler.low must be finite" in capsys.readouterr().err
 
 
+def test_signed_zero_edge_exits_invalid_spec(tmp_path, capsys):
+    # -0.0 is not the vertex 0.0: the spec is invalid, and no NotAVertexError escapes
+    spec = json.loads((CORPUS_DIR / "edge_list_property_star.json").read_text())
+    spec["graph"]["edges"] = [[-0.0, 0.2]]
+    path = tmp_path / "signed-zero.json"
+    path.write_text(json.dumps(spec))
+    assert main(["solve", str(path), "--out-dir", str(tmp_path / "run"), "--quiet"]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err == "invalid spec: graph.edges[0] references a point not in vertices\n"
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("definition", [
     " + ".join(f"x / {k}" for k in range(2000, 1001, -1)) + " - y / 5",
     "(" * 250 + "x + y" + ")" * 250 + " / 5",

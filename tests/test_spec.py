@@ -143,6 +143,10 @@ def test_serialize_is_canonical():
                  "seed.y1 is required", id="missing-y1"),
     pytest.param(doc(graph={"kind": "edge_list", "vertices": [0.0], "edges": [[0.0, 5.0]]}),
                  "references a point not in vertices", id="unknown-vertex"),
+    # vertices are told apart bitwise, as FiniteGraph tells them apart: -0.0 is not 0.0
+    pytest.param(doc(graph={"kind": "edge_list", "vertices": [0.0, 0.2, 1.0],
+                            "edges": [[-0.0, 0.2]]}),
+                 r"^graph.edges\[0\] references a point not in vertices$", id="signed-zero-edge"),
     pytest.param(doc(graph={"kind": "edge_list", "vertices": [0.0], "edges": [[0.0]]}),
                  r"\[from, to\] pair", id="bad-edge-shape"),
     pytest.param(doc(graph={"kind": "edge_list", "vertices": []}), "nonempty list",
@@ -261,6 +265,14 @@ def test_build_graph():
     assert isinstance(fin, FiniteGraph)
     assert fin.has_edge(0.0, 1.0) and not fin.has_edge(1.0, 0.0)
     assert fin.has_edge(1.0, 1.0)  # loops are implicit
+
+
+def test_signed_zero_vertices_parse_and_build():
+    # 0.0 and -0.0 are two vertices, in the spec and in the graph alike
+    spec = parse_spec(doc(graph={"kind": "edge_list", "vertices": [0.0, -0.0],
+                                 "edges": [[-0.0, 0.0]]}))
+    fin = build_instance(spec).graph
+    assert fin.has_edge(-0.0, 0.0) and not fin.has_edge(0.0, -0.0)
 
 
 def test_build_map():
