@@ -90,12 +90,15 @@ class Sampler:
         self.spec = spec
         self.dimension = dimension = _check_int(dimension, "dimension", 1)
         self._rng = np.random.default_rng(spec.seed)
-        if spec.points:
+        self._pool = self._low = self._width = None
+        try:
             rows = [as_point(p, dimension) for p in spec.points]
+        except TypeError as exc:  # not iterable
+            raise InvalidInputError(
+                f"SampleSpec.points must be a sequence of points, got {spec.points!r}") from exc
+        if rows:
             self._pool = np.vstack(rows)
-            self._low = self._width = None
         else:
-            self._pool = None
             low, high = _check_box(spec.low, spec.high, dimension, "SampleSpec", InvalidInputError)
             self._low = np.full(dimension, low)
             self._width = np.full(dimension, high) - self._low
@@ -111,9 +114,8 @@ class Sampler:
         """Draw rounds of `columns` point arrays, keep rows where accept() is true."""
         want = self.spec.count
         kept: list[list[np.ndarray]] = []
-        got = 0
+        got = drawn = 0
         budget = _BUDGET_FACTOR * want + _ROUND
-        drawn = 0
         while got < want and drawn < budget:
             n = min(_ROUND, budget - drawn)
             cols = [self.draw(n) for _ in range(columns)]
@@ -126,8 +128,7 @@ class Sampler:
             raise InsufficientSamplesError(
                 "no admissible samples found within the draw budget"
             )
-        out = [np.concatenate([part[i] for part in kept])[:want] for i in range(columns)]
-        return out
+        return [np.concatenate([part[i] for part in kept])[:want] for i in range(columns)]
 
     def _construct(self, graph: Digraph) -> tuple[np.ndarray, np.ndarray] | None:
         """``count`` constructed edge pairs, or None when rejection is needed."""
@@ -140,16 +141,14 @@ class Sampler:
         edge = self._construct(graph)
         if edge is not None:
             return edge
-        P, Q = self._filtered(2, lambda c: graph.edge_mask(c[0], c[1]))
-        return P, Q
+        return tuple(self._filtered(2, lambda c: graph.edge_mask(c[0], c[1])))
 
     def edge_triples(self, graph: Digraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Triples (p, q, w) with has_edge(p, q); w unconstrained."""
         edge = self._construct(graph)
         if edge is not None:
             return (*edge, self.draw(self.spec.count))
-        P, Q, W = self._filtered(3, lambda c: graph.edge_mask(c[0], c[1]))
-        return P, Q, W
+        return tuple(self._filtered(3, lambda c: graph.edge_mask(c[0], c[1])))
 
     def product_edge_pairs(
         self, graph: Digraph
@@ -164,5 +163,4 @@ class Sampler:
         if xu is not None:
             (X, U), (V, Y) = xu, self._construct(graph)
             return X, Y, U, V
-        X, Y, U, V = self._filtered(4, lambda c: product_edge_mask(graph, *c))
-        return X, Y, U, V
+        return tuple(self._filtered(4, lambda c: product_edge_mask(graph, *c)))

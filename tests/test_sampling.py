@@ -129,6 +129,26 @@ def test_pool_draws_only_listed_points():
     assert set(np.unique(pts)) <= {0.0, 1.0, 2.0}
 
 
+def test_array_pool_draws_as_its_rows():
+    rows = np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+    from_array = Sampler(SampleSpec(count=3, seed=5, points=rows), 2).draw(50)
+    from_tuple = Sampler(SampleSpec(count=3, seed=5, points=tuple(map(tuple, rows))), 2).draw(50)
+    assert from_array.tobytes() == from_tuple.tobytes()
+    column = Sampler(SampleSpec(count=3, seed=5, points=np.array([[0.0], [1.0]])), 1).draw(50)
+    assert set(column.ravel()) == {0.0, 1.0}
+
+
+@pytest.mark.parametrize("points, message", [
+    (5, "^SampleSpec.points must be a sequence of points, got 5$"),
+    (np.array(1.0), r"^SampleSpec.points must be a sequence of points, got array\(1\.\)$"),
+    (("a",), "^not a point: 'a'$"),
+    (np.array([[0.0, 1.0]]), "^dimension mismatch: expected 1, got 2$"),
+], ids=["integer", "0-d-array", "string-point", "wide-row"])
+def test_bad_pool_is_an_input_error(points, message):
+    with pytest.raises(InvalidInputError, match=message):
+        Sampler(SampleSpec(count=3, points=points), 1)
+
+
 def test_edge_pairs_satisfy_constraint():
     g = OrderGraph(1)
     spec = SampleSpec(count=500, seed=7, low=-1.0, high=1.0)
