@@ -13,8 +13,10 @@ from coupled_fpi import (
     ExpressionMultiMap,
     FiniteGraph,
     FullGraph,
+    InvalidInputError,
     LinearCoupledMap,
     OrderGraph,
+    SampleSpec,
     Sampler,
     SpecError,
     build_instance,
@@ -244,6 +246,42 @@ def test_degenerate_sampler_box_parses():
     # low == high in a coordinate (either zero sign) is a box, not an inverted one
     spec = parse_spec(doc(**PLANE, sampler={"low": [1.0, 0.0], "high": [1.0, -0.0]}))
     assert spec.sampler.low == (1.0, 0.0) and spec.sampler.high == (1.0, -0.0)
+
+
+# (low, high, accepted, JSON-expressible) at d = 2
+@pytest.mark.parametrize("low, high, accepted, in_json", [
+    pytest.param(-10 ** 400, 1.0, False, True, id="integer-past-the-float-range"),
+    pytest.param("1", 1.0, False, True, id="string"),
+    pytest.param(True, 1.0, False, True, id="bool"),
+    pytest.param(float("nan"), 1.0, False, True, id="nan"),
+    pytest.param(float("-inf"), 1.0, False, True, id="minus-inf"),
+    pytest.param(0.0, float("inf"), False, True, id="plus-inf"),
+    pytest.param([1.0], 2.0, False, True, id="one-bound-of-two"),
+    pytest.param([0.0, 0.0, 0.0], 1.0, False, True, id="three-bounds-of-two"),
+    pytest.param(5.0, -5.0, False, True, id="inverted"),
+    pytest.param(-1e308, 1e308, False, True, id="infinite-width"),
+    pytest.param(np.array(-1.0), np.float64(1.0), True, False, id="numpy-scalars"),
+    pytest.param(0.0, -0.0, True, True, id="zero-width"),
+])
+def test_library_and_spec_share_one_box_rule(low, high, accepted, in_json):
+    # the same rule on both sides: the same verdict and, past the prefix, the same message
+    try:
+        sampler = Sampler(SampleSpec(count=1, seed=4, low=low, high=high), 2)
+        library = None
+    except InvalidInputError as exc:
+        library = str(exc).replace("SampleSpec.", "")
+    assert (library is None) == accepted, library
+    if accepted:
+        pts = sampler.draw(100)
+        assert ((np.full(2, low) <= pts) & (pts <= np.full(2, high))).all()
+    if not in_json:
+        return
+    try:
+        parse_spec(doc(**PLANE, sampler={"low": low, "high": high}))
+        spec = None
+    except SpecError as exc:
+        spec = str(exc).replace("sampler.", "")
+    assert spec == library
 
 
 def test_build_space():
