@@ -294,7 +294,8 @@ def preflight(instance: ProblemInstance, sample: SampleSpec) -> HypothesisReport
     survived.
 
     Raises:
-        InvalidInputError: the sampling box or point pool is invalid.
+        InvalidInputError: the box breaks the box rule (``SampleSpec.low``
+            or ``.high``), or the point pool is not a sequence of points.
     """
     return _preflight(instance, sample)[0]
 

@@ -1,9 +1,11 @@
 """Seeded sampling of points, edge pairs and product-edge pairs.
 
 All checkers draw through this module so that a recorded integer seed
-reproduces a run exactly.  Box points are ``low + (high - low) * U``
-with ``U`` from ``Generator.random``, the same bytes numpy's
-``Generator.uniform`` gives.  Edge pairs come from one of two paths:
+reproduces a run exactly.  :func:`_check_box` is the one box rule, for
+``SampleSpec`` and a spec's ``sampler`` alike.  Box points are
+``low + (high - low) * U`` with ``U`` from ``Generator.random``, the
+same bytes numpy's ``Generator.uniform`` gives.  Edge pairs come from
+one of two paths:
 
 * Constructed: when the sample is a coordinate box and the graph's
   :meth:`~coupled_fpi.graphs.Digraph.construct_edges` hook builds pairs
@@ -125,9 +127,7 @@ class Sampler:
                 kept.append([c[mask] for c in cols])
                 got += int(mask.sum())
         if got == 0:
-            raise InsufficientSamplesError(
-                "no admissible samples found within the draw budget"
-            )
+            raise InsufficientSamplesError("no admissible samples found within the draw budget")
         return [np.concatenate([part[i] for part in kept])[:want] for i in range(columns)]
 
     def _construct(self, graph: Digraph) -> tuple[np.ndarray, np.ndarray] | None:
@@ -150,9 +150,7 @@ class Sampler:
             return (*edge, self.draw(self.spec.count))
         return tuple(self._filtered(3, lambda c: graph.edge_mask(c[0], c[1])))
 
-    def product_edge_pairs(
-        self, graph: Digraph
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def product_edge_pairs(self, graph: Digraph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Pair-of-pairs (x, y), (u, v) joined by a product edge.
 
         The product edge is has_edge(x, u) and has_edge(v, y).  Constructed
