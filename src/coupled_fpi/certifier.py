@@ -294,8 +294,7 @@ def preflight(instance: ProblemInstance, sample: SampleSpec) -> HypothesisReport
     survived.
 
     Raises:
-        InvalidInputError: the box breaks the box rule (``SampleSpec.low``
-            or ``.high``), or the point pool is not a sequence of points.
+        InvalidInputError: a box that breaks ``sampling._check_box``, or a bad point pool.
     """
     return _preflight(instance, sample)[0]
 

@@ -3,9 +3,8 @@
 All checkers draw through this module so that a recorded integer seed
 reproduces a run exactly.  :func:`_check_box` is the one box rule, for
 ``SampleSpec`` and a spec's ``sampler`` alike.  Box points are
-``low + (high - low) * U`` with ``U`` from ``Generator.random``, the
-same bytes numpy's ``Generator.uniform`` gives.  Edge pairs come from
-one of two paths:
+``low + (high - low) * U``, ``U`` from ``Generator.random``: the same
+bytes numpy's ``Generator.uniform`` gives.  Edge pairs come from one of two paths:
 
 * Constructed: when the sample is a coordinate box and the graph's
   :meth:`~coupled_fpi.graphs.Digraph.construct_edges` hook builds pairs
@@ -96,8 +95,7 @@ class Sampler:
         try:
             rows = [as_point(p, dimension) for p in spec.points]
         except TypeError as exc:  # not iterable
-            raise InvalidInputError(
-                f"SampleSpec.points must be a sequence of points, got {spec.points!r}") from exc
+            raise InvalidInputError(f"SampleSpec.points must be a sequence, got {spec.points!r}") from exc
         if rows:
             self._pool = np.vstack(rows)
         else:
@@ -116,8 +114,9 @@ class Sampler:
         """Draw rounds of `columns` point arrays, keep rows where accept() is true."""
         want = self.spec.count
         kept: list[list[np.ndarray]] = []
-        got = drawn = 0
+        got = 0
         budget = _BUDGET_FACTOR * want + _ROUND
+        drawn = 0
         while got < want and drawn < budget:
             n = min(_ROUND, budget - drawn)
             cols = [self.draw(n) for _ in range(columns)]
@@ -127,8 +126,10 @@ class Sampler:
                 kept.append([c[mask] for c in cols])
                 got += int(mask.sum())
         if got == 0:
-            raise InsufficientSamplesError("no admissible samples found within the draw budget")
-        return [np.concatenate([part[i] for part in kept])[:want] for i in range(columns)]
+            raise InsufficientSamplesError(
+                "no admissible samples found within the draw budget"
+            )
+        return tuple(np.concatenate([part[i] for part in kept])[:want] for i in range(columns))
 
     def _construct(self, graph: Digraph) -> tuple[np.ndarray, np.ndarray] | None:
         """``count`` constructed edge pairs, or None when rejection is needed."""
@@ -141,16 +142,18 @@ class Sampler:
         edge = self._construct(graph)
         if edge is not None:
             return edge
-        return tuple(self._filtered(2, lambda c: graph.edge_mask(c[0], c[1])))
+        return self._filtered(2, lambda c: graph.edge_mask(c[0], c[1]))
 
     def edge_triples(self, graph: Digraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Triples (p, q, w) with has_edge(p, q); w unconstrained."""
         edge = self._construct(graph)
         if edge is not None:
             return (*edge, self.draw(self.spec.count))
-        return tuple(self._filtered(3, lambda c: graph.edge_mask(c[0], c[1])))
+        return self._filtered(3, lambda c: graph.edge_mask(c[0], c[1]))
 
-    def product_edge_pairs(self, graph: Digraph) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def product_edge_pairs(
+        self, graph: Digraph
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Pair-of-pairs (x, y), (u, v) joined by a product edge.
 
         The product edge is has_edge(x, u) and has_edge(v, y).  Constructed
@@ -161,4 +164,4 @@ class Sampler:
         if xu is not None:
             (X, U), (V, Y) = xu, self._construct(graph)
             return X, Y, U, V
-        return tuple(self._filtered(4, lambda c: product_edge_mask(graph, *c)))
+        return self._filtered(4, lambda c: product_edge_mask(graph, *c))

@@ -139,8 +139,8 @@ def test_array_pool_draws_as_its_rows():
 
 
 @pytest.mark.parametrize("points, message", [
-    (5, "^SampleSpec.points must be a sequence of points, got 5$"),
-    (np.array(1.0), r"^SampleSpec.points must be a sequence of points, got array\(1\.\)$"),
+    (5, "^SampleSpec.points must be a sequence, got 5$"),
+    (np.array(1.0), r"^SampleSpec.points must be a sequence, got array\(1\.\)$"),
     (("a",), "^not a point: 'a'$"),
     (np.array([[0.0, 1.0]]), "^dimension mismatch: expected 1, got 2$"),
 ], ids=["integer", "0-d-array", "string-point", "wide-row"])
