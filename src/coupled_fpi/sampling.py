@@ -82,6 +82,10 @@ class SampleSpec:
     def __post_init__(self):
         object.__setattr__(self, "count", _check_int(self.count, "sample count", 1))
         object.__setattr__(self, "seed", _check_int(self.seed, "rng seed", 0))
+        try:  # a tuple, which every Sampler of this spec reads alike
+            object.__setattr__(self, "points", tuple(self.points))
+        except TypeError as exc:
+            raise InvalidInputError(f"SampleSpec.points must be a sequence, got {self.points!r}") from exc
 
 
 class Sampler:
@@ -91,14 +95,11 @@ class Sampler:
         self.spec = spec
         self.dimension = dimension = _check_int(dimension, "dimension", 1)
         self._rng = np.random.default_rng(spec.seed)
-        self._pool = self._low = self._width = None
-        try:
-            rows = [as_point(p, dimension) for p in spec.points]
-        except TypeError as exc:  # not iterable
-            raise InvalidInputError(f"SampleSpec.points must be a sequence, got {spec.points!r}") from exc
-        if rows:
-            self._pool = np.vstack(rows)
+        if spec.points:
+            self._pool = np.vstack([as_point(p, dimension) for p in spec.points])
+            self._low = self._width = None
         else:
+            self._pool = None
             low, high = _check_box(spec.low, spec.high, dimension, "SampleSpec", InvalidInputError)
             self._low = np.full(dimension, low)
             self._width = np.full(dimension, high) - self._low

@@ -138,6 +138,12 @@ def test_array_pool_draws_as_its_rows():
     assert set(column.ravel()) == {0.0, 1.0}
 
 
+def test_iterator_pool_is_read_once_for_every_sampler():
+    spec = SampleSpec(count=3, seed=5, points=iter([0.0, 1.0]))
+    assert spec.points == (0.0, 1.0)
+    assert set(Sampler(spec, 1).draw(50).ravel()) == set(Sampler(spec, 1).draw(50).ravel()) == {0.0, 1.0}
+
+
 @pytest.mark.parametrize("points, message", [
     (5, "^SampleSpec.points must be a sequence, got 5$"),
     (np.array(1.0), r"^SampleSpec.points must be a sequence, got array\(1\.\)$"),
