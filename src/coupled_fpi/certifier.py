@@ -200,7 +200,8 @@ def check_property_star(
     return _finalize("property_star", len(pts), violations, len(bad), None, direction)
 
 
-def _seed_edge_ok(instance: ProblemInstance, notes: list[str]) -> bool:
+def _seed_edge_ok(instance: ProblemInstance, notes: list[str]):
+    """The seed pair ``([x0, x1], [y0, y1])`` if it meets the seed condition, else None."""
     single = instance.kind == "single"
     declared = () if single else (instance.x1, instance.y1)
     try:
@@ -211,23 +212,22 @@ def _seed_edge_ok(instance: ProblemInstance, notes: list[str]) -> bool:
                 if not np.isfinite(p).all():
                     # the full graph has every edge, NaN ones included
                     notes.append(f"seed iterate {image} is not finite")
-                    return False
-        return product_edge(instance.graph, (x0, y0), (x1, y1))
+                    return None
+        return ([x0, x1], [y0, y1]) if product_edge(instance.graph, (x0, y0), (x1, y1)) else None
     except InvalidSeedError:
         notes.append("declared seed iterates are not members of the seed images")
-        return False
     except CoupledFpiError as exc:
         notes.append(f"seed evaluation failed: {exc}")
-        return False
+    return None
 
 
 def solve_instance(
     instance: ProblemInstance, cfg: SolveConfig, *, known=None
 ) -> tuple[CoupledFixedPoint, IterationTrace]:
     """Solve *instance* from its declared seed with the solver of its kind,
-    raising what that solver raises.  *known* is the trial iterates
-    ``(xs, ys)`` of :func:`_preflight`, which the solve takes instead of
-    computing them."""
+    raising what that solver raises.  *known* is the iterates ``(xs, ys)`` of
+    :func:`_preflight`, the seed pair or the trial's, which the solve takes
+    instead of computing them, the seed condition's first pair too."""
     if instance.kind == "single":
         solve, seed = solve_coupled, (instance.x0, instance.y0)
     else:
@@ -251,7 +251,7 @@ def _spot_check_continuity(instance: ProblemInstance, sample: SampleSpec, notes:
     beside = [np.vstack([p + u * np.maximum(1.0, abs(p)), p - u * np.maximum(1.0, abs(p))])
               for p in (anchors, partners)]
     try:
-        base = np.tile(_images(instance.map, anchors, partners, d, multi), (2, 1, 1))
+        base = np.concatenate([_images(instance.map, anchors, partners, d, multi)] * 2)
         near = _images(instance.map, *beside, d, multi)
     except CoupledFpiError as exc:
         notes.append(f"continuity spot check skipped: {exc}")
@@ -300,15 +300,16 @@ def preflight(instance: ProblemInstance, sample: SampleSpec) -> HypothesisReport
 
 
 def _preflight(instance: ProblemInstance, sample: SampleSpec):
-    """:func:`preflight`'s report and its trial trace's iterates ``(xs, ys)``,
-    or None if there was no trial or it raised."""
-    known = None
+    """:func:`preflight`'s report and the iterates ``(xs, ys)`` a solve takes:
+    the seed pair ``([x0, x1], [y0, y1])`` in continuous mode, else the trial
+    trace's; None if the seed condition failed or the trial raised."""
     Sampler(sample, instance.space.dimension)  # one answer for a bad box, whatever the mode
     notes: list[str] = []
     certs: list[Certificate] = []
     iid = instance_id_for(instance)
 
-    seed_ok = _seed_edge_ok(instance, notes)
+    known = _seed_edge_ok(instance, notes)  # checked once; every solve below takes it
+    seed_ok = known is not None
     if not seed_ok:
         notes.append("seed edge condition FAILED")
 
@@ -328,7 +329,7 @@ def _preflight(instance: ProblemInstance, sample: SampleSpec):
         try:
             # tol is never met: the trial wants a full-length edge chain
             trial = SolveConfig(k=instance.k, tol=1e-300, max_iter=_TRIAL_STEPS)
-            fp, trace = solve_instance(instance, trial)
+            fp, trace = solve_instance(instance, trial, known=known)
             xs = [s.x for s in trace.steps] + [fp.x]
             ys = [s.y for s in trace.steps] + [fp.y]
             star_x = check_property_star(instance.graph, xs, fp.x, "ascending")
@@ -345,7 +346,7 @@ def _preflight(instance: ProblemInstance, sample: SampleSpec):
                 notes.append("limit-edge persistence FALSIFIED on the trial trace")
         except CoupledFpiError as exc:
             notes.append(f"trial trace for limit-edge check failed: {exc}")
-            limit_mode_ok = False
+            limit_mode_ok, known = False, None
 
     if seed_ok and mono_ok and bound_ok and limit_mode_ok:
         if single:

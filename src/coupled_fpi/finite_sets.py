@@ -104,12 +104,11 @@ def as_finite_set(value: FiniteSetLike, dimension: int | None = None) -> FiniteS
 
 
 def _pairs(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Every (A[i, j], B[i, l]) pair as two flat (n*m*mb, d) row arrays."""
+    """Every (A[i, j], B[i, l]) pair as two flat (n*m*mb, d) row arrays, one buffer's halves."""
     n, m, d = A.shape
-    shape = (n, m, B.shape[1], d)
-    P = np.broadcast_to(A[:, :, None, :], shape).reshape(-1, d)
-    Q = np.broadcast_to(B[:, None, :, :], shape).reshape(-1, d)
-    return P, Q
+    out = np.empty((2, n, m, B.shape[1], d))
+    out[0], out[1] = A[:, :, None, :], B[:, None, :, :]
+    return out[0].reshape(-1, d), out[1].reshape(-1, d)
 
 
 def _distances(space: MetricSpace, A: np.ndarray, B: np.ndarray) -> np.ndarray:

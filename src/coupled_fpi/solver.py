@@ -209,7 +209,7 @@ def _run_iteration(
     product edge, then *advance* maps each pair to the next and *residual*
     measures the last.  Everything recorded (steps, bounds, flags, stopping)
     is computed here, on iterates valid when made; *known*, the iterates
-    ``(xs, ys)`` of an earlier run from the same seed, stands in for
+    ``(xs, ys)`` of an earlier run that gave *first*, stands in for
     *advance* as far as it reaches.  With :func:`_float_rules`' *rules*, a
     step whose four iterates have finite floats takes sizes, ``diag`` and edge
     flags from the float rules; ``advance(n, x, y, fx, fy)`` gets those floats
@@ -269,19 +269,27 @@ _SEED_EDGE = "seed condition fails: ((x0,y0),(F(x0,y0),F(y0,x0))) is not a produ
 
 
 def _first_pair(fn: Callable, space: MetricSpace, x0: PointLike, y0: PointLike,
-                x1: PointLike | None = None, y1: PointLike | None = None):
+                x1: PointLike | None = None, y1: PointLike | None = None, known=None):
     """The seed (x0, y0) and the first pair (x1, y1) as points, for the seed
     condition: with no x1 the computed (F(x0, y0), F(y0, x0)), otherwise the
     declared x1 and y1, each a point of its image, x1 first.  A point of an
     image is within SLACK of it, or bitwise one of its points (an infinite
     point has NaN distance to itself); a NaN distance to an image without
-    it is no membership.
+    it is no membership.  *known*, the iterates ``(xs, ys)`` of an earlier
+    call, stands in where its x_0, y_0 (and x_1, y_1) are bitwise these.
 
     Raises:
         InvalidSeedError: a declared iterate is not a point of its image.
+        InvalidInputError: *known* starts from another seed or first pair.
     """
     d = space.dimension
     x0, y0 = as_point(x0, d), as_point(y0, d)
+    if known:
+        (a0, a1), (b0, b1) = ([as_point(p, d, copy=False) for p in side[:2]] for side in known)
+        given = (x0, y0) if x1 is None else (x0, y0, as_point(x1, d), as_point(y1, d))
+        if any(p.tobytes() != q.tobytes() for p, q in zip(given, (a0, b0, a1, b1))):
+            raise InvalidInputError("known iterates do not start from this seed and first pair")
+        return a0, b0, a1, b1
     if x1 is None:
         return x0, y0, as_point(fn(x0, y0), d), as_point(fn(y0, x0), d)
     x1, y1 = as_point(x1, d), as_point(y1, d)
@@ -308,8 +316,8 @@ def solve_coupled(
 
     The seed condition requires the product edge from (x0, y0) to the
     first computed pair (F(x0,y0), F(y0,x0)).  *known* holds the iterates
-    ``(xs, ys)`` of an earlier run from this seed, which are taken instead
-    of computed; every check and record is made as without them.
+    ``(xs, ys)`` of an earlier run from this seed, x_1 too, which are taken
+    instead of computed; every check and record is made as without them.
 
     Returns the final pair and the full trace.  Non-convergence at
     max_iter is reported through ``trace.converged``, not an exception.
@@ -317,6 +325,7 @@ def solve_coupled(
     Raises:
         SeedEdgeError: seed condition fails.
         NonFiniteValueError: some step size is NaN or infinite.
+        InvalidInputError: *known* does not start from (x0, y0).
         HypothesisViolationError: with ``check_bounds``, a step exceeded
             the geometric bound (evidence the contraction constant is
             wrong for this instance).
@@ -334,8 +343,8 @@ def solve_coupled(
         return (space.distance(as_point(fn(x, y), d), x)
                 + space.distance(as_point(fn(y, x), d), y))
 
-    return _run_iteration(space, graph, cfg, _first_pair(fn, space, x0, y0), _SEED_EDGE,
-                          advance, residual, known, rules)
+    return _run_iteration(space, graph, cfg, _first_pair(fn, space, x0, y0, known=known),
+                          _SEED_EDGE, advance, residual, known, rules)
 
 
 def _select_step(space, graph, images: np.ndarray, Z: np.ndarray, n: int):
@@ -416,7 +425,7 @@ def solve_coupled_multi(
     required edge (x_n -> b for the x-sequence, b -> y_n for the
     y-sequence), the one nearest the current iterate, breaking ties by
     image index.  A map with ``eval_batch`` is evaluated once per step
-    for both sides.  *known* is as for :func:`solve_coupled`.
+    for both sides.  *known* is as for :func:`solve_coupled`, from x1, y1.
 
     Raises:
         InvalidSeedError: x1/y1 not in the seed images.
@@ -424,7 +433,8 @@ def solve_coupled_multi(
         SelectionFailureError: some step has no admissible candidate.
         NonFiniteValueError: some step size is NaN or infinite, or every
             point of a step's image is.
-        InvalidInputError: ``eval_batch`` returned a wrongly shaped array.
+        InvalidInputError: ``eval_batch`` returned a wrongly shaped array, or
+            *known* does not start from the declared seed and first pair.
     """
     d = space.dimension
     rules = _float_rules(fn, space, graph)
@@ -440,7 +450,7 @@ def solve_coupled_multi(
     def residual(x, y):
         return dist_to_set(space, x, fn(x, y)) + dist_to_set(space, y, fn(y, x))
 
-    return _run_iteration(space, graph, cfg, _first_pair(fn, space, x0, y0, x1, y1),
+    return _run_iteration(space, graph, cfg, _first_pair(fn, space, x0, y0, x1, y1, known),
                           "seed condition fails: ((x0,y0),(x1,y1)) is not a product edge",
                           advance, residual, known, rules)
 

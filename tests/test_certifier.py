@@ -23,6 +23,7 @@ from coupled_fpi import (
     PredicateGraph,
     ProblemInstance,
     SampleSpec,
+    SeedEdgeError,
     SelectionFailureError,
     SingletonMultiMap,
     SolveConfig,
@@ -34,7 +35,7 @@ from coupled_fpi import (
     real_line,
     solve_instance,
 )
-from coupled_fpi import finite_sets
+from coupled_fpi import cli, finite_sets
 from coupled_fpi.certifier import _TRIAL_STEPS, _preflight
 from coupled_fpi.checks import VIOLATION_CAP
 from coupled_fpi.problem_spec import build_sample_spec, build_solve_config
@@ -543,14 +544,17 @@ def solve_outcome(instance, cfg, known=None):
             fp.x.tobytes(), fp.y.tobytes(), fp.is_diagonal)
 
 
-@pytest.mark.parametrize("stem", ["chebyshev_2d_property_star", "multi_8_points_2d_property_star"])
+@pytest.mark.parametrize("stem", ["chebyshev_2d_property_star", "multi_8_points_2d_property_star",
+                                  "chebyshev_2d_multi", "single_sum_fifth"])
 def test_resumed_solve_equals_a_fresh_solve(stem):
-    spec = parse_spec((CORPUS_DIR / f"{stem}.json").read_text())
+    # property_star specs resume from the trial's iterates, continuous ones from the seed pair
+    path = CORPUS_DIR / f"{stem}.json"
+    spec = parse_spec((path if path.exists() else SPEC_DIR / f"{stem}.json").read_text())
     instance, base = build_instance(spec), build_solve_config(spec)
     sample = dataclasses.replace(build_sample_spec(spec), count=40)
     report, known = _preflight(instance, sample)
     assert report == preflight(instance, sample)
-    assert [len(k) for k in known] == [_TRIAL_STEPS + 1] * 2
+    assert [len(k) for k in known] == [2 if instance.continuous else _TRIAL_STEPS + 1] * 2
     configs = [
         base,
         dataclasses.replace(base, tol=1e-3),  # met inside the trial's steps
@@ -588,10 +592,73 @@ def test_resumed_solve_takes_the_trial_iterates():
     cfg = SolveConfig(k=2.0 / 3.0, tol=1e-300, max_iter=30)
     calls.clear()
     resumed = solve_outcome(instance, cfg, known)
-    assert len(calls) == 2 + 2 * (30 - _TRIAL_STEPS) + 2  # seed, steps past the trial, residual
+    assert len(calls) == 2 * (30 - _TRIAL_STEPS) + 2  # steps past the trial, residual
     calls.clear()
     assert resumed == solve_outcome(instance, cfg)
     assert len(calls) == 2 + 2 * 29 + 2
+
+
+@pytest.mark.parametrize("continuous", [True, False])
+def test_resume_keeps_a_declared_x1_that_is_no_image_point(continuous):
+    # x1 is within SLACK of -0.2 in F(x0, y0) = {-0.2, 0.2} but is not bitwise a point of it
+    x1 = np.nextafter(-0.2, 0.0)
+    instance = multi_instance(x1=x1, continuous=continuous)
+    report, known = _preflight(instance, SMALL_BOX)
+    assert report.seed_edge_ok and known[0][1].tobytes() == np.array([x1]).tobytes()
+    cfg = SolveConfig(k=2.0 / 3.0, tol=1e-12, record_edges=True)
+    got = solve_outcome(instance, cfg, known)
+    assert got == solve_outcome(instance, cfg) and got[0][1][1] == np.array([x1]).tobytes()
+
+
+def test_known_from_another_seed_or_first_pair_is_refused():
+    cfg = SolveConfig(k=2.0 / 3.0)
+    for instance in (single_instance(FullGraph(1)), multi_instance()):
+        _, known = _preflight(instance, SMALL_BOX)
+        for side, n in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            moved = [list(known[0]), list(known[1])]
+            moved[side][n] = np.nextafter(moved[side][n], np.inf)  # one ulp
+            if n == 0 or instance.kind == "multi":  # a single-valued x1 is taken as computed
+                with pytest.raises(InvalidInputError, match="^known iterates do not start"):
+                    solve_instance(instance, cfg, known=tuple(moved))
+    # the declared x1 one ulp off the known one, itself still a member of F(x0, y0)
+    _, known = _preflight(multi_instance(), SMALL_BOX)
+    with pytest.raises(InvalidInputError, match="^known iterates do not start"):
+        solve_instance(multi_instance(x1=np.nextafter(-0.2, 0.0)), cfg, known=known)
+
+
+@pytest.mark.parametrize("path", [SPEC_DIR / "single_sum_fifth.json", SPEC_DIR / "multi_sum_fifth.json",
+                                  CORPUS_DIR / "chebyshev_2d_property_star.json",
+                                  CORPUS_DIR / "multi_8_points_2d_property_star.json"],
+                         ids=lambda p: p.stem)
+def test_cli_run_evaluates_the_map_at_the_seed_once(path, tmp_path, monkeypatch):
+    calls = []
+    for cls in (ExpressionCoupledMap, ExpressionMultiMap):
+        def counted(self, x, y, _call=cls.__call__):
+            calls.append((np.asarray(x).tobytes(), np.asarray(y).tobytes()))
+            return _call(self, x, y)
+        monkeypatch.setattr(cls, "__call__", counted)
+    spec = parse_spec(path.read_text())
+    instance = build_instance(spec)
+    artifacts = cli.run(spec, str(tmp_path), quiet=True)
+    assert artifacts.exit_code == 0
+    x0, y0 = instance.x0.tobytes(), instance.y0.tobytes()
+    assert calls.count((x0, y0)) == calls.count((y0, x0)) == 1
+
+
+@pytest.mark.parametrize("stem, error, message", [
+    ("seed_edge_failed", SeedEdgeError,
+     "seed condition fails: ((x0,y0),(F(x0,y0),F(y0,x0))) is not a product edge"),
+    ("zero_divisor", NonFiniteValueError,
+     "step 0: non-finite step size (step_x = nan, step_y = nan)"),
+])
+def test_failed_seed_gives_no_known_and_a_forced_solve_raises(stem, error, message):
+    spec = parse_spec((CORPUS_DIR / f"{stem}.json").read_text())
+    instance = build_instance(spec)
+    report, known = _preflight(instance, build_sample_spec(spec))
+    assert not report.seed_edge_ok and known is None
+    with pytest.raises(error) as caught:
+        solve_instance(instance, build_solve_config(spec), known=known)
+    assert str(caught.value) == message
 
 
 def test_resume_after_a_failed_or_short_trial():

@@ -14,6 +14,7 @@ from coupled_fpi import (
     hausdorff,
     real_line,
 )
+from coupled_fpi.finite_sets import _pairs
 
 
 def test_finite_set_dedup_preserves_first_occurrence():
@@ -99,3 +100,19 @@ def test_hausdorff_metric_properties():
         # zero exactly on equal sets, order of listing irrelevant
         perm = rng.permutation(len(A))
         assert hausdorff(space, A, as_finite_set(A.points[perm], 2)) == 0.0
+
+
+@pytest.mark.parametrize("n, m, mb, d", [(0, 2, 3, 2), (3, 2, 5, 1), (4, 1, 1, 3), (2, 4, 4, 2)])
+def test_pairs_match_the_broadcast_formula_bitwise(n, m, mb, d):
+    rng = np.random.default_rng(n * 1000 + m * 100 + mb * 10 + d)
+    specials = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0])
+    A, B = rng.normal(size=(n, m, d)), rng.normal(size=(n, mb, d))
+    for Z in (A, B):  # rows with NaN, +-inf and -0.0 in some coordinates
+        flat = Z.reshape(-1)
+        flat[::3] = specials[np.arange(flat[::3].size) % specials.size]
+    P, Q = _pairs(A, B)
+    shape = (n, m, mb, d)
+    for got, want in ((P, np.broadcast_to(A[:, :, None, :], shape).reshape(-1, d)),
+                      (Q, np.broadcast_to(B[:, None, :, :], shape).reshape(-1, d))):
+        assert got.shape == (n * m * mb, d) and got.flags.c_contiguous
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
