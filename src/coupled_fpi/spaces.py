@@ -110,7 +110,7 @@ def _check_number(value, name: str, error: type = InvalidParameterError,
         try:
             number = float(value)
         except OverflowError:  # an integer past the float range
-            number = math.inf
+            number = math.inf if value > 0 else -math.inf
         if not math.isfinite(number):
             raise error(f"{name} must be finite, got {number!r}")
         if number > 0.0 or not positive:

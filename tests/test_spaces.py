@@ -22,7 +22,7 @@ from coupled_fpi import (
     real_line,
     step_bound,
 )
-from coupled_fpi.spaces import fold_last
+from coupled_fpi.spaces import _check_number, fold_last
 
 
 def test_as_point_scalar_promotion():
@@ -90,6 +90,15 @@ def test_numpy_integers_are_integers():
     assert space.distance([0.0, 0.0], [3.0, 4.0]) == 5.0
     with pytest.raises(InvalidParameterError, match="^max_iter must be a positive integer, got "):
         SolveConfig(k=0.5, max_iter=np.int64(0))
+
+
+@pytest.mark.parametrize("value, shown", [pytest.param(-10 ** 400, "-inf", id="negative"),
+                                          pytest.param(10 ** 400, "inf", id="positive")])
+def test_integer_past_the_float_range_keeps_its_sign(value, shown):
+    with pytest.raises(InvalidParameterError, match=f"^v must be finite, got {shown}$"):
+        _check_number(value, "v")
+    with pytest.raises(InvalidInputError, match=f"^SampleSpec.low must be finite, got {shown}$"):
+        Sampler(SampleSpec(low=value), 2)
 
 
 def _spaces():

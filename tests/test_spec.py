@@ -202,6 +202,16 @@ def test_serialize_is_canonical():
                  "^solve.tol must be finite, got inf$", id="infinite-tol"),
     pytest.param(doc(k=float("nan")), "^k must be finite, got nan$", id="nan-k"),
     pytest.param(doc(k=10 ** 400), "^k must be finite, got inf$", id="huge-integer-k"),
+    # an integer past the float range keeps its sign: -1 followed by 400 zeros is -inf
+    pytest.param(doc(k=-10 ** 400), "^k must be finite, got -inf$", id="huge-negative-integer-k"),
+    pytest.param(doc(seed={"x0": -10 ** 400, "y0": 1.0}), "^seed.x0 must be finite, got -inf$",
+                 id="huge-negative-integer-seed"),
+    pytest.param(doc(seed={"x0": 10 ** 400, "y0": 1.0}), "^seed.x0 must be finite, got inf$",
+                 id="huge-integer-seed"),
+    pytest.param(doc(sampler={"low": -10 ** 400}), "^sampler.low must be finite, got -inf$",
+                 id="huge-negative-integer-low"),
+    pytest.param(doc(sampler={"low": 10 ** 400}), "^sampler.low must be finite, got inf$",
+                 id="huge-integer-low"),
     pytest.param(doc().replace('"x0": 0.0', '"x0": ' + "1" * 5000),
                  "^an integer literal has more than 4300 digits$", id="integer-past-the-digit-limit"),
     pytest.param(doc().replace('"x0": 0.0', '"x0": ' + "[" * 100000 + "]" * 100000),
