@@ -15,11 +15,13 @@ and each pair of parentheses is one level.
 
 Each expression becomes the text of one Python lambda over the arguments
 ``x1..xd, y1..yd`` and one parameter ``c<i>`` per number, with the same
-operations in the same order.  That text is compiled once per process and
-shared by every expression of the same form (equal up to its numbers).
-The one function runs on Python floats (a point), on numpy columns (a
-batch), and with ``(g, 1)`` number columns on g components of one form
-at once.
+operations in the same order.  Each source is parsed once per process
+and dimension, and that text is compiled once per process and shared by
+every expression of the same form (equal up to its numbers).  The one
+function runs on numpy columns (a batch), and with ``(g, 1)`` number
+columns on g components of one form at once.  A map's point runs on
+Python floats through one lambda that lists the texts of all its
+components, their numbers renumbered after each other.
 """
 
 from __future__ import annotations
@@ -217,7 +219,9 @@ class CompiledExpression:
 
 
 def compile_expression(source: str, dimension: int = 1) -> CompiledExpression:
-    """Parse and compile *source* for maps of the given dimension.
+    """Parse and compile *source* for maps of the given dimension, once per
+    process: every call with the same source and dimension gives the same
+    ``CompiledExpression``.
 
     Raises:
         ExpressionError: on any lexical, syntactic or unknown-variable
@@ -226,11 +230,17 @@ def compile_expression(source: str, dimension: int = 1) -> CompiledExpression:
     """
     if not isinstance(source, str):
         raise ExpressionError(f"expression must be a string, got {type(source).__name__}")
-    return CompiledExpression(source, _check_int(dimension, "dimension", 1))
+    return _compile(source, _check_int(dimension, "dimension", 1))
+
+
+_compile = functools.lru_cache(maxsize=1024)(CompiledExpression)
 
 
 # Values per (g, rows) temporary: past glibc's 128 KiB mmap threshold every call faults them in.
 _BLOCK_VALUES = 12288
+
+# A compiled form's number parameters c0, c1, ...
+_NUMBER_NAME = re.compile(r"c(\d+)")
 
 # ExpressionMultiMap.on_floats exists while a step's two images hold at most this many values.
 _POINT_VALUES = 32
@@ -238,8 +248,9 @@ _POINT_VALUES = 32
 
 class _PointKernel:
     """(n, m, d) values of m point maps, given by their compiled components,
-    on (n, d) rows.  A single point (``at_point``) runs on Python floats, and
-    a division by zero hands it to numpy, which gives its inf or NaN; rows
+    on (n, d) rows.  A single point (``at_point``) runs on Python floats,
+    through one function of every component's text in a list, and a
+    division by zero hands it to numpy, which gives its inf or NaN; rows
     run on numpy.  There components of one form run as one (g, rows)
     expression with (g, 1) number columns and go out in one indexed write;
     a component alone in its form writes its own column.  Both paths do the
@@ -250,7 +261,14 @@ class _PointKernel:
 
     def __init__(self, points, dimension: int):
         self.shape = (len(points), dimension)
-        self.point = [(c.fn, c.floats) for components in points for c in components]
+        bodies, floats = [], []
+        for c in (c for components in points for c in components):
+            body = c.form.partition(": ")[2]
+            bodies.append(_NUMBER_NAME.sub(lambda n, k=len(floats): f"c{int(n[1]) + k}", body))
+            floats += c.floats
+        params = [*_arguments(dimension), *(f"c{i}" for i in range(len(floats)))]
+        self.fused = _compiled(f"lambda {', '.join(params)}: [{', '.join(bodies)}]")
+        self.floats = tuple(floats)
         forms: dict = {}
         for j, components in enumerate(points):
             for i, c in enumerate(components):
@@ -286,7 +304,7 @@ class _PointKernel:
     def on_floats(self, args: list) -> list:
         """The m * d values, row-major, at one row's Python floats
         ``x1..xd, y1..yd``.  Raises ZeroDivisionError on a zero divisor."""
-        return [fn(*args, *numbers) for fn, numbers in self.point]
+        return self.fused(*args, *self.floats)
 
     def on_arrays(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """The (n, m, d) values on numpy columns of (n, d) float64 rows, in the caller's errstate."""

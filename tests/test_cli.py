@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import io
 import json
 import math
@@ -10,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from coupled_fpi import HypothesisReport, IterationTrace, TraceStep, parse_spec, step_bound
+from coupled_fpi import HypothesisReport, IterationTrace, TraceStep, expressions, parse_spec, step_bound
 from coupled_fpi.cli import (
     EXIT_ERROR,
     EXIT_NO_CONVERGENCE,
@@ -164,6 +165,26 @@ def test_solves_shipped_multi_spec(tmp_path):
     assert abs(doc["result"]["x"]) <= 1e-12
     _, rows = csv_rows(out)
     assert rows[1].split(",")[1] == "-0.2"
+
+
+@pytest.mark.parametrize("path", [MULTI, str(CORPUS_DIR / "multi_8_points_2d_property_star.json")])
+def test_solve_parses_each_expression_once(tmp_path, monkeypatch, path):
+    # parse_spec compiles every expression; build_instance, in cli.run,
+    # takes the same compiled expressions instead of parsing them again
+    expressions._compile.cache_clear()
+    built = collections.Counter()
+    init = expressions.CompiledExpression.__init__
+
+    def counting(self, source, dimension):
+        built[source, dimension] += 1
+        init(self, source, dimension)
+
+    monkeypatch.setattr(expressions.CompiledExpression, "__init__", counting)
+    assert main(["solve", path, "--out-dir", str(tmp_path), "--quiet"]) == EXIT_OK
+    doc = json.loads(pathlib.Path(path).read_text())
+    d = doc["space"]["dimension"]
+    sources = {s for point in doc["map"]["definition"] for s in ([point] if isinstance(point, str) else point)}
+    assert built == {(s, d): 1 for s in sources}
 
 
 def test_preflight_blocks_defective_spec(tmp_path, capsys):

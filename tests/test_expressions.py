@@ -234,6 +234,59 @@ def test_point_path_matches_numpy_path_on_edge_cases():
     assert np.isnan(fn(np.array([0.0]), np.array([0.0]))[0])
 
 
+def _component_values(components, args):
+    """Each component's own function at *args*, or ZeroDivisionError."""
+    return [c.fn(*args, *c.floats) for c in components]
+
+
+def test_fused_point_function_is_bitwise_each_component():
+    # on_floats is one function of every component; it gives each
+    # component's own value bit for bit (a NaN's sign aside), and raises ZeroDivisionError
+    # exactly where some component does.  __call__ then gives numpy's
+    # inf or NaN.
+    rng = np.random.default_rng(604)
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+                1e308, -1.0, 2.5]
+    raised = returned = 0
+    for trial in range(150):
+        m, d = int(rng.integers(1, 9)), int(rng.integers(1, 5))
+        names = [f"{v}{i}" for v in "xy" for i in range(1, d + 1)]
+        # mixed forms, repeated sources and constant-only components
+        pool = [_random_form(rng, names) for _ in range(3)] + ["{}", "{} / {}", "x1 / {}"]
+        sources = [f.format(*(_number(rng) for _ in range(f.count("{}")))) for f in pool]
+        points = [[str(rng.choice(sources)) for _ in range(d)] for _ in range(m)]
+        multi = ExpressionMultiMap(points, dimension=d)
+        components = [c for point in multi.points for c in point]
+        for _ in range(8):
+            args = [float(v) for v in rng.choice(specials, size=2 * d)] if rng.random() < 0.5 else \
+                [float(v) for v in rng.normal(scale=10.0 ** rng.integers(-300, 300), size=2 * d)]
+            try:
+                want = _component_values(components, args)
+            except ZeroDivisionError:
+                with pytest.raises(ZeroDivisionError):
+                    multi._kernel.on_floats(args)
+                x, y = np.array(args[:d]), np.array(args[d:])
+                with np.errstate(over="ignore"):
+                    batch = multi.eval_batch(x[None], y[None])[0]
+                    assert _same_bits(np.array(multi(x, y)), batch), (points, args)
+                raised += 1
+                continue
+            got = multi._kernel.on_floats(args)
+            assert type(got) is list and all(type(v) is float for v in got)
+            # any NaN matches any NaN: once CPython specializes a float
+            # product, it may take the other operand's NaN, sign and all
+            assert _same_bits(got, want), (points, args)
+            returned += 1
+    assert raised > 50 and returned > 500
+
+
+def test_fused_point_function_keeps_each_components_numbers():
+    # the constants of each component are renumbered after the ones before it
+    multi = ExpressionMultiMap([["2 * x1 + 3", "x2 / 4"], ["5", "x1 - 6 * y2 - 7"]], dimension=2)
+    assert multi._kernel.floats == (2.0, 3.0, 4.0, 5.0, 6.0, 7.0)
+    assert multi._kernel.on_floats([1.0, 8.0, 0.5, 2.0]) == [5.0, 2.0, 5.0, -18.0]
+
+
 @pytest.mark.parametrize("source, body", [
     ("x + y + 1", "x1 + y1 + c0"),
     ("x + (y + 1)", "x1 + (y1 + c0)"),
@@ -260,6 +313,21 @@ def test_forms_share_one_compiled_function():
     assert all(type(v) is float for v in a.floats)
     c = compile_expression("x1 * x2", dimension=2)
     assert c.form == "lambda x1, x2, y1, y2: x1 * x2" and c.fn is not a.fn
+
+
+def test_compile_expression_is_once_per_source_and_dimension():
+    a = compile_expression("0.5 * x + 1.25")
+    assert compile_expression("0.5 * x + 1.25", np.int64(1)) is a
+    assert compile_expression("0.5 * x1 + 1.25") is not a  # another source
+    assert compile_expression("x1 + y2", 2) is not compile_expression("x1 + y2", 3)
+    # errors are never cached: each call raises again, at the same position
+    for source, position in ((42, None), ("x ^ 2", 2), ("2 +", 3), ("z + 1", 0)):
+        seen = []
+        for _ in range(3):
+            with pytest.raises(ExpressionError) as err:
+                compile_expression(source)
+            seen.append((str(err.value), err.value.position))
+        assert seen == [seen[0]] * 3 and seen[0][1] == position, source
 
 
 @pytest.mark.parametrize("source", ["__import__", "__import__('os')", "x1.real", "(lambda: 0)",
