@@ -243,7 +243,7 @@ _BLOCK_VALUES = 12288
 _NUMBER_NAME = re.compile(r"c(\d+)")
 
 # ExpressionMultiMap.on_floats exists while a step's two images hold at most this many values.
-_POINT_VALUES = 32
+_POINT_VALUES = 64
 
 
 class _PointKernel:
@@ -373,8 +373,8 @@ class ExpressionMultiMap:
     same point entry as ``ExpressionCoupledMap``; both are bitwise equal to
     each point's ``ExpressionCoupledMap`` called on one point.  ``on_floats``
     is the kernel's, for the solver's steps on Python floats, while a step's
-    two images hold at most ``_POINT_VALUES`` values; past that numpy steps
-    as fast, and it is None.  ``canonical`` (the sources) labels the map.
+    two images hold at most ``_POINT_VALUES`` values; past that a numpy
+    step can be faster, and it is None.  ``canonical`` (the sources) labels the map.
     """
 
     def __init__(self, point_expressions, dimension: int = 1):

@@ -1260,8 +1260,8 @@ def test_float_step_only_where_map_metric_and_graph_have_a_float_rule():
     wide = ExpressionMultiMap([[f"x{i}" for i in range(1, 9)]], dimension=8)
     assert solver._float_rules(wide, EuclideanSpace(8), FullGraph(8)) is None
     assert solver._float_rules(wide, ChebyshevSpace(8), FullGraph(8)) is not None
-    # past _POINT_VALUES values in a step's two images numpy steps as fast
-    for m, d, floats in ((16, 1, True), (17, 1, False), (8, 2, True), (3, 6, False)):
+    # past _POINT_VALUES values in a step's two images a numpy step can be faster
+    for m, d, floats in ((32, 1, True), (33, 1, False), (16, 2, True), (8, 4, True), (6, 6, False)):
         emm = ExpressionMultiMap([["x1"] * d] * m, dimension=d)
         assert (solver._float_rules(emm, ChebyshevSpace(d), FullGraph(d)) is not None) == floats
 
