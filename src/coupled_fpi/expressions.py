@@ -239,9 +239,6 @@ _compile = functools.lru_cache(maxsize=1024)(CompiledExpression)
 # Values per (g, rows) temporary: past glibc's 128 KiB mmap threshold every call faults them in.
 _BLOCK_VALUES = 12288
 
-# A compiled form's number parameters c0, c1, ...
-_NUMBER_NAME = re.compile(r"c(\d+)")
-
 # ExpressionMultiMap.on_floats exists while a step's two images hold at most this many values.
 _POINT_VALUES = 64
 
@@ -264,7 +261,7 @@ class _PointKernel:
         bodies, floats = [], []
         for c in (c for components in points for c in components):
             body = c.form.partition(": ")[2]
-            bodies.append(_NUMBER_NAME.sub(lambda n, k=len(floats): f"c{int(n[1]) + k}", body))
+            bodies.append(re.sub(r"c(\d+)", lambda n, k=len(floats): f"c{int(n[1]) + k}", body))
             floats += c.floats
         params = [*_arguments(dimension), *(f"c{i}" for i in range(len(floats)))]
         self.fused = _compiled(f"lambda {', '.join(params)}: [{', '.join(bodies)}]")
@@ -374,7 +371,8 @@ class ExpressionMultiMap:
     each point's ``ExpressionCoupledMap`` called on one point.  ``on_floats``
     is the kernel's, for the solver's steps on Python floats, while a step's
     two images hold at most ``_POINT_VALUES`` values; past that a numpy
-    step can be faster, and it is None.  ``canonical`` (the sources) labels the map.
+    step can be faster, and it is None.  ``canonical`` (the sources)
+    labels the map.
     """
 
     def __init__(self, point_expressions, dimension: int = 1):

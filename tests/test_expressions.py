@@ -234,21 +234,16 @@ def test_point_path_matches_numpy_path_on_edge_cases():
     assert np.isnan(fn(np.array([0.0]), np.array([0.0]))[0])
 
 
-def _component_values(components, args):
-    """Each component's own function at *args*, or ZeroDivisionError."""
-    return [c.fn(*args, *c.floats) for c in components]
-
-
 def test_fused_point_function_is_bitwise_each_component():
     # on_floats is one function of every component; it gives each
-    # component's own value bit for bit (a NaN's sign aside), and raises ZeroDivisionError
-    # exactly where some component does.  __call__ then gives numpy's
-    # inf or NaN.
+    # component's own value bit for bit (a NaN's sign aside), and raises
+    # ZeroDivisionError exactly where some component does.  __call__ then
+    # gives numpy's inf or NaN.
     rng = np.random.default_rng(604)
     specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
                 1e308, -1.0, 2.5]
     raised = returned = 0
-    for trial in range(150):
+    for _ in range(150):
         m, d = int(rng.integers(1, 9)), int(rng.integers(1, 5))
         names = [f"{v}{i}" for v in "xy" for i in range(1, d + 1)]
         # mixed forms, repeated sources and constant-only components
@@ -261,7 +256,7 @@ def test_fused_point_function_is_bitwise_each_component():
             args = [float(v) for v in rng.choice(specials, size=2 * d)] if rng.random() < 0.5 else \
                 [float(v) for v in rng.normal(scale=10.0 ** rng.integers(-300, 300), size=2 * d)]
             try:
-                want = _component_values(components, args)
+                want = [c.fn(*args, *c.floats) for c in components]
             except ZeroDivisionError:
                 with pytest.raises(ZeroDivisionError):
                     multi._kernel.on_floats(args)
@@ -278,13 +273,6 @@ def test_fused_point_function_is_bitwise_each_component():
             assert _same_bits(got, want), (points, args)
             returned += 1
     assert raised > 50 and returned > 500
-
-
-def test_fused_point_function_keeps_each_components_numbers():
-    # the constants of each component are renumbered after the ones before it
-    multi = ExpressionMultiMap([["2 * x1 + 3", "x2 / 4"], ["5", "x1 - 6 * y2 - 7"]], dimension=2)
-    assert multi._kernel.floats == (2.0, 3.0, 4.0, 5.0, 6.0, 7.0)
-    assert multi._kernel.on_floats([1.0, 8.0, 0.5, 2.0]) == [5.0, 2.0, 5.0, -18.0]
 
 
 @pytest.mark.parametrize("source, body", [
