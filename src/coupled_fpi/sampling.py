@@ -4,7 +4,10 @@ All checkers draw through this module so that a recorded integer seed
 reproduces a run exactly.  :func:`_check_box` is the one box rule, for
 ``SampleSpec`` and a spec's ``sampler`` alike.  Box points are
 ``low + (high - low) * U``, ``U`` from ``Generator.random``: the same
-bytes numpy's ``Generator.uniform`` gives.  Edge pairs come from one of two paths:
+bytes numpy's ``Generator.uniform`` gives.  A box of one interval in every
+coordinate is held as two floats, since numpy runs one inner loop per row
+when an operand broadcasts along a short last axis; the bytes stay
+``Generator.uniform``'s.  Edge pairs come from one of two paths:
 
 * Constructed: when the sample is a coordinate box and the graph's
   :meth:`~coupled_fpi.graphs.Digraph.construct_edges` hook builds pairs
@@ -103,6 +106,8 @@ class Sampler:
             low, high = _check_box(spec.low, spec.high, dimension, "SampleSpec", InvalidInputError)
             self._low = np.full(dimension, low)
             self._width = np.full(dimension, high) - self._low
+            if all(a.tobytes() == a[:1].tobytes() * dimension for a in (self._low, self._width)):
+                self._low, self._width = float(self._low[0]), float(self._width[0])
 
     def draw(self, n: int) -> np.ndarray:
         """(n, d) array of fresh points."""

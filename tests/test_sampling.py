@@ -106,12 +106,32 @@ def test_non_finite_box_is_rejected():
     ((0.0, 1.5, -1.0), (1.0, 1.5, 1.0)),      # a degenerate coordinate
     (-0.0, 1.0),                              # a -0.0 bound
     ((-1.0, -0.0, 0.0), (-0.0, 0.0, 2.0)),    # -0.0 bounds and a zero width
+    ((-2.0,) * 3, (3.0,) * 3),                # one interval given as 3 numbers
+    ((0.0, -0.0, 0.0), (1.0, 1.0, 1.0)),      # lows that mix 0.0 and -0.0
 ])
 def test_draw_matches_generator_uniform_bytes(low, high):
     for seed in (0, 7):
         got = Sampler(SampleSpec(count=1, seed=seed, low=low, high=high), 3).draw(257)
         want = np.random.default_rng(seed).uniform(low, high, (257, 3))
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("graph", [OrderGraph, FullGraph])
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_one_interval_box_samples_alike_in_every_spelling(graph, d):
+    # a scalar box, the same box given per coordinate, and the same box held
+    # as length-d arrays (the per-coordinate form) give the same bytes
+    def samplers():
+        scalar = Sampler(SampleSpec(count=300, seed=13, low=-2.0, high=3.0), d)
+        spelled = Sampler(SampleSpec(count=300, seed=13, low=(-2.0,) * d, high=(3.0,) * d), d)
+        arrays = Sampler(SampleSpec(count=300, seed=13, low=-2.0, high=3.0), d)
+        arrays._low, arrays._width = np.full(d, -2.0), np.full(d, 5.0)
+        return scalar, spelled, arrays
+
+    for method in ("edge_triples", "product_edge_pairs"):
+        got = [getattr(s, method)(graph(d)) for s in samplers()]
+        assert len({b"|".join(a.tobytes() for a in arrays) for arrays in got}) == 1
+    assert all(isinstance(v, float) for s in samplers()[:2] for v in (s._low, s._width))
 
 
 def test_draw_samples_a_box_numpy_uniform_refuses():
