@@ -105,7 +105,6 @@ def report_document(
 
 
 def _write_atomic(out_dir: str, name: str, text: str) -> None:
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8", newline="") as fh:
@@ -171,6 +170,7 @@ def run(
         else:
             exit_code = EXIT_OK if trace.converged else EXIT_NO_CONVERGENCE
 
+    os.makedirs(out_dir, exist_ok=True)
     if trace is not None:
         _write_atomic(out_dir, "trace.csv", trace_to_csv(trace))
     _write_report(out_dir, report_document(report, trace, result, exit_code, force, error))
