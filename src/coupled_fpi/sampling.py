@@ -27,6 +27,7 @@ when an operand broadcasts along a short last axis; the bytes stay
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -92,12 +93,15 @@ class SampleSpec:
 
 
 class Sampler:
-    """Draws points of a given dimension according to a :class:`SampleSpec`."""
+    """Draws points of a given dimension according to a :class:`SampleSpec`.
+
+    Construction checks the box or the pool; the generator is seeded at the
+    first draw, so a sampler built only to check them never seeds one.
+    """
 
     def __init__(self, spec: SampleSpec, dimension: int):
         self.spec = spec
         self.dimension = dimension = _check_int(dimension, "dimension", 1)
-        self._rng = np.random.default_rng(spec.seed)
         if spec.points:
             self._pool = np.vstack([as_point(p, dimension) for p in spec.points])
             self._low = self._width = None
@@ -108,6 +112,10 @@ class Sampler:
             self._width = np.full(dimension, high) - self._low
             if all(a.tobytes() == a[:1].tobytes() * dimension for a in (self._low, self._width)):
                 self._low, self._width = float(self._low[0]), float(self._width[0])
+
+    @functools.cached_property
+    def _rng(self) -> np.random.Generator:
+        return np.random.default_rng(self.spec.seed)
 
     def draw(self, n: int) -> np.ndarray:
         """(n, d) array of fresh points."""

@@ -116,6 +116,20 @@ def test_draw_matches_generator_uniform_bytes(low, high):
         assert got.tobytes() == want.tobytes()
 
 
+def test_sampler_seeds_its_generator_at_the_first_draw(monkeypatch):
+    # a sampler built only to check its box or pool seeds no generator
+    seeded = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: seeded.append(seed) or default_rng(seed))
+    box = Sampler(SampleSpec(count=4, seed=5, low=-1.0, high=2.0), 2)
+    pool = Sampler(SampleSpec(count=4, seed=6, points=((0.0, 1.0), (2.0, 3.0))), 2)
+    assert seeded == []
+    first, second = box.draw(3), box.draw(3)
+    pool.draw(2)
+    assert seeded == [5, 6]
+    assert np.concatenate([first, second]).tobytes() == default_rng(5).uniform(-1.0, 2.0, (6, 2)).tobytes()
+
+
 @pytest.mark.parametrize("graph", [OrderGraph, FullGraph])
 @pytest.mark.parametrize("d", [1, 2, 5])
 def test_one_interval_box_samples_alike_in_every_spelling(graph, d):
