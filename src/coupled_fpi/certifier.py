@@ -250,13 +250,14 @@ def _spot_check_continuity(instance: ProblemInstance, sample: SampleSpec, notes:
     u = 2.0 ** -48 * Sampler(SampleSpec(count=3, seed=sample.seed + 1), d).draw(3)
     beside = [np.vstack([p + u * np.maximum(1.0, abs(p)), p - u * np.maximum(1.0, abs(p))])
               for p in (anchors, partners)]
-    try:
-        base = np.concatenate([_images(instance.map, anchors, partners, d, multi)] * 2)
-        near = _images(instance.map, *beside, d, multi)
+    try:  # the anchors' images, then their neighbours', in one evaluation
+        images = _images(instance.map, np.concatenate([anchors, beside[0]]),
+                         np.concatenate([partners, beside[1]]), d, multi)
     except CoupledFpiError as exc:
         notes.append(f"continuity spot check skipped: {exc}")
         return True
-    gap = _gaps(space, base, near).reshape(2, 3).max(axis=0)  # each anchor's larger side
+    base = np.concatenate([images[:3]] * 2)
+    gap = _gaps(space, base, images[3:]).reshape(2, 3).max(axis=0)  # each anchor's larger side
     bad = np.flatnonzero(~(gap <= _CONTINUITY_TOL))
     if bad.size:
         notes.append("continuity spot check FAILED near "

@@ -187,46 +187,45 @@ def _mixed_monotone(fn: Callable, graph: Digraph, sample: SampleSpec, multi: boo
     "y" samples the same way and needs the reversed image edge, from
     F(w, p2) to F(w, p1).  A sample violates a clause once, at its first
     unmatched image point.  A non-finite image point is unmatched, and it
-    matches no point of the other image.
+    matches no point of the other image.  Both clauses' images come from
+    one map evaluation, x's samples first, and the two clauses may hold
+    different numbers of samples.
     """
     d = graph.dimension
     sampler = Sampler(sample, d)
+    clauses = {"x": sampler.edge_triples(graph), "y": sampler.edge_triples(graph)}
+    (P1, P2, W), (Q1, Q2, V) = clauses.values()
+    images = _images(fn, np.concatenate([P1, V, P2, V]), np.concatenate([W, Q2, W, Q1]), d, multi)
+    total = len(P1) + len(Q1)
+    A, B = images[:total], images[total:]  # the "from" and the "to" images
+    edges = graph.edge_mask(*_pairs(A, B)).reshape(*A.shape[:2], -1)
+    finite_a, finite_b = (fold_last(np.logical_and, np.isfinite(Z)) for Z in (A, B))
+    unmatched = ~fold_last(np.logical_or, edges & finite_b[:, None, :]) | ~finite_a
+    bad = np.flatnonzero(fold_last(np.logical_or, unmatched))
     violations: list[dict] = []
-    count = 0
-    total = 0
-    for clause in ("x", "y"):
-        P1, P2, W = sampler.edge_triples(graph)
-        if clause == "x":
-            A, B = _images(fn, P1, W, d, multi), _images(fn, P2, W, d, multi)
+    for i in bad[:VIOLATION_CAP].tolist():
+        clause, s = ("x", i) if i < len(P1) else ("y", i - len(P1))
+        p1, p2, w = (Z[s] for Z in clauses[clause])
+        if not multi:
+            other = "y" if clause == "x" else "x"
+            violations.append({
+                "clause": clause, "sample": s,
+                f"{clause}1": _point_json(p1),
+                f"{clause}2": _point_json(p2),
+                other: _point_json(w),
+                "image_from": _point_json(A[i, 0]),
+                "image_to": _point_json(B[i, 0]),
+            })
         else:
-            A, B = _images(fn, W, P2, d, multi), _images(fn, W, P1, d, multi)
-        edges = graph.edge_mask(*_pairs(A, B)).reshape(*A.shape[:2], -1)
-        finite_a, finite_b = (fold_last(np.logical_and, np.isfinite(Z)) for Z in (A, B))
-        unmatched = ~fold_last(np.logical_or, edges & finite_b[:, None, :]) | ~finite_a
-        bad = np.flatnonzero(fold_last(np.logical_or, unmatched))
-        total += len(P1)
-        count += len(bad)
-        for i in bad[:VIOLATION_CAP - len(violations)]:
-            w = {"clause": clause, "sample": int(i)}
-            if not multi:
-                other = "y" if clause == "x" else "x"
-                w.update({
-                    f"{clause}1": _point_json(P1[i]),
-                    f"{clause}2": _point_json(P2[i]),
-                    other: _point_json(W[i]),
-                    "image_from": _point_json(A[i, 0]),
-                    "image_to": _point_json(B[i, 0]),
-                })
-            else:
-                w.update({
-                    "edge_from": _point_json(P1[i]),
-                    "edge_to": _point_json(P2[i]),
-                    "other": _point_json(W[i]),
-                    "unmatched": _point_json(A[i, unmatched[i].argmax()]),
-                })
-            violations.append(w)
+            violations.append({
+                "clause": clause, "sample": s,
+                "edge_from": _point_json(p1),
+                "edge_to": _point_json(p2),
+                "other": _point_json(w),
+                "unmatched": _point_json(A[i, unmatched[i].argmax()]),
+            })
     name = "mixed_monotone_multi" if multi else "mixed_monotone"
-    return _finalize(name, total, violations, count, sample.seed)
+    return _finalize(name, total, violations, len(bad), sample.seed)
 
 
 def check_mixed_monotone(fn: Callable, graph: Digraph, sample: SampleSpec) -> Certificate:
@@ -251,11 +250,12 @@ def check_mixed_monotone_multi(fn: Callable, graph: Digraph, sample: SampleSpec)
 def _contraction_sample(fn: Callable, space: MetricSpace, graph: Digraph,
                         sample: SampleSpec, multi: bool):
     """The pairs (X, Y, U, V), the images A = F(X, Y), each point's
-    distance to its set F(U, V) as (n, m) and each d(x,u) + d(y,v)."""
+    distance to its set F(U, V) as (n, m) and each d(x,u) + d(y,v).  Both
+    image sets come from one map evaluation."""
     d = space.dimension
     X, Y, U, V = Sampler(sample, d).product_edge_pairs(graph)
-    A = _images(fn, X, Y, d, multi)
-    B = _images(fn, U, V, d, multi)
+    images = _images(fn, np.concatenate([X, U]), np.concatenate([Y, V]), d, multi)
+    A, B = images[:len(X)], images[len(X):]
     lhs = _excess(space, A, B)
     den = space.distance_batch(X, U) + space.distance_batch(Y, V)
     return (X, Y, U, V), A, lhs, den

@@ -28,12 +28,11 @@ from __future__ import annotations
 
 import functools
 import re
-from typing import Callable
 
 import numpy as np
 
 from .errors import ExpressionError
-from .spaces import _check_int, as_point
+from .spaces import _check_int, _compiled, as_point
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
@@ -176,12 +175,6 @@ def _source(node, numbers: list) -> str:
     return f"{left} {op} {right}"
 
 
-@functools.lru_cache(maxsize=1024)
-def _compiled(text: str) -> Callable:
-    """The function the lambda *text* defines, compiled once per text."""
-    return eval(compile(text, "<expression>", "eval"), {"__builtins__": {}})
-
-
 def _arguments(dimension: int) -> tuple[str, ...]:
     """The point arguments of every compiled function, in order."""
     return tuple(f"{v}{i}" for v in "xy" for i in range(1, dimension + 1))
@@ -239,8 +232,9 @@ _compile = functools.lru_cache(maxsize=1024)(CompiledExpression)
 # Values per (g, rows) temporary: past glibc's 128 KiB mmap threshold every call faults them in.
 _BLOCK_VALUES = 12288
 
-# ExpressionMultiMap.on_floats exists while a step's two images hold at most this many values.
-_POINT_VALUES = 64
+# ExpressionMultiMap.on_floats exists for at most this many image points, past which a step
+# on numpy can be faster (the float step's cost grows with m * d, the numpy step's barely with m).
+_FLOAT_POINTS = 48
 
 
 class _PointKernel:
@@ -369,10 +363,9 @@ class ExpressionMultiMap:
     m points, and ``__call__`` gives the m images of one point through the
     same point entry as ``ExpressionCoupledMap``; both are bitwise equal to
     each point's ``ExpressionCoupledMap`` called on one point.  ``on_floats``
-    is the kernel's, for the solver's steps on Python floats, while a step's
-    two images hold at most ``_POINT_VALUES`` values; past that a numpy
-    step can be faster, and it is None.  ``canonical`` (the sources)
-    labels the map.
+    is the kernel's, for the solver's steps on Python floats, while the map
+    has at most ``_FLOAT_POINTS`` image points; past that a numpy step can
+    be faster, and it is None.  ``canonical`` (the sources) labels the map.
     """
 
     def __init__(self, point_expressions, dimension: int = 1):
@@ -382,8 +375,7 @@ class ExpressionMultiMap:
         self.dimension = self.points[0][0].dimension  # the checked int
         self.canonical = repr([[c.source for c in point] for point in self.points])
         self._kernel = _PointKernel(self.points, self.dimension)
-        floats = 2 * len(self.points) * self.dimension <= _POINT_VALUES  # a step's two images
-        self.on_floats = self._kernel.on_floats if floats else None
+        self.on_floats = self._kernel.on_floats if len(self.points) <= _FLOAT_POINTS else None
 
     def __call__(self, x, y):
         x = as_point(x, self.dimension, copy=False)

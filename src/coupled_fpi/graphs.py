@@ -18,13 +18,12 @@ on it.
 
 from __future__ import annotations
 
-import operator
 from typing import Callable, Iterable
 
 import numpy as np
 
 from .errors import InvalidInputError, NotAVertexError
-from .spaces import PointLike, _as_rows, _check_int, as_point, fold_last
+from .spaces import PointLike, _as_rows, _check_int, _row_function, as_point, fold_last
 
 
 class Digraph:
@@ -32,6 +31,7 @@ class Digraph:
 
     def __init__(self, dimension: int):
         self._dimension = _check_int(dimension, "dimension", 1)
+        self._rule = _row_function(self._row_text())
 
     @property
     def dimension(self) -> int:
@@ -53,9 +53,14 @@ class Digraph:
             (self.has_edge(p, q) for p, q in zip(P, Q)), bool, count=len(P)
         )
 
-    def _row_rule(self) -> Callable[[list, list], bool] | None:
-        """``edge_mask`` on two rows of Python floats, or None."""
+    def _row_text(self) -> str | None:
+        """``edge_mask`` on one row as text over the coordinates ``p1..pd``
+        and ``q1..qd``, or None."""
         return None
+
+    def _row_rule(self) -> Callable[[list, list], bool] | None:
+        """:meth:`_row_text` compiled once per instance, on two lists of floats, or None."""
+        return self._rule
 
     def construct_edges(
         self, draw: Callable[[int], np.ndarray], n: int
@@ -95,8 +100,8 @@ class OrderGraph(Digraph):
         P, Q = _as_rows(P, Q, self._dimension)
         return fold_last(np.logical_and, P <= Q)
 
-    def _row_rule(self):
-        return lambda p, q: all(map(operator.le, p, q))
+    def _row_text(self):
+        return " and ".join(f"p{i} <= q{i}" for i in range(1, self._dimension + 1))
 
     def construct_edges(
         self, draw: Callable[[int], np.ndarray], n: int
@@ -121,8 +126,8 @@ class FullGraph(Digraph):
     def edge_mask(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
         return np.ones(len(_as_rows(P, Q, self._dimension)[0]), dtype=bool)
 
-    def _row_rule(self):
-        return lambda p, q: True
+    def _row_text(self):
+        return "True"
 
     def construct_edges(
         self, draw: Callable[[int], np.ndarray], n: int

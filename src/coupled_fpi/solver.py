@@ -50,9 +50,10 @@ Multivalued maps iterate by edge-filtered nearest-point selection: the
 next iterate is the image point nearest the current one among
 edge-compatible candidates, ties resolved by image index.  A step runs
 on Python floats (:func:`_float_step`) where the map has ``on_floats``
-(an ``ExpressionMultiMap`` with at most 64 values in a step's two images,
-past which a numpy step can be faster) and the metric and the graph a
-``_row_rule``.  Any other step, and one that meets a zero divisor, a
+(an ``ExpressionMultiMap`` with at most 48 image points, past which a
+numpy step can be faster) and the metric and the graph a ``_row_rule``;
+each side then picks in one function compiled from their rule texts
+(:func:`_picks`).  Any other step, and one that meets a zero divisor, a
 non-finite image value or a side without a candidate, evaluates both
 images as one (2, m, d) array, with a single ``eval_batch`` call when
 the map has one and no finite set either way, and selects on that raw
@@ -64,9 +65,10 @@ one-point multivalued map reproduces the single-valued trace bitwise.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -85,7 +87,8 @@ from .finite_sets import _point_rows, dist_to_set
 # as_finite_set is not used here; perfbench/tracer.py patches it under this name.
 from .finite_sets import as_finite_set  # noqa: F401
 from .graphs import Digraph, product_edge, product_edge_mask
-from .spaces import MetricSpace, PointLike, _check_flag, _check_int, _check_number, as_point
+from .spaces import (MetricSpace, PointLike, _check_flag, _check_int, _check_number, _compiled,
+                     _rename, as_point)
 
 
 @dataclass(frozen=True)
@@ -114,8 +117,7 @@ class SolveConfig:
             object.__setattr__(self, name, _check_flag(getattr(self, name), name))
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     """One recorded transition (x_n, y_n) -> (x_{n+1}, y_{n+1}).
 
     ``bound`` is the theoretical value (k^n / 2) * D0; the proved
@@ -335,8 +337,10 @@ def solve_coupled(
 
     def advance(n, xn, yn, fx, fy):
         if fx is not None and fy is not None:  # finite floats, and the map has on_floats
-            with contextlib.suppress(ZeroDivisionError):  # then fn gives numpy's inf or NaN
+            try:
                 return rules[0](fx + fy), rules[0](fy + fx)
+            except ZeroDivisionError:  # fn gives numpy's inf or NaN
+                pass
         return as_point(fn(xn, yn), d), as_point(fn(yn, xn), d)
 
     def residual(x, y):
@@ -375,32 +379,48 @@ def _select_step(space, graph, images: np.ndarray, Z: np.ndarray, n: int):
     return images[0, best[0]].copy(), images[1, best[1]].copy()
 
 
-def _float_step(rules, d: int):
-    """:func:`_select_step` on the pair's two lists of finite Python floats,
-    by :func:`_float_rules`' *rules*, as two lists.  The step gives None for
-    :func:`_select_step` to take over on a zero divisor, a non-finite image
-    value or a side without a candidate."""
-    image, dist, edge = rules
+@functools.lru_cache(maxsize=256)
+def _picks(gap: str, edge: str, m: int, d: int) -> tuple[Callable, Callable]:
+    """The x side's and the y side's pick among m image points of d
+    coordinates, compiled once per process from the metric's and the graph's
+    rule texts.  A pick takes the anchor's floats, then the m * d image
+    values, and gives the offset in them of the nearest point with the edge
+    (anchor -> b on the x side, b -> anchor on the y side), the first of
+    equals, or None where no point has the edge and a finite gap."""
+    anchor = "a{}".format
+    params = ", ".join([*map(anchor, range(d)), *(f"v{i}" for i in range(m * d))])
 
-    def nearest(values, anchor, forward):
-        best, pick = math.inf, None
-        for j in range(0, len(values), d):
-            b = values[j:j + d]
-            if edge(anchor, b) if forward else edge(b, anchor):
-                gap = dist(anchor, b)
-                if gap < best:  # the first of equals, as argmin
-                    best, pick = gap, b
-        return pick
+    def pick(forward: bool) -> Callable:
+        gaps = []
+        for j in range(0, m * d, d):
+            point = (lambda i, j=j: f"v{j + i}")
+            test = _rename(edge, anchor, point) if forward else _rename(edge, point, anchor)
+            gaps.append(f"({_rename(gap, anchor, point)}) if ({test}) else inf")
+        return _compiled(f"lambda {params}: "
+                         f"g.index(b) * {d} if (b := min(g := [{', '.join(gaps)}])) < inf else None")
+
+    return pick(True), pick(False)
+
+
+def _float_step(image: Callable, space: MetricSpace, graph: Digraph):
+    """:func:`_select_step` on the pair's two lists of finite Python floats,
+    by the map's ``on_floats`` *image* and the picks :func:`_picks` compiles
+    from the metric's and the graph's ``_row_text``, as two lists.  The step
+    gives None for :func:`_select_step` to take over on a zero divisor, a
+    non-finite image value or a side without a candidate."""
+    d, texts, picks = space.dimension, (space._row_text(), graph._row_text()), None
 
     def step(x, y):
+        nonlocal picks
         try:
             vx, vy = image(x + y), image(y + x)
         except ZeroDivisionError:
             return None
         if not abs(sum(vx) + sum(vy)) < math.inf:  # a non-finite value, or a sum that overflowed
             return None
-        px, py = nearest(vx, x, True), nearest(vy, y, False)
-        return None if px is None or py is None else (px, py)
+        pick_x, pick_y = picks or (picks := _picks(*texts, len(vx) // d, d))
+        jx, jy = pick_x(*x, *vx), pick_y(*y, *vy)
+        return None if jx is None or jy is None else (vx[jx:jx + d], vy[jy:jy + d])
 
     return step
 
@@ -438,7 +458,7 @@ def solve_coupled_multi(
     """
     d = space.dimension
     rules = _float_rules(fn, space, graph)
-    float_step = rules and _float_step(rules, d)
+    float_step = rules and _float_step(rules[0], space, graph)
 
     def advance(n, xn, yn, fx, fy):
         pair = None if fx is None or fy is None else float_step(fx, fy)

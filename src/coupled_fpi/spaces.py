@@ -13,9 +13,10 @@ n = 1) and the Chebyshev (max) metric; arbitrary metrics plug in via
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
-import operator
+import re
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -92,6 +93,29 @@ def fold_last(op: np.ufunc, a: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=1024)
+def _compiled(text: str) -> Callable:
+    """The function the lambda *text* defines, compiled once per text.  Its
+    globals are ``abs``, ``max``, ``min``, ``sqrt`` and ``inf``, for the rule
+    texts; an expression's text names only its arguments."""
+    names = {"abs": abs, "max": max, "min": min, "sqrt": math.sqrt, "inf": math.inf}
+    return eval(compile(text, "<rule>", "eval"), {"__builtins__": {}, **names})
+
+
+_COORDINATE = re.compile(r"\b([pq])([0-9]+)\b")
+
+
+def _rename(text: str, p: Callable[[int], str], q: Callable[[int], str]) -> str:
+    """The rule *text* over coordinates ``p1..pd`` and ``q1..qd`` with each
+    ``p<i>`` written ``p(i - 1)`` and each ``q<i>`` written ``q(i - 1)``."""
+    return _COORDINATE.sub(lambda c: (p if c[1] == "p" else q)(int(c[2]) - 1), text)
+
+
+def _row_function(text: str | None) -> Callable[[list, list], object] | None:
+    """The rule *text* as a function of two lists of floats p and q, or None without one."""
+    return text and _compiled("lambda p, q: " + _rename(text, "p[{}]".format, "q[{}]".format))
+
+
 def _check_int(value, name: str, low: int, error: type = InvalidParameterError) -> int:
     """*value*, which must be an integer (numpy's too, not a bool) of at
     least *low*, 0 or 1, as a Python int; else raises *error*."""
@@ -135,6 +159,7 @@ class MetricSpace:
 
     def __init__(self, dimension: int):
         self._dimension = _check_int(dimension, "dimension", 1)
+        self._rule = _row_function(self._row_text())
 
     @property
     def dimension(self) -> int:
@@ -155,17 +180,14 @@ class MetricSpace:
             (self._dist(p, q) for p, q in zip(P, Q)), np.float64, count=len(P)
         )
 
-    def _row_rule(self) -> Callable[[list, list], float] | None:
-        """``distance_batch``'s bits on two rows of finite Python floats, or None."""
+    def _row_text(self) -> str | None:
+        """``distance_batch``'s bits on one row as text over the coordinates
+        ``p1..pd`` and ``q1..qd`` (a NaN's sign and payload aside), or None."""
         return None
 
-
-def _root_sum_squares(p: list, q: list) -> float:
-    """The root of the squared differences, added to 0.0 one by one."""
-    total = 0.0
-    for a, b in zip(p, q):
-        total += (a - b) * (a - b)
-    return math.sqrt(total)
+    def _row_rule(self) -> Callable[[list, list], float] | None:
+        """:meth:`_row_text` compiled once per instance, on two lists of floats, or None."""
+        return self._rule
 
 
 class EuclideanSpace(MetricSpace):
@@ -184,10 +206,13 @@ class EuclideanSpace(MetricSpace):
             return np.abs(diff[:, 0])
         return np.sqrt(fold_last(np.add, diff * diff))
 
-    def _row_rule(self):
-        if self._dimension == 1:
-            return lambda p, q: abs(p[0] - q[0])
-        return _root_sum_squares if self._dimension < 8 else None  # fold_last's order of sums
+    def _row_text(self):
+        d = self._dimension
+        if d == 1:
+            return "abs(p1 - q1)"
+        # the squares added one by one, as fold_last adds fewer than 8 columns
+        squares = " + ".join(f"(e{i} := p{i} - q{i}) * e{i}" for i in range(1, d + 1))
+        return f"sqrt({squares})" if d < 8 else None
 
 
 class ChebyshevSpace(MetricSpace):
@@ -200,10 +225,12 @@ class ChebyshevSpace(MetricSpace):
         P, Q = _as_rows(P, Q, self._dimension)
         return fold_last(np.maximum, np.abs(P - Q))
 
-    def _row_rule(self):
-        if self._dimension == 1:
-            return lambda p, q: abs(p[0] - q[0])
-        return lambda p, q: max(map(abs, map(operator.sub, p, q)))
+    def _row_text(self):
+        # fold_last's running np.maximum, which keeps the first NaN it meets
+        text = "abs(p1 - q1)"
+        for i in range(2, self._dimension + 1):
+            text = f"(c if (c := {text}) >= (e := abs(p{i} - q{i})) or c != c else e)"
+        return text
 
 
 class CallbackSpace(MetricSpace):

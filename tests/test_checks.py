@@ -18,6 +18,7 @@ from coupled_fpi import (
     LinearCoupledMap,
     NonFiniteValueError,
     OrderGraph,
+    PredicateGraph,
     SampleSpec,
     SingletonMultiMap,
     SpecError,
@@ -367,19 +368,70 @@ class MisshapenBatchMap:
         return np.zeros((len(X), *self.shape))
 
 
+def _mixed_monotone_reference(fn, graph, spec, multi):
+    """Each clause's sample count, violation count and witnesses, clause by
+    clause from the checker's draws, point by point, witnesses capped at 25."""
+    sampler = Sampler(spec, 1)
+    counts, witnesses = [], []
+    for clause in "xy":
+        P1, P2, W = sampler.edge_triples(graph)
+        bad = 0
+        for s, (p1, p2, w) in enumerate(zip(P1.tolist(), P2.tolist(), W.tolist())):
+            args = ((p1, w), (p2, w)) if clause == "x" else ((w, p2), (w, p1))
+            A, B = ([float(np.ravel(v)[0]) for v in (fn(*a) if multi else [fn(*a)])] for a in args)
+            unmatched = [u for u in A if not any(graph.has_edge(u, v) for v in B)]
+            if not unmatched:
+                continue
+            bad += 1
+            w_ = {"clause": clause, "sample": s}
+            if multi:
+                w_.update(edge_from=p1[0], edge_to=p2[0], other=w[0], unmatched=unmatched[0])
+            else:
+                other = "y" if clause == "x" else "x"
+                w_.update({f"{clause}1": p1[0], f"{clause}2": p2[0], other: w[0],
+                           "image_from": A[0], "image_to": B[0]})
+            if len(witnesses) < VIOLATION_CAP:
+                witnesses.append(w_)
+        counts.append((len(P1), bad))
+    return counts, witnesses
+
+
+@pytest.mark.parametrize("multi", [False, True])
+def test_mixed_monotone_clauses_of_unequal_size(multi):
+    # edges |p - q| < 0.0014 on [-1, 1]: rejection runs out of draws, so each
+    # clause holds its own count of samples.  F stretches x by 1.2 and y by 3,
+    # so clause x breaks on about 1 sample in 6 and clause y on 2 in 3; the
+    # multivalued map adds a point that always matches in clause x
+    graph = PredicateGraph(1, lambda p, q: abs(p[0] - q[0]) < 0.0014)
+    spec = SampleSpec(count=60, seed=17, low=-1.0, high=1.0)
+    if multi:
+        fn, check = ExpressionMultiMap(["1.2 * x - 3 * y", "x + y / 4"]), check_mixed_monotone_multi
+    else:
+        fn, check = ExpressionCoupledMap("1.2 * x - 3 * y"), check_mixed_monotone
+    counts, witnesses = _mixed_monotone_reference(fn, graph, spec, multi)
+    (nx, bad_x), (ny, bad_y) = counts
+    cert = check(fn, graph, spec)
+    assert nx != ny and nx < 60 and ny < 60
+    assert 0 < bad_x < VIOLATION_CAP < bad_x + bad_y
+    assert cert.samples_tested == nx + ny
+    assert cert.violation_count == bad_x + bad_y
+    assert list(cert.violations) == witnesses
+    assert [w["clause"] for w in cert.violations] == ["x"] * bad_x + ["y"] * (VIOLATION_CAP - bad_x)
+
+
 def test_malformed_single_valued_batch_is_an_input_error():
     # one coordinate too many, or two image points where one is due
     for d in (1, 3):
         for shape, shown in (((d + 1,), f"{d + 1}"), ((2, d), f"2, {d}")):
             fn, space, graph = MisshapenBatchMap(shape), EuclideanSpace(d), OrderGraph(d)
             spec = SampleSpec(count=50, seed=3, low=-1.0, high=1.0)
-            message = rf"eval_batch returned shape \(50, {shown}\), expected \(50, {d}\)"
-            with pytest.raises(InvalidInputError, match=message):
-                check_bl(fn, space, graph, 0.5, spec)
-            with pytest.raises(InvalidInputError, match=message):
-                check_mixed_monotone(fn, graph, spec)
-            with pytest.raises(InvalidInputError, match=message):
-                estimate_k(fn, space, graph, spec)
+            # each checker evaluates its whole sample in one call: 2 or 4 rows per sample
+            for rows, check in ((100, lambda: check_bl(fn, space, graph, 0.5, spec)),
+                                (200, lambda: check_mixed_monotone(fn, graph, spec)),
+                                (100, lambda: estimate_k(fn, space, graph, spec))):
+                message = rf"eval_batch returned shape \({rows}, {shown}\), expected \({rows}, {d}\)"
+                with pytest.raises(InvalidInputError, match=message):
+                    check()
 
 
 def test_flat_single_valued_batch_is_read_as_one_point_images():

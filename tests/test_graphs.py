@@ -168,6 +168,23 @@ def test_has_edge_follows_the_float_rule_on_special_values():
         OrderGraph(2).has_edge([0.0, 1.0], 1.0)
 
 
+@pytest.mark.parametrize("d", range(1, 10))
+def test_row_rule_matches_edge_mask_on_special_values(d):
+    # the rule compiled from the graph's text gives edge_mask's flags, also
+    # where a row holds a NaN (at each position), an inf, a signed zero or a
+    # subnormal
+    values = (np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.5, -2.0)
+    rng = np.random.default_rng(d)
+    P, Q = rng.choice(values, size=(2, 400, d))
+    Q[-50:] = np.maximum(P[-50:], Q[-50:])  # rows with an edge on the order graph
+    for i in range(d):
+        P[i, i], Q[d + i, i] = np.nan, np.nan
+    for graph in (OrderGraph(d), FullGraph(d)):
+        mask = graph.edge_mask(P, Q)
+        assert [graph._row_rule()(p, q) for p, q in zip(P.tolist(), Q.tolist())] == mask.tolist()
+        assert mask.any() and (isinstance(graph, FullGraph) or not mask.all())
+
+
 def test_finite_graph_edge_tests_against_edge_set_oracle():
     # Vertices are told apart by their bytes: duplicates collapse, 0.0 and
     # -0.0 are two vertices, and a NaN vertex has its loop like any other.

@@ -29,6 +29,7 @@ from coupled_fpi import (
     SelectionFailureError,
     SingletonMultiMap,
     SolveConfig,
+    TraceStep,
     as_finite_set,
     check_mbl,
     diagonal_decay_check,
@@ -44,7 +45,7 @@ from coupled_fpi.checks import SLACK, VIOLATION_CAP, _images
 from coupled_fpi.errors import CoupledFpiError
 from coupled_fpi.graphs import product_edge
 from coupled_fpi import solver
-from coupled_fpi.expressions import _POINT_VALUES
+from coupled_fpi.expressions import _FLOAT_POINTS
 from coupled_fpi.solver import _pair_blocks, _run_iteration
 from coupled_fpi.spaces import as_point
 
@@ -209,6 +210,19 @@ def test_check_bounds_raises_on_wrong_k():
         solve_coupled(fn, LINE, FullGraph(1), 8.0, 0.0, cfg)
     assert err.value.step.n >= 1
     assert err.value.step.step_x + err.value.step.step_y > 2.0 * err.value.step.bound
+
+
+def test_trace_step_is_an_immutable_record():
+    x, y = np.array([0.0]), np.array([1.0])
+    step = TraceStep(n=3, x=x, y=y, step_x=0.5, step_y=0.25, bound=0.5, diag=1.0)
+    assert TraceStep._fields == ("n", "x", "y", "step_x", "step_y", "bound", "diag",
+                                 "edge_ok_x", "edge_ok_y")
+    assert (step.edge_ok_x, step.edge_ok_y) == (None, None)
+    assert step.n == 3 and step.x is x and step.y is y and step.diag == 1.0
+    assert TraceStep(3, x, y, 0.5, 0.25, 0.5, 1.0, True, False).edge_ok_y is False
+    for name in TraceStep._fields:
+        with pytest.raises(AttributeError):
+            setattr(step, name, None)
 
 
 def test_bound_violation_message_shows_plain_floats():
@@ -1197,38 +1211,37 @@ _FLOAT_STEP_ANCHORS = (0.0, -0.0, 0.25, -0.5, 1.0, 1e308, -1e308, 1e200)
 
 def test_float_step_matches_numpy_step():
     # The float step gives the numpy step's two rows bit for bit, or hands
-    # the step back; the numpy step then gives the rows or the error.
+    # the step back; the numpy step then gives the rows or the error.  Every
+    # dimension with a metric rule, every m up to the cut-off.
     rng = np.random.default_rng(909)
     seen = set()
-    for d in (1, 2, 3):
-        for space in (EuclideanSpace(d), ChebyshevSpace(d)):
-            for graph in (FullGraph(d), OrderGraph(d)):
-                for m in range(1, 9):
-                    for _ in range(6):
-                        pool = rng.choice(len(_FLOAT_STEP_COMPONENTS), size=3)
-                        points = [[_FLOAT_STEP_COMPONENTS[rng.choice(pool)] for _ in range(d)]
-                                  for _ in range(m)]
-                        emm = ExpressionMultiMap(points, dimension=d)
-                        Z = rng.choice(_FLOAT_STEP_ANCHORS, size=(2, d))
-                        rules = solver._float_rules(emm, space, graph)
-                        if rules is None:  # past the float step's size
-                            assert 2 * m * d > _POINT_VALUES
-                            continue
-                        step = solver._float_step(rules, d)
-                        with np.errstate(over="ignore"):
-                            want = _numpy_step(emm, space, graph, Z, 7)
-                            images = _images(emm, Z, Z[::-1], d, True).reshape(2 * m, d)
-                            gaps = space.distance_batch(np.repeat(Z, m, axis=0), images)
-                        got = step(Z[0].tolist(), Z[1].tolist())
-                        if got is None:
-                            seen.add(want[0] if isinstance(want[0], str) else "handed back, rows")
-                            continue
-                        assert (np.array(got[0]).tobytes(), np.array(got[1]).tobytes()) == want, (points, Z)
-                        seen.add("rows")
-                        if np.isinf(gaps).any():
-                            seen.add("overflow")
-                        if any(v == 0.0 and math.copysign(1.0, v) < 0 for v in (*got[0], *got[1])):
-                            seen.add("signed zero")
+    spaces = [EuclideanSpace(d) for d in range(1, 8)] + [ChebyshevSpace(d) for d in range(1, 9)]
+    for space in spaces:
+        d = space.dimension
+        for graph in (FullGraph(d), OrderGraph(d)):
+            for m in range(1, _FLOAT_POINTS + 1):
+                for _ in range(6 if m <= 8 else 1):
+                    pool = rng.choice(len(_FLOAT_STEP_COMPONENTS), size=3)
+                    points = np.array(_FLOAT_STEP_COMPONENTS)[rng.choice(pool, size=(m, d))].tolist()
+                    emm = ExpressionMultiMap(points, dimension=d)
+                    Z = rng.choice(_FLOAT_STEP_ANCHORS, size=(2, d))
+                    rules = solver._float_rules(emm, space, graph)
+                    assert rules is not None
+                    step = solver._float_step(rules[0], space, graph)
+                    with np.errstate(over="ignore"):
+                        want = _numpy_step(emm, space, graph, Z, 7)
+                        images = _images(emm, Z, Z[::-1], d, True).reshape(2 * m, d)
+                        gaps = space.distance_batch(np.repeat(Z, m, axis=0), images)
+                    got = step(Z[0].tolist(), Z[1].tolist())
+                    if got is None:
+                        seen.add(want[0] if isinstance(want[0], str) else "handed back, rows")
+                        continue
+                    assert (np.array(got[0]).tobytes(), np.array(got[1]).tobytes()) == want, (points, Z)
+                    seen.add("rows")
+                    if np.isinf(gaps).any():
+                        seen.add("overflow")
+                    if any(v == 0.0 and math.copysign(1.0, v) < 0 for v in (*got[0], *got[1])):
+                        seen.add("signed zero")
     assert seen == {"rows", "overflow", "signed zero", "handed back, rows",
                     "NonFiniteValueError", "SelectionFailureError"}
 
@@ -1239,7 +1252,7 @@ def test_float_step_ties_go_to_the_lowest_index():
                          ([["-0.0"], ["0"]], -0.0), ([["0"], ["-0.0"]], 0.0)):
         emm = ExpressionMultiMap(points)
         for space in (LINE, ChebyshevSpace(1)):
-            step = solver._float_step(solver._float_rules(emm, space, FullGraph(1)), 1)
+            step = solver._float_step(solver._float_rules(emm, space, FullGraph(1))[0], space, FullGraph(1))
             x, y = map(np.array, step([1.0 if want else 0.0], [0.0]))
             Z = np.array([[1.0 if want else 0.0], [0.0]])
             assert (x.tobytes(), y.tobytes()) == _numpy_step(emm, space, FullGraph(1), Z, 1)
@@ -1260,8 +1273,8 @@ def test_float_step_only_where_map_metric_and_graph_have_a_float_rule():
     wide = ExpressionMultiMap([[f"x{i}" for i in range(1, 9)]], dimension=8)
     assert solver._float_rules(wide, EuclideanSpace(8), FullGraph(8)) is None
     assert solver._float_rules(wide, ChebyshevSpace(8), FullGraph(8)) is not None
-    # past _POINT_VALUES values in a step's two images a numpy step can be faster
-    for m, d, floats in ((32, 1, True), (33, 1, False), (16, 2, True), (8, 4, True), (6, 6, False)):
+    # past _FLOAT_POINTS image points a numpy step can be faster
+    for m, d, floats in ((48, 1, True), (49, 1, False), (48, 8, True), (49, 2, False), (1, 8, True)):
         emm = ExpressionMultiMap([["x1"] * d] * m, dimension=d)
         assert (solver._float_rules(emm, ChebyshevSpace(d), FullGraph(d)) is not None) == floats
 

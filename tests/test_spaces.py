@@ -209,6 +209,35 @@ def test_short_axis_folds_match_the_reductions_bytewise():
             assert fold_last(np.logical_or, flags).tobytes() == flags.any(axis=2).tobytes()
 
 
+# NaN, +-inf, +-0.0, subnormals, and values whose differences or squares overflow
+_SPECIAL = (np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.5, -2.0, 1e200, -1e308)
+
+
+def _same(a: float, b: float) -> bool:
+    """The same bits, or NaN both (a NaN's sign and payload aside)."""
+    return np.float64(a).tobytes() == np.float64(b).tobytes() or (np.isnan(a) and np.isnan(b))
+
+
+@pytest.mark.parametrize("space", [EuclideanSpace(d) for d in range(1, 8)]
+                         + [ChebyshevSpace(d) for d in range(1, 10)],
+                         ids=lambda s: f"{type(s).__name__}-{s.dimension}")
+def test_row_rule_matches_distance_batch_on_special_values(space):
+    # the rule compiled from the metric's text gives distance_batch's bits,
+    # also where a row holds a NaN (at each position), an inf or a subnormal
+    d = space.dimension
+    rng = np.random.default_rng(d)
+    P, Q = rng.choice(_SPECIAL[1:], size=(2, 400, d))
+    Q[-50:] = P[-50:]  # zero distances, and NaN ones where an inf meets itself
+    for i in range(d):
+        P[i, i], Q[d + i, i] = np.nan, np.nan
+    rule = space._row_rule()
+    with np.errstate(all="ignore"):
+        batch = space.distance_batch(P, Q)
+    got = [rule(p, q) for p, q in zip(P.tolist(), Q.tolist())]
+    assert all(_same(a, b) for a, b in zip(got, batch.tolist()))
+    assert np.isnan(batch).any() and np.isinf(batch).any() and (batch == 0.0).any()
+
+
 def test_callback_space_requires_callable():
     with pytest.raises(InvalidInputError):
         CallbackSpace(1, "not callable")
