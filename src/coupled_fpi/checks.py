@@ -206,10 +206,10 @@ def _mixed_monotone(fn: Callable, graph: Digraph, sample: SampleSpec, multi: boo
     for i in bad[:VIOLATION_CAP].tolist():
         clause, s = ("x", i) if i < len(P1) else ("y", i - len(P1))
         p1, p2, w = (Z[s] for Z in clauses[clause])
+        witness = {"clause": clause, "sample": s}
         if not multi:
             other = "y" if clause == "x" else "x"
-            violations.append({
-                "clause": clause, "sample": s,
+            witness.update({
                 f"{clause}1": _point_json(p1),
                 f"{clause}2": _point_json(p2),
                 other: _point_json(w),
@@ -217,13 +217,13 @@ def _mixed_monotone(fn: Callable, graph: Digraph, sample: SampleSpec, multi: boo
                 "image_to": _point_json(B[i, 0]),
             })
         else:
-            violations.append({
-                "clause": clause, "sample": s,
+            witness.update({
                 "edge_from": _point_json(p1),
                 "edge_to": _point_json(p2),
                 "other": _point_json(w),
                 "unmatched": _point_json(A[i, unmatched[i].argmax()]),
             })
+        violations.append(witness)
     name = "mixed_monotone_multi" if multi else "mixed_monotone"
     return _finalize(name, total, violations, len(bad), sample.seed)
 

@@ -54,8 +54,7 @@ class Digraph:
         )
 
     def _row_text(self) -> str | None:
-        """``edge_mask`` on one row as text over the coordinates ``p1..pd``
-        and ``q1..qd``, or None."""
+        """``edge_mask`` on one row as text over coordinates ``p1..pd``, ``q1..qd``, or None."""
         return None
 
     def _row_rule(self) -> Callable[[list, list], bool] | None:

@@ -93,11 +93,8 @@ class SampleSpec:
 
 
 class Sampler:
-    """Draws points of a given dimension according to a :class:`SampleSpec`.
-
-    Construction checks the box or the pool; the generator is seeded at the
-    first draw, so a sampler built only to check them never seeds one.
-    """
+    """Draws points of a given dimension according to a :class:`SampleSpec`;
+    checks the box or pool when built, and seeds its generator at the first draw."""
 
     def __init__(self, spec: SampleSpec, dimension: int):
         self.spec = spec

@@ -381,12 +381,10 @@ def _select_step(space, graph, images: np.ndarray, Z: np.ndarray, n: int):
 
 @functools.lru_cache(maxsize=256)
 def _picks(gap: str, edge: str, m: int, d: int) -> tuple[Callable, Callable]:
-    """The x side's and the y side's pick among m image points of d
-    coordinates, compiled once per process from the metric's and the graph's
-    rule texts.  A pick takes the anchor's floats, then the m * d image
-    values, and gives the offset in them of the nearest point with the edge
-    (anchor -> b on the x side, b -> anchor on the y side), the first of
-    equals, or None where no point has the edge and a finite gap."""
+    """The x and y sides' picks, compiled from the metric's and the graph's rule
+    texts: on an anchor's d floats and m * d image values, the offset of the
+    nearest point with the edge (anchor -> b on the x side, b -> anchor on the
+    y side), the first of equals, or None if no point has the edge and a finite gap."""
     anchor = "a{}".format
     params = ", ".join([*map(anchor, range(d)), *(f"v{i}" for i in range(m * d))])
 
@@ -403,9 +401,8 @@ def _picks(gap: str, edge: str, m: int, d: int) -> tuple[Callable, Callable]:
 
 
 def _float_step(image: Callable, space: MetricSpace, graph: Digraph):
-    """:func:`_select_step` on the pair's two lists of finite Python floats,
-    by the map's ``on_floats`` *image* and the picks :func:`_picks` compiles
-    from the metric's and the graph's ``_row_text``, as two lists.  The step
+    """:func:`_select_step` on the pair's two lists of finite Python floats, by
+    the map's ``on_floats`` *image* and :func:`_picks`, as two lists.  The step
     gives None for :func:`_select_step` to take over on a zero divisor, a
     non-finite image value or a side without a candidate."""
     d, texts, picks = space.dimension, (space._row_text(), graph._row_text()), None

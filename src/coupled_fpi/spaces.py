@@ -95,10 +95,9 @@ def fold_last(op: np.ufunc, a: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=1024)
 def _compiled(text: str) -> Callable:
-    """The function the lambda *text* defines, compiled once per text.  Its
-    globals are ``abs``, ``max``, ``min``, ``sqrt`` and ``inf``, for the rule
-    texts; an expression's text names only its arguments."""
-    names = {"abs": abs, "max": max, "min": min, "sqrt": math.sqrt, "inf": math.inf}
+    """The function the lambda *text* defines, compiled once per text, with the
+    rule texts' globals (an expression's text names only its arguments)."""
+    names = {"abs": abs, "min": min, "sqrt": math.sqrt, "inf": math.inf}
     return eval(compile(text, "<rule>", "eval"), {"__builtins__": {}, **names})
 
 
@@ -112,7 +111,7 @@ def _rename(text: str, p: Callable[[int], str], q: Callable[[int], str]) -> str:
 
 
 def _row_function(text: str | None) -> Callable[[list, list], object] | None:
-    """The rule *text* as a function of two lists of floats p and q, or None without one."""
+    """The rule *text* as a function of two lists of floats p and q (None for None)."""
     return text and _compiled("lambda p, q: " + _rename(text, "p[{}]".format, "q[{}]".format))
 
 
@@ -207,12 +206,9 @@ class EuclideanSpace(MetricSpace):
         return np.sqrt(fold_last(np.add, diff * diff))
 
     def _row_text(self):
-        d = self._dimension
-        if d == 1:
-            return "abs(p1 - q1)"
-        # the squares added one by one, as fold_last adds fewer than 8 columns
+        d = self._dimension  # the squares added one by one, as fold_last adds fewer than 8 columns
         squares = " + ".join(f"(e{i} := p{i} - q{i}) * e{i}" for i in range(1, d + 1))
-        return f"sqrt({squares})" if d < 8 else None
+        return "abs(p1 - q1)" if d == 1 else f"sqrt({squares})" if d < 8 else None
 
 
 class ChebyshevSpace(MetricSpace):
