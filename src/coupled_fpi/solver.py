@@ -43,7 +43,7 @@ edge flags from those float rules, and a single-valued step is
 ``on_floats`` on both sides (on a zero divisor, the map's ``__call__``).
 Every other step (a non-finite iterate, a plain callable,
 ``CallbackSpace``, ``PredicateGraph``, ``FiniteGraph``, Euclidean from 8
-coordinates) keeps the numpy bookkeeping, ``_dist`` and ``edge_mask``;
+coordinates, Chebyshev from 9) keeps the numpy bookkeeping, ``_dist`` and ``edge_mask``;
 both give the same bits.
 
 Multivalued maps iterate by edge-filtered nearest-point selection: the

@@ -222,7 +222,10 @@ class ChebyshevSpace(MetricSpace):
         return fold_last(np.maximum, np.abs(P - Q))
 
     def _row_text(self):
-        # fold_last's running np.maximum, which keeps the first NaN it meets
+        # fold_last's running np.maximum, which keeps the first NaN it meets, up to its 8
+        # columns (each one nests the text deeper, and Python parses 200 parentheses deep)
+        if self._dimension > 8:
+            return None
         text = "abs(p1 - q1)"
         for i in range(2, self._dimension + 1):
             text = f"(c if (c := {text}) >= (e := abs(p{i} - q{i})) or c != c else e)"

@@ -219,7 +219,7 @@ def _same(a: float, b: float) -> bool:
 
 
 @pytest.mark.parametrize("space", [EuclideanSpace(d) for d in range(1, 8)]
-                         + [ChebyshevSpace(d) for d in range(1, 10)],
+                         + [ChebyshevSpace(d) for d in range(1, 9)],
                          ids=lambda s: f"{type(s).__name__}-{s.dimension}")
 def test_row_rule_matches_distance_batch_on_special_values(space):
     # the rule compiled from the metric's text gives distance_batch's bits,
