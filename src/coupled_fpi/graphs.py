@@ -18,6 +18,7 @@ on it.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Iterable
 
 import numpy as np
@@ -31,15 +32,14 @@ class Digraph:
 
     def __init__(self, dimension: int):
         self._dimension = _check_int(dimension, "dimension", 1)
-        self._rule = _row_function(self._row_text())
 
     @property
     def dimension(self) -> int:
         return self._dimension
 
     def has_edge(self, p: PointLike, q: PointLike) -> bool:
-        """Edge test by the graph's float rule (:meth:`_row_rule`)."""
-        rule = self._row_rule()
+        """Edge test by the graph's float rule (:attr:`_row_rule`)."""
+        rule = self._row_rule
         if rule is None:
             raise NotImplementedError
         d = self._dimension
@@ -57,9 +57,10 @@ class Digraph:
         """``edge_mask`` on one row as text over coordinates ``p1..pd``, ``q1..qd``, or None."""
         return None
 
+    @functools.cached_property
     def _row_rule(self) -> Callable[[list, list], bool] | None:
-        """:meth:`_row_text` compiled once per instance, on two lists of floats, or None."""
-        return self._rule
+        """:meth:`_row_text` compiled, on two lists of floats, or None; once per instance."""
+        return _row_function(self._row_text())
 
     def construct_edges(
         self, draw: Callable[[int], np.ndarray], n: int

@@ -263,7 +263,7 @@ def _run_iteration(
 
 def _float_rules(fn: Callable, space: MetricSpace, graph: Digraph):
     """The map's ``on_floats``, the metric's and the graph's ``_row_rule``, or None if one is."""
-    rules = getattr(fn, "on_floats", None), space._row_rule(), graph._row_rule()
+    rules = getattr(fn, "on_floats", None), space._row_rule, graph._row_rule
     return None if None in rules else rules
 
 

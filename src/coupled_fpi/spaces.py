@@ -110,6 +110,7 @@ def _rename(text: str, p: Callable[[int], str], q: Callable[[int], str]) -> str:
     return _COORDINATE.sub(lambda c: (p if c[1] == "p" else q)(int(c[2]) - 1), text)
 
 
+@functools.lru_cache(maxsize=256)
 def _row_function(text: str | None) -> Callable[[list, list], object] | None:
     """The rule *text* as a function of two lists of floats p and q (None for None)."""
     return text and _compiled("lambda p, q: " + _rename(text, "p[{}]".format, "q[{}]".format))
@@ -158,7 +159,6 @@ class MetricSpace:
 
     def __init__(self, dimension: int):
         self._dimension = _check_int(dimension, "dimension", 1)
-        self._rule = _row_function(self._row_text())
 
     @property
     def dimension(self) -> int:
@@ -184,9 +184,10 @@ class MetricSpace:
         ``p1..pd`` and ``q1..qd`` (a NaN's sign and payload aside), or None."""
         return None
 
+    @functools.cached_property
     def _row_rule(self) -> Callable[[list, list], float] | None:
-        """:meth:`_row_text` compiled once per instance, on two lists of floats, or None."""
-        return self._rule
+        """:meth:`_row_text` compiled, on two lists of floats, or None; once per instance."""
+        return _row_function(self._row_text())
 
 
 class EuclideanSpace(MetricSpace):

@@ -181,7 +181,7 @@ def test_row_rule_matches_edge_mask_on_special_values(d):
         P[i, i], Q[d + i, i] = np.nan, np.nan
     for graph in (OrderGraph(d), FullGraph(d)):
         mask = graph.edge_mask(P, Q)
-        assert [graph._row_rule()(p, q) for p, q in zip(P.tolist(), Q.tolist())] == mask.tolist()
+        assert [graph._row_rule(p, q) for p, q in zip(P.tolist(), Q.tolist())] == mask.tolist()
         assert mask.any() and (isinstance(graph, FullGraph) or not mask.all())
 
 

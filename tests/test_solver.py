@@ -1276,7 +1276,7 @@ def test_float_step_only_where_map_metric_and_graph_have_a_float_rule():
     # from 9 coordinates numpy reduces the maxima too, and a wide space still builds
     wider = ExpressionMultiMap([[f"x{i}" for i in range(1, 10)]], dimension=9)
     assert solver._float_rules(wider, ChebyshevSpace(9), FullGraph(9)) is None
-    assert ChebyshevSpace(500)._row_rule() is None and OrderGraph(500)._row_rule() is not None
+    assert ChebyshevSpace(500)._row_rule is None and OrderGraph(500)._row_rule is not None
     # past _FLOAT_POINTS image points a numpy step can be faster
     for m, d, floats in ((48, 1, True), (49, 1, False), (48, 8, True), (49, 2, False), (1, 8, True)):
         emm = ExpressionMultiMap([["x1"] * d] * m, dimension=d)

@@ -230,7 +230,7 @@ def test_row_rule_matches_distance_batch_on_special_values(space):
     Q[-50:] = P[-50:]  # zero distances, and NaN ones where an inf meets itself
     for i in range(d):
         P[i, i], Q[d + i, i] = np.nan, np.nan
-    rule = space._row_rule()
+    rule = space._row_rule
     with np.errstate(all="ignore"):
         batch = space.distance_batch(P, Q)
     got = [rule(p, q) for p, q in zip(P.tolist(), Q.tolist())]
