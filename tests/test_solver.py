@@ -1252,7 +1252,7 @@ def test_float_step_ties_go_to_the_lowest_index():
                          ([["-0.0"], ["0"]], -0.0), ([["0"], ["-0.0"]], 0.0)):
         emm = ExpressionMultiMap(points)
         for space in (LINE, ChebyshevSpace(1)):
-            step = solver._float_step(solver._float_rules(emm, space, FullGraph(1))[0], space, FullGraph(1))
+            step = solver._float_step(emm.on_floats, space, FullGraph(1))
             x, y = map(np.array, step([1.0 if want else 0.0], [0.0]))
             Z = np.array([[1.0 if want else 0.0], [0.0]])
             assert (x.tobytes(), y.tobytes()) == _numpy_step(emm, space, FullGraph(1), Z, 1)
