@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Callable
 
 import numpy as np
@@ -37,6 +38,7 @@ from .errors import (
     InvalidParameterError,
     NonFiniteValueError,
 )
+from .expressions import _BLOCK_VALUES
 from .finite_sets import _excess, _pairs, _point_rows
 # Not used here; perfbench/tracer.py patches them under these names.
 from .finite_sets import as_finite_set, dist_to_set  # noqa: F401
@@ -116,17 +118,53 @@ def _json_safe(v):
     """A witness value for strict JSON: non-finite floats, also inside
     lists, become the strings "NaN", "Infinity" and "-Infinity"."""
     if isinstance(v, list):
+        try:  # a new list, copied at once when the entries' sum shows no inf or NaN
+            if math.isfinite(math.fsum(v)):
+                return v.copy()
+        except (TypeError, ValueError, OverflowError):
+            pass
         return [_json_safe(c) for c in v]
     if isinstance(v, float) and not math.isfinite(v):
         return "NaN" if math.isnan(v) else ("Infinity" if v > 0 else "-Infinity")
     return v
 
 
-def _point_json(p: np.ndarray):
-    p = np.asarray(p, dtype=np.float64).reshape(-1)
-    if p.size == 1:
-        return float(p[0])
-    return [float(c) for c in p]
+def _json_text(v, allow_nan: bool, nl: str = "\n") -> str:
+    """``json.dumps(v, indent=2, sort_keys=True, allow_nan=allow_nan)``'s text, *v* at the
+    indent *nl* ends with, for str-keyed dicts, lists, tuples, str, int, float, bool and
+    None; anything else raises TypeError, and a non-finite float ValueError unless *allow_nan*."""
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if v is None or isinstance(v, int):  # bool is an int
+        return "null" if v is None else "true" if v is True else "false" if v is False else int.__repr__(v)
+    if isinstance(v, float):
+        if math.isfinite(v):
+            return float.__repr__(v)
+        if not allow_nan:
+            raise ValueError(f"Out of range float values are not JSON compliant: {v!r}")
+        return "NaN" if v != v else "Infinity" if v > 0 else "-Infinity"
+    sep, inner = f",{nl}  ", nl + "  "
+    if isinstance(v, (list, tuple)):
+        try:  # a list of finite floats in one join: "n" is in "nan" and "inf" only
+            text = sep.join(map(float.__repr__, v))
+        except TypeError:
+            text = "n"
+        if "n" in text:
+            text = sep.join([_json_text(c, allow_nan, inner) for c in v])
+        return f"[{inner}{text}{nl}]" if v else "[]"
+    if isinstance(v, dict):  # encode_basestring_ascii raises TypeError for a key not a str
+        text = sep.join([f"{encode_basestring_ascii(k)}: {_json_text(c, allow_nan, inner)}"
+                         for k, c in sorted(v.items())])
+        return f"{{{inner}{text}{nl}}}" if v else "{}"
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
+def _point_json(p, rows: bool = False):
+    """A point as JSON, a float when d = 1 and else a list; with *rows*, the
+    list of the (n, d) points *p*."""
+    a = np.asarray(p, dtype=np.float64).reshape((-1, np.shape(p)[-1]) if rows else (1, -1))
+    points = (a[:, 0] if a.shape[1] == 1 else a).tolist()
+    return points if rows else points[0]
 
 
 def _images(fn: Callable, X: np.ndarray, Y: np.ndarray, dimension: int, multi: bool) -> np.ndarray:
@@ -179,6 +217,13 @@ def _finalize(name, total, violations, count, seed, detail="", estimate=None):
     )
 
 
+def _unmatched(graph: Digraph, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """(n, m): whether each point of A[i] has no edge to a finite point of B[i] (or is not finite)."""
+    edges = graph.edge_mask(*_pairs(A, B)).reshape(*A.shape[:2], -1)
+    finite_a, finite_b = (fold_last(np.logical_and, np.isfinite(Z)) for Z in (A, B))
+    return ~fold_last(np.logical_or, edges & finite_b[:, None, :]) | ~finite_a
+
+
 def _mixed_monotone(fn: Callable, graph: Digraph, sample: SampleSpec, multi: bool) -> Certificate:
     """Mixed-monotone kernel shared by both map kinds.
 
@@ -187,45 +232,45 @@ def _mixed_monotone(fn: Callable, graph: Digraph, sample: SampleSpec, multi: boo
     "y" samples the same way and needs the reversed image edge, from
     F(w, p2) to F(w, p1).  A sample violates a clause once, at its first
     unmatched image point.  A non-finite image point is unmatched, and it
-    matches no point of the other image.  Both clauses' images come from
-    one map evaluation, x's samples first, and the two clauses may hold
-    different numbers of samples.
+    matches no point of the other image.  While a full sample's four image
+    sets, 4 * count * d values, fit one ``_BLOCK_VALUES`` block, they come
+    from one map evaluation, x's samples first; past it each set is
+    evaluated alone.  The two clauses may hold different numbers of samples.
     """
     d = graph.dimension
     sampler = Sampler(sample, d)
     clauses = {"x": sampler.edge_triples(graph), "y": sampler.edge_triples(graph)}
     (P1, P2, W), (Q1, Q2, V) = clauses.values()
-    images = _images(fn, np.concatenate([P1, V, P2, V]), np.concatenate([W, Q2, W, Q1]), d, multi)
-    total = len(P1) + len(Q1)
-    A, B = images[:total], images[total:]  # the "from" and the "to" images
-    edges = graph.edge_mask(*_pairs(A, B)).reshape(*A.shape[:2], -1)
-    finite_a, finite_b = (fold_last(np.logical_and, np.isfinite(Z)) for Z in (A, B))
-    unmatched = ~fold_last(np.logical_or, edges & finite_b[:, None, :]) | ~finite_a
-    bad = np.flatnonzero(fold_last(np.logical_or, unmatched))
+    n, total = len(P1), len(P1) + len(Q1)
+    if 4 * sample.count * d <= _BLOCK_VALUES:
+        images = _images(fn, np.concatenate([P1, V, P2, V]), np.concatenate([W, Q2, W, Q1]), d, multi)
+        A, B = images[:total], images[total:]  # the "from" and the "to" images
+        U = _unmatched(graph, A, B)
+        parts = [(A[:n], B[:n], U[:n]), (A[n:], B[n:], U[n:])]
+    else:
+        parts = []
+        for sets in (((P1, W), (P2, W)), ((V, Q2), (V, Q1))):
+            A, B = (_images(fn, x, y, d, multi) for x, y in sets)
+            parts.append((A, B, _unmatched(graph, A, B)))
     violations: list[dict] = []
-    for i in bad[:VIOLATION_CAP].tolist():
-        clause, s = ("x", i) if i < len(P1) else ("y", i - len(P1))
-        p1, p2, w = (Z[s] for Z in clauses[clause])
-        witness = {"clause": clause, "sample": s}
-        if not multi:
-            other = "y" if clause == "x" else "x"
-            witness.update({
-                f"{clause}1": _point_json(p1),
-                f"{clause}2": _point_json(p2),
-                other: _point_json(w),
-                "image_from": _point_json(A[i, 0]),
-                "image_to": _point_json(B[i, 0]),
-            })
+    count = 0
+    for (clause, triples), (A, B, U) in zip(clauses.items(), parts):
+        bad = np.flatnonzero(fold_last(np.logical_or, U))
+        count += len(bad)
+        rows = bad[:VIOLATION_CAP - len(violations)]
+        if not rows.size:
+            continue
+        columns = [rows.tolist(), *(_point_json(Z[rows], rows=True) for Z in triples)]
+        if multi:
+            keys = ("sample", "edge_from", "edge_to", "other", "unmatched")
+            columns.append(_point_json(A[rows, U[rows].argmax(axis=1)], rows=True))
         else:
-            witness.update({
-                "edge_from": _point_json(p1),
-                "edge_to": _point_json(p2),
-                "other": _point_json(w),
-                "unmatched": _point_json(A[i, unmatched[i].argmax()]),
-            })
-        violations.append(witness)
+            keys = ("sample", f"{clause}1", f"{clause}2", "y" if clause == "x" else "x",
+                    "image_from", "image_to")
+            columns += [_point_json(A[rows, 0], rows=True), _point_json(B[rows, 0], rows=True)]
+        violations += [{"clause": clause, **dict(zip(keys, row))} for row in zip(*columns)]
     name = "mixed_monotone_multi" if multi else "mixed_monotone"
-    return _finalize(name, total, violations, len(bad), sample.seed)
+    return _finalize(name, total, violations, count, sample.seed)
 
 
 def check_mixed_monotone(fn: Callable, graph: Digraph, sample: SampleSpec) -> Certificate:
@@ -303,19 +348,14 @@ def _contraction(
     over = ~(lhs <= rhs[:, None] + SLACK)
     bad = np.flatnonzero(fold_last(np.logical_or, over))
     violations = []
-    for i in bad[:VIOLATION_CAP]:
-        j = over[i].argmax()
-        w = {
-            "sample": int(i),
-            "x": _point_json(X[i]),
-            "y": _point_json(Y[i]),
-            "u": _point_json(U[i]),
-            "v": _point_json(V[i]),
-        }
-        if multi:
-            w["point"] = _point_json(A[i, j])
-        w.update(lhs=float(lhs[i, j]), rhs=float(rhs[i]))
-        violations.append(w)
+    if bad.size:
+        rows = bad[:VIOLATION_CAP]
+        j = over[rows].argmax(axis=1)
+        points = [X[rows], Y[rows], U[rows], V[rows], *([A[rows, j]] if multi else [])]
+        columns = [rows.tolist(), *(_point_json(Z, rows=True) for Z in points),
+                   lhs[rows, j].tolist(), rhs[rows].tolist()]
+        names = ["sample", "x", "y", "u", "v", *(["point"] if multi else []), "lhs", "rhs"]
+        violations = [dict(zip(names, row)) for row in zip(*columns)]
     estimate = None
     if not multi:
         try:

@@ -19,7 +19,6 @@ shortest round-trip repr and reports carry no timestamps.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import dataclass
@@ -29,7 +28,7 @@ import numpy as np
 from .certifier import HypothesisReport, solve_instance
 # preflight's report and trial iterates, under the name perfbench/tracer.py patches.
 from .certifier import _preflight as preflight
-from .checks import _json_safe, _point_json
+from .checks import _json_safe, _json_text, _point_json
 from .errors import CoupledFpiError
 from .problem_spec import (
     ProblemSpec,
@@ -114,8 +113,7 @@ def _write_atomic(out_dir: str, name: str, text: str) -> None:
 
 def _write_report(out_dir: str, doc: dict) -> None:
     """report.json as strict JSON: a non-finite float raises, never writes NaN."""
-    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    _write_atomic(out_dir, "report.json", text)
+    _write_atomic(out_dir, "report.json", _json_text(doc, allow_nan=False) + "\n")
 
 
 def _print_table(trace: IterationTrace, out) -> None:

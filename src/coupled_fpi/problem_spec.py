@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, fields
 from typing import Any
 
 from .certifier import ProblemInstance
-from .checks import _point_json, validate_k
+from .checks import _json_text, _point_json, validate_k
 from .errors import ExpressionError, SpecError
 from .expressions import ExpressionCoupledMap, ExpressionMultiMap, compile_expression
 from .graphs import Digraph, FiniteGraph, FullGraph, OrderGraph, _vertex_key
@@ -306,7 +306,7 @@ def parse_spec(text: str) -> ProblemSpec:
 
 def serialize_spec(spec: ProblemSpec) -> str:
     """Canonical JSON for *spec*; round-trips through :func:`parse_spec`."""
-    # sort_keys orders every section's fields, and tuples dump as lists
+    # the text sorts every section's fields, and tuples are written as lists
     doc: dict[str, Any] = {"space": vars(spec.space)}
     graph: dict[str, Any] = {"kind": spec.graph.kind}
     if spec.graph.kind == "edge_list":
@@ -328,7 +328,7 @@ def serialize_spec(spec: ProblemSpec) -> str:
     doc["seed"] = {key: _point_json(p) for key, p in vars(spec.seed).items() if p is not None}
     doc["solve"] = vars(spec.solve)
     doc["sampler"] = {key: v for key, v in vars(spec.sampler).items() if v is not None}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _json_text(doc, allow_nan=True) + "\n"
 
 
 def build_space(spec: ProblemSpec) -> MetricSpace:

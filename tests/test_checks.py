@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import math
+import random
 
 import numpy as np
 import pytest
@@ -31,7 +33,8 @@ from coupled_fpi import (
     real_line,
     validate_k,
 )
-from coupled_fpi.checks import SLACK, VIOLATION_CAP, _images
+from coupled_fpi import checks
+from coupled_fpi.checks import SLACK, VIOLATION_CAP, _images, _json_safe, _json_text, _point_json
 from coupled_fpi.sampling import Sampler
 
 LINE = real_line()
@@ -469,3 +472,101 @@ def test_bl_certificate_carries_estimate_k_of_its_sample():
         estimate_k(inf_far, LINE, FullGraph(1), BOX)
     cert = check_bl(inf_far, LINE, FullGraph(1), 0.9, BOX)
     assert not cert.passed and cert.estimated_constant is None
+
+
+@pytest.mark.parametrize("multi", [False, True])
+def test_mixed_monotone_stacked_and_per_clause_certificates_agree(monkeypatch, multi):
+    # count 600 at d = 2 stacks 4 * 600 rows of 2 values, within one block:
+    # one map evaluation.  With the block one value smaller, each clause is
+    # drawn and checked in turn, one evaluation per image set.  Both clauses
+    # break on part of the sample, so the witnesses hold both
+    graph = OrderGraph(2)
+    spec = SampleSpec(count=600, seed=23, low=-5.0, high=5.0)
+    if multi:
+        fn = ExpressionMultiMap([["0.4*x1 + 0.9*y1", "x2 - 0.5*y2 - 0.03*x1*x1"],
+                                 ["1.3*x1 - 0.1*y2", "0.2*x2 + 1.1*y1"]], 2)
+        check = check_mixed_monotone_multi
+    else:
+        fn = ExpressionCoupledMap(["1.5*y1 + 0.2*x2", "0.3*x2 + 0.005*x1*x1 + 1.2*y2"], 2)
+        check = check_mixed_monotone
+    rows = []
+    images = checks._images
+    monkeypatch.setattr(checks, "_images", lambda fn, X, *args: rows.append(len(X)) or images(fn, X, *args))
+    assert 4 * spec.count * 2 <= checks._BLOCK_VALUES
+    stacked = check(fn, graph, spec)
+    monkeypatch.setattr(checks, "_BLOCK_VALUES", 4 * spec.count * 2 - 1)
+    per_clause = check(fn, graph, spec)
+    n = stacked.samples_tested
+    assert n == 2 * spec.count and rows == [2 * n] + [n // 2] * 4
+    assert stacked == per_clause
+    assert _json_text(stacked.to_dict(), False) == _json_text(per_clause.to_dict(), False)
+    clauses = [w["clause"] for w in stacked.violations]
+    assert stacked.violation_count > VIOLATION_CAP and "x" in clauses and "y" in clauses
+    assert clauses == sorted(clauses)
+
+
+def test_point_json_gives_floats_at_d_1_and_coordinate_lists_otherwise():
+    assert _point_json(np.array([2.5])) == 2.5 and type(_point_json(np.float64(2.5))) is float
+    assert _point_json((1, -0.0)) == [1.0, -0.0]
+    rows = np.array([[1.0, 2.0], [3.0, 5e-324]])
+    assert _point_json(rows, rows=True) == [[1.0, 2.0], [3.0, 5e-324]]
+    assert _point_json(rows[:, :1], rows=True) == [1.0, 3.0]
+    assert _point_json(np.zeros((0, 3)), rows=True) == []
+
+
+def test_json_safe_copies_lists_and_spells_non_finite_floats():
+    point = [1.0, -2.5, 5e-324]
+    safe = _json_safe(point)
+    assert safe == point and safe is not point
+    assert _json_safe([]) == [] and _json_safe(math.nan) == "NaN" and _json_safe(3) == 3
+    assert _json_safe([1.0, math.nan, math.inf, -math.inf]) == [1.0, "NaN", "Infinity", "-Infinity"]
+    # entries whose sum overflows, or that no float sum takes, are checked one by one
+    assert _json_safe([1e308, 1e308]) == [1e308, 1e308]
+    assert _json_safe([10**400, -math.inf]) == [10**400, "-Infinity"]
+    assert _json_safe([[1.0, math.inf], "x", None]) == [[1.0, "Infinity"], "x", None]
+
+
+_JSON_LEAVES = [
+    "", "ascii", "caf\u00e9", "\u65e5\u672c", "\U0001f600", "\x00\x1f\"\\/\u2028\t\n",
+    0.0, -0.0, 5e-324, 1e16, 1e-5, 1e308, -2.5, 0.1, np.float64(0.1), np.float64(-0.0),
+    0, -7, 2**53 + 1, 10**30, -(10**40), True, False, None, [], {}, (),
+]
+
+
+def _json_document(rng, depth):
+    """A seeded nested document of the types report.json and spec labels hold."""
+    kind = rng.random() if depth < 4 else 1.0
+    if kind < 0.25:
+        return {rng.choice(["a", "b", "\u00fc", "\x01", "k e y", "10", "B"]) + str(rng.randrange(9)):
+                _json_document(rng, depth + 1) for _ in range(rng.randrange(5))}
+    if kind < 0.4:
+        return [_json_document(rng, depth + 1) for _ in range(rng.randrange(5))]
+    if kind < 0.5:
+        return tuple(_json_document(rng, depth + 1) for _ in range(rng.randrange(4)))
+    if kind < 0.6:  # lists of floats, which take the one-join path
+        return [rng.choice([rng.uniform(-1e3, 1e3), 1e308, -0.0, np.float64(3.5)])
+                for _ in range(rng.randrange(1, 5))]
+    return rng.choice(_JSON_LEAVES)
+
+
+def test_json_text_gives_the_bytes_of_json_dumps_indent_2():
+    rng = random.Random(30)
+    docs = [_json_document(rng, 0) for _ in range(300)] + _JSON_LEAVES
+    docs += [{"nested": {"empty": [{}, [], ()], "t": (1.0, (2, [3.5]))}}, [1.0, 2, True], [True, 1.0]]
+    for doc in docs:
+        for allow_nan in (True, False):
+            assert _json_text(doc, allow_nan) == json.dumps(doc, indent=2, sort_keys=True,
+                                                            allow_nan=allow_nan)
+
+
+def test_json_text_non_finite_floats_and_unsupported_types():
+    for v in (math.nan, math.inf, -math.inf, np.float64("nan")):
+        for doc in (v, [v], [1.0, v], {"a": {"b": v}}, ["x", v]):
+            with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant"):
+                _json_text(doc, False)
+            assert _json_text(doc, True) == json.dumps(doc, indent=2, sort_keys=True)
+    assert _json_text([math.nan, math.inf, -math.inf], True) == "[\n  NaN,\n  Infinity,\n  -Infinity\n]"
+    for bad in (np.int64(1), np.bool_(True), np.array([1.0]), {1, 2}, b"x", object(),
+                {1: 2.0}, {"a": [1.0, np.int64(2)]}):
+        with pytest.raises(TypeError):
+            _json_text(bad, True)
