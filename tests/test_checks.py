@@ -477,9 +477,9 @@ def test_bl_certificate_carries_estimate_k_of_its_sample():
 @pytest.mark.parametrize("multi", [False, True])
 def test_mixed_monotone_stacked_and_per_clause_certificates_agree(monkeypatch, multi):
     # count 600 at d = 2 stacks 4 * 600 rows of 2 values, within one block:
-    # one map evaluation.  With the block one value smaller, each clause is
-    # drawn and checked in turn, one evaluation per image set.  Both clauses
-    # break on part of the sample, so the witnesses hold both
+    # one map evaluation.  With the block one value smaller, each of the
+    # four image sets is evaluated on its own.  Both clauses break on part
+    # of the sample, so the witnesses hold both
     graph = OrderGraph(2)
     spec = SampleSpec(count=600, seed=23, low=-5.0, high=5.0)
     if multi:
