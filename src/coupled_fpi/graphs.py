@@ -18,24 +18,16 @@ on it.
 
 from __future__ import annotations
 
-import functools
 from typing import Callable, Iterable
 
 import numpy as np
 
 from .errors import InvalidInputError, NotAVertexError
-from .spaces import PointLike, _as_rows, _check_int, _row_function, as_point, fold_last
+from .spaces import PointLike, _as_rows, _PairRule, as_point, fold_last
 
 
-class Digraph:
+class Digraph(_PairRule):
     """Base reflexive digraph."""
-
-    def __init__(self, dimension: int):
-        self._dimension = _check_int(dimension, "dimension", 1)
-
-    @property
-    def dimension(self) -> int:
-        return self._dimension
 
     def has_edge(self, p: PointLike, q: PointLike) -> bool:
         """Edge test by the graph's float rule (:attr:`_row_rule`)."""
@@ -48,19 +40,7 @@ class Digraph:
     def edge_mask(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
         """Rowwise ``has_edge`` over (n,d) arrays, read by ``spaces._as_rows``;
         loops over rows by default."""
-        P, Q = _as_rows(P, Q, self._dimension)
-        return np.fromiter(
-            (self.has_edge(p, q) for p, q in zip(P, Q)), bool, count=len(P)
-        )
-
-    def _row_text(self) -> str | None:
-        """``edge_mask`` on one row as text over coordinates ``p1..pd``, ``q1..qd``, or None."""
-        return None
-
-    @functools.cached_property
-    def _row_rule(self) -> Callable[[list, list], bool] | None:
-        """:meth:`_row_text` compiled, on two lists of floats, or None; once per instance."""
-        return _row_function(self._row_text())
+        return self._rows(P, Q, self.has_edge, bool)
 
     def construct_edges(
         self, draw: Callable[[int], np.ndarray], n: int

@@ -149,13 +149,9 @@ def _check_flag(value, name: str, error: type = InvalidParameterError) -> bool:
     return bool(value)
 
 
-class MetricSpace:
-    """Base metric space over R^d points.
-
-    Subclasses implement :meth:`_dist` on validated arrays.  ``distance``
-    validates inputs; ``distance_batch`` falls back to a row loop and is
-    overridden with a vectorized version where the metric allows it.
-    """
+class _PairRule:
+    """A relation on pairs of R^d points, a metric or a graph's edges: its
+    dimension, its rule text and compiled float rule, and its row loop."""
 
     def __init__(self, dimension: int):
         self._dimension = _check_int(dimension, "dimension", 1)
@@ -163,6 +159,30 @@ class MetricSpace:
     @property
     def dimension(self) -> int:
         return self._dimension
+
+    def _rows(self, P, Q, rule: Callable, dtype) -> np.ndarray:
+        """*rule* on each row of P and Q, read by :func:`_as_rows`, as a *dtype* array."""
+        P, Q = _as_rows(P, Q, self._dimension)
+        return np.fromiter((rule(p, q) for p, q in zip(P, Q)), dtype, count=len(P))
+
+    def _row_text(self) -> str | None:
+        """``distance_batch``'s or ``edge_mask``'s bits on one row as text over the
+        coordinates ``p1..pd`` and ``q1..qd`` (a NaN's sign and payload aside), or None."""
+        return None
+
+    @functools.cached_property
+    def _row_rule(self) -> Callable[[list, list], object] | None:
+        """:meth:`_row_text` compiled, on two lists of floats, or None; once per instance."""
+        return _row_function(self._row_text())
+
+
+class MetricSpace(_PairRule):
+    """Base metric space over R^d points.
+
+    Subclasses implement :meth:`_dist` on validated arrays.  ``distance``
+    validates inputs; ``distance_batch`` falls back to a row loop and is
+    overridden with a vectorized version where the metric allows it.
+    """
 
     def distance(self, p: PointLike, q: PointLike) -> float:
         p = as_point(p, self._dimension)
@@ -174,20 +194,7 @@ class MetricSpace:
 
     def distance_batch(self, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
         """Rowwise distances between (n,d) arrays P and Q, read by :func:`_as_rows`."""
-        P, Q = _as_rows(P, Q, self._dimension)
-        return np.fromiter(
-            (self._dist(p, q) for p, q in zip(P, Q)), np.float64, count=len(P)
-        )
-
-    def _row_text(self) -> str | None:
-        """``distance_batch``'s bits on one row as text over the coordinates
-        ``p1..pd`` and ``q1..qd`` (a NaN's sign and payload aside), or None."""
-        return None
-
-    @functools.cached_property
-    def _row_rule(self) -> Callable[[list, list], float] | None:
-        """:meth:`_row_text` compiled, on two lists of floats, or None; once per instance."""
-        return _row_function(self._row_text())
+        return self._rows(P, Q, self._dist, np.float64)
 
 
 class EuclideanSpace(MetricSpace):
