@@ -129,10 +129,10 @@ def _json_safe(v):
     return v
 
 
-def _json_text(v, allow_nan: bool, nl: str = "\n") -> str:
-    """``json.dumps(v, indent=2, sort_keys=True, allow_nan=allow_nan)``'s text, *v* at the
-    indent *nl* ends with, for str-keyed dicts, lists, tuples, str, int, float, bool and
-    None; anything else raises TypeError, and a non-finite float ValueError unless *allow_nan*."""
+def _json_text(v, nl: str = "\n") -> str:
+    """``json.dumps(v, indent=2, sort_keys=True, allow_nan=False)``'s text, *v* at the indent
+    *nl* ends with, for str-keyed dicts, lists, tuples, str, int, float, bool and None;
+    anything else raises TypeError, and a non-finite float ValueError."""
     if isinstance(v, str):
         return encode_basestring_ascii(v)
     if v is None or isinstance(v, int):  # bool is an int
@@ -140,9 +140,7 @@ def _json_text(v, allow_nan: bool, nl: str = "\n") -> str:
     if isinstance(v, float):
         if math.isfinite(v):
             return float.__repr__(v)
-        if not allow_nan:
-            raise ValueError(f"Out of range float values are not JSON compliant: {v!r}")
-        return "NaN" if v != v else "Infinity" if v > 0 else "-Infinity"
+        raise ValueError(f"Out of range float values are not JSON compliant: {v!r}")
     sep, inner = f",{nl}  ", nl + "  "
     if isinstance(v, (list, tuple)):
         try:  # a list of finite floats in one join: "n" is in "nan" and "inf" only
@@ -150,10 +148,10 @@ def _json_text(v, allow_nan: bool, nl: str = "\n") -> str:
         except TypeError:
             text = "n"
         if "n" in text:
-            text = sep.join([_json_text(c, allow_nan, inner) for c in v])
+            text = sep.join([_json_text(c, inner) for c in v])
         return f"[{inner}{text}{nl}]" if v else "[]"
     if isinstance(v, dict):  # encode_basestring_ascii raises TypeError for a key not a str
-        text = sep.join([f"{encode_basestring_ascii(k)}: {_json_text(c, allow_nan, inner)}"
+        text = sep.join([f"{encode_basestring_ascii(k)}: {_json_text(c, inner)}"
                          for k, c in sorted(v.items())])
         return f"{{{inner}{text}{nl}}}" if v else "{}"
     raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")

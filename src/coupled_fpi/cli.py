@@ -113,7 +113,7 @@ def _write_atomic(out_dir: str, name: str, text: str) -> None:
 
 def _write_report(out_dir: str, doc: dict) -> None:
     """report.json as strict JSON: a non-finite float raises, never writes NaN."""
-    _write_atomic(out_dir, "report.json", _json_text(doc, allow_nan=False) + "\n")
+    _write_atomic(out_dir, "report.json", _json_text(doc) + "\n")
 
 
 def _print_table(trace: IterationTrace, out) -> None:

@@ -328,7 +328,7 @@ def serialize_spec(spec: ProblemSpec) -> str:
     doc["seed"] = {key: _point_json(p) for key, p in vars(spec.seed).items() if p is not None}
     doc["solve"] = vars(spec.solve)
     doc["sampler"] = {key: v for key, v in vars(spec.sampler).items() if v is not None}
-    return _json_text(doc, allow_nan=True) + "\n"
+    return _json_text(doc) + "\n"
 
 
 def build_space(spec: ProblemSpec) -> MetricSpace:
