@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 import pathlib
 
 import numpy as np
@@ -33,6 +35,7 @@ from coupled_fpi.problem_spec import (
 )
 
 SPEC_DIR = pathlib.Path(__file__).resolve().parent.parent / "specs"
+CORPUS_DIR = pathlib.Path(__file__).resolve().parent / "golden" / "corpus"
 
 MINIMAL = {
     "space": {"kind": "euclidean", "dimension": 1},
@@ -98,6 +101,25 @@ def test_serialize_is_canonical():
     assert text.endswith("\n")
     assert text == serialize_spec(parse_spec(doc()))
     assert json.loads(text)  # well-formed
+
+
+@pytest.mark.parametrize("path", sorted(SPEC_DIR.glob("*.json")) + sorted(CORPUS_DIR.glob("*.json")),
+                         ids=lambda path: path.stem)
+def test_label_is_json_dumps_text_and_parses_back(path):
+    # the label feeds every instance_id, so pin its bytes apart from the writer
+    spec = parse_spec(path.read_text(encoding="utf-8"))
+    label = serialize_spec(spec)
+    assert label == json.dumps(json.loads(label), indent=2, sort_keys=True) + "\n"
+    assert parse_spec(label) == spec
+
+
+def test_serialize_refuses_a_non_finite_number():
+    # parse_spec reads no NaN or inf, so only a hand-built spec holds one
+    spec = parse_spec(doc())
+    for bad in (dataclasses.replace(spec, k=math.nan),
+                dataclasses.replace(spec, seed=dataclasses.replace(spec.seed, y0=(math.inf,)))):
+        with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant"):
+            serialize_spec(bad)
 
 
 @pytest.mark.parametrize("bad, fragment", [
