@@ -199,6 +199,37 @@ def test_preflight_blocks_defective_spec(tmp_path, capsys):
     assert bl and bl[0]["passed"] is False
 
 
+def _known_wrong(reason):
+    return pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason)
+
+
+@pytest.mark.parametrize("changes", [
+    pytest.param({"map": {"kind": "single", "definition":
+                          "(x + y) / 5 + 0.01 / (1 + 1000000 * (x - 3) * (x - 3))"}},
+                 marks=_known_wrong("ROADMAP item 3: uniform sampling misses the BL needle"),
+                 id="bl-needle"),
+    pytest.param({"graph": {"kind": "order"}, "seed": {"x0": -1.0, "y0": 1.0},
+                  "map": {"kind": "single", "definition":
+                          "(x - y) / 5 - 0.01 / (1 + 1000000 * (x - 3) * (x - 3))"}},
+                 marks=_known_wrong("ROADMAP item 3: uniform sampling misses the monotonicity dip"),
+                 id="monotonicity-dip"),
+    pytest.param({"map": {"kind": "single", "definition": "0.33334 * x + 0.33334 * y"},
+                  "seed": {"x0": 0.0, "y0": 1e-8},
+                  "sampler": {"low": -1e-8, "high": 1e-8, "count": 10000, "rng_seed": 2024}},
+                 marks=_known_wrong("ROADMAP item 1: the absolute SLACK passes a BL constant "
+                                    "above k on a small box"),
+                 id="small-box"),
+])
+def test_maps_that_break_a_hypothesis_are_refused(tmp_path, changes):
+    # single_sum_fifth with a narrow feature in the map, or on a tiny box:
+    # each map breaks BL or mixed monotonicity, so no theorem applies
+    doc = {**json.loads(pathlib.Path(SINGLE).read_text()), **changes}
+    result = run(parse_spec(json.dumps(doc)), str(tmp_path / "run"), quiet=True,
+                 stdout=io.StringIO(), stderr=io.StringIO())
+    assert result.exit_code == EXIT_PREFLIGHT_FAILED
+    assert result.report.theorem_applicable == "none"
+
+
 def reject_constant(token):
     raise ValueError(f"non-standard JSON constant {token}")
 
