@@ -247,7 +247,9 @@ def _spot_check_continuity(instance: ProblemInstance, sample: SampleSpec, notes:
     d, multi, space = instance.space.dimension, instance.kind == "multi", instance.space
     sampler = Sampler(replace(sample, count=3, seed=sample.seed + 1), d)
     anchors, partners = sampler.draw(3), sampler.draw(3)
-    u = 2.0 ** -48 * Sampler(SampleSpec(count=3, seed=sample.seed + 1), d).draw(3)
+    # the unit box's draws are the anchors' and partners' own uniforms (same seed), so u
+    # comes after their six rows: else each u would be its anchor scaled, on its own ray
+    u = 2.0 ** -48 * Sampler(SampleSpec(count=3, seed=sample.seed + 1), d).draw(9)[6:]
     beside = [np.vstack([p + u * np.maximum(1.0, abs(p)), p - u * np.maximum(1.0, abs(p))])
               for p in (anchors, partners)]
     try:  # the anchors' images, then their neighbours', in one evaluation

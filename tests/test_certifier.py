@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from coupled_fpi import (
+    EuclideanSpace,
     ExpressionCoupledMap,
     ExpressionMultiMap,
     FiniteGraph,
@@ -35,7 +36,7 @@ from coupled_fpi import (
     real_line,
     solve_instance,
 )
-from coupled_fpi import cli, finite_sets
+from coupled_fpi import certifier, cli, finite_sets
 from coupled_fpi.certifier import _TRIAL_STEPS, _preflight
 from coupled_fpi.checks import VIOLATION_CAP
 from coupled_fpi.problem_spec import build_sample_spec, build_solve_config
@@ -434,6 +435,25 @@ def test_preflight_notes_a_skipped_continuity_spot_check():
     report = preflight(single_instance(FullGraph(1), x0=1.0, y0=2.0, fn=pool_only, k=0.5), pool)
     assert "continuity spot check skipped: off the pool" in report.notes
     assert report.theorem_applicable == "thm_3_1"
+
+
+def test_continuity_probes_leave_their_anchors_ray(monkeypatch):
+    # on a box within [-1, 1] each probe sits at anchor +- 2^-48 u; a u drawn
+    # from the anchors' own uniforms would point along the anchor every time
+    rows = []
+    images = certifier._images
+    monkeypatch.setattr(certifier, "_images", lambda fn, X, *args: rows.append(X) or images(fn, X, *args))
+    inst = ProblemInstance(kind="single", space=EuclideanSpace(2), graph=FullGraph(2),
+                           map=ExpressionCoupledMap(["(x1 + y1) / 5", "(x2 + y2) / 5"], 2),
+                           k=2.0 / 3.0, x0=[0.0, 0.0], y0=[1.0, 1.0])
+    report = preflight(inst, SampleSpec(count=200, seed=11, low=-1e-3, high=1e-3))
+    assert "continuity asserted; spot check found no violation" in report.notes
+    [X] = rows
+    anchors, offsets = X[:3], X[3:6] - X[:3]
+    assert np.array_equal(X[:3] - X[6:], offsets)
+    (a1, a2), (o1, o2) = anchors.T, offsets.T
+    sines = (a1 * o2 - a2 * o1) / np.hypot(a1, a2) / np.hypot(o1, o2)
+    assert np.abs(sines).max() > 0.1
 
 
 def test_multivalued_paths_build_no_finite_set(monkeypatch):
