@@ -126,13 +126,8 @@ class HypothesisReport:
         return None
 
     def to_dict(self) -> dict:
-        return {
-            "instance_id": self.instance_id,
-            "theorem_applicable": self.theorem_applicable,
-            "seed_edge_ok": self.seed_edge_ok,
-            "certificates": [c.to_dict() for c in self.certificates],
-            "notes": list(self.notes),
-        }
+        return {**vars(self), "certificates": [c.to_dict() for c in self.certificates],
+                "notes": list(self.notes)}
 
 
 def instance_id_for(instance: ProblemInstance) -> str:

@@ -95,16 +95,7 @@ class Certificate:
             raise InvalidParameterError("estimated constant must be nonnegative")
 
     def to_dict(self) -> dict:
-        return {
-            "property_name": self.property_name,
-            "samples_tested": self.samples_tested,
-            "passed": self.passed,
-            "estimated_constant": _json_safe(self.estimated_constant),
-            "violation_count": self.violation_count,
-            "violations": [{k: _json_safe(x) for k, x in v.items()} for v in self.violations],
-            "seed": self.seed,
-            "detail": self.detail,
-        }
+        return {**vars(self), "violations": [dict(v) for v in self.violations]}
 
 
 def validate_k(k: float, error: type = InvalidParameterError) -> float:
@@ -114,25 +105,11 @@ def validate_k(k: float, error: type = InvalidParameterError) -> float:
     return k
 
 
-def _json_safe(v):
-    """A witness value for strict JSON: non-finite floats, also inside
-    lists, become the strings "NaN", "Infinity" and "-Infinity"."""
-    if isinstance(v, list):
-        try:  # a new list, copied at once when the entries' sum shows no inf or NaN
-            if math.isfinite(math.fsum(v)):
-                return v.copy()
-        except (TypeError, ValueError, OverflowError):
-            pass
-        return [_json_safe(c) for c in v]
-    if isinstance(v, float) and not math.isfinite(v):
-        return "NaN" if math.isnan(v) else ("Infinity" if v > 0 else "-Infinity")
-    return v
-
-
 def _json_text(v, nl: str = "\n") -> str:
-    """``json.dumps(v, indent=2, sort_keys=True, allow_nan=False)``'s text, *v* at the indent
-    *nl* ends with, for str-keyed dicts, lists, tuples, str, int, float, bool and None;
-    anything else raises TypeError, and a non-finite float ValueError."""
+    """``json.dumps(v, indent=2, sort_keys=True)``'s text, *v* at the indent *nl* ends
+    with, for str-keyed dicts, lists, tuples, str, int, float, bool and None; anything
+    else raises TypeError.  The one place report.json's non-finite floats are spelled:
+    NaN, inf and -inf are written as the strings "NaN", "Infinity" and "-Infinity"."""
     if isinstance(v, str):
         return encode_basestring_ascii(v)
     if v is None or isinstance(v, int):  # bool is an int
@@ -140,7 +117,7 @@ def _json_text(v, nl: str = "\n") -> str:
     if isinstance(v, float):
         if math.isfinite(v):
             return float.__repr__(v)
-        raise ValueError(f"Out of range float values are not JSON compliant: {v!r}")
+        return '"NaN"' if v != v else '"Infinity"' if v > 0 else '"-Infinity"'
     sep, inner = f",{nl}  ", nl + "  "
     if isinstance(v, (list, tuple)):
         try:  # a list of finite floats in one join: "n" is in "nan" and "inf" only

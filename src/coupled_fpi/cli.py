@@ -28,7 +28,7 @@ import numpy as np
 from .certifier import HypothesisReport, solve_instance
 # preflight's report and trial iterates, under the name perfbench/tracer.py patches.
 from .certifier import _preflight as preflight
-from .checks import _json_safe, _json_text, _point_json
+from .checks import _json_text, _point_json
 from .errors import CoupledFpiError
 from .problem_spec import (
     ProblemSpec,
@@ -90,8 +90,8 @@ def report_document(
         "error": error,
         "converged": None if trace is None else trace.converged,
         "iterations": None if trace is None else len(trace.steps),
-        "D0": None if trace is None else _json_safe(float(trace.D0)),
-        "residual": None if trace is None else _json_safe(float(trace.residual)),
+        "D0": None if trace is None else float(trace.D0),
+        "residual": None if trace is None else float(trace.residual),
         "result": None
         if result is None
         else {
@@ -112,7 +112,8 @@ def _write_atomic(out_dir: str, name: str, text: str) -> None:
 
 
 def _write_report(out_dir: str, doc: dict) -> None:
-    """report.json as strict JSON: a non-finite float raises, never writes NaN."""
+    """report.json as strict JSON, the text of ``json.dumps(doc, indent=2, sort_keys=True)``;
+    a non-finite float is written as the string "NaN", "Infinity" or "-Infinity"."""
     _write_atomic(out_dir, "report.json", _json_text(doc) + "\n")
 
 

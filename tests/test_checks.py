@@ -34,7 +34,7 @@ from coupled_fpi import (
     validate_k,
 )
 from coupled_fpi import checks
-from coupled_fpi.checks import SLACK, VIOLATION_CAP, _images, _json_safe, _json_text, _point_json
+from coupled_fpi.checks import SLACK, VIOLATION_CAP, _images, _json_text, _point_json
 from coupled_fpi.sampling import Sampler
 
 LINE = real_line()
@@ -301,18 +301,27 @@ def test_non_finite_images_never_pass_mixed_monotone():
     assert check_mixed_monotone_multi(multi_sum_fifth, FullGraph(1), BOX).passed
 
 
+def _strict(text):
+    """*text* parsed as strict JSON: NaN and Infinity constants are refused."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(text, parse_constant=reject)
+
+
 def test_certificate_dict_is_strict_json():
     cert = check_bl(lambda x, y: np.full(1, np.nan), LINE, FullGraph(1), 0.9, BOX)
     doc = cert.to_dict()
-    assert doc["violations"][0]["lhs"] == "NaN"
-    assert isinstance(cert.violations[0]["lhs"], float)  # the certificate keeps the float
-    json.dumps(doc, allow_nan=False)
+    assert math.isnan(doc["violations"][0]["lhs"])  # to_dict keeps the float
+    assert doc["violations"][0] is not cert.violations[0]
+    assert _strict(_json_text(doc))["violations"][0]["lhs"] == "NaN"
     cert = Certificate("BL", 1, True, estimated_constant=float("inf"),
                        violations=(), violation_count=0)
-    assert cert.to_dict()["estimated_constant"] == "Infinity"
+    assert cert.to_dict()["estimated_constant"] == math.inf
+    assert _strict(_json_text(cert.to_dict()))["estimated_constant"] == "Infinity"
     point = {"point": [1.0, float("-inf")], "lhs": 0.5}
     cert = Certificate("MBL", 1, False, violations=(point,), violation_count=1)
-    assert cert.to_dict()["violations"] == [{"point": [1.0, "-Infinity"], "lhs": 0.5}]
+    assert cert.to_dict()["violations"] == [point]
+    assert _strict(_json_text(cert.to_dict()))["violations"] == [{"point": [1.0, "-Infinity"], "lhs": 0.5}]
 
 
 def test_estimated_k_with_margin_passes_bl_on_same_sample():
@@ -514,16 +523,16 @@ def test_point_json_gives_floats_at_d_1_and_coordinate_lists_otherwise():
     assert _point_json(np.zeros((0, 3)), rows=True) == []
 
 
-def test_json_safe_copies_lists_and_spells_non_finite_floats():
-    point = [1.0, -2.5, 5e-324]
-    safe = _json_safe(point)
-    assert safe == point and safe is not point
-    assert _json_safe([]) == [] and _json_safe(math.nan) == "NaN" and _json_safe(3) == 3
-    assert _json_safe([1.0, math.nan, math.inf, -math.inf]) == [1.0, "NaN", "Infinity", "-Infinity"]
-    # entries whose sum overflows, or that no float sum takes, are checked one by one
-    assert _json_safe([1e308, 1e308]) == [1e308, 1e308]
-    assert _json_safe([10**400, -math.inf]) == [10**400, "-Infinity"]
-    assert _json_safe([[1.0, math.inf], "x", None]) == [[1.0, "Infinity"], "x", None]
+def test_json_text_spells_non_finite_floats_in_lists():
+    assert _json_text([1.0, -2.5, 5e-324]) == "[\n  1.0,\n  -2.5,\n  5e-324\n]"
+    assert _json_text([]) == "[]" and _json_text(math.nan) == '"NaN"' and _json_text(3) == "3"
+    assert _json_text([1.0, math.nan, math.inf, -math.inf]) == (
+        '[\n  1.0,\n  "NaN",\n  "Infinity",\n  "-Infinity"\n]')
+    # entries whose sum overflows, or that are not all floats, are written one by one
+    assert _json_text([1e308, 1e308]) == "[\n  1e+308,\n  1e+308\n]"
+    assert _json_text([10**400, -math.inf]) == f'[\n  {10**400},\n  "-Infinity"\n]'
+    assert _json_text([[1.0, math.inf], "x", None]) == (
+        '[\n  [\n    1.0,\n    "Infinity"\n  ],\n  "x",\n  null\n]')
 
 
 _JSON_LEAVES = [
@@ -557,11 +566,22 @@ def test_json_text_gives_the_bytes_of_json_dumps_indent_2():
         assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
 
 
+def _spelled(doc):
+    """*doc* with each non-finite float replaced by the string report.json holds."""
+    if isinstance(doc, dict):
+        return {k: _spelled(c) for k, c in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [_spelled(c) for c in doc]
+    if isinstance(doc, float) and not math.isfinite(doc):
+        return "NaN" if math.isnan(doc) else "Infinity" if doc > 0 else "-Infinity"
+    return doc
+
+
 def test_json_text_non_finite_floats_and_unsupported_types():
-    for v in (math.nan, math.inf, -math.inf, np.float64("nan")):
-        for doc in (v, [v], [1.0, v], {"a": {"b": v}}, ["x", v]):
-            with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant"):
-                _json_text(doc)
+    for v in (math.nan, math.inf, -math.inf, np.float64("nan"), np.float64("-inf")):
+        for doc in (v, [v], [1.0, v], {"a": {"b": v}}, ["x", v], (v, 2)):
+            text = _json_text(doc)
+            assert text == json.dumps(_spelled(doc), indent=2, sort_keys=True, allow_nan=False)
     for bad in (np.int64(1), np.bool_(True), np.array([1.0]), {1, 2}, b"x", object(),
                 {1: 2.0}, {"a": [1.0, np.int64(2)]}):
         with pytest.raises(TypeError):

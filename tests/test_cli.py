@@ -255,12 +255,12 @@ def test_report_is_strict_json_for_nan_map(tmp_path):
     assert '"NaN"' in text
 
 
-def test_report_writer_refuses_non_finite_floats(tmp_path):
+def test_report_writer_spells_non_finite_floats(tmp_path):
     from coupled_fpi.cli import _write_report
 
-    with pytest.raises(ValueError):
-        _write_report(str(tmp_path), {"residual": float("nan")})
-    assert not (tmp_path / "report.json").exists()
+    _write_report(str(tmp_path), {"residual": float("nan")})
+    assert (tmp_path / "report.json").read_text() == '{\n  "residual": "NaN"\n}\n'
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
 def test_force_runs_solver_anyway(tmp_path, capsys):

@@ -16,6 +16,7 @@ from coupled_fpi import (
     FiniteGraph,
     FullGraph,
     InvalidInputError,
+    InvalidParameterError,
     LinearCoupledMap,
     OrderGraph,
     SampleSpec,
@@ -113,13 +114,19 @@ def test_label_is_json_dumps_text_and_parses_back(path):
     assert parse_spec(label) == spec
 
 
-def test_serialize_refuses_a_non_finite_number():
+def test_a_non_finite_number_reaches_the_label_and_parse_refuses_it():
     # parse_spec reads no NaN or inf, so only a hand-built spec holds one
     spec = parse_spec(doc())
-    for bad in (dataclasses.replace(spec, k=math.nan),
-                dataclasses.replace(spec, seed=dataclasses.replace(spec.seed, y0=(math.inf,)))):
-        with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant"):
-            serialize_spec(bad)
+    for bad, field, text in ((dataclasses.replace(spec, k=math.nan), "k", '"k": "NaN"'),
+                             (dataclasses.replace(spec, seed=dataclasses.replace(spec.seed, y0=(math.inf,))),
+                              "seed.y0", '"y0": "Infinity"')):
+        label = serialize_spec(bad)
+        assert text in label
+        assert label == json.dumps(json.loads(label), indent=2, sort_keys=True) + "\n"
+        with pytest.raises(SpecError, match=f"^{field} must be a number"):
+            parse_spec(label)
+    with pytest.raises(InvalidParameterError, match="^k must be finite, got nan$"):
+        build_instance(dataclasses.replace(spec, k=math.nan))
 
 
 @pytest.mark.parametrize("bad, fragment", [
