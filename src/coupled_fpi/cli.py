@@ -19,6 +19,7 @@ shortest round-trip repr and reports carry no timestamps.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from dataclasses import dataclass
@@ -106,9 +107,14 @@ def report_document(
 def _write_atomic(out_dir: str, name: str, text: str) -> None:
     path = os.path.join(out_dir, name)
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:  # leave no temporary file behind
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _write_report(out_dir: str, doc: dict) -> None:

@@ -437,12 +437,13 @@ def solve_coupled_multi(
     """Iterate a multivalued coupled map by nearest-admissible selection.
 
     The caller supplies the first iterates x1 in F(x0,y0), y1 in
-    F(y0,x0) (the theorems' existential seed); membership is checked to
-    1e-12.  Each later step picks, among image points b with the
-    required edge (x_n -> b for the x-sequence, b -> y_n for the
-    y-sequence), the one nearest the current iterate, breaking ties by
-    image index.  A map with ``eval_batch`` is evaluated once per step
-    for both sides.  *known* is as for :func:`solve_coupled`, from x1, y1.
+    F(y0,x0) (the theorems' existential seed); a point is a member within
+    ``SLACK``, or bitwise one of the image's points.  Each later step
+    picks, among image points b with the required edge (x_n -> b for the
+    x-sequence, b -> y_n for the y-sequence), the one nearest the current
+    iterate, breaking ties by image index.  A map with ``eval_batch`` is
+    evaluated once per step for both sides.  *known* is as for
+    :func:`solve_coupled`, from x1, y1.
 
     Raises:
         InvalidSeedError: x1/y1 not in the seed images.

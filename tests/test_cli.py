@@ -263,6 +263,30 @@ def test_report_writer_spells_non_finite_floats(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
+def test_report_document_passes_d0_and_residual_raw_to_the_writer():
+    from coupled_fpi.checks import _json_text
+
+    report = HypothesisReport(instance_id="deadbeef0000", certificates=(),
+                              theorem_applicable="none", seed_edge_ok=False)
+    trace = IterationTrace(steps=(), D0=math.inf, converged=False, residual=math.nan)
+    doc = report_document(report, trace, None, EXIT_NO_CONVERGENCE, True, None)
+    assert doc["D0"] == math.inf and math.isnan(doc["residual"])
+    text = _json_text(doc) + "\n"
+    assert '"D0": "Infinity"' in text and '"residual": "NaN"' in text
+    # CI's check_report rule: strict JSON, and the json.dumps text at indent 2
+    strict = json.loads(text, parse_constant=reject_constant)
+    assert text == json.dumps(strict, indent=2, sort_keys=True) + "\n"
+
+
+def test_failed_report_write_leaves_no_temporary_file(tmp_path, capsys):
+    out = tmp_path / "run"
+    (out / "report.json").mkdir(parents=True)  # os.replace cannot put a file over it
+    assert main(["solve", SINGLE, "--out-dir", str(out), "--quiet"]) == EXIT_ERROR
+    assert "cannot write outputs" in capsys.readouterr().err
+    assert not list(out.glob("*.tmp"))
+    assert sorted(p.name for p in out.iterdir()) == ["report.json", "trace.csv"]
+
+
 def test_force_runs_solver_anyway(tmp_path, capsys):
     out = tmp_path / "run"
     code = main(["solve", PROJECTION, "--out-dir", str(out), "--force"])

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import pathlib
+import random
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from coupled_fpi import (
     Sampler,
     SpecError,
     build_instance,
+    instance_id_for,
     parse_spec,
     preflight,
     serialize_spec,
@@ -127,6 +129,78 @@ def test_a_non_finite_number_reaches_the_label_and_parse_refuses_it():
             parse_spec(label)
     with pytest.raises(InvalidParameterError, match="^k must be finite, got nan$"):
         build_instance(dataclasses.replace(spec, k=math.nan))
+
+
+_NUMBERS = [0.0, -0.0, 1.0, -2.5, 0.1, 5e-324, -1e-320, 2.2250738585072014e-308, 1e308,
+            -1e308, 7, -3, 2**53 + 1, 10**20, -(10**30)]
+
+
+def _random_spec_doc(rng):
+    """A seeded valid spec document over every shape a field can take, with
+    numbers at the float edges."""
+    d = rng.randint(1, 3)
+    names = [("x", "y")] if d == 1 else [(f"x{i}", f"y{i}") for i in range(1, d + 1)]
+
+    def number():
+        return rng.choice(_NUMBERS) if rng.random() < 0.5 else rng.uniform(-1e3, 1e3)
+
+    def point():
+        return number() if d == 1 and rng.random() < 0.5 else [number() for _ in range(d)]
+
+    def expressions():
+        exprs = [f"{rng.choice(['', '-'])}({x} + {rng.choice(names)[1]}) / {rng.randint(2, 9)}"
+                 for x, _ in names]
+        return exprs[0] if d == 1 and rng.random() < 0.5 else exprs
+
+    graph = {"kind": rng.choice(["order", "full", "edge_list"])}
+    if graph["kind"] == "edge_list":
+        vertices = [[0.0] * d, [-0.0] * d] + [point() for _ in range(rng.randint(0, 3))]
+        graph["vertices"] = vertices
+        graph["edges"] = [[rng.choice(vertices), rng.choice(vertices)] for _ in range(rng.randint(0, 4))]
+    multi = rng.random() < 0.3
+    if multi:
+        mapping = {"kind": "multi", "definition": [expressions() for _ in range(rng.randint(1, 3))]}
+    elif rng.random() < 0.3:
+        mapping = {"kind": "single", "definition": {"name": "linear", "a": number(), "b": number()}}
+    else:
+        mapping = {"kind": "single", "definition": expressions()}
+    doc = {
+        "space": {"kind": rng.choice(["euclidean", "chebyshev"]), "dimension": d},
+        "graph": graph,
+        "map": mapping,
+        "k": rng.choice([0.5, 2.0 / 3.0, 5e-324, 1.0 - 2**-53, rng.random()]),
+        "seed": {key: point() for key in (("x0", "y0", "x1", "y1") if multi else ("x0", "y0"))},
+    }
+    if rng.random() < 0.5:
+        doc["solve"] = {key: value for key, value in (
+            ("tol", rng.choice([1e-12, 5e-324, 1e308, 3])), ("max_iter", rng.randint(1, 10**6)),
+            ("mode", rng.choice(["continuous", "property_star"])),
+            ("check_bounds", rng.random() < 0.5), ("record_edges", rng.random() < 0.5),
+        ) if rng.random() < 0.5}
+    if rng.random() < 0.7:
+        sampler = {"count": rng.randint(1, 10**5)}
+        low = rng.choice([-10.0, -0.0, -1e300, -5e-324, -(10**20)])
+        high = rng.choice([10.0, 0.0, 1e300, 5e-324, 10**20])
+        sampler["low"] = low if rng.random() < 0.5 else [low] * d
+        sampler["high"] = high if rng.random() < 0.5 else [high] * d
+        if rng.random() < 0.5:
+            sampler["rng_seed"] = rng.choice([0, 7, 2**64 + rng.randint(0, 9), 10**30])
+        doc["sampler"] = sampler
+    return doc
+
+
+def test_spec_labels_round_trip_over_seeded_documents():
+    rng = random.Random(32)
+    ids = {}
+    for _ in range(2000):
+        spec = parse_spec(json.dumps(_random_spec_doc(rng)))
+        label = serialize_spec(spec)
+        assert label == json.dumps(json.loads(label), indent=2, sort_keys=True) + "\n"
+        again = parse_spec(label)
+        assert again == spec and serialize_spec(again) == label
+        ids.setdefault(label, instance_id_for(build_instance(spec)))
+    assert len(ids) > 1900  # nearly every draw is a spec of its own
+    assert len(set(ids.values())) == len(ids)
 
 
 @pytest.mark.parametrize("bad, fragment", [
