@@ -179,17 +179,19 @@ def check_property_star(
     if not pts:
         raise InvalidInputError("sequence must be nonempty")
     lim = as_point(limit, graph.dimension)
+    rule = graph._row_rule  # on the points' floats, as has_edge tests them; else has_edge
+    test, rows, end = (rule, [p.tolist() for p in pts], lim.tolist()) if rule else (graph.has_edge, pts, lim)
     # the edge "along" the sequence: p -> q ascending, q -> p descending
-    edge = graph.has_edge if direction == "ascending" else lambda p, q: graph.has_edge(q, p)
+    edge = test if direction == "ascending" else lambda p, q: test(q, p)
 
     for i in range(len(pts) - 1):
         a, b = pts[i], pts[i + 1]
-        if not edge(a, b):
+        if not edge(rows[i], rows[i + 1]):
             violation = {"term": i, "kind": "premise", "from": _point_json(a), "to": _point_json(b)}
             return _finalize("property_star", len(pts), [violation], 1, None,
                              f"premise-violated at term {i}: consecutive pair is not an edge")
 
-    bad = [i for i, p in enumerate(pts) if not edge(p, lim)]
+    bad = [i for i, p in enumerate(rows) if not edge(p, end)]
     violations = [{"term": i, "kind": "conclusion", "point": _point_json(pts[i]),
                    "limit": _point_json(lim)} for i in bad]
     return _finalize("property_star", len(pts), violations, len(bad), None, direction)
@@ -230,21 +232,23 @@ def solve_instance(
     return solve(instance.map, instance.space, instance.graph, *seed, cfg, known=known)
 
 
-def _spot_check_continuity(instance: ProblemInstance, sample: SampleSpec, notes: list[str]) -> bool:
-    """Compare F at three sampled anchors (a, b) with F just beside them, in
-    Hausdorff distance (a single-valued map is the one-point case).  The
-    probes sit at p +- 2^-48 u max(1, |p|) for p = a and p = b, with u drawn
-    from the unit box; scaled by |p|, the step survives rounding.  A
-    continuous map closes the gap; a jump at the anchor, from either side,
-    cannot.  Returns False only when a gap above tolerance (or NaN) was
-    actually observed.
+def _spot_check_continuity(instance: ProblemInstance, sampler: Sampler, notes: list[str]) -> bool:
+    """Compare F at three anchors (a, b) drawn from *sampler*'s box or pool
+    (seed + 1) with F just beside them, in Hausdorff distance (a single-valued
+    map is the one-point case).  The probes sit at p +- 2^-48 u max(1, |p|)
+    for p = a and p = b, with u drawn from the unit box; scaled by |p|, the
+    step survives rounding.  A continuous map closes the gap; a jump at the
+    anchor, from either side, cannot.  Returns False only when a gap above
+    tolerance (or NaN) was actually observed.
     """
     d, multi, space = instance.space.dimension, instance.kind == "multi", instance.space
-    sampler = Sampler(replace(sample, count=3, seed=sample.seed + 1), d)
-    anchors, partners = sampler.draw(3), sampler.draw(3)
-    # the unit box's draws are the anchors' and partners' own uniforms (same seed), so u
-    # comes after their six rows: else each u would be its anchor scaled, on its own ray
-    u = 2.0 ** -48 * Sampler(SampleSpec(count=3, seed=sample.seed + 1), d).draw(9)[6:]
+    R = np.random.default_rng(sampler.spec.seed + 1).random((9, d))
+    if sampler._pool is None:  # rows 1-3 and 4-6 on the box
+        anchors, partners = np.split(sampler._low + sampler._width * R[:6], 2)
+    else:  # a vertex pool's rows, by index under a second generator
+        pool = Sampler(replace(sampler.spec, count=3, seed=sampler.spec.seed + 1), d)
+        anchors, partners = pool.draw(3), pool.draw(3)
+    u = 2.0 ** -48 * (-1.0 + 2.0 * R[6:])  # not the anchors' uniforms, else u is on their ray
     beside = [np.vstack([p + u * np.maximum(1.0, abs(p)), p - u * np.maximum(1.0, abs(p))])
               for p in (anchors, partners)]
     try:  # the anchors' images, then their neighbours', in one evaluation
@@ -301,7 +305,7 @@ def _preflight(instance: ProblemInstance, sample: SampleSpec):
     """:func:`preflight`'s report and the iterates ``(xs, ys)`` a solve takes:
     the seed pair ``([x0, x1], [y0, y1])`` in continuous mode, else the trial
     trace's; None if the seed condition failed or the trial raised."""
-    Sampler(sample, instance.space.dimension)  # one answer for a bad box, whatever the mode
+    sampler = Sampler(sample, instance.space.dimension)  # read by both checkers; checks the box
     notes: list[str] = []
     certs: list[Certificate] = []
     iid = instance_id_for(instance)
@@ -313,16 +317,17 @@ def _preflight(instance: ProblemInstance, sample: SampleSpec):
 
     single = instance.kind == "single"
     mono = check_mixed_monotone if single else check_mixed_monotone_multi
-    mono_ok = _run_check("monotonicity", mono, (instance.map, instance.graph, sample),
+    mono_ok = _run_check("monotonicity", mono, (instance.map, instance.graph, sampler),
                          2 * sample.count, certs, notes)  # one sample per clause
     bound = check_bl if single else check_mbl
     bound_ok = _run_check("contraction", bound,
-                          (instance.map, instance.space, instance.graph, instance.k, sample),
+                          (instance.map, instance.space, instance.graph, instance.k, sampler),
                           sample.count, certs, notes)
+    sampler._kept.clear()  # the shared blocks go with the two checks
 
     limit_mode_ok = True
     if instance.continuous:
-        limit_mode_ok = _spot_check_continuity(instance, sample, notes)
+        limit_mode_ok = _spot_check_continuity(instance, sampler, notes)
     else:
         try:
             # tol is never met: the trial wants a full-length edge chain
@@ -353,6 +358,8 @@ def _preflight(instance: ProblemInstance, sample: SampleSpec):
             level = "thm_4_1" if instance.continuous else "thm_4_2"
     else:
         level = "none"
+    if not instance.label:
+        notes.append("instance_id does not identify the map: it has no label or canonical text")
 
     return HypothesisReport(
         instance_id=iid,

@@ -199,7 +199,7 @@ def _unmatched(graph: Digraph, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return ~fold_last(np.logical_or, edges & finite_b[:, None, :]) | ~finite_a
 
 
-def _mixed_monotone(fn: Callable, graph: Digraph, sample: SampleSpec, multi: bool) -> Certificate:
+def _mixed_monotone(fn: Callable, graph: Digraph, sample: SampleSpec | Sampler, multi: bool) -> Certificate:
     """Mixed-monotone kernel shared by both map kinds.
 
     Clause "x" samples (p1, p2, w) with an edge p1 -> p2 and needs every
@@ -217,7 +217,7 @@ def _mixed_monotone(fn: Callable, graph: Digraph, sample: SampleSpec, multi: boo
     clauses = {"x": sampler.edge_triples(graph), "y": sampler.edge_triples(graph)}
     (P1, P2, W), (Q1, Q2, V) = clauses.values()
     n, total = len(P1), len(P1) + len(Q1)
-    if 4 * sample.count * d <= _BLOCK_VALUES:
+    if 4 * sampler.spec.count * d <= _BLOCK_VALUES:
         images = _images(fn, np.concatenate([P1, V, P2, V]), np.concatenate([W, Q2, W, Q1]), d, multi)
         A, B = images[:total], images[total:]  # the "from" and the "to" images
         U = _unmatched(graph, A, B)
@@ -245,10 +245,10 @@ def _mixed_monotone(fn: Callable, graph: Digraph, sample: SampleSpec, multi: boo
             columns += [_point_json(A[rows, 0], rows=True), _point_json(B[rows, 0], rows=True)]
         violations += [{"clause": clause, **dict(zip(keys, row))} for row in zip(*columns)]
     name = "mixed_monotone_multi" if multi else "mixed_monotone"
-    return _finalize(name, total, violations, count, sample.seed)
+    return _finalize(name, total, violations, count, sampler.spec.seed)
 
 
-def check_mixed_monotone(fn: Callable, graph: Digraph, sample: SampleSpec) -> Certificate:
+def check_mixed_monotone(fn: Callable, graph: Digraph, sample: SampleSpec | Sampler) -> Certificate:
     """Falsify the mixed monotone property of a single-valued map.
 
     Samples triples (x1, x2, y) with an edge x1 -> x2 and checks the
@@ -258,7 +258,7 @@ def check_mixed_monotone(fn: Callable, graph: Digraph, sample: SampleSpec) -> Ce
     return _mixed_monotone(fn, graph, sample, multi=False)
 
 
-def check_mixed_monotone_multi(fn: Callable, graph: Digraph, sample: SampleSpec) -> Certificate:
+def check_mixed_monotone_multi(fn: Callable, graph: Digraph, sample: SampleSpec | Sampler) -> Certificate:
     """Falsify the multivalued mixed monotone property.
 
     The image-edge requirement is pointwise-existential: every u in the
@@ -268,12 +268,12 @@ def check_mixed_monotone_multi(fn: Callable, graph: Digraph, sample: SampleSpec)
 
 
 def _contraction_sample(fn: Callable, space: MetricSpace, graph: Digraph,
-                        sample: SampleSpec, multi: bool):
-    """The pairs (X, Y, U, V), the images A = F(X, Y), each point's
-    distance to its set F(U, V) as (n, m) and each d(x,u) + d(y,v).  Both
-    image sets come from one map evaluation."""
+                        sampler: Sampler, multi: bool):
+    """The pairs (X, Y, U, V) *sampler* draws, the images A = F(X, Y), each
+    point's distance to its set F(U, V) as (n, m) and each d(x,u) + d(y,v).
+    Both image sets come from one map evaluation."""
     d = space.dimension
-    X, Y, U, V = Sampler(sample, d).product_edge_pairs(graph)
+    X, Y, U, V = sampler.product_edge_pairs(graph)
     images = _images(fn, np.concatenate([X, U]), np.concatenate([Y, V]), d, multi)
     A, B = images[:len(X)], images[len(X):]
     lhs = _excess(space, A, B)
@@ -306,7 +306,7 @@ def _contraction(
     space: MetricSpace,
     graph: Digraph,
     k: float,
-    sample: SampleSpec,
+    sample: SampleSpec | Sampler,
     multi: bool,
 ) -> Certificate:
     """Contraction kernel shared by both map kinds.
@@ -318,7 +318,8 @@ def _contraction(
     estimated constant is :func:`_ratio_sup` of the sample, or None.
     """
     k = validate_k(k)
-    (X, Y, U, V), A, lhs, den = _contraction_sample(fn, space, graph, sample, multi)
+    sampler = Sampler(sample, space.dimension)
+    (X, Y, U, V), A, lhs, den = _contraction_sample(fn, space, graph, sampler, multi)
     rhs = 0.5 * k * den
     over = ~(lhs <= rhs[:, None] + SLACK)
     bad = np.flatnonzero(fold_last(np.logical_or, over))
@@ -338,7 +339,7 @@ def _contraction(
         except (InsufficientSamplesError, NonFiniteValueError):
             pass
     name = "MBL" if multi else "BL"
-    return _finalize(name, len(X), violations, len(bad), sample.seed, f"k={k!r}", estimate)
+    return _finalize(name, len(X), violations, len(bad), sampler.spec.seed, f"k={k!r}", estimate)
 
 
 def check_bl(
@@ -346,7 +347,7 @@ def check_bl(
     space: MetricSpace,
     graph: Digraph,
     k: float,
-    sample: SampleSpec,
+    sample: SampleSpec | Sampler,
 ) -> Certificate:
     """Falsify the single-valued contraction bound at constant *k*.
 
@@ -361,7 +362,7 @@ def check_mbl(
     space: MetricSpace,
     graph: Digraph,
     k: float,
-    sample: SampleSpec,
+    sample: SampleSpec | Sampler,
 ) -> Certificate:
     """Falsify the multivalued contraction bound at constant *k*.
 
@@ -375,7 +376,7 @@ def estimate_k(
     fn: Callable,
     space: MetricSpace,
     graph: Digraph,
-    sample: SampleSpec,
+    sample: SampleSpec | Sampler,
 ) -> float:
     """Smallest constant satisfying the contraction bound on the sample.
 
@@ -392,5 +393,5 @@ def estimate_k(
         NonFiniteValueError: the map's values give a NaN or infinite
             ratio on some sampled pair.
     """
-    _, _, lhs, den = _contraction_sample(fn, space, graph, sample, multi=False)
+    _, _, lhs, den = _contraction_sample(fn, space, graph, Sampler(sample, space.dimension), False)
     return _ratio_sup(lhs, den)

@@ -23,6 +23,11 @@ when an operand broadcasts along a short last axis; the bytes stay
   column order, get filtered by the edge constraint, and accumulate
   until the requested count is reached or the draw budget runs out; a
   short sample is returned as is.
+
+A checker handed a Sampler in place of a SampleSpec builds a reader of it,
+which draws the same bits as a fresh Sampler of its spec.  Preflight hands
+both checkers one Sampler, so the contraction check reads the blocks that the
+mixed-monotonicity check drew; a block of another size stops the sharing.
 """
 
 from __future__ import annotations
@@ -43,6 +48,8 @@ from .spaces import _check_int, _check_number, as_point
 # InsufficientSamplesError instead of a hang.
 _ROUND = 4096
 _BUDGET_FACTOR = 400
+# The blocks a sampler keeps for its readers: one round of a product-edge sample.
+_KEPT_BLOCKS = 4
 
 
 def _check_box(low, high, dimension: int, where: str, error: type) -> tuple:
@@ -94,9 +101,16 @@ class SampleSpec:
 
 class Sampler:
     """Draws points of a given dimension according to a :class:`SampleSpec`;
-    checks the box or pool when built, and seeds its generator at the first draw."""
+    checks the box or pool when built, and seeds its generator at the first draw.
+    Built from a Sampler, it reads that one's stream from the first block and
+    shares the blocks it keeps: each reader draws the bits a fresh Sampler does."""
 
-    def __init__(self, spec: SampleSpec, dimension: int):
+    def __init__(self, spec: SampleSpec | Sampler, dimension: int):
+        if isinstance(spec, Sampler):  # same box, kept blocks and spec; its own generator
+            if spec.dimension != dimension:
+                raise InvalidInputError(f"a sampler of dimension {spec.dimension} read at {dimension}")
+            vars(self).update({k: v for k, v in vars(spec).items() if k != "_rng"}, _read=0, _at=0)
+            return
         self.spec = spec
         self.dimension = dimension = _check_int(dimension, "dimension", 1)
         if spec.points:
@@ -109,17 +123,32 @@ class Sampler:
             self._width = np.full(dimension, high) - self._low
             if all(a.tobytes() == a[:1].tobytes() * dimension for a in (self._low, self._width)):
                 self._low, self._width = float(self._low[0]), float(self._width[0])
+        self._kept, self._read, self._at = [], 0, 0  # the kept blocks, draws made, blocks generated
 
     @functools.cached_property
     def _rng(self) -> np.random.Generator:
         return np.random.default_rng(self.spec.seed)
 
-    def draw(self, n: int) -> np.ndarray:
-        """(n, d) array of fresh points."""
+    def _points(self, n: int) -> np.ndarray:
         if self._pool is not None:
-            idx = self._rng.integers(0, len(self._pool), size=n)
-            return self._pool[idx]
+            return self._pool[self._rng.integers(0, len(self._pool), size=n)]
         return self._low + self._width * self._rng.random((n, self.dimension))
+
+    def draw(self, n: int) -> np.ndarray:
+        """(n, d) array of fresh points: at the i-th call, block i of the seed's
+        stream, the kept one when it has n rows.  Its generator catches up with the
+        kept blocks only to draw a new one; a block of another size cuts it off them."""
+        kept, i = self._kept, self._read
+        self._read = i + 1
+        if i < len(kept) and len(kept[i]) == n:
+            return kept[i]
+        for block in kept[self._at:i]:
+            self._points(len(block))
+        self._at, self._kept = i + 1, kept if i >= len(kept) else []
+        block = self._points(n)
+        if i == len(kept) < _KEPT_BLOCKS:
+            kept.append(block)
+        return block
 
     def _filtered(self, columns: int, accept: Callable[[list[np.ndarray]], np.ndarray]):
         """Draw rounds of `columns` point arrays, keep rows where accept() is true."""

@@ -38,7 +38,17 @@ from coupled_fpi import (
 )
 from coupled_fpi import certifier, cli, finite_sets
 from coupled_fpi.certifier import _TRIAL_STEPS, _preflight
-from coupled_fpi.checks import VIOLATION_CAP
+from coupled_fpi.checks import (
+    VIOLATION_CAP,
+    _json_text,
+    check_bl,
+    check_mbl,
+    check_mixed_monotone,
+    check_mixed_monotone_multi,
+)
+from coupled_fpi.errors import CoupledFpiError, NotAVertexError
+from coupled_fpi.expressions import _BLOCK_VALUES
+from coupled_fpi.graphs import Digraph
 from coupled_fpi.problem_spec import build_sample_spec, build_solve_config
 
 LINE = real_line()
@@ -700,3 +710,185 @@ def test_resume_after_a_failed_or_short_trial():
     for cfg in (SolveConfig(k=2.0 / 3.0, tol=1e-300), SolveConfig(k=2.0 / 3.0, tol=5e-324, max_iter=10)):
         got = solve_outcome(tiny, cfg, known)
         assert got == solve_outcome(tiny, cfg) and len(got[0]) == (2 if got[2] else 10)
+
+
+def _var(name, j, d):
+    return name if d == 1 else f"{name}{j}"
+
+
+def _parity_maps(d):
+    """A single-valued map increasing in x and decreasing in y (mixed monotone
+    on the order graph, contracting at k = 2/3), and a two-point multimap."""
+    single = ExpressionCoupledMap([f"({_var('x', j, d)} - {_var('y', j, d)}) / 4 + 0.1"
+                                   for j in range(1, d + 1)], d)
+    multi = ExpressionMultiMap([[f"{_var('x', j, d)} / 3" for j in range(1, d + 1)],
+                                [f"-{_var('y', j, d)} / 2" for j in range(1, d + 1)]], d)
+    return single, multi
+
+
+class _NearGraph(Digraph):
+    """p -> q iff every coordinate is within *width*; sampled by rejection."""
+
+    def __init__(self, dimension, width):
+        super().__init__(dimension)
+        self.width = width
+
+    def has_edge(self, p, q):
+        return bool(np.all(np.abs(np.asarray(p, float) - np.asarray(q, float)) < self.width))
+
+    def edge_mask(self, P, Q):
+        return np.all(np.abs(P - Q) < self.width, axis=1)
+
+
+def _fresh_certificates(instance, sample):
+    """The two checkers' certificates on a fresh SampleSpec, or the error each raised."""
+    single = instance.kind == "single"
+    mono = check_mixed_monotone if single else check_mixed_monotone_multi
+    bound = check_bl if single else check_mbl
+    out = []
+    for check, args in ((mono, (instance.map, instance.graph, sample)),
+                        (bound, (instance.map, instance.space, instance.graph, instance.k, sample))):
+        try:
+            out.append(check(*args).to_dict())
+        except CoupledFpiError as exc:
+            out.append(repr(exc))
+    return out
+
+
+def _assert_shared_sample_parity(instance, sample):
+    report, _ = _preflight(instance, sample)
+    fresh = _fresh_certificates(instance, sample)
+    names = ("mixed_monotone", "BL") if instance.kind == "single" else ("mixed_monotone_multi", "MBL")
+    for name, want in zip(names, fresh):
+        cert = report.certificate(name)
+        if isinstance(want, str):  # the checker raised: preflight noted the abort
+            assert cert is None and any(" check aborted: " in n for n in report.notes)
+        else:
+            assert cert is not None and cert.to_dict() == want
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+@pytest.mark.parametrize("graph_kind", ["order", "full", "pool", "predicate"])
+def test_preflight_shares_one_sample_with_the_fresh_checkers(graph_kind, d):
+    # every certificate preflight returns is the one its public checker gives on a
+    # fresh SampleSpec: the contraction check reads the blocks monotonicity drew
+    single, multi = _parity_maps(d)
+    rng = np.random.default_rng(40 + d)
+    vertices = [tuple(v) for v in rng.uniform(-1.0, 1.0, size=(5, d))]
+    for count in (40, _BLOCK_VALUES // (4 * d) + 1):  # both sides of the stacked/per-clause cut
+        for kind, fn in (("single", single), ("multi", multi)):
+            low, high = (-1.0, 1.0) if kind == "single" else ([-1.0 - j for j in range(d)],
+                                                              [1.0 + j / 2 for j in range(d)])
+            sample = SampleSpec(count=count, seed=count + d, low=low, high=high)
+            if graph_kind == "order":
+                graph = OrderGraph(d)
+            elif graph_kind == "full":
+                graph = FullGraph(d)
+            elif graph_kind == "predicate":
+                graph = PredicateGraph(d, lambda p, q: bool(p[0] <= q[0]))
+                sample = dataclasses.replace(sample, count=min(count, 300))  # a Python test per row
+            else:  # an edge_list graph over its own vertex pool, the map a projection onto x
+                graph = FiniteGraph(vertices, [(p, q) for p in vertices for q in vertices
+                                               if all(a <= b for a, b in zip(p, q))], dimension=d)
+                sample = SampleSpec(count=count, seed=count + d, points=vertices)
+                proj = [_var("x", j, d) for j in range(1, d + 1)]
+                fn = ExpressionCoupledMap(proj, d) if kind == "single" else \
+                    ExpressionMultiMap([proj, [_var("y", j, d) for j in range(1, d + 1)]], d)
+            x0, y0 = (vertices[0], vertices[1]) if graph_kind == "pool" else ([0.0] * d, [0.5] * d)
+            seeds = {} if kind == "single" else {"x1": x0, "y1": y0}
+            inst = ProblemInstance(kind=kind, space=EuclideanSpace(d), graph=graph, map=fn,
+                                   k=2.0 / 3.0, x0=x0, y0=y0, **seeds)
+            _assert_shared_sample_parity(inst, sample)
+
+
+@pytest.mark.parametrize("kind", ["single", "multi"])
+def test_preflight_shares_a_rejection_sample_starved_at_the_draw_budget(kind):
+    # about 2% of box pairs are edges: monotonicity gets its samples within the
+    # budget, past the blocks a sampler keeps, and the contraction check (0.04%
+    # of product pairs) runs out of draws short of its count
+    single, multi = _parity_maps(1)
+    inst = ProblemInstance(kind=kind, space=LINE, graph=_NearGraph(1, 0.02),
+                           map=single if kind == "single" else multi, k=2.0 / 3.0, x0=0.0,
+                           y0=0.0, **({} if kind == "single" else {"x1": 0.0, "y1": 0.0}))
+    sample = SampleSpec(count=1000, seed=5)
+    report, _ = _preflight(inst, sample)
+    bound = report.certificate("BL" if kind == "single" else "MBL")
+    assert 0 < bound.samples_tested < 1000
+    assert report.certificates[0].samples_tested == 2000
+    _assert_shared_sample_parity(inst, sample)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("pool", [False, True])
+def test_continuity_draws_are_todays_two_streams(monkeypatch, pool, d):
+    # anchors and partners as two draws of 3 from a Sampler at seed + 1, and u from
+    # rows 7-9 of a second generator at seed + 1 on [-1, 1]^d, bit for bit
+    rows = []
+    images = certifier._images
+    monkeypatch.setattr(certifier, "_images",
+                        lambda fn, X, Y, *args: rows.append((X, Y)) or images(fn, X, Y, *args))
+    single, _ = _parity_maps(d)
+    seed, points = 17, tuple((0.25 * i,) * d for i in range(5))
+    low, high = (-2.0, 3.0) if d == 1 else ([-2.0, 0.5], [3.0, 0.75])
+    sample = SampleSpec(count=50, seed=seed, points=points) if pool else \
+        SampleSpec(count=50, seed=seed, low=low, high=high)
+    inst = ProblemInstance(kind="single", space=EuclideanSpace(d), graph=FullGraph(d), map=single,
+                           k=2.0 / 3.0, x0=[0.0] * d, y0=[0.5] * d)
+    preflight(inst, sample)
+    rng = np.random.default_rng(seed + 1)
+    if pool:
+        pool_rows = np.array(points, dtype=float)
+        anchors, partners = (pool_rows[rng.integers(0, len(points), size=3)] for _ in range(2))
+    else:
+        lo = np.full(d, low, dtype=float)
+        anchors, partners = (lo + (np.full(d, high, dtype=float) - lo) * rng.random((3, d))
+                             for _ in range(2))
+    u = 2.0 ** -48 * (-1.0 + 2.0 * np.random.default_rng(seed + 1).random((9, d))[6:])
+    [(X, Y)] = [(X, Y) for X, Y in rows if len(X) == 9]
+    for got, p in ((X, anchors), (Y, partners)):
+        step = u * np.maximum(1.0, abs(p))
+        assert np.concatenate([p, p + step, p - step]).tobytes() == got.tobytes()
+
+
+def test_property_star_reads_a_builtin_rule_as_its_predicate_twin():
+    nan, inf = float("nan"), float("inf")
+    for d in (1, 2):
+        for graph in (OrderGraph(d), FullGraph(d)):
+            twin = PredicateGraph(d, lambda p, q, g=graph: bool(g.edge_mask(p[None], q[None])[0]))
+            lift = lambda seq: [[v] * d if d == 1 else [v, v / 2] for v in seq]
+            cases = [
+                ([0.0, 1.0, 2.0], 3.0), ([0.0, 1.0, 2.0], 1.5),  # a chain; a low limit
+                ([2.0, 1.0, 3.0], 4.0), ([0.0, 1.0, 0.5], 4.0),  # premise fails first; last
+                ([0.0, nan, 1.0], 2.0), ([0.0, 1.0], nan), ([nan], nan),
+                ([-inf, 0.0, inf], inf), ([-inf, 0.0, inf], 1.0), ([inf, inf], inf),
+            ]
+            for seq, lim in cases:
+                for direction, order in (("ascending", 1), ("descending", -1)):
+                    terms = lift([order * v for v in seq])
+                    [end] = lift([order * lim])
+                    got, want = (check_property_star(g, terms, end, direction)
+                                 for g in (graph, twin))
+                    assert _json_text(got.to_dict()) == _json_text(want.to_dict())
+
+
+def test_property_star_on_a_finite_graph_stops_at_the_first_non_vertex():
+    verts = [0.0, 1.0, 2.0, 3.0]
+    g = FiniteGraph(verts, edges=[(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)])
+    with pytest.raises(NotAVertexError, match=r"\[7\.\]"):
+        check_property_star(g, [0.0, 1.0, 7.0, 8.0], 3.0)
+    with pytest.raises(NotAVertexError, match=r"\[9\.\]"):  # the premise holds; the limit is tested
+        check_property_star(g, [0.0, 1.0, 2.0], 9.0)
+    # a failed premise stops before the later non-vertex
+    assert check_property_star(g, [2.0, 0.0, 7.0], 3.0).detail.startswith("premise-violated at term 0")
+
+
+def test_an_unlabelled_callable_gets_a_note_that_its_id_names_no_map():
+    note = "instance_id does not identify the map: it has no label or canonical text"
+    reports = [preflight(single_instance(FullGraph(1), fn=fn), SampleSpec(count=50, seed=3))
+               for fn in (sum_fifth, lambda x, y: (x - y) / 3.0)]
+    assert reports[0].instance_id == reports[1].instance_id
+    assert all(r.notes[-1] == note for r in reports)
+    labelled = dataclasses.replace(single_instance(FullGraph(1)), label="sum fifth")
+    fifth = single_instance(FullGraph(1), fn=ExpressionCoupledMap(["(x + y) / 5"]))
+    for inst in (labelled, fifth):
+        assert note not in preflight(inst, SampleSpec(count=50, seed=3)).notes

@@ -378,3 +378,19 @@ def test_constructed_full_edges_draw_in_the_documented_order():
     X, Y, U, V = Sampler(spec, 2).product_edge_pairs(FullGraph(2))
     assert np.array_equal(X, A) and np.array_equal(U, B)
     assert np.array_equal(V, C) and np.array_equal(Y, D)
+
+
+@pytest.mark.parametrize("points", [(), ((0.0, 1.0), (2.0, 3.0), (4.0, 5.0))])
+def test_readers_of_one_sampler_draw_a_fresh_samplers_bits(points):
+    # each reader gets the blocks a fresh Sampler draws, whatever its sizes: kept
+    # blocks, blocks drawn onto them, a size that cuts it off, draws past the four kept
+    spec = SampleSpec(count=5, seed=9, low=[-1.0, 0.0], high=[1.0, 4.0], points=points)
+    shared = Sampler(spec, 2)
+    for sizes in ([3, 3, 4], [3, 3, 4, 5, 2, 6], [3, 2, 4], [3, 3, 4, 5, 7, 7], [6], [3, 3, 4, 5, 1]):
+        reader, fresh = Sampler(shared, 2), Sampler(spec, 2)
+        assert [reader.draw(n).tobytes() for n in sizes] == [fresh.draw(n).tobytes() for n in sizes]
+    assert [len(block) for block in shared._kept] == [3, 3, 4, 5]
+    fresh = Sampler(spec, 2)  # the sampler itself reads its kept blocks too
+    assert [shared.draw(n).tobytes() for n in (3, 3, 8)] == [fresh.draw(n).tobytes() for n in (3, 3, 8)]
+    with pytest.raises(InvalidInputError, match="^a sampler of dimension 2 read at 3$"):
+        Sampler(shared, 3)
