@@ -21,7 +21,8 @@ every expression of the same form (equal up to its numbers).  The one
 function runs on numpy columns (a batch), and with ``(g, 1)`` number
 columns on g components of one form at once.  A map's point runs on
 Python floats through one lambda that lists the texts of all its
-components, their numbers renumbered after each other.
+components, their numbers renumbered after each other; the probe's
+batch runs through that lambda too, on float64 columns.
 """
 
 from __future__ import annotations
@@ -279,11 +280,23 @@ class _PointKernel:
         self.rows = _BLOCK_VALUES // max(map(len, forms.values()))
 
     def __call__(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        d = self.shape[1]
-        X = np.asarray(X, dtype=np.float64).reshape(len(X), d)
+        """The (n, m, d) values on numpy columns of (n, d) rows."""
+        (m, d), n = self.shape, len(X)
+        X = np.asarray(X, dtype=np.float64).reshape(n, d)
         Y = np.asarray(Y, dtype=np.float64).reshape(len(Y), d)
+        out = np.empty((n, m, d))
         with np.errstate(divide="ignore", invalid="ignore"):
-            return self.on_arrays(X, Y)
+            for r in range(0, n, self.rows):
+                block = slice(r, r + self.rows)
+                args = [*X[block].T, *Y[block].T]
+                for j, i, fn, numbers in self.single:
+                    out[block, j, i] = fn(*args, *numbers)  # a constant broadcasts
+                if self.stacked:
+                    buf = np.empty((len(self.flat), min(self.rows, n - r)))
+                    for a, b, fn, columns in self.stacked:
+                        buf[a:b] = fn(*args, *columns)
+                    out.reshape(n, -1)[block, self.flat] = buf.T
+        return out
 
     def at_point(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """The m * d values, row-major, at one pair of float64 points."""
@@ -293,25 +306,10 @@ class _PointKernel:
             return self(x[None], y[None]).reshape(-1)
 
     def on_floats(self, args: list) -> list:
-        """The m * d values, row-major, at one row's Python floats
-        ``x1..xd, y1..yd``.  Raises ZeroDivisionError on a zero divisor."""
+        """The m * d values, row-major, at ``x1..xd, y1..yd``: Python floats for one
+        pair, or float64 columns for the probe's batch, where a constant component
+        stays a float.  Raises ZeroDivisionError on a zero divisor of floats."""
         return self.fused(*args, *self.floats)
-
-    def on_arrays(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """The (n, m, d) values on numpy columns of (n, d) float64 rows, in the caller's errstate."""
-        (m, d), n = self.shape, len(X)
-        out = np.empty((n, m, d))
-        for r in range(0, n, self.rows):
-            block = slice(r, r + self.rows)
-            args = [*X[block].T, *Y[block].T]
-            for j, i, fn, numbers in self.single:
-                out[block, j, i] = fn(*args, *numbers)  # a constant broadcasts
-            if self.stacked:
-                buf = np.empty((len(self.flat), min(self.rows, n - r)))
-                for a, b, fn, columns in self.stacked:
-                    buf[a:b] = fn(*args, *columns)
-                out.reshape(n, -1)[block, self.flat] = buf.T
-        return out
 
 
 def _components(expressions, dimension: int) -> tuple:
@@ -336,7 +334,7 @@ class ExpressionCoupledMap:
         self.dimension = self.components[0].dimension  # the checked int
         self.canonical = repr([c.source for c in self.components])
         self._kernel = _PointKernel((self.components,), self.dimension)
-        self.on_floats = self._kernel.on_floats  # for the solver's steps on Python floats
+        self.on_floats = self._kernel.on_floats  # one pair's floats, or the probe's columns
 
     def __call__(self, x, y) -> np.ndarray:
         x = as_point(x, self.dimension, copy=False)
@@ -345,11 +343,6 @@ class ExpressionCoupledMap:
 
     def eval_batch(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         return self._kernel(X, Y)[:, 0]
-
-    def on_rows(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """``eval_batch``'s bits on float64 (n, d) rows, read as they are, for the
-        probe's lockstep steps, under their ``np.errstate(divide="ignore", invalid="ignore")``."""
-        return self._kernel.on_arrays(X, Y)[:, 0]
 
     def __repr__(self) -> str:
         inner = ", ".join(c.source for c in self.components)

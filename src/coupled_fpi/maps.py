@@ -34,9 +34,8 @@ class LinearCoupledMap:
     def eval_batch(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         return self.a * X + self.b * Y
 
-    on_rows = eval_batch  # eval_batch on float64 (n, d) rows, for the probe's lockstep steps
-
-    def on_floats(self, args: list) -> list:  # __call__ at Python floats x1..xd, y1..yd
+    def on_floats(self, args: list) -> list:
+        """``__call__`` at x1..xd, y1..yd: Python floats for one pair, or float64 columns for the probe."""
         d = len(args) // 2
         return [self.a * x + self.b * y for x, y in zip(args[:d], args[d:])]
 

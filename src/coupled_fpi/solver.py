@@ -31,9 +31,9 @@ calls past the last seed's stop.  It records a missing seed edge itself and
 hands every other failing seed to :func:`solve_coupled`, so each seed gets
 the outcome :func:`solve_coupled` gives it; a raise inside a block hands
 every seed of the block, also one that would have stopped before it.
-``ExpressionCoupledMap`` and ``LinearCoupledMap`` evaluate the batch
-through their row hook ``on_rows``, unchecked, every other map through
-the validated ``checks._images``, the reference; both give the same bits.
+A map with ``on_floats`` steps the batch through it on float64 columns,
+unchecked, every other map through the validated ``checks._images``, the
+reference; both give the same bits.
 A NaN or infinite step size stops every solver with ``NonFiniteValueError``.
 
 Where the map has ``on_floats`` and the metric and the graph a
@@ -64,7 +64,6 @@ one-point multivalued map reproduces the single-valued trace bitwise.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -83,6 +82,7 @@ from .errors import (
     SeedEdgeError,
     SelectionFailureError,
 )
+from .expressions import ExpressionMultiMap
 from .finite_sets import _point_rows, dist_to_set
 # as_finite_set is not used here; perfbench/tracer.py patches it under this name.
 from .finite_sets import as_finite_set  # noqa: F401
@@ -474,7 +474,7 @@ def solve_coupled_multi(
 
 
 def diagonal_decay_check(trace: IterationTrace, graph: Digraph, k: float) -> Certificate:
-    """Check the diagonal collapse d(x_n, y_n) <= k^n * d(x0, y0).
+    """Check the diagonal collapse d(x_n, y_n) <= k^n * d(x0, y0), every d(x_n, y_n) finite.
 
     Applies when the seed pair itself is an edge of the base graph (the
     collapse argument contracts the diagonal gap along that edge).
@@ -492,7 +492,8 @@ def diagonal_decay_check(trace: IterationTrace, graph: Digraph, k: float) -> Cer
             "diagonal decay needs the seed edge (x0, y0) in the base graph"
         )
     d0 = first.diag
-    bad = [step for step in trace.steps if step.diag > (k ** step.n) * d0 + SLACK]
+    bad = [step for step in trace.steps  # a NaN or infinite diag, or a NaN bound, offends
+           if not (math.isfinite(step.diag) and step.diag <= (k ** step.n) * d0 + SLACK)]
     violations = [{"n": step.n, "diag": float(step.diag), "bound": float((k ** step.n) * d0)}
                   for step in bad]
     return _finalize("diagonal_decay", len(trace.steps), violations, len(bad), None, f"k={k!r}")
@@ -527,55 +528,66 @@ class UniquenessReport:
     edge_violations: tuple[dict, ...]
 
 
-def _solve_rows(fn, space, graph, starts, cfg: SolveConfig) -> list[SeedOutcome]:
-    """:func:`solve_coupled` from every seed at once.
+def _solve_rows(fn, space, graph, starts: np.ndarray, cfg: SolveConfig) -> list[SeedOutcome]:
+    """:func:`solve_coupled` from every seed of the (s, 2, d) *starts* at once.
 
     The live pairs are held stacked, Z = [X; Y], and advance in lockstep
-    through batched map, graph and metric calls on unvalidated arrays: the
-    map's ``on_rows`` on [Z; swap(Z)] where it has one (expression and
-    linear maps, under one ``np.errstate`` per block), otherwise
-    :func:`checks._images`, which checks the batch's shape; both give the
-    same bits.  A block of ``_STEP_BLOCK`` steps stacks its iterates,
-    measures their step sizes in one call and applies :func:`_step_rule`
-    once, and each row ends at its first event there, so a probe makes up
-    to ``_STEP_BLOCK - 1`` map calls past its last stop.  A row freezes
-    when it converges or reaches ``max_iter``, and a seed without its seed
-    edge records ``SeedEdgeError``.  Any other failure hands the seed to
-    :func:`solve_coupled`, which gives its outcome: a non-finite seed (the
-    errstate would quieten the warnings ``solve_coupled`` gives on it), a
-    step :func:`_step_rule` rejects, or a raise in a batched call (every
-    seed still in that block) or at the final pair, where ``solve_coupled``
-    measures its residual and d(x, y) for ``is_diagonal``.  No edge flags
-    are computed (``record_edges`` is ignored).
+    through batched map, graph and metric calls on unvalidated arrays.  A
+    map with ``on_floats`` fills a block's (K + 1, d, 2a) columns by one
+    call per step on the d + d float64 columns of Z and [Y; X] (a constant
+    broadcasts), under one ``np.errstate``, every other map through the
+    shape-checked :func:`checks._images`; both give the same bits.  A
+    block of ``_STEP_BLOCK`` steps measures its step sizes in one call and
+    applies :func:`_step_rule` once, and each row ends at its first event
+    there, so a probe makes up to ``_STEP_BLOCK - 1`` map calls past its
+    last stop.  A row freezes when it converges or reaches ``max_iter``,
+    and a seed without its seed edge records ``SeedEdgeError``.
+    Any other failure hands the seed to :func:`solve_coupled`, which gives
+    its outcome: a non-finite seed (the errstate would quieten the warnings
+    ``solve_coupled`` gives on it), a multivalued map, a step
+    :func:`_step_rule` rejects, or a raise in a batched call (every seed
+    still in that block; a result of other than d columns raises) or at
+    the final pair, where ``solve_coupled`` measures its residual and
+    d(x, y) for ``is_diagonal``.  ``record_edges`` is ignored.
     """
     s, d = len(starts), space.dimension
-    on_rows = getattr(fn, "on_rows", None)
+    columns = getattr(fn, "on_floats", None)
 
     def iterates(P, K):
-        """The list P of stacked pairs, each the images [F(X, Y); F(Y, X)] of
-        the one before, extended to K + 1 pairs and stacked, (K + 1, 2a, d)."""
-        with np.errstate(divide="ignore", invalid="ignore") if on_rows else contextlib.nullcontext():
+        """The stacked pairs P, (j, 2a, d), each the images [F(X, Y); F(Y, X)]
+        of the one before, extended to K + 1 pairs, (K + 1, 2a, d)."""
+        j, a = len(P), P.shape[1] // 2
+        if columns is None:
+            P = list(P)
             while len(P) <= K:
-                Z, a = P[-1], len(P[-1]) // 2
-                W = np.concatenate([Z[a:], Z[:a]])
-                P.append(on_rows(Z, W) if on_rows else _images(fn, Z, W, d, multi=False)[:, 0])
-        return np.stack(P)
+                P.append(_images(fn, P[-1], np.concatenate([P[-1][a:], P[-1][:a]]), d, multi=False)[:, 0])
+            return np.stack(P)
+        B = np.empty((K + 1, d, 2 * a))
+        B[:j] = P.transpose(0, 2, 1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for t in range(j - 1, K):
+                out = columns([*B[t], *np.concatenate([B[t, :, a:], B[t, :, :a]], axis=1)])
+                if len(out) != d:
+                    raise InvalidInputError(f"on_floats gave {len(out)} values, not a point")
+                for i, column in enumerate(out):
+                    B[t + 1, i] = column
+        return np.ascontiguousarray(B.transpose(0, 2, 1))
 
     results: dict[int, tuple] = {}
     XF, YF = np.empty((s, d)), np.empty((s, d))
     converged = np.zeros(s, dtype=bool)
     ended = np.zeros(s, dtype=bool)
-    Z = np.array([x for x, _ in starts] + [y for _, y in starts]).reshape(2 * s, d)
-    finite = np.isfinite(Z).all(axis=1).reshape(2, s).all(axis=0)
-    handed = np.flatnonzero(~finite).tolist()  # seeds solve_coupled solves
+    Z = starts.swapaxes(0, 1).reshape(2 * s, d)
+    finite = np.isfinite(Z).all(axis=1).reshape(2, s).all(axis=0) & (not isinstance(fn, ExpressionMultiMap))
+    handed = np.flatnonzero(~finite).tolist()  # seeds solve_coupled solves, or refuses as multivalued
     live, n = np.flatnonzero(finite), 0  # seed index of each live pair, steps made
     try:
-        Z, Zn = iterates([Z[np.concatenate([finite, finite])]], 1)
+        Z, Zn = iterates(Z[None, np.concatenate([finite, finite])], 1)
         edge = product_edge_mask(graph, *Z.reshape(2, -1, d), *Zn.reshape(2, -1, d))
         for i in live[~edge].tolist():
             results[i] = None, False, f"SeedEdgeError: {_SEED_EDGE}"
         both = np.concatenate([edge, edge])
-        live, P = live[edge], [Z[both], Zn[both]]
+        live, P = live[edge], np.stack([Z[both], Zn[both]])
         while len(live):
             a, K = len(live), min(_STEP_BLOCK, cfg.max_iter - n)
             P = iterates(P, K)
@@ -595,7 +607,7 @@ def _solve_rows(fn, space, graph, starts, cfg: SolveConfig) -> list[SeedOutcome]
                 XF[rows], YF[rows] = P[t[stop] + 1, cols[stop]], P[t[stop] + 1, a + cols[stop]]
                 converged[rows], ended[rows] = done[t, cols][stop], True
                 live, D0, P = live[~hit], D0[~hit], P[-1:, np.concatenate([~hit, ~hit])]
-            P = [P[-1]]
+            P = P[-1:]
     except Exception:
         handed += live.tolist()
 
@@ -604,7 +616,7 @@ def _solve_rows(fn, space, graph, starts, cfg: SolveConfig) -> list[SeedOutcome]
     if len(rows):
         P = np.concatenate([XF[rows], YF[rows]])
         try:
-            space.distance_batch(iterates([P], 1)[1], P)
+            space.distance_batch(iterates(P[None], 1)[1], P)
             is_diagonal[rows] = space.distance_batch(XF[rows], YF[rows]) <= cfg.tol
         except Exception:
             handed += rows.tolist()
@@ -613,7 +625,7 @@ def _solve_rows(fn, space, graph, starts, cfg: SolveConfig) -> list[SeedOutcome]
     for i in np.flatnonzero(ended).tolist():
         fp = CoupledFixedPoint(x=XF[i].copy(), y=YF[i].copy(), is_diagonal=bool(is_diagonal[i]))
         results[i] = fp, bool(converged[i]), None if converged[i] else "non-convergence at max_iter"
-    per_seed = replace(cfg, record_edges=False)
+    per_seed = handed and replace(cfg, record_edges=False)
     for i in sorted(handed):
         try:
             fp, trace = solve_coupled(fn, space, graph, *starts[i], per_seed)
@@ -621,7 +633,7 @@ def _solve_rows(fn, space, graph, starts, cfg: SolveConfig) -> list[SeedOutcome]
             results[i] = None, False, f"{type(exc).__name__}: {exc}"
         else:
             results[i] = fp, trace.converged, None if trace.converged else "non-convergence at max_iter"
-    return [SeedOutcome(i, x0, y0, *results[i]) for i, (x0, y0) in enumerate(starts)]
+    return [SeedOutcome(i, x0, y0, *results[i]) for i, x0, y0 in zip(range(s), starts[:, 0], starts[:, 1])]
 
 
 # Pairs per block of the clustering passes: the most rows of their batch calls.
@@ -708,17 +720,23 @@ def uniqueness_probe(
     """Solve from each seed and cluster the resulting fixed points.
 
     Every seed is iterated as :func:`solve_coupled` would, all of them in
-    lockstep as one batch (maps with ``on_rows`` or ``eval_batch`` are
+    lockstep as one batch (maps with ``on_floats`` or ``eval_batch`` are
     evaluated once per step for all seeds, others row by row); a seed that
     fails there is solved again by :func:`solve_coupled` alone.  Per-seed
     solver errors are recorded in the outcome and the probe continues.  Pair
-    distance is d(p,p') + d(q,q').
+    distance is d(p,p') + d(q,q').  Seeds that form one (s, 2, d) array,
+    (s, 2) at d = 1, are read in one conversion, others point by point.
     """
     if len(seeds) == 0:
         raise InvalidInputError("at least one seed is required")
     d = space.dimension
-    starts = [(as_point(sx, d), as_point(sy, d)) for sx, sy in seeds]
-    outcomes = _solve_rows(fn, space, graph, starts, cfg)
+    try:
+        starts = np.array(seeds, dtype=np.float64)
+    except (TypeError, ValueError, ArithmeticError):  # as_point below raises the seed's own error
+        starts = None
+    if starts is None or starts.shape[1:] not in ((2, d), (2,) if d == 1 else (2, d)):
+        starts = np.array([(as_point(sx, d), as_point(sy, d)) for sx, sy in seeds])
+    outcomes = _solve_rows(fn, space, graph, starts.reshape(-1, 2, d), cfg)
     good = [o for o in outcomes if o.point is not None and o.converged]
     clusters, diameters, edge_violations = _cluster(space, graph, good, cfg.tol)
     return UniquenessReport(tuple(outcomes), clusters, diameters, edge_violations)

@@ -79,9 +79,9 @@ def test_probes_hand_no_seed_to_solve_coupled(monkeypatch):
     assert calls == []
 
 
-# The on_rows calls of each golden probe when the batch advanced one step at
-# a time: the seed call, one per step before the last seed stopped, and one
-# at the final pairs.
+# The on_floats column calls of each golden probe when the batch advanced one
+# step at a time: the seed call, one per step before the last seed stopped,
+# and one at the final pairs.
 _STEPWISE_CALLS = [51, 52, 52, 52, 52, 51]
 
 
@@ -94,8 +94,8 @@ def test_probes_make_at_most_a_block_of_extra_map_calls(block, monkeypatch):
         spec = parse_spec(probe["spec"])
         instance = build_instance(spec)
         calls = []
-        hook = instance.map.on_rows
-        instance.map.on_rows = lambda X, Y: calls.append(len(X)) or hook(X, Y)
+        hook = instance.map.on_floats
+        instance.map.on_floats = lambda columns: calls.append(len(columns[0])) or hook(columns)
         uniqueness_probe(instance.map, instance.space, instance.graph, probe["seeds"],
                          build_solve_config(spec))
         assert stepwise <= len(calls) <= stepwise + block - 1

@@ -619,6 +619,39 @@ def test_diagonal_decay_inapplicable_without_seed_edge():
         diagonal_decay_check(IterationTrace((), 0.0, False, 0.0), FullGraph(1), 0.5)
 
 
+@pytest.mark.parametrize("diags, offending", [
+    ((math.nan, 0.5, 0.25), [0, 1, 2]),  # a NaN d0 makes every bound NaN
+    ((1.0, math.nan, 0.25), [1]),
+    ((math.inf, 0.5, 0.25), [0]),  # an infinite d0 bounds the later steps by inf
+    ((1.0, math.inf, 0.25), [1]),
+], ids=["nan_d0", "nan_diag", "inf_d0", "inf_diag"])
+def test_diagonal_decay_offends_at_a_non_finite_diag(diags, offending):
+    # diag > bound is False for a NaN on either side and for inf > inf,
+    # so testing that alone passed all four traces with no violation.
+    from coupled_fpi import IterationTrace
+    steps = tuple(TraceStep(n, np.zeros(1), np.zeros(1), 0.0, 0.0, 0.0, diag)
+                  for n, diag in enumerate(diags))
+    cert = diagonal_decay_check(IterationTrace(steps, 0.0, True, 0.0), FullGraph(1), 0.5)
+    assert not cert.passed
+    assert [v["n"] for v in cert.violations] == offending and cert.violation_count == len(offending)
+    assert cert.samples_tested == len(diags)
+
+
+def test_diagonal_decay_certificate_of_a_finite_trace_is_unchanged():
+    fn = lambda x, y: x / 2.0
+    cfg = SolveConfig(k=0.5, tol=1e-12, max_iter=80)
+    _, trace = solve_coupled(fn, LINE, FullGraph(1), 8.0, 0.0, cfg)
+    d0 = trace.steps[0].diag
+    for k in (0.5, 0.45, 0.1):
+        cert = diagonal_decay_check(trace, FullGraph(1), k)
+        over = [s for s in trace.steps if s.diag > (k ** s.n) * d0 + SLACK]  # the finite rule
+        assert cert.passed == (not over) and cert.violation_count == len(over)
+        assert list(cert.violations) == [
+            {"n": s.n, "diag": float(s.diag), "bound": float((k ** s.n) * d0)} for s in over
+        ][:VIOLATION_CAP]
+        assert (cert.samples_tested, cert.detail) == (len(trace.steps), f"k={k!r}")
+
+
 def test_uniqueness_probe_single_cluster():
     cfg = SolveConfig(k=2.0 / 3.0, tol=1e-10, max_iter=300)
     report = uniqueness_probe(
@@ -799,9 +832,10 @@ def test_uniqueness_probe_keeps_seed_edge_failures_in_lockstep(monkeypatch):
 
 @pytest.mark.parametrize("graph", [OrderGraph(1), FullGraph(1)], ids=["order", "full"])
 def test_uniqueness_probe_quietens_the_row_hook(graph, monkeypatch):
-    # on_rows runs under the probe's errstate: 0/0 at the seed x = 2 gives a
-    # NaN image there, and no RuntimeWarning (an error in this suite) hands
-    # every seed to solve_coupled.  Only the seed whose step is NaN goes there.
+    # The column call runs under the probe's errstate: 0/0 at the seed x = 2
+    # gives a NaN image there, and no RuntimeWarning (an error in this
+    # suite) hands every seed to solve_coupled.  Only the seed whose step is
+    # NaN goes there.
     calls = []
     solve = solver.solve_coupled
     monkeypatch.setattr(solver, "solve_coupled",
@@ -1038,10 +1072,11 @@ def test_uniqueness_probe_row_hook_matches_across_step_blocks(d, block, monkeypa
 
 
 def _check_row_hook_against_validated_path(count, d, metric, monkeypatch):
-    # Expression and linear maps step the lockstep batch through on_rows; a
-    # plain callable around the same map has no hook and is evaluated
-    # through _images, row by row.  Both give the same report, and neither
-    # hands a seed to solve_coupled: the batch ends every row itself.
+    # Expression and linear maps step the lockstep batch through on_floats on
+    # float64 columns; a plain callable around the same map has no on_floats
+    # and is evaluated through _images, row by row.  Both give the same
+    # report, and neither hands a seed to solve_coupled: the batch ends every
+    # row itself.
     space, graph = metric(d), OrderGraph(d)
     calls, handed = [], []
     checked = _images
@@ -1078,8 +1113,8 @@ def _check_row_hook_against_validated_path(count, d, metric, monkeypatch):
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_uniqueness_probe_fails_every_seed_of_a_multivalued_map(d):
-    # A multivalued map has no row hook: its two-point images are no points,
-    # so every seed fails as solve_coupled fails on it.
+    # A multivalued map's two-point images are no points, so every seed
+    # fails as solve_coupled fails on it.
     emm = ExpressionMultiMap([["0.3*x1 - 0.2*y1"] * d, ["x1"] * d], d)
     rng = np.random.default_rng(7)
     seeds = [(rng.uniform(-3, 3, d), rng.uniform(-3, 3, d)) for _ in range(6)]
@@ -1090,6 +1125,196 @@ def test_uniqueness_probe_fails_every_seed_of_a_multivalued_map(d):
     with pytest.raises(InvalidInputError):
         solve_coupled(emm, EuclideanSpace(d), FullGraph(d), *seeds[0], cfg)
     assert report.clusters == ()
+
+
+def _columns_against_plain(fn, space, graph, seeds, cfg, monkeypatch):
+    """The probe of *fn*, stepped through its ``on_floats`` on float64 columns,
+    and of a plain callable around it, stepped through ``_images``, agree bit
+    for bit.  Returns the first report and the x0 of each seed it handed to
+    solve_coupled."""
+    handed = []
+    solve = solver.solve_coupled
+    monkeypatch.setattr(solver, "solve_coupled",
+                        lambda *args, **kwargs: handed.append(float(args[3][0])) or solve(*args, **kwargs))
+    columns = uniqueness_probe(fn, space, graph, seeds, cfg)
+    by_columns = list(handed)
+    _assert_same_report(columns, uniqueness_probe(lambda x, y: fn(x, y), space, graph, seeds, cfg))
+    return columns, by_columns
+
+
+@pytest.mark.parametrize("graph", [OrderGraph(2), FullGraph(2)], ids=["order", "full"])
+def test_probe_columns_broadcast_a_constant_component(graph, monkeypatch):
+    # The fused function gives the Python float 0.5 for the first component.
+    fn = ExpressionCoupledMap(["0.5", "0.3*x2 - 0.2*y2"], 2)
+    rng = np.random.default_rng(11)
+    seeds = [(rng.uniform(-3, 3, 2), rng.uniform(-3, 3, 2)) for _ in range(6)]
+    seeds += [(np.array([0.5 - t, -t]), np.array([0.5 + t, t])) for t in rng.uniform(0, 3, 6)]
+    cfg = SolveConfig(k=0.65, tol=1e-9, max_iter=300, check_bounds=True)
+    report, handed = _columns_against_plain(fn, EuclideanSpace(2), graph, seeds, cfg, monkeypatch)
+    assert handed == []
+    good = [o.point for o in report.outcomes if o.error is None]
+    assert len(good) >= 6 and all(p.x[0] == p.y[0] == 0.5 and abs(p.x[1]) < 1e-9 for p in good)
+
+
+@pytest.mark.parametrize("graph", [OrderGraph(1), FullGraph(1)], ids=["order", "full"])
+def test_probe_columns_hand_every_seed_at_a_constant_zero_divisor(graph, monkeypatch):
+    # 1/(2 - 2) divides Python floats even on columns, so the column call
+    # raises ZeroDivisionError and hands every seed to solve_coupled, where
+    # the map's __call__ gives numpy's inf.
+    fn = ExpressionCoupledMap(["0.3*x - 0.2*y + 1/(2 - 2)"], 1)
+    seeds = [(0.0, 1.0), (2.0, -1.0), (-3.0, 3.0)]
+    cfg = SolveConfig(k=0.65, tol=1e-9, max_iter=300)
+    report, handed = _columns_against_plain(fn, LINE, graph, seeds, cfg, monkeypatch)
+    assert handed == [0.0, 2.0, -3.0]
+    for outcome, seed in zip(report.outcomes, seeds):
+        with pytest.raises((SeedEdgeError, NonFiniteValueError)) as info:
+            solve_coupled(fn, LINE, graph, *seed, cfg)
+        assert outcome.error == f"{type(info.value).__name__}: {info.value}"
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("d", [1, 2])
+def test_probe_columns_hand_every_seed_of_a_multivalued_map(m, d, monkeypatch):
+    # A one-point map's on_floats gives d values too; its images are point
+    # lists all the same, which solve_coupled refuses, and so does the probe.
+    emm = ExpressionMultiMap([["0.3*x1 - 0.2*y1"] * d] * m, d)
+    rng = np.random.default_rng(5)
+    seeds = [(rng.uniform(-3, 3, d), rng.uniform(-3, 3, d)) for _ in range(4)]
+    cfg = SolveConfig(k=0.65, tol=1e-9, max_iter=50)
+    report, handed = _columns_against_plain(emm, EuclideanSpace(d), FullGraph(d), seeds, cfg, monkeypatch)
+    want = f"InvalidInputError: a point must be a flat vector, got shape ({m}, {d})"
+    assert [o.error for o in report.outcomes] == [want] * len(seeds)
+    assert len(handed) == len(seeds)
+
+
+@pytest.mark.parametrize("width", [1, 4])
+def test_probe_columns_hand_every_seed_of_a_map_without_d_values(width, monkeypatch):
+    # A map of two variables at d = 2 whose on_floats and __call__ give
+    # *width* values: no point, so every seed fails as in solve_coupled.
+    class Widened:
+        def on_floats(self, args):
+            return [0.3 * args[0] - 0.2 * args[2]] * width
+
+        def __call__(self, x, y):
+            return np.array(self.on_floats([*as_point(x), *as_point(y)]))
+
+    seeds = [(np.array([0.0, 1.0]), np.array([2.0, 3.0])), (np.array([-1.0, 1.0]), np.array([1.0, -1.0]))]
+    cfg = SolveConfig(k=0.65, tol=1e-9, max_iter=50)
+    report, handed = _columns_against_plain(Widened(), EuclideanSpace(2), FullGraph(2), seeds, cfg,
+                                            monkeypatch)
+    want = f"InvalidInputError: dimension mismatch: expected 2, got {width}"
+    assert [o.error for o in report.outcomes] == [want] * 2 and handed == [0.0, -1.0]
+
+
+_BAD_SEEDS = [
+    (2, [([0.0, 1.0], [0.0]), ([0.0, 1.0], [1.0, 2.0])], "dimension mismatch: expected 2, got 1"),
+    (2, [([0.0, 1.0], [1.0, 2.0]), ([0.0, 1.0, 3.0], [1.0, 2.0])], "dimension mismatch: expected 2, got 3"),
+    (2, [(0.0, 1.0), (2.0, 3.0)], "dimension mismatch: expected 2, got 1"),
+    (1, [([0.0, 1.0], [1.0, 2.0])], "dimension mismatch: expected 1, got 2"),
+    (1, [([[0.0]], [[1.0]])], "a point must be a flat vector, got shape (1, 1)"),
+    (1, [(0.0, 1.0), ("a", 1.0)], "not a point: 'a'"),
+]
+
+
+@pytest.mark.parametrize("d, seeds, message", _BAD_SEEDS,
+                         ids=["ragged", "ragged_long", "scalars_at_d2", "pairs_at_d1", "nested", "text"])
+def test_uniqueness_probe_seed_errors_keep_their_text(d, seeds, message):
+    cfg = SolveConfig(k=0.65, tol=1e-9, max_iter=50)
+    with pytest.raises(InvalidInputError) as info:
+        uniqueness_probe(LinearCoupledMap(0.3, -0.2), EuclideanSpace(d), OrderGraph(d), seeds, cfg)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_uniqueness_probe_copies_its_seeds_into_float64_points(d):
+    fn, cfg = LinearCoupledMap(0.3, -0.2), SolveConfig(k=0.65, tol=1e-9, max_iter=300)
+    space, graph = EuclideanSpace(d), FullGraph(d)
+    rng = np.random.default_rng(3)
+    arrays = [(rng.uniform(-3, 3, d), rng.uniform(-3, 3, d)) for _ in range(5)]
+    values = [(x.tolist(), y.tolist()) for x, y in arrays]
+    block = np.array(arrays)
+    # arrays, lists, one block, ints, float32 beside lists; at d = 1 also
+    # scalars, and a scalar beside a list, which form no one array
+    inputs = [arrays, values, block, [([1] * d, [2] * d)] * 2,
+              [(x, y.tolist()) for x, y in arrays[:2]] + [(x.astype(np.float32), y) for x, y in arrays[2:]]]
+    if d == 1:
+        inputs += [[(x[0], y[0]) for x, y in values], [(values[0][0][0], values[0][1])] + values[1:]]
+    for seeds in inputs:
+        want = [(as_point(x, d), as_point(y, d)) for x, y in seeds]
+        report = uniqueness_probe(fn, space, graph, seeds, cfg)
+        for x, y in arrays:
+            x += 1.0  # the caller's arrays change after the probe
+            y -= 1.0
+        block += 1.0
+        for outcome, (x0, y0) in zip(report.outcomes, want):
+            for got, point in ((outcome.x0, x0), (outcome.y0, y0)):
+                assert got.dtype == np.float64 and got.shape == (d,)
+                assert got.tobytes() == point.tobytes()
+        assert all(o.converged for o in report.outcomes)
+
+
+def _exact_solution(A, B, c):
+    """The solution of (I - A - B) x = c, by Gauss-Jordan elimination in Fractions."""
+    d = len(c)
+    M = [[int(i == j) - A[i][j] - B[i][j] for j in range(d)] + [c[i]] for i in range(d)]
+    for col in range(d):
+        pivot = next(r for r in range(col, d) if M[r][col] != 0)
+        M[col], M[pivot] = M[pivot], M[col]
+        for r in range(d):
+            if r != col:
+                f = M[r][col] / M[col][col]
+                M[r] = [u - f * v for u, v in zip(M[r], M[col])]
+    return [M[i][d] / M[i][i] for i in range(d)]
+
+
+@pytest.mark.parametrize("metric", [EuclideanSpace, ChebyshevSpace])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_probe_meets_the_theorem_3_1_oracle(d, metric):
+    # F(x, y) = A x + B y + c with A >= 0 and B <= 0 is mixed monotone on the
+    # order graph.  Every row and column of |A| (and of |B|) sums to at most
+    # 0.45, which bounds both operator norms, so F meets Theorem 3.1's
+    # contraction with k = 2 max(|A|, |B|) < 1 (norm sum below 1).  Its
+    # unique coupled fixed point is (x*, x*), (I - A - B) x* = c.  Every
+    # seed with the seed edge must reach it: one cluster, each limit within
+    # tail_bound of x*, measured exactly in Fractions, and the pair within
+    # tol of (x*, x*) summed, as the stopping rule guarantees.
+    from fractions import Fraction
+    rng = np.random.default_rng(31 + 10 * d)
+    space, graph = metric(d), OrderGraph(d)
+    for _ in range(3):
+        A = [[Fraction(int(rng.integers(0, 450 // d + 1)), 1000) for _ in range(d)] for _ in range(d)]
+        B = [[-Fraction(int(rng.integers(0, 450 // d + 1)), 1000) for _ in range(d)] for _ in range(d)]
+        c = [Fraction(int(rng.integers(-300, 301)), 100) for _ in range(d)]
+        norm = max(max(sum(abs(v) for v in row) for row in M) for M in (A, B, [*zip(*A)], [*zip(*B)]))
+        k = min(0.95, float(2 * norm) + 0.01)
+        text = [" + ".join(f"{float(A[i][j]):.3f}*x{j + 1}" for j in range(d))
+                + "".join(f" - {float(-B[i][j]):.3f}*y{j + 1}" for j in range(d))
+                + f" + ({float(c[i]):.2f})" for i in range(d)]
+        fn = ExpressionCoupledMap(text, d)
+        star = _exact_solution(A, B, c)
+        centre = np.array([float(v) for v in star])
+        # x* -/+ t on every coordinate meets the seed edge; random seeds may not
+        seeds = [(centre - t, centre + t) for t in (0.1, 1.0, 7.0)]
+        seeds += [(rng.uniform(-5, 5, d), rng.uniform(-5, 5, d)) for _ in range(5)]
+        cfg = SolveConfig(k=k, tol=1e-10, max_iter=2000, check_bounds=True)
+        report = uniqueness_probe(fn, space, graph, seeds, cfg)
+        converged = [o.index for o in report.outcomes if o.converged]
+        assert converged[:3] == [0, 1, 2]
+        assert all(o.error.startswith("SeedEdgeError") for o in report.outcomes if not o.converged)
+        assert report.clusters == (tuple(converged),) and report.edge_violations == ()
+        for i in converged:
+            _, trace = solve_coupled(fn, space, graph, *seeds[i], cfg)
+            bound = Fraction(tail_bound(k, trace.D0, len(trace.steps)))
+            point, summed = report.outcomes[i].point, 0.0
+            for limit in (point.x, point.y):
+                gaps = [Fraction(float(v)) - s for v, s in zip(limit, star)]
+                if metric is ChebyshevSpace:
+                    assert max(map(abs, gaps)) <= bound
+                    summed += float(max(map(abs, gaps)))
+                else:
+                    assert sum(g * g for g in gaps) <= bound * bound
+                    summed += math.sqrt(sum(g * g for g in gaps))
+            assert summed <= cfg.tol
 
 
 def _assert_probe_is_oracle(fn, space, graph, seeds, cfg):
