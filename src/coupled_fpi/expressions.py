@@ -17,12 +17,11 @@ Each expression becomes the text of one Python lambda over the arguments
 ``x1..xd, y1..yd`` and one parameter ``c<i>`` per number, with the same
 operations in the same order.  Each source is parsed once per process
 and dimension, and that text is compiled once per process and shared by
-every expression of the same form (equal up to its numbers).  The one
-function runs on numpy columns (a batch), and with ``(g, 1)`` number
-columns on g components of one form at once.  A map's point runs on
-Python floats through one lambda that lists the texts of all its
-components, their numbers renumbered after each other; the probe's
-batch runs through that lambda too, on float64 columns.
+every expression of the same form (equal up to its numbers); it serves
+``CompiledExpression.__call__``.  A map runs through one lambda that
+lists the texts of all its components, their numbers renumbered after
+each other: a point on Python floats, and a batch, the probe's too, on
+float64 columns.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ import re
 import numpy as np
 
 from .errors import ExpressionError
-from .spaces import _check_int, _compiled, as_point
+from .spaces import _as_rows, _check_int, _compiled, as_point
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
@@ -230,73 +229,50 @@ def compile_expression(source: str, dimension: int = 1) -> CompiledExpression:
 _compile = functools.lru_cache(maxsize=1024)(CompiledExpression)
 
 
-# Values per (g, rows) temporary: past glibc's 128 KiB mmap threshold every call faults them in.
+# Rows per kernel block, the values of each numpy temporary: past glibc's 128 KiB mmap
+# threshold every call faults them in.
 _BLOCK_VALUES = 12288
-
-# ExpressionMultiMap.on_floats exists for at most this many image points, past which a step
-# on numpy can be faster (the float step's cost grows with m * d, the numpy step's barely with m).
-_FLOAT_POINTS = 48
 
 
 class _PointKernel:
     """(n, m, d) values of m point maps, given by their compiled components,
-    on (n, d) rows.  A single point (``at_point``) runs on Python floats,
-    through one function of every component's text in a list, and a
-    division by zero hands it to numpy, which gives its inf or NaN; rows
-    run on numpy.  There components of one form run as one (g, rows)
-    expression with (g, 1) number columns and go out in one indexed write;
-    a component alone in its form writes its own column.  Both paths do the
-    same IEEE operations in the same order, so each value has the same bits
-    (a NaN's sign and payload aside, which numpy itself varies by array
-    position).
+    on (n, d) rows, through one function of every component's text in a
+    list.  A single point (``at_point``) runs it on Python floats; rows,
+    and a point that meets a zero divisor, run it on blocks of float64
+    columns with its numbers as 0-d float64 arrays, where a zero divisor
+    gives numpy's inf or NaN.  Both do the same IEEE operations in the same
+    order, so each value has the same bits (a NaN's sign and payload aside,
+    which numpy itself varies by array position).
     """
 
     def __init__(self, points, dimension: int):
         self.shape = (len(points), dimension)
-        bodies, floats = [], []
+        bodies, numbers = [], []
         for c in (c for components in points for c in components):
             body = c.form.partition(": ")[2]
-            bodies.append(re.sub(r"c(\d+)", lambda n, k=len(floats): f"c{int(n[1]) + k}", body))
-            floats += c.floats
-        params = [*_arguments(dimension), *(f"c{i}" for i in range(len(floats)))]
+            bodies.append(re.sub(r"c(\d+)", lambda n, k=len(numbers): f"c{int(n[1]) + k}", body))
+            numbers += c.numbers
+        params = [*_arguments(dimension), *(f"c{i}" for i in range(len(numbers)))]
         self.fused = _compiled(f"lambda {', '.join(params)}: [{', '.join(bodies)}]")
-        self.floats = tuple(floats)
-        forms: dict = {}
-        for j, components in enumerate(points):
-            for i, c in enumerate(components):
-                forms.setdefault(c.form, []).append((j, i, c))
-        self.single, self.stacked, flat = [], [], []
-        for members in forms.values():
-            js, cs, compiled = zip(*members)
-            fn = compiled[0].fn
-            if len(members) == 1:
-                self.single.append((js[0], cs[0], fn, compiled[0].numbers))
-            else:
-                columns = [np.array([[c.numbers[k]] for c in compiled])
-                           for k in range(len(compiled[0].numbers))]
-                self.stacked.append((len(flat), len(flat) + len(members), fn, columns))
-                flat += [j * dimension + i for j, i in zip(js, cs)]
-        self.flat = np.array(flat, dtype=np.intp)
-        self.rows = _BLOCK_VALUES // max(map(len, forms.values()))
+        self.numbers = tuple(map(np.array, numbers))  # 0-d float64 arrays, for numpy columns
+        self.floats = tuple(map(float, numbers))  # the same values, for Python floats
+        self.rows = _BLOCK_VALUES  # rows per block
 
     def __call__(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """The (n, m, d) values on numpy columns of (n, d) rows."""
-        (m, d), n = self.shape, len(X)
-        X = np.asarray(X, dtype=np.float64).reshape(n, d)
-        Y = np.asarray(Y, dtype=np.float64).reshape(len(Y), d)
-        out = np.empty((n, m, d))
+        """The (n, m, d) values on numpy columns of (n, d) rows.
+
+        Raises:
+            InvalidInputError: X or Y is not rows of d values, or they differ in length.
+        """
+        m, d = self.shape
+        X, Y = _as_rows(X, Y, d)
+        out = np.empty((m * d, len(X)))  # written by rows, returned transposed
         with np.errstate(divide="ignore", invalid="ignore"):
-            for r in range(0, n, self.rows):
+            for r in range(0, len(X), self.rows):
                 block = slice(r, r + self.rows)
-                args = [*X[block].T, *Y[block].T]
-                for j, i, fn, numbers in self.single:
-                    out[block, j, i] = fn(*args, *numbers)  # a constant broadcasts
-                if self.stacked:
-                    buf = np.empty((len(self.flat), min(self.rows, n - r)))
-                    for a, b, fn, columns in self.stacked:
-                        buf[a:b] = fn(*args, *columns)
-                    out.reshape(n, -1)[block, self.flat] = buf.T
-        return out
+                for k, values in enumerate(self.fused(*X[block].T, *Y[block].T, *self.numbers)):
+                    out[k, block] = values  # a constant broadcasts
+        return out.T.reshape(len(X), m, d)
 
     def at_point(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """The m * d values, row-major, at one pair of float64 points."""
@@ -325,7 +301,7 @@ class ExpressionCoupledMap:
     """Single-valued coupled map from componentwise expressions.
 
     One expression per output component.  A point runs on Python floats
-    and a batch on numpy columns, through the same compiled functions, so
+    and a batch on numpy columns, through the same compiled function, so
     both give the same floats.  ``canonical`` (the sources) labels the map.
     """
 
@@ -356,9 +332,8 @@ class ExpressionMultiMap:
     m points, and ``__call__`` gives the m images of one point through the
     same point entry as ``ExpressionCoupledMap``; both are bitwise equal to
     each point's ``ExpressionCoupledMap`` called on one point.  ``on_floats``
-    is the kernel's, for the solver's steps on Python floats, while the map
-    has at most ``_FLOAT_POINTS`` image points; past that a numpy step can
-    be faster, and it is None.  ``canonical`` (the sources) labels the map.
+    is the kernel's, for the solver's steps on Python floats.  ``canonical``
+    (the sources) labels the map.
     """
 
     def __init__(self, point_expressions, dimension: int = 1):
@@ -368,7 +343,7 @@ class ExpressionMultiMap:
         self.dimension = self.points[0][0].dimension  # the checked int
         self.canonical = repr([[c.source for c in point] for point in self.points])
         self._kernel = _PointKernel(self.points, self.dimension)
-        self.on_floats = self._kernel.on_floats if len(self.points) <= _FLOAT_POINTS else None
+        self.on_floats = self._kernel.on_floats  # one pair's m * d floats
 
     def __call__(self, x, y):
         x = as_point(x, self.dimension, copy=False)

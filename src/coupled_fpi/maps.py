@@ -32,6 +32,9 @@ class LinearCoupledMap:
         )
 
     def eval_batch(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        X, Y = np.asarray(X, dtype=np.float64), np.asarray(Y, dtype=np.float64)
+        if X.shape != Y.shape:
+            raise InvalidInputError(f"expected X and Y of one shape, got {X.shape} and {Y.shape}")
         return self.a * X + self.b * Y
 
     def on_floats(self, args: list) -> list:

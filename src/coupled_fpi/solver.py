@@ -50,8 +50,7 @@ Multivalued maps iterate by edge-filtered nearest-point selection: the
 next iterate is the image point nearest the current one among
 edge-compatible candidates, ties resolved by image index.  A step runs
 on Python floats (:func:`_float_step`) where the map has ``on_floats``
-(an ``ExpressionMultiMap`` with at most 48 image points, past which a
-numpy step can be faster) and the metric and the graph a ``_row_rule``;
+(an ``ExpressionMultiMap``) and the metric and the graph a ``_row_rule``;
 each side then picks in one function compiled from their rule texts
 (:func:`_picks`).  Any other step, and one that meets a zero divisor, a
 non-finite image value or a side without a candidate, evaluates both

@@ -57,9 +57,10 @@ def as_point(value: PointLike, dimension: int | None = None, copy: bool = True) 
 
 
 def _as_rows(P, Q, dimension: int) -> tuple[np.ndarray, np.ndarray]:
-    """*P* and *Q* as float64 rows of *dimension* values, as every ``distance_batch``
-    and ``edge_mask`` reads its two arguments: an (n, d) array is taken as it is,
-    and a flat vector is its consecutive points of d coordinates.
+    """*P* and *Q* as float64 rows of *dimension* values, as every ``distance_batch``,
+    ``edge_mask`` and expression map's ``eval_batch`` reads its two arguments: an
+    (n, d) array is taken as it is, and a flat vector is its consecutive points of d
+    coordinates.
 
     Raises:
         InvalidInputError: any other shape, or a different number of rows.

@@ -152,13 +152,13 @@ def _number(rng):
 
 
 def test_eval_batch_is_bitwise_per_point_on_random_trees():
-    # The batch kernel stacks components that differ only in their numbers;
-    # every row must be bitwise the per-point value of each point map.
+    # The batch kernel runs every component on float64 columns, by blocks of
+    # rows; every row must be bitwise the per-point value of each point map.
     rng = np.random.default_rng(603)
     for trial in range(120):
         m, d = int(rng.integers(1, 9)), int(rng.integers(1, 4))
         names = [f"{v}{i}" for v in "xy" for i in range(1, d + 1)] + (["x", "y"] if d == 1 else [])
-        # a few shared forms, some without variables, so that groups form
+        # a few shared forms, some without variables
         forms = [_random_form(rng, names if rng.random() < 0.8 else []) for _ in range(3)]
         forms.append("x1 / {}")
         points = []
@@ -232,6 +232,50 @@ def test_point_path_matches_numpy_path_on_edge_cases():
     fn = ExpressionCoupledMap(["x / y"])
     assert fn(np.array([-1.0]), np.array([-0.0]))[0] == np.inf
     assert np.isnan(fn(np.array([0.0]), np.array([0.0]))[0])
+
+
+def _row_values(kernel, args):
+    """The kernel's m * d values at one row: on_floats, or where a Python float
+    divisor is zero, the same function on np.float64 scalars (numpy's inf or NaN)."""
+    try:
+        return kernel.on_floats(args)
+    except ZeroDivisionError:
+        return kernel.fused(*map(np.float64, [*args, *kernel.floats]))
+
+
+def test_numpy_path_matches_on_floats_across_row_blocks():
+    # eval_batch runs the kernel on blocks of ``rows`` rows.  A batch of n =
+    # 1, rows - 1, rows, rows + 1 or 2 rows + 3 rows gives each row the bits
+    # of on_floats at that row (a NaN's sign aside), for m * d = 1, 2, 16
+    # and 96: every row next to a block edge or an end, and a seeded sample
+    # of the others, of the largest batch, and the smaller batches are its
+    # first rows.  Components: affine, a constant, a constant-only zero
+    # divisor (inf, not ZeroDivisionError), x / (x - x) and overflow to inf.
+    rng = np.random.default_rng(3501)
+    affine, overflow = "0.5 * x{i} - 0.25 * y{j}", "x{i} * 1e308 * 10 - y{j}"
+    cases = (((1, 1), ["1 / 0"]),
+             ((2, 1), ["x{i} / (x{i} - x{i})", "2.5"]),
+             ((8, 2), [affine, "2.5", "1 / 0", "x{i} / (x{i} - x{i})", overflow]),
+             ((32, 3), [affine, "2.5", overflow]))
+    seen = set()
+    for (m, d), pool in cases:
+        points = [[pool[(p * d + i) % len(pool)].format(i=i + 1, j=(i + 1) % d + 1) for i in range(d)]
+                  for p in range(m)]
+        multi = ExpressionMultiMap(points, dimension=d)
+        rows = multi._kernel.rows
+        N = 2 * rows + 3
+        X, Y = (rng.normal(size=(N, d)) * 10.0 ** rng.integers(-310, 3, size=(N, d)) for _ in "xy")
+        X[rng.random((N, d)) < 0.05] = 0.0
+        check = sorted({*range(3), *range(rows - 3, rows + 3), *range(2 * rows - 3, N),
+                        *rng.integers(0, N, 200).tolist()})
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            want = np.array([_row_values(multi._kernel, X[i].tolist() + Y[i].tolist()) for i in check])
+            full = multi.eval_batch(X, Y)
+            assert full.shape == (N, m, d) and _same_bits(full.reshape(N, m * d)[check], want), (m, d)
+            for n in (1, rows - 1, rows, rows + 1):
+                assert _same_bits(multi.eval_batch(X[:n], Y[:n]), full[:n]), (m, d, n)
+        seen.update(kind for kind, test in (("inf", np.isinf), ("nan", np.isnan)) if test(want).any())
+    assert seen == {"inf", "nan"}
 
 
 def test_fused_point_function_is_bitwise_each_component():

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from coupled_fpi import (
+    ExpressionCoupledMap,
+    ExpressionMultiMap,
     FiniteSet,
     InvalidInputError,
     InvalidParameterError,
@@ -40,6 +42,23 @@ def test_linear_map_batch_matches_scalar():
     batch = fn.eval_batch(X, Y)
     rows = np.vstack([fn(x, y) for x, y in zip(X, Y)])
     assert np.array_equal(batch, rows)
+
+
+@pytest.mark.parametrize("fn", [
+    ExpressionCoupledMap(["x1 - y2", "y1"], 2),
+    ExpressionMultiMap([["x1", "y2"], ["y1 / 2", "x2"]], 2),
+    LinearCoupledMap(0.5, -0.25),
+], ids=["expression", "multi", "linear"])
+def test_eval_batch_rejects_rows_of_another_length(fn):
+    # X and Y of one shape, as distance_batch and edge_mask read their
+    # arguments: 1 or 3 rows of Y beside 5 rows of X neither broadcast nor
+    # raise a bare numpy error
+    X = np.arange(10.0).reshape(5, 2)
+    for rows in (1, 3):
+        for args in ((X, X[:rows]), (X[:rows], X)):
+            with pytest.raises(InvalidInputError):
+                fn.eval_batch(*args)
+    assert len(fn.eval_batch(X, X[::-1])) == 5
 
 
 def test_singleton_multi_map():

@@ -31,6 +31,7 @@ from coupled_fpi import (
     SolveConfig,
     TraceStep,
     as_finite_set,
+    check_bl,
     check_mbl,
     diagonal_decay_check,
     dist_to_set,
@@ -45,7 +46,6 @@ from coupled_fpi.checks import SLACK, VIOLATION_CAP, _images
 from coupled_fpi.errors import CoupledFpiError
 from coupled_fpi.graphs import product_edge
 from coupled_fpi import solver
-from coupled_fpi.expressions import _FLOAT_POINTS
 from coupled_fpi.solver import _pair_blocks, _run_iteration
 from coupled_fpi.spaces import as_point
 
@@ -1317,6 +1317,49 @@ def test_probe_meets_the_theorem_3_1_oracle(d, metric):
             assert summed <= cfg.tol
 
 
+def _trace_bits(fp, trace):
+    """A solve's fixed point and trace, each float by its bits."""
+    steps = [(s.n, s.x.tobytes(), s.y.tobytes(), *(float(v).hex() for v in s[3:7]), *s[7:])
+             for s in trace.steps]
+    return (steps, float(trace.D0).hex(), trace.converged, float(trace.residual).hex(),
+            fp.x.tobytes(), fp.y.tobytes(), fp.is_diagonal)
+
+
+def test_copies_of_one_point_meet_the_theorem_4_1_oracle():
+    # A multivalued map whose m image points are copies of one affine point
+    # (A >= 0, B <= 0, norm sum below 1, as in the Theorem 3.1 oracle) is
+    # the single-valued map: solve_coupled_multi from (x1, y1) = (F(x0, y0),
+    # F(y0, x0)) gives solve_coupled's iterates, step sizes, bounds, diag,
+    # D0 and residual bit for bit, past 48 image points too, and check_mbl
+    # counts check_bl's violations on one seeded sample at a k too small.
+    rng = np.random.default_rng(4101)
+    for d in (1, 2, 3):
+        A = rng.integers(0, 450 // d + 1, size=(d, d)) / 1000
+        B = -rng.integers(0, 450 // d + 1, size=(d, d)) / 1000
+        c = rng.uniform(-3.0, 3.0, d)
+        text = [" + ".join(f"{float(A[i, j])!r}*x{j + 1}" for j in range(d))
+                + "".join(f" - {float(-B[i, j])!r}*y{j + 1}" for j in range(d))
+                + f" + ({float(c[i])!r})" for i in range(d)]
+        single = ExpressionCoupledMap(text, d)
+        k = min(0.95, 2 * max(np.abs(M).sum(axis=a).max() for M in (A, B) for a in (0, 1)) + 0.01)
+        cfg = SolveConfig(k=k, tol=1e-10, max_iter=2000, check_bounds=True, record_edges=True)
+        star = np.linalg.solve(np.eye(d) - A - B, c)  # x* -/+ 1 meets the order graph's seed edge
+        x0, y0 = star - 1.0, star + 1.0
+        x1, y1 = single(x0, y0), single(y0, x0)
+        for m in (1, 2, 8, 49, 64):
+            multi = ExpressionMultiMap([text] * m, d)
+            for space in (EuclideanSpace(d), ChebyshevSpace(d)):
+                for graph in (OrderGraph(d), FullGraph(d)):
+                    want = solve_coupled(single, space, graph, x0, y0, cfg)
+                    assert want[1].converged and len(want[1].steps) > 5
+                    got = solve_coupled_multi(multi, space, graph, x0, y0, x1, y1, cfg)
+                    assert _trace_bits(*got) == _trace_bits(*want), (d, m, space, graph)
+                    sample = SampleSpec(count=40, seed=m, low=-5.0, high=5.0)
+                    bl = check_bl(single, space, graph, k / 4, sample)
+                    mbl = check_mbl(multi, space, graph, k / 4, sample)
+                    assert mbl.violation_count == bl.violation_count > 0, (d, m, space, graph)
+
+
 def _assert_probe_is_oracle(fn, space, graph, seeds, cfg):
     report = uniqueness_probe(fn, space, graph, seeds, cfg)
     _, clusters, diameters, violations = probe_oracle(fn, space, graph, seeds, cfg)
@@ -1437,14 +1480,14 @@ _FLOAT_STEP_ANCHORS = (0.0, -0.0, 0.25, -0.5, 1.0, 1e308, -1e308, 1e200)
 def test_float_step_matches_numpy_step():
     # The float step gives the numpy step's two rows bit for bit, or hands
     # the step back; the numpy step then gives the rows or the error.  Every
-    # dimension with a metric rule, every m up to the cut-off.
+    # dimension with a metric rule, every m up to 48, and 49 and 64.
     rng = np.random.default_rng(909)
     seen = set()
     spaces = [EuclideanSpace(d) for d in range(1, 8)] + [ChebyshevSpace(d) for d in range(1, 9)]
     for space in spaces:
         d = space.dimension
         for graph in (FullGraph(d), OrderGraph(d)):
-            for m in range(1, _FLOAT_POINTS + 1):
+            for m in (*range(1, 49), 49, 64):
                 for _ in range(6 if m <= 8 else 1):
                     pool = rng.choice(len(_FLOAT_STEP_COMPONENTS), size=3)
                     points = np.array(_FLOAT_STEP_COMPONENTS)[rng.choice(pool, size=(m, d))].tolist()
@@ -1502,10 +1545,10 @@ def test_float_step_only_where_map_metric_and_graph_have_a_float_rule():
     wider = ExpressionMultiMap([[f"x{i}" for i in range(1, 10)]], dimension=9)
     assert solver._float_rules(wider, ChebyshevSpace(9), FullGraph(9)) is None
     assert ChebyshevSpace(500)._row_rule is None and OrderGraph(500)._row_rule is not None
-    # past _FLOAT_POINTS image points a numpy step can be faster
-    for m, d, floats in ((48, 1, True), (49, 1, False), (48, 8, True), (49, 2, False), (1, 8, True)):
+    # an expression map has a float step at every number of image points
+    for m, d in ((48, 1), (49, 1), (48, 8), (49, 2), (64, 2), (1, 8)):
         emm = ExpressionMultiMap([["x1"] * d] * m, dimension=d)
-        assert (solver._float_rules(emm, ChebyshevSpace(d), FullGraph(d)) is not None) == floats
+        assert solver._float_rules(emm, ChebyshevSpace(d), FullGraph(d)) is not None
 
 
 # Components for the float bookkeeping test, by template: a contraction, a
