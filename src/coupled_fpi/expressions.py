@@ -265,7 +265,7 @@ class _PointKernel:
             InvalidInputError: X or Y is not rows of d values, or they differ in length.
         """
         m, d = self.shape
-        X, Y = _as_rows(X, Y, d)
+        X, Y = _as_rows(X, Y, d, "XY")
         out = np.empty((m * d, len(X)))  # written by rows, returned transposed
         with np.errstate(divide="ignore", invalid="ignore"):
             for r in range(0, len(X), self.rows):

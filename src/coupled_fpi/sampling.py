@@ -131,7 +131,7 @@ class Sampler:
 
     def _points(self, n: int) -> np.ndarray:
         if self._pool is not None:
-            return self._pool[self._rng.integers(0, len(self._pool), size=n)]
+            return self._pool.take(self._rng.integers(0, len(self._pool), size=n), axis=0)
         return self._low + self._width * self._rng.random((n, self.dimension))
 
     def draw(self, n: int) -> np.ndarray:
@@ -163,7 +163,7 @@ class Sampler:
             drawn += n
             mask = accept(cols)
             if mask.any():
-                kept.append([c[mask] for c in cols])
+                kept.append([c.compress(mask, axis=0) for c in cols])
                 got += int(mask.sum())
         if got == 0:
             raise InsufficientSamplesError(

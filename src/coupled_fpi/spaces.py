@@ -56,11 +56,11 @@ def as_point(value: PointLike, dimension: int | None = None, copy: bool = True) 
     return pt
 
 
-def _as_rows(P, Q, dimension: int) -> tuple[np.ndarray, np.ndarray]:
+def _as_rows(P, Q, dimension: int, names: str = "PQ") -> tuple[np.ndarray, np.ndarray]:
     """*P* and *Q* as float64 rows of *dimension* values, as every ``distance_batch``,
     ``edge_mask`` and expression map's ``eval_batch`` reads its two arguments: an
     (n, d) array is taken as it is, and a flat vector is its consecutive points of d
-    coordinates.
+    coordinates.  *names* are the caller's two argument names, for the error text.
 
     Raises:
         InvalidInputError: any other shape, or a different number of rows.
@@ -76,7 +76,8 @@ def _as_rows(P, Q, dimension: int) -> tuple[np.ndarray, np.ndarray]:
         pair.append(rows)
     P, Q = pair
     if len(P) != len(Q):
-        raise InvalidInputError(f"expected as many rows in Q as in P, got {len(P)} and {len(Q)}")
+        raise InvalidInputError(
+            f"expected as many rows in {names[1]} as in {names[0]}, got {len(P)} and {len(Q)}")
     return P, Q
 
 

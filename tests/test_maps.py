@@ -52,12 +52,15 @@ def test_linear_map_batch_matches_scalar():
 def test_eval_batch_rejects_rows_of_another_length(fn):
     # X and Y of one shape, as distance_batch and edge_mask read their
     # arguments: 1 or 3 rows of Y beside 5 rows of X neither broadcast nor
-    # raise a bare numpy error
+    # raise a bare numpy error; the expression maps name X and Y
     X = np.arange(10.0).reshape(5, 2)
     for rows in (1, 3):
         for args in ((X, X[:rows]), (X[:rows], X)):
-            with pytest.raises(InvalidInputError):
+            with pytest.raises(InvalidInputError) as info:
                 fn.eval_batch(*args)
+            if not isinstance(fn, LinearCoupledMap):
+                assert str(info.value) == (
+                    f"expected as many rows in Y as in X, got {len(args[0])} and {len(args[1])}")
     assert len(fn.eval_batch(X, X[::-1])) == 5
 
 

@@ -8,6 +8,7 @@ import pytest
 from coupled_fpi import (
     CallbackSpace,
     ChebyshevSpace,
+    CoupledFixedPoint,
     EuclideanSpace,
     ExpressionCoupledMap,
     ExpressionMultiMap,
@@ -1253,6 +1254,40 @@ def test_uniqueness_probe_copies_its_seeds_into_float64_points(d):
         assert all(o.converged for o in report.outcomes)
 
 
+@pytest.mark.parametrize("fn", [
+    ExpressionCoupledMap(["0.3*x1 - 0.2*y1 + 0.9", "0.3*x2 - 0.2*y2 - 1.8"], 2),
+    lambda x, y: 0.3 * x - 0.2 * y + np.array([0.9, -1.8]),
+], ids=["on_floats", "plain"])
+def test_uniqueness_probe_outcomes_are_named_tuples_of_their_own_rows(fn):
+    # the fixed point is (1, -2); every third seed is swapped and fails its edge
+    rng = np.random.default_rng(5)
+    u = rng.uniform(1.0, 4.0, (12, 2))
+    block = np.stack([np.array([1.0, -2.0]) - u, np.array([1.0, -2.0]) + u], axis=1)
+    block[::3] = block[::3, ::-1].copy()
+    cfg = SolveConfig(k=0.65, tol=1e-9, max_iter=300)
+    outcomes = uniqueness_probe(fn, EuclideanSpace(2), OrderGraph(2), block, cfg).outcomes
+    assert solver.SeedOutcome._fields == ("index", "x0", "y0", "point", "converged", "error")
+    assert CoupledFixedPoint._fields == ("x", "y", "is_diagonal")
+    assert [type(o) for o in outcomes] == [solver.SeedOutcome] * 12
+    assert [o.index for o in outcomes] == list(range(12))
+    assert [o.point is None for o in outcomes] == [i % 3 == 0 for i in range(12)]
+    arrays = []
+    for o in outcomes:
+        assert type(o.converged) is bool and o.converged == (o.point is not None)
+        arrays += [o.x0, o.y0]
+        if o.point is not None:
+            x, y, is_diagonal = o.point
+            assert type(o.point) is CoupledFixedPoint and type(is_diagonal) is bool
+            assert all(v.dtype == np.float64 and v.shape == (2,) for v in (x, y))
+            arrays += [x, y]
+    for i, a in enumerate(arrays):
+        assert not np.shares_memory(a, block)
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
+    before = [a.tobytes() for a in arrays]
+    block[...] = np.nan  # the caller's block changes after the probe
+    assert [a.tobytes() for a in arrays] == before
+
+
 def _exact_solution(A, B, c):
     """The solution of (I - A - B) x = c, by Gauss-Jordan elimination in Fractions."""
     d = len(c)
@@ -1372,10 +1407,12 @@ def _assert_probe_is_oracle(fn, space, graph, seeds, cfg):
     return report
 
 
-@pytest.mark.parametrize("n", range(8))
+@pytest.mark.parametrize("n", [*range(8), 64, 65, 66, 91, 92, 321])
 def test_pair_blocks_are_the_upper_triangle_in_row_major_order(n, monkeypatch):
-    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
-    for block in (1, 3, 7, 4096):
+    # small n at odd block sizes; from n = 65 on, blocks of the default
+    # 2048 pairs end inside a row (n = 91 has 4095 pairs, 92 has 4186)
+    pairs = list(zip(*(side.tolist() for side in np.triu_indices(n, 1))))
+    for block in (1, 3, 7, 4096, solver._PAIR_BLOCK) if n < 8 else (solver._PAIR_BLOCK,):
         monkeypatch.setattr(solver, "_PAIR_BLOCK", block)
         blocks = list(_pair_blocks(n))
         assert all(0 < len(a) == len(b) <= block for a, b in blocks)
