@@ -25,12 +25,15 @@ solver trusts the declared k; certifying it is the job of the checkers
 
 :func:`uniqueness_probe` runs this iteration from many seeds at once, in
 lockstep over an (s, d) batch, with the bound check and stopping rule of
-the per-pair kernel.  It advances by blocks of ``_STEP_BLOCK`` steps and
-checks a block's steps at once, so it makes up to ``_STEP_BLOCK - 1`` map
-calls past the last seed's stop.  It records a missing seed edge itself and
-hands every other failing seed to :func:`solve_coupled`, so each seed gets
-the outcome :func:`solve_coupled` gives it; a raise inside a block hands
-every seed of the block, also one that would have stopped before it.
+the per-pair kernel.  It advances by blocks of steps and checks a block's
+steps at once: ``_STEP_BLOCK`` steps first, then each block until the
+slowest live seed's stop as its step totals' last ratio predicts it
+(:func:`_next_block`), so it makes a map call past the last seed's stop
+only where that prediction runs long.  It records a missing seed edge
+itself and hands every other failing seed to :func:`solve_coupled`, so
+each seed gets the outcome :func:`solve_coupled` gives it; a raise inside
+a block hands every seed of the block, also one that would have stopped
+before it, and a longer block hands more.
 A map with ``on_floats`` steps the batch through it on float64 columns,
 unchecked, every other map through the validated ``checks._images``, the
 reference; both give the same bits.
@@ -52,7 +55,8 @@ edge-compatible candidates, ties resolved by image index.  A step runs
 on Python floats (:func:`_float_step`) where the map has ``on_floats``
 (an ``ExpressionMultiMap``) and the metric and the graph a ``_row_rule``;
 each side then picks in one function compiled from their rule texts
-(:func:`_picks`).  Any other step, and one that meets a zero divisor, a
+(:func:`_picks`), or past ``_PICK_VALUES`` image values selects on them
+with numpy.  Any other step, and one that meets a zero divisor, a
 non-finite image value or a side without a candidate, evaluates both
 images as one (2, m, d) array, with a single ``eval_batch`` call when
 the map has one and no finite set either way, and selects on that raw
@@ -81,7 +85,7 @@ from .errors import (
     SeedEdgeError,
     SelectionFailureError,
 )
-from .expressions import ExpressionMultiMap
+from .expressions import _BLOCK_VALUES, ExpressionMultiMap
 from .finite_sets import _point_rows, dist_to_set
 # as_finite_set is not used here; perfbench/tracer.py patches it under this name.
 from .finite_sets import as_finite_set  # noqa: F401
@@ -398,11 +402,17 @@ def _picks(gap: str, edge: str, m: int, d: int) -> tuple[Callable, Callable]:
     return pick(True), pick(False)
 
 
+# Image values (m * d) past which a float step selects with numpy: one compiled
+# pick is no faster there, and it compiles in tens of ms and more.
+_PICK_VALUES = 256
+
+
 def _float_step(image: Callable, space: MetricSpace, graph: Digraph):
     """:func:`_select_step` on the pair's two lists of finite Python floats, by
-    the map's ``on_floats`` *image* and :func:`_picks`, as two lists.  The step
-    gives None for :func:`_select_step` to take over on a zero divisor, a
-    non-finite image value or a side without a candidate."""
+    the map's ``on_floats`` *image* and :func:`_picks`, as two lists; past
+    ``_PICK_VALUES`` values per image, by :func:`_select_step` itself on those
+    values, as two arrays.  The step gives None for the numpy step to take over
+    on a zero divisor, a non-finite image value or a side without a candidate."""
     d, texts, picks = space.dimension, (space._row_text(), graph._row_text()), None
 
     def step(x, y):
@@ -413,6 +423,12 @@ def _float_step(image: Callable, space: MetricSpace, graph: Digraph):
             return None
         if not abs(sum(vx) + sum(vy)) < math.inf:  # a non-finite value, or a sum that overflowed
             return None
+        if len(vx) > _PICK_VALUES:
+            try:
+                with np.errstate(over="ignore"):  # an overflowing gap is inf, as on floats
+                    return _select_step(space, graph, np.array([vx, vy]).reshape(2, -1, d), np.array([x, y]), 0)
+            except SelectionFailureError:  # the numpy step raises it again, naming its step
+                return None
         pick_x, pick_y = picks or (picks := _picks(*texts, len(vx) // d, d))
         jx, jy = pick_x(*x, *vx), pick_y(*y, *vy)
         return None if jx is None or jy is None else (vx[jx:jx + d], vy[jy:jy + d])
@@ -535,10 +551,14 @@ def _solve_rows(fn, space, graph, starts: np.ndarray, cfg: SolveConfig) -> list[
     call per step on the d + d float64 columns of Z and [Y; X] (a constant
     broadcasts), under one ``np.errstate``, every other map through the
     shape-checked :func:`checks._images`; both give the same bits.  A
-    block of ``_STEP_BLOCK`` steps measures its step sizes in one call and
-    applies :func:`_step_rule` once, and each row ends at its first event
-    there, so a probe makes up to ``_STEP_BLOCK - 1`` map calls past its
-    last stop.  A row freezes when it converges or reaches ``max_iter``,
+    block measures its step sizes in one call and applies
+    :func:`_step_rule` once, and each row ends at its first event there.
+    The first block has ``_STEP_BLOCK`` steps and each later one the steps
+    :func:`_next_block` predicts from the live rows' last two step totals
+    (at most ``max_iter``), so a probe makes map calls past its last stop
+    only where the slowest row's prediction runs long.  Every step does the
+    same IEEE work in any grouping, so the block lengths move no output bit.
+    A row freezes when it converges or reaches ``max_iter``,
     and a seed without its seed edge records ``SeedEdgeError``.
     Any other failure hands the seed to :func:`solve_coupled`, which gives
     its outcome: a non-finite seed (the errstate would quieten the warnings
@@ -546,7 +566,8 @@ def _solve_rows(fn, space, graph, starts: np.ndarray, cfg: SolveConfig) -> list[
     :func:`_step_rule` rejects, or a raise in a batched call (every seed
     still in that block; a result of other than d columns raises) or at
     the final pair, where ``solve_coupled`` measures its residual and
-    d(x, y) for ``is_diagonal``.  ``record_edges`` is ignored.
+    d(x, y) for ``is_diagonal``; a raise in a longer block hands more seeds.
+    ``record_edges`` is ignored.
     """
     s, d = len(starts), space.dimension
     columns = getattr(fn, "on_floats", None)
@@ -586,8 +607,9 @@ def _solve_rows(fn, space, graph, starts: np.ndarray, cfg: SolveConfig) -> list[
             results[i] = None, False, f"SeedEdgeError: {_SEED_EDGE}"
         both = np.concatenate([edge, edge])
         live, P = live[edge], np.stack([Z[both], Zn[both]])
+        K, last = _STEP_BLOCK, np.full(len(live), np.nan)  # each live row's step total before the block
         while len(live):
-            a, K = len(live), min(_STEP_BLOCK, cfg.max_iter - n)
+            a, K = len(live), min(K, cfg.max_iter - n)
             P = iterates(P, K)
             step = space.distance_batch(P[:-1].reshape(-1, d), P[1:].reshape(-1, d)).reshape(K, 2 * a)
             total = step[:, :a] + step[:, a:]
@@ -597,6 +619,7 @@ def _solve_rows(fn, space, graph, starts: np.ndarray, cfg: SolveConfig) -> list[
             event = ~ok | done
             n += K
             event[-1] |= n == cfg.max_iter
+            before, last = total[-2] if K > 1 else last, total[-1]
             if event.any():
                 t, cols = event.argmax(axis=0), np.arange(a)  # each row's first event, if any
                 hit, ok = event[t, cols], ok[t, cols]
@@ -605,7 +628,10 @@ def _solve_rows(fn, space, graph, starts: np.ndarray, cfg: SolveConfig) -> list[
                 XF[rows], YF[rows] = P[t[stop] + 1, cols[stop]], P[t[stop] + 1, a + cols[stop]]
                 converged[rows], ended[rows] = done[t, cols][stop], True
                 live, D0, P = live[~hit], D0[~hit], P[-1:, np.concatenate([~hit, ~hit])]
+                before, last = before[~hit], last[~hit]
             P = P[-1:]
+            if len(live):
+                K = _next_block(cfg, before, last, d)
     except Exception:
         handed += live.tolist()
 
@@ -637,7 +663,22 @@ def _solve_rows(fn, space, graph, starts: np.ndarray, cfg: SolveConfig) -> list[
 
 # Pairs per block of the clustering passes: the most rows of their batch calls.
 _PAIR_BLOCK = 2048
-_STEP_BLOCK = 8  # lockstep steps per block of the probe's batch, checked at once
+_STEP_BLOCK = 8  # lockstep steps of the probe's first block, and of a block without a prediction
+
+
+def _next_block(cfg: SolveConfig, before: np.ndarray, last: np.ndarray, d: int) -> int:
+    """Steps of the probe's next block: until the stopping rule fires on the
+    slowest live row, each row's step totals extended from *last* by the
+    ratio ``last / before`` of its last two, as a geometric sequence.  At
+    least 1 and at most the steps whose (K + 1, d, 2a) iterates fit
+    ``_BLOCK_VALUES``, but never fewer than ``_STEP_BLOCK``; ``_STEP_BLOCK``
+    where some row's ratio is 1 or more, or NaN (no step before the first)."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        need = float((np.log(cfg.k / (1.0 - cfg.k) * last / cfg.tol)
+                      / np.log(np.maximum(before / last, 1.0))).max())
+    if not abs(need) < math.inf:
+        return _STEP_BLOCK
+    return min(max(math.ceil(need), 1), max(_STEP_BLOCK, _BLOCK_VALUES // (2 * len(last) * d)))
 
 
 def _pair_blocks(n: int):
@@ -716,6 +757,15 @@ def _cluster(space: MetricSpace, graph: Digraph, good: list[SeedOutcome], tol: f
     return clusters, diameters, tuple(edge_violations)
 
 
+def _seed_points(i: int, seed, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Probe seed *i*, a pair (x0, y0), as two points of dimension *d*."""
+    try:
+        x0, y0 = seed
+    except (TypeError, ValueError):
+        raise InvalidInputError(f"seed {i} is not a pair (x0, y0)") from None
+    return as_point(x0, d), as_point(y0, d)
+
+
 def uniqueness_probe(
     fn: Callable,
     space: MetricSpace,
@@ -731,17 +781,29 @@ def uniqueness_probe(
     fails there is solved again by :func:`solve_coupled` alone.  Per-seed
     solver errors are recorded in the outcome and the probe continues.  Pair
     distance is d(p,p') + d(q,q').  Seeds that form one (s, 2, d) array,
-    (s, 2) at d = 1, are read in one conversion, others point by point.
+    (s, 2) at d = 1, are read in one conversion, others point by point; an
+    iterable without ``len`` is read once, into a list.
+
+    Raises:
+        InvalidInputError: *seeds* is empty or not iterable, or a seed is
+            not a pair of points (the message names its index).
     """
+    if not hasattr(seeds, "__len__"):
+        try:
+            seeds = iter(seeds)
+        except TypeError:
+            raise InvalidInputError(f"seeds must be an iterable of (x0, y0) pairs, "
+                                    f"got {type(seeds).__name__}") from None
+        seeds = list(seeds)
     if len(seeds) == 0:
         raise InvalidInputError("at least one seed is required")
     d = space.dimension
     try:
         starts = np.array(seeds, dtype=np.float64)
-    except (TypeError, ValueError, ArithmeticError):  # as_point below raises the seed's own error
+    except (TypeError, ValueError, ArithmeticError):  # _seed_points below raises the seed's own error
         starts = None
     if starts is None or starts.shape[1:] not in ((2, d), (2,) if d == 1 else (2, d)):
-        starts = np.array([(as_point(sx, d), as_point(sy, d)) for sx, sy in seeds])
+        starts = np.array([_seed_points(i, seed, d) for i, seed in enumerate(seeds)])
     outcomes = _solve_rows(fn, space, graph, starts.reshape(-1, 2, d), cfg)
     good = [o for o in outcomes if o.point is not None and o.converged]
     clusters, diameters, edge_violations = _cluster(space, graph, good, cfg.tol)

@@ -44,6 +44,7 @@ from coupled_fpi import (
     uniqueness_probe,
 )
 from coupled_fpi.checks import SLACK, VIOLATION_CAP, _images
+from coupled_fpi.expressions import _BLOCK_VALUES
 from coupled_fpi.errors import CoupledFpiError
 from coupled_fpi.graphs import product_edge
 from coupled_fpi import solver
@@ -959,6 +960,10 @@ def _maps(d):
         "projection": lambda x, y: x,
         "raising": raising,
         "expanding": LinearCoupledMap(2.5, -0.5),
+        # nonlinear: the ratio of successive step totals drifts as the iterates approach 0
+        "drifting": ExpressionCoupledMap(
+            [f"x{j} / (5 + x{j} * x{j}) - y{j} / 7" if d > 1 else "x / (5 + x * x) - y / 7"
+             for j in range(1, d + 1)], d),
     }
 
 
@@ -984,6 +989,99 @@ def test_uniqueness_probe_matches_oracle_across_step_blocks(space, block, monkey
     _check_probe_against_oracle(space)
 
 
+def test_next_block_extends_each_rows_ratio_to_the_stopping_rule():
+    # k = 1/2, so a row stops at a step total <= tol = 1e-6: from 0.5 at
+    # ratio 1/2 that is 19 steps on (0.5 ** 20 < 1e-6 < 0.5 ** 19)
+    cfg = SolveConfig(k=0.5, tol=1e-6)
+
+    def block(before, last, d=1):
+        return solver._next_block(cfg, np.array(before), np.array(last), d)
+
+    assert block([1.0], [0.5]) == 19
+    assert block([1.0, 1.0], [0.5, 0.25]) == 19  # the slowest row
+    assert block([1.0], [1e-6]) == 1  # at the threshold, one step
+    assert block([1.0], [1e-30]) == 1  # below it (a row about to stop), one step
+    # no step before the first, a ratio of 1 or more: no prediction
+    assert block([math.nan], [0.5]) == solver._STEP_BLOCK
+    assert block([1.0, 0.5], [0.5, 0.5]) == solver._STEP_BLOCK
+    assert block([1.0, 0.25], [0.5, 0.5]) == solver._STEP_BLOCK
+    # a slow ratio runs into the value cap, never below _STEP_BLOCK steps
+    assert block([1.0], [0.999]) == _BLOCK_VALUES // 2
+    assert block([1.0] * 3, [0.999] * 3, d=2) == _BLOCK_VALUES // 12
+    assert block([1.0] * 1000, [0.999] * 1000) == solver._STEP_BLOCK
+
+
+def _block_shapes(monkeypatch) -> list:
+    """The (K, a) step totals of every lockstep block the probe checks from now on."""
+    shapes = []
+    rule = solver._step_rule
+    monkeypatch.setattr(solver, "_step_rule", lambda cfg, kn, total, D0: (
+        np.ndim(total) == 2 and shapes.append(total.shape)) or rule(cfg, kn, total, D0))
+    return shapes
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_uniqueness_probe_blocks_run_to_the_predicted_stop_within_the_value_cap(d, monkeypatch):
+    # After a first block of _STEP_BLOCK steps each block runs to the slowest
+    # row's predicted stop, so the probe makes at most one step past the
+    # stepwise count, and no block's (K + 1, d, 2a) iterates pass
+    # _BLOCK_VALUES unless it has at most _STEP_BLOCK steps.
+    shapes = _block_shapes(monkeypatch)
+    fn = ExpressionCoupledMap([f"0.3*x{j} - 0.25*y{j} + {j}" for j in range(1, d + 1)], d) \
+        if d > 1 else ExpressionCoupledMap(["0.3*x - 0.25*y + 1"], 1)
+    space, graph = EuclideanSpace(d), FullGraph(d)
+    cfg = SolveConfig(k=0.65, tol=1e-9, max_iter=300, check_bounds=True)
+    rng = np.random.default_rng(370 + d)
+    seen = set()
+    for count in (25, 400):
+        seeds = [(rng.uniform(-3, 3, d), rng.uniform(-3, 3, d)) for _ in range(count)]
+        del shapes[:]
+        report = uniqueness_probe(fn, space, graph, seeds, cfg)
+        blocks = list(shapes)
+        assert all(o.converged for o in report.outcomes)
+        stepwise = max(len(solve_coupled(fn, space, graph, *seed, cfg)[1].steps) for seed in seeds)
+        assert stepwise <= sum(K for K, _ in blocks) <= stepwise + 1
+        assert blocks[0][0] == solver._STEP_BLOCK
+        for K, a in blocks:
+            cap = max(solver._STEP_BLOCK, _BLOCK_VALUES // (2 * a * d))
+            assert 1 <= K <= cap
+            seen.add("capped" if K == cap > solver._STEP_BLOCK else
+                     "predicted" if K > solver._STEP_BLOCK else "short")
+    assert seen >= ({"predicted", "capped"} if d == 1 else {"predicted"})
+
+
+@pytest.mark.parametrize("fn", [ExpressionCoupledMap(["x + 1"], 1), LinearCoupledMap(2.5, -0.5)],
+                         ids=["ratio_one", "expanding"])
+def test_uniqueness_probe_without_decay_keeps_step_blocks(fn, monkeypatch):
+    # Step totals that stay level or grow in the first block predict no
+    # stop, so every later block has _STEP_BLOCK steps, bar what max_iter leaves.
+    shapes = _block_shapes(monkeypatch)
+    seeds = [(0.5, 1.0), (-1.0, 2.0), (3.0, -2.0)]
+    cfg = SolveConfig(k=0.65, tol=1e-9, max_iter=30)
+    report = uniqueness_probe(fn, LINE, FullGraph(1), seeds, cfg)
+    assert [K for K, _ in shapes] == [8, 8, 8, 6]
+    assert [o.error for o in report.outcomes] == ["non-convergence at max_iter"] * 3
+    for got, (_, fp, _, _) in zip(report.outcomes, probe_oracle(fn, LINE, FullGraph(1), seeds, cfg)[0]):
+        assert (got.point.x.tobytes(), got.point.y.tobytes()) == (fp.x.tobytes(), fp.y.tobytes())
+
+
+def test_uniqueness_probe_max_iter_cuts_a_predicted_block(monkeypatch):
+    # The oracle check's "inside_prediction" max_iter of 20 ends the second
+    # block after 12 steps, where the prediction asks for more.
+    shapes = _block_shapes(monkeypatch)
+    fn, seeds = _maps(1)["linear"], [(2.0, -1.0), (0.5, 3.0)]
+    for max_iter, error in ((300, None), (20, "non-convergence at max_iter")):
+        del shapes[:]
+        cfg = SolveConfig(k=0.65, tol=1e-9, max_iter=max_iter, check_bounds=True)
+        report = uniqueness_probe(fn, LINE, FullGraph(1), seeds, cfg)
+        assert [o.error for o in report.outcomes] == [error] * 2
+        lengths = [K for K, _ in shapes]
+        if error is None:
+            assert lengths[0] == solver._STEP_BLOCK and lengths[1] > 12
+        else:
+            assert lengths == [solver._STEP_BLOCK, 12]
+
+
 def _check_probe_against_oracle(space):
     d = space.dimension
     graphs = {
@@ -997,6 +1095,8 @@ def _check_probe_against_oracle(space):
         "short": SolveConfig(k=0.65, tol=1e-9, max_iter=4),
         "one_block": SolveConfig(k=0.65, tol=1e-9, max_iter=8, check_bounds=True),
         "two_blocks": SolveConfig(k=0.65, tol=1e-9, max_iter=16),
+        # past the first block the prediction asks for more steps than max_iter leaves
+        "inside_prediction": SolveConfig(k=0.65, tol=1e-9, max_iter=20, check_bounds=True),
     }
     rng = np.random.default_rng(2024 + d)
     seen = set()
@@ -1214,16 +1314,49 @@ _BAD_SEEDS = [
     (1, [([0.0, 1.0], [1.0, 2.0])], "dimension mismatch: expected 1, got 2"),
     (1, [([[0.0]], [[1.0]])], "a point must be a flat vector, got shape (1, 1)"),
     (1, [(0.0, 1.0), ("a", 1.0)], "not a point: 'a'"),
+    # a seed that is no pair names its index
+    (1, [(0.0, 1.0), (0.0,)], "seed 1 is not a pair (x0, y0)"),
+    (1, [(0.0, 1.0), (2.0, 3.0), (0.0, 1.0, 2.0)], "seed 2 is not a pair (x0, y0)"),
+    (2, [([0.0, 1.0],)], "seed 0 is not a pair (x0, y0)"),
+    (2, [([0.0, 1.0], [1.0, 2.0]), ([0.0, 1.0], [1.0, 2.0], [2.0, 3.0])], "seed 1 is not a pair (x0, y0)"),
+    (1, [(0.0, 1.0), 0.5], "seed 1 is not a pair (x0, y0)"),
+    (2, [None], "seed 0 is not a pair (x0, y0)"),
 ]
 
 
 @pytest.mark.parametrize("d, seeds, message", _BAD_SEEDS,
-                         ids=["ragged", "ragged_long", "scalars_at_d2", "pairs_at_d1", "nested", "text"])
+                         ids=["ragged", "ragged_long", "scalars_at_d2", "pairs_at_d1", "nested", "text",
+                              "one_point_at_d1", "three_points_at_d1", "one_point_at_d2",
+                              "three_points_at_d2", "scalar_seed", "none_seed"])
 def test_uniqueness_probe_seed_errors_keep_their_text(d, seeds, message):
     cfg = SolveConfig(k=0.65, tol=1e-9, max_iter=50)
     with pytest.raises(InvalidInputError) as info:
         uniqueness_probe(LinearCoupledMap(0.3, -0.2), EuclideanSpace(d), OrderGraph(d), seeds, cfg)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("seeds, kind", [(None, "NoneType"), (5, "int"), (2.5, "float"),
+                                         (object(), "object")], ids=["none", "int", "float", "object"])
+def test_uniqueness_probe_rejects_seeds_that_are_not_iterable(seeds, kind):
+    cfg = SolveConfig(k=0.65, tol=1e-9, max_iter=50)
+    with pytest.raises(InvalidInputError) as info:
+        uniqueness_probe(LinearCoupledMap(0.3, -0.2), LINE, OrderGraph(1), seeds, cfg)
+    assert str(info.value) == f"seeds must be an iterable of (x0, y0) pairs, got {kind}"
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_uniqueness_probe_reads_an_iterable_of_seeds_once(d):
+    # An iterator or a generator of seeds gives the list's report; an
+    # empty one is no seed at all.
+    fn, cfg = LinearCoupledMap(0.3, -0.2), SolveConfig(k=0.65, tol=1e-9, max_iter=300)
+    space, graph = EuclideanSpace(d), FullGraph(d)
+    rng = np.random.default_rng(12 + d)
+    seeds = [(rng.uniform(-3, 3, d), rng.uniform(-3, 3, d)) for _ in range(6)]
+    want = uniqueness_probe(fn, space, graph, seeds, cfg)
+    for once in (iter(seeds), (seed for seed in seeds), map(tuple, seeds)):
+        _assert_same_report(uniqueness_probe(fn, space, graph, once, cfg), want)
+    with pytest.raises(InvalidInputError, match="at least one seed is required"):
+        uniqueness_probe(fn, space, graph, iter([]), cfg)
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -1586,6 +1719,63 @@ def test_float_step_only_where_map_metric_and_graph_have_a_float_rule():
     for m, d in ((48, 1), (49, 1), (48, 8), (49, 2), (64, 2), (1, 8)):
         emm = ExpressionMultiMap([["x1"] * d] * m, dimension=d)
         assert solver._float_rules(emm, ChebyshevSpace(d), FullGraph(d)) is not None
+
+
+def _pick_cut_shapes():
+    """(m, d) at _PICK_VALUES image values and just past them, at d = 1 and 2."""
+    cut = solver._PICK_VALUES
+    return [(cut, 1), (cut + 1, 1), (cut // 2, 2), (cut // 2 + 1, 2)]
+
+
+def test_float_step_past_the_pick_cut_selects_with_numpy(monkeypatch):
+    # Up to _PICK_VALUES image values the float step picks in a compiled
+    # function; past them it hands its float images to _select_step and
+    # compiles nothing.  Either way it gives the numpy step's rows bit for
+    # bit, or hands the step back.
+    compiled = []
+    picks = solver._picks
+    monkeypatch.setattr(solver, "_picks", lambda *args: compiled.append(args[2:]) or picks(*args))
+    rng = np.random.default_rng(911)
+    seen = set()
+    for m, d in _pick_cut_shapes():
+        for space in (EuclideanSpace(d), ChebyshevSpace(d)):
+            for graph in (FullGraph(d), OrderGraph(d)):
+                for _ in range(8):
+                    pool = rng.choice(len(_FLOAT_STEP_COMPONENTS), size=3)
+                    points = np.array(_FLOAT_STEP_COMPONENTS)[rng.choice(pool, size=(m, d))].tolist()
+                    emm = ExpressionMultiMap(points, dimension=d)
+                    Z = rng.choice(_FLOAT_STEP_ANCHORS, size=(2, d))
+                    step = solver._float_step(emm.on_floats, space, graph)
+                    del compiled[:]
+                    with np.errstate(over="ignore"):
+                        want = _numpy_step(emm, space, graph, Z, 7)
+                    got = step(Z[0].tolist(), Z[1].tolist())
+                    past = m * d > solver._PICK_VALUES
+                    if past:
+                        assert compiled == []
+                    if got is None:
+                        seen.add((past, want[0] if isinstance(want[0], str) else "handed back, rows"))
+                        continue
+                    assert (np.array(got[0]).tobytes(), np.array(got[1]).tobytes()) == want, (points, Z)
+                    assert compiled == ([] if past else [(m, d)])
+                    seen.add((past, "rows"))
+    assert {(past, "rows") for past in (False, True)} <= seen
+    assert {(True, "SelectionFailureError"), (True, "NonFiniteValueError")} <= seen
+
+
+def test_multi_solves_on_both_sides_of_the_pick_cut_match_plain_and_oracle():
+    rng = np.random.default_rng(912)
+    cfg = SolveConfig(k=0.9, tol=1e-12, max_iter=25, record_edges=True)
+    seen = set()
+    for m, d in _pick_cut_shapes():
+        for space in (EuclideanSpace(d), ChebyshevSpace(d)):
+            for graph in (FullGraph(d), OrderGraph(d)):
+                emm = _dyadic_multi_map(rng, d, m)
+                x0, y0 = rng.integers(-8, 9, size=(2, d)) / 4.0
+                x1 = _seed_iterate(as_finite_set(emm(x0, y0), d), lambda p: graph.has_edge(x0, p))
+                y1 = _seed_iterate(as_finite_set(emm(y0, x0), d), lambda p: graph.has_edge(p, y0))
+                assert_multi_paths_agree(emm, space, graph, (x0, y0, x1, y1), cfg, seen)
+    assert "ok" in seen
 
 
 # Components for the float bookkeeping test, by template: a contraction, a
