@@ -619,7 +619,7 @@ def _solve_rows(fn, space, graph, starts: np.ndarray, cfg: SolveConfig) -> list[
             event = ~ok | done
             n += K
             event[-1] |= n == cfg.max_iter
-            before, last = total[-2] if K > 1 else last, total[-1]
+            before, last = (total[-2] if K > 1 else last), total[-1]
             if event.any():
                 t, cols = event.argmax(axis=0), np.arange(a)  # each row's first event, if any
                 hit, ok = event[t, cols], ok[t, cols]
@@ -670,9 +670,10 @@ def _next_block(cfg: SolveConfig, before: np.ndarray, last: np.ndarray, d: int) 
     """Steps of the probe's next block: until the stopping rule fires on the
     slowest live row, each row's step totals extended from *last* by the
     ratio ``last / before`` of its last two, as a geometric sequence.  At
-    least 1 and at most the steps whose (K + 1, d, 2a) iterates fit
-    ``_BLOCK_VALUES``, but never fewer than ``_STEP_BLOCK``; ``_STEP_BLOCK``
-    where some row's ratio is 1 or more, or NaN (no step before the first)."""
+    least 1 step, and at most ``_STEP_BLOCK`` or ``_BLOCK_VALUES // (2 a d)``,
+    whichever is more, so a long block's iterates stay within the kernel's
+    value bound; ``_STEP_BLOCK`` where some row's ratio is 1 or more, or NaN
+    (no step before the first block)."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         need = float((np.log(cfg.k / (1.0 - cfg.k) * last / cfg.tol)
                       / np.log(np.maximum(before / last, 1.0))).max())
